@@ -26,6 +26,12 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass, field, replace
+from itertools import chain
+from typing import Iterable
+
+import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .gadgets import (
     Edge,
@@ -114,9 +120,7 @@ class NgcInstance:
 
     def all_edges(self) -> list[Edge]:
         """Core edges, then auxiliary closers, then any augmentation edges."""
-        return list(to_edges(self.graph)) + list(self.auxiliary_edges) + list(
-            self.extra_edges
-        )
+        return [*to_edges(self.graph), *self.auxiliary_edges, *self.extra_edges]
 
     def edge_weight(self, edge: Edge) -> int:
         if self.weights is None:
@@ -434,62 +438,36 @@ class Census:
         return self.paths.get(length, 0)
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.edges = [0] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, u: int, v: int) -> None:
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
-            self.edges[ru] += 1
-            return
-        if self.size[ru] < self.size[rv]:
-            ru, rv = rv, ru
-        self.parent[rv] = ru
-        self.size[ru] += self.size[rv]
-        self.edges[ru] += self.edges[rv] + 1
+def _tally(lengths: np.ndarray) -> dict[int, int]:
+    keys, counts = np.unique(lengths, return_counts=True)
+    return dict(zip(keys.tolist(), counts.tolist()))
 
 
-def census_of_edges(n_vertices: int, edges: list[Edge]) -> Census:
-    """Union-find census.  A component with #edges == #vertices and all degrees
+def census_of_edges(n_vertices: int, edges: Iterable[Edge]) -> Census:
+    """Connected-components census of a multigraph on vertices 0..n-1.
 
-    2 is a cycle of that length; otherwise it is reported as a path keyed by
-    edge count (isolated vertex = path of length 0).  Vertices of degree > 2
-    are flagged, not crashed on.
+    A component with #edges == #vertices and all degrees 2 is a cycle of that
+    length; otherwise it is reported as a path keyed by edge count (isolated
+    vertex = path of length 0).  Vertices of degree > 2 are flagged, not
+    crashed on; ids outside [0, n) raise ValueError.
     """
-    uf = _UnionFind(n_vertices)
-    degree = [0] * n_vertices
-    for u, v in edges:
-        uf.union(u, v)
-        degree[u] += 1
-        degree[v] += 1
-    census = Census()
-    violations = [v for v in range(n_vertices) if degree[v] > 2]
-    two_regular: dict[int, bool] = {}
-    for v in range(n_vertices):
-        r = uf.find(v)
-        two_regular[r] = two_regular.get(r, True) and degree[v] == 2
-    census.components = len(two_regular)
-    for r, regular in two_regular.items():
-        size, nedges = uf.size[r], uf.edges[r]
-        if regular and nedges == size:
-            census.cycles[size] = census.cycles.get(size, 0) + 1
-        else:
-            census.paths[nedges] = census.paths.get(nedges, 0) + 1
-    census.cycles = dict(sorted(census.cycles.items()))
-    census.paths = dict(sorted(census.paths.items()))
-    census.degree_violations = tuple(violations)
-    return census
+    flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
+    if flat.size and (flat.min() < 0 or flat.max() >= n_vertices):
+        raise ValueError(f"edge endpoint outside the vertex range [0, {n_vertices})")
+    u, v = flat[0::2], flat[1::2]
+    adjacency = coo_matrix((np.ones(u.size), (u, v)), shape=(n_vertices, n_vertices))
+    components, label = connected_components(adjacency, directed=False)
+    degree = np.bincount(flat, minlength=n_vertices)
+    size = np.bincount(label, minlength=components)
+    nedges = np.bincount(label[u], minlength=components)
+    irregular = np.bincount(label, weights=degree != 2, minlength=components)
+    cycle = (irregular == 0) & (nedges == size)
+    return Census(
+        cycles=_tally(size[cycle]),
+        paths=_tally(nedges[~cycle]),
+        components=int(components),
+        degree_violations=tuple(np.flatnonzero(degree > 2).tolist()),
+    )
 
 
 def validate_instance(instance: NgcInstance) -> Census:

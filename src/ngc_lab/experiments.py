@@ -86,6 +86,7 @@ from .streaming import (
     mst_weight_exact,
     random_walk,
     stream_from_edges,
+    theta_from_components,
 )
 
 P_FLOOR = 1e-3  # chi-square tests fail below this p-value
@@ -683,7 +684,7 @@ def estimator_budget_curve(
             inst = sample_ngc(n, k, child.child("inst"))
             stream = make_stream(inst, "uniform_random", seed=child.child("order"))
             est = cc_estimate(stream, epsilon, r, seed=child.child("seeds")).estimate
-            guess = 0 if 8 * k * est >= 7 * n else 1
+            guess = theta_from_components(n, k, est)
             correct += guess == inst.theta
         lo, hi = clopper_pearson(correct, trials)
         rows.append(

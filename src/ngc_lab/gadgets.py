@@ -20,7 +20,10 @@ integer vertex ids used in edge lists and files are 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Sequence
+
+import numpy as np
 
 Perm = tuple[int, ...]  # 1-based images: perm[j-1] is the image of group j
 Bits = tuple[int, ...]
@@ -115,6 +118,19 @@ class GroupLayeredGraph:
     @property
     def n_vertices(self) -> int:
         return 2 * self.width * self.depth
+
+    @cached_property
+    def _edges(self) -> tuple[Edge, ...]:
+        """All 2w(d-1) edges, built once by broadcasting over (layer, group, side)."""
+        w = self.width
+        shape = (len(self.matchings), w, 1)
+        pi = np.array([m.pi for m in self.matchings], dtype=np.int64).reshape(shape)
+        cross = np.array([m.cross for m in self.matchings], dtype=np.int64).reshape(shape)
+        layer = 2 * w * np.arange(len(self.matchings)).reshape(-1, 1, 1)
+        side = np.array([SIDE_A, SIDE_B])
+        u = layer + 2 * np.arange(w).reshape(1, -1, 1) + side
+        v = layer + 2 * w + 2 * (pi - 1) + (side ^ cross)
+        return tuple(zip(u.ravel().tolist(), v.ravel().tolist()))
 
 
 def make_xor_matching(x: Sequence[int]) -> MatchingSpec:
@@ -240,18 +256,11 @@ def parity(g: GroupLayeredGraph, j: int) -> int:
 
 
 def to_edges(g: GroupLayeredGraph) -> list[Edge]:
-    """Expand to 2w(d-1) edges on canonical ids, ordered by layer, group, side."""
-    w = g.width
-    edges: list[Edge] = []
-    for layer, m in enumerate(g.matchings, start=1):
-        for j in range(1, w + 1):
-            target = m.pi[j - 1]
-            flip = m.cross[j - 1]
-            for side in (SIDE_A, SIDE_B):
-                u = vertex_id(layer, j, side, w)
-                v = vertex_id(layer + 1, target, side ^ flip, w)
-                edges.append((u, v))
-    return edges
+    """Expand to 2w(d-1) edges on canonical ids, ordered by layer, group, side.
+
+    The expansion is cached on the graph; each call returns a fresh list.
+    """
+    return list(g._edges)
 
 
 def check_layered_degrees(g: GroupLayeredGraph) -> None:

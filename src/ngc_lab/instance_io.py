@@ -101,20 +101,20 @@ def _parse_param_line(line: str) -> dict[str, str]:
 
 
 def parse_instance(text: str) -> ParsedInstance:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or lines[0] != MAGIC:
-        raise ValueError(f"bad or missing magic line (expected {MAGIC!r})")
-    params = _parse_param_line(lines[1])
-    for key in ("n", "k", "w", "d", "m", "form", "theta", "t"):
-        if key not in params:
-            raise ValueError(f"param line missing {key}=")
-    form = params["form"]
-    if form not in ("block", "segment"):
-        raise ValueError(f"unknown form {form!r}")
-    theta = None if params["theta"] == "?" else int(params["theta"])
-    if theta not in (None, 0, 1):
-        raise ValueError(f"theta must be 0, 1 or ?, got {params['theta']!r}")
+    """Parse a file's text; malformed input raises ValueError naming its line."""
+    lines = enumerate(text.splitlines(), start=1)
+    header = []  # the magic and param lines, the first two records
+    for lineno, ln in lines:
+        ln = ln.strip()
+        if ln and not ln.startswith("#"):
+            header.append((lineno, ln))
+            if len(header) == 2:
+                break
+    if not header or header[0][1] != MAGIC:
+        where = f"line {header[0][0]}: " if header else ""
+        raise ValueError(f"{where}bad or missing magic line (expected {MAGIC!r})")
+    if len(header) < 2:
+        raise ValueError(f"line {header[0][0]}: param line missing after the magic line")
 
     edges: list[Edge] = []
     weights: dict[Edge, int] = {}
@@ -123,39 +123,58 @@ def parse_instance(text: str) -> ParsedInstance:
     x_lines: dict[tuple[int, ...], tuple[int, ...]] = {}
     p_lines: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    for ln in lines[2:]:
-        tokens = ln.split()
-        tag = tokens[0]
-        if tag == "e":
-            u, v = int(tokens[1]), int(tokens[2])
-            edges.append((u, v))
-            for tok in tokens[3:]:
-                if tok.startswith("w="):
-                    weights[canon((u, v))] = int(tok[2:])
-                    saw_weight = True
-                elif tok.startswith("b="):
-                    saw_batch = True
-                    batch_of.setdefault(int(tok[2:]), []).append((u, v))
+    lineno, ln = header[1]
+    try:
+        params = _parse_param_line(ln)
+        for key in ("n", "k", "w", "d", "m", "form", "theta", "t"):
+            if key not in params:
+                raise ValueError(f"param line missing {key}=")
+        form = params["form"]
+        if form not in ("block", "segment"):
+            raise ValueError(f"unknown form {form!r}")
+        theta = None if params["theta"] == "?" else int(params["theta"])
+        if theta not in (None, 0, 1):
+            raise ValueError(f"theta must be 0, 1 or ?, got {params['theta']!r}")
+        sizes = {key: int(params[key]) for key in ("n", "k", "w", "d", "m", "t")}
+        n = sizes["n"]
+        if n < 1:
+            raise ValueError(f"n must be positive, got {n}")
+        s = int(params["s"]) if "s" in params else None
+        key_len = 1 if form == "block" else 2
+
+        for lineno, ln in lines:  # the records after the header
+            tokens = ln.split()
+            if not tokens:
+                continue
+            tag = tokens[0]
+            if tag == "e":  # the hot path: one line per edge
+                u, v = int(tokens[1]), int(tokens[2])
+                if u < 0 or v < 0 or u >= n or v >= n:
+                    raise ValueError(f"edge ({u}, {v}) leaves the vertex range [0, {n})")
+                edges.append((u, v))
+                if len(tokens) == 3:
+                    continue
+                for tok in tokens[3:]:
+                    if tok.startswith("w="):
+                        weights[canon((u, v))] = int(tok[2:])
+                        saw_weight = True
+                    elif tok.startswith("b="):
+                        saw_batch = True
+                        batch_of.setdefault(int(tok[2:]), []).append((u, v))
+                    else:
+                        raise ValueError(f"unknown edge annotation {tok!r}")
+            elif tag in ("x", "p"):
+                key = tuple(int(tokens[i]) for i in range(1, 1 + key_len))
+                if tag == "x":
+                    x_lines[key] = tuple(int(c) for c in tokens[1 + key_len])
                 else:
-                    raise ValueError(f"unknown edge annotation {tok!r}")
-        elif tag == "x":
-            if form == "block":
-                key = (int(tokens[1]),)
-                bits = tokens[2]
-            else:
-                key = (int(tokens[1]), int(tokens[2]))
-                bits = tokens[3]
-            x_lines[key] = tuple(int(c) for c in bits)
-        elif tag == "p":
-            if form == "block":
-                key = (int(tokens[1]),)
-                perm = tokens[2:]
-            else:
-                key = (int(tokens[1]), int(tokens[2]))
-                perm = tokens[3:]
-            p_lines[key] = tuple(int(c) for c in perm)
-        else:
-            raise ValueError(f"unknown record tag {tag!r} in line {ln!r}")
+                    p_lines[key] = tuple(int(c) for c in tokens[1 + key_len :])
+            elif not tag.startswith("#"):
+                raise ValueError(f"unknown record tag {tag!r}")
+    except IndexError:
+        raise ValueError(f"line {lineno}: truncated record {ln.strip()!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc} in {ln.strip()!r}") from None
 
     batches = None
     if saw_batch:
@@ -198,15 +217,10 @@ def parse_instance(text: str) -> ParsedInstance:
             )
 
     return ParsedInstance(
-        n=int(params["n"]),
-        k=int(params["k"]),
-        w=int(params["w"]),
-        d=int(params["d"]),
         theta=theta,
-        m=int(params["m"]),
         form=form,
-        t=int(params["t"]),
-        s=int(params["s"]) if "s" in params else None,
+        s=s,
+        **sizes,
         edges=edges,
         weights=weights if saw_weight else None,
         batches=batches,

@@ -20,7 +20,6 @@ clean index, and the batched analogues (active segments, good groups).
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 from .distributions import NgcInstance, canon
@@ -477,8 +476,3 @@ def clean_indices_stochastic(
             )
         )
     return CleanReport(tuple(entries))
-
-
-def random_sigma1(w: int, rng: random.Random) -> int:
-    """Marginal of sigma(1) for a uniform permutation: uniform over [w]."""
-    return rng.randrange(1, w + 1)

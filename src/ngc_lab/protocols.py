@@ -11,7 +11,6 @@ hybrid advantage scan.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -21,7 +20,12 @@ from .gadgets import Edge, GroupLayeredGraph
 from .partitions import ALICE, EdgeAssignment, assign_uniform
 from .seeds import Seed, as_seed
 from .stats import clopper_pearson
-from .streaming import StreamingAlgorithm
+from .streaming import (
+    StreamingAlgorithm,
+    pack_edges,
+    theta_from_components,
+    unpack_edges,
+)
 
 # --- embedding -----------------------------------------------------------------
 
@@ -225,18 +229,6 @@ def run_protocol(
     return ProtocolResult(output=output, message_bits=bits)
 
 
-def pack_edges(edges: Iterable[Edge]) -> bytes:
-    edges = list(edges)
-    return struct.pack(">I", len(edges)) + b"".join(
-        struct.pack(">II", u, v) for u, v in edges
-    )
-
-
-def unpack_edges(blob: bytes) -> list[Edge]:
-    (count,) = struct.unpack_from(">I", blob, 0)
-    return [struct.unpack_from(">II", blob, 4 + 8 * i) for i in range(count)]
-
-
 class ConstantProtocol(OneWayProtocol):
     """Ignores the input; useful as the no-information baseline."""
 
@@ -268,7 +260,7 @@ class FullForwardCensusProtocol(OneWayProtocol):
 
     def bob(self, message: bytes, edges: list[Edge], shared: Seed) -> int:
         census = census_of_edges(self.n, unpack_edges(message) + list(edges))
-        return 0 if 8 * self.k * census.components >= 7 * self.n else 1
+        return theta_from_components(self.n, self.k, census.components)
 
 
 class BobOnlyCycleDetector(OneWayProtocol):

@@ -77,13 +77,3 @@ def clopper_pearson(successes: int, trials: int, alpha: float = 0.05) -> tuple[f
         sps.beta.ppf(1 - alpha / 2, successes + 1, trials - successes)
     )
     return lo, hi
-
-
-def chernoff_trials(eps: float, delta: float) -> int:
-    """Trials sufficient for Pr[|phat - p| > eps] < delta (additive Hoeffding).
-
-    Planning aid only: used to pick trial counts, not to judge results.
-    """
-    if not 0 < eps < 1 or not 0 < delta < 1:
-        raise ValueError("need 0 < eps, delta < 1")
-    return math.ceil(math.log(2 / delta) / (2 * eps * eps))

@@ -19,6 +19,10 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from typing import Iterable
+
+import numpy as np
 
 from .distributions import Census, NgcInstance, canon, census_of_edges
 from .gadgets import Edge
@@ -97,13 +101,33 @@ def make_stream(
 
 
 def exact_census(n: int, stream_or_edges: Stream | list[Edge]) -> Census:
-    """Union-find census over all events; duplicate edges are idempotent."""
+    """Exact census over all events; duplicate edges are idempotent."""
     if isinstance(stream_or_edges, Stream):
         edges = [e for e, _ in stream_or_edges.events]
     else:
         edges = stream_or_edges
-    unique = sorted({canon(e) for e in edges})
-    return census_of_edges(n, unique)
+    return census_of_edges(n, {canon(e) for e in edges})
+
+
+def theta_from_components(n: int, k: int, components: float) -> int:
+    """The census decision rule: at least 7n/8k components means k-cycles.
+
+    theta=0 gives n/k components (8n/8k scaled), theta=1 gives 3n/4k (6n/8k),
+    so the 7n/8k threshold separates them exactly on genuine instances.
+    """
+    return 0 if 8 * k * components >= 7 * n else 1
+
+
+def pack_edges(edges: Iterable[Edge]) -> bytes:
+    """Big-endian u32 edge count, then u32 (u, v) pairs in the given order."""
+    flat = np.fromiter(chain.from_iterable(edges), dtype=">u4")
+    return struct.pack(">I", flat.size // 2) + flat.tobytes()
+
+
+def unpack_edges(blob: bytes) -> list[Edge]:
+    (count,) = struct.unpack_from(">I", blob, 0)
+    flat = np.frombuffer(blob, dtype=">u4", count=2 * count, offset=4).tolist()
+    return list(zip(flat[0::2], flat[1::2]))
 
 
 # --- streaming algorithm contract ---------------------------------------------
@@ -157,37 +181,25 @@ class UnionFindCensusAlgorithm(StreamingAlgorithm):
         return state
 
     def serialize(self, state: set[Edge]) -> bytes:
-        blob = struct.pack(">I", len(state))
-        for u, v in sorted(state):
-            blob += struct.pack(">II", u, v)
-        return blob
+        return pack_edges(sorted(state))
 
     def deserialize(self, blob: bytes) -> set[Edge]:
-        (count,) = struct.unpack_from(">I", blob, 0)
-        state = set()
-        for i in range(count):
-            u, v = struct.unpack_from(">II", blob, 4 + 8 * i)
-            state.add((u, v))
-        return state
+        return set(unpack_edges(blob))
 
     def finalize(self, state: set[Edge]) -> Census:
-        return census_of_edges(self.n, sorted(state))
+        return census_of_edges(self.n, state)
 
 
 class CensusThetaDecision(UnionFindCensusAlgorithm):
-    """Census decision rule: many components (>= 7n/8k) means short cycles.
-
-    theta=0 gives n/k components (8n/8k scaled), theta=1 gives 3n/4k (6n/8k),
-    so the 7n/8k threshold separates them exactly on genuine instances.
-    """
+    """Census decision rule (``theta_from_components``) on the exact census."""
 
     def __init__(self, n: int, k: int) -> None:
         super().__init__(n)
         self.k = k
 
     def finalize(self, state: set[Edge]) -> int:
-        census = census_of_edges(self.n, sorted(state))
-        return 0 if 8 * self.k * census.components >= 7 * self.n else 1
+        census = census_of_edges(self.n, state)
+        return theta_from_components(self.n, self.k, census.components)
 
 
 # --- truncated-exploration connected components estimator -----------------------
@@ -272,8 +284,7 @@ def cc_estimate(
 
 def _components_deg2(n: int, edges: list[Edge]) -> list[tuple[int, int, bool]]:
     """(vertex count, edge count, is_cycle) per component; rejects degree > 2."""
-    unique = sorted({canon(e) for e in edges})
-    census = census_of_edges(n, unique)
+    census = census_of_edges(n, {canon(e) for e in edges})
     if census.degree_violations:
         raise ValueError(
             f"degree > 2 at vertices {census.degree_violations[:5]}..."

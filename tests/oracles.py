@@ -68,6 +68,69 @@ def component_census(
     return sorted(paths), sorted(cycles)
 
 
+class _UnionFind:
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n))
+        self.size = [1] * n
+        self.edges = [0] * n
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, u: int, v: int) -> None:
+        ru, rv = self.find(u), self.find(v)
+        if ru == rv:
+            self.edges[ru] += 1
+            return
+        if self.size[ru] < self.size[rv]:
+            ru, rv = rv, ru
+        self.parent[rv] = ru
+        self.size[ru] += self.size[rv]
+        self.edges[ru] += self.edges[rv] + 1
+
+
+def union_find_census(
+    n_vertices: int, edges: list[tuple[int, int]]
+) -> tuple[dict[int, int], dict[int, int], int, tuple[int, ...]]:
+    """Object-level census on any multigraph: (cycles, paths, components, violations).
+
+    A component with #edges == #vertices whose vertices all have degree 2 is a
+    cycle keyed by length; any other component is a path keyed by edge count.
+    Self-loops add 2 to a degree and one edge to their component.  The dicts
+    are sorted by key; violations lists the vertices of degree > 2.
+    """
+    uf = _UnionFind(n_vertices)
+    degree = [0] * n_vertices
+    for u, v in edges:
+        uf.union(u, v)
+        degree[u] += 1
+        degree[v] += 1
+    two_regular: dict[int, bool] = {}
+    for v in range(n_vertices):
+        r = uf.find(v)
+        two_regular[r] = two_regular.get(r, True) and degree[v] == 2
+    cycles: dict[int, int] = {}
+    paths: dict[int, int] = {}
+    for r, regular in two_regular.items():
+        size, nedges = uf.size[r], uf.edges[r]
+        if regular and nedges == size:
+            cycles[size] = cycles.get(size, 0) + 1
+        else:
+            paths[nedges] = paths.get(nedges, 0) + 1
+    violations = tuple(v for v in range(n_vertices) if degree[v] > 2)
+    return (
+        dict(sorted(cycles.items())),
+        dict(sorted(paths.items())),
+        len(two_regular),
+        violations,
+    )
+
+
 def components_of(n_vertices: int, edges: list[tuple[int, int]]) -> list[list[int]]:
     adj = build_adjacency(n_vertices, edges)
     seen = [False] * n_vertices

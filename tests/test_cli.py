@@ -118,6 +118,26 @@ def test_validate_fails_on_tampered_census(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("FAIL:")
 
 
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        pytest.param(lambda lines: lines[:1], id="magic-only"),
+        pytest.param(lambda lines: lines[:2] + ["e 0"], id="truncated-edge"),
+        pytest.param(lambda lines: lines[:2] + ["e 0 one"], id="non-integer"),
+        pytest.param(lambda lines: lines + ["e 0 999"], id="out-of-range"),
+        pytest.param(lambda lines: lines + ["e -1 3"], id="negative"),
+    ],
+)
+def test_validate_malformed_file_is_a_usage_error(tmp_path, capsys, mangle):
+    path = tmp_path / "inst.txt"
+    write_instance(str(path), sample_ngc(28, 7, 5), reveal=True)
+    path.write_text("\n".join(mangle(path.read_text().splitlines())) + "\n")
+    assert run_cli("validate", str(path)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: line ")
+
+
 def test_validate_weighted_file_census_only(tmp_path, capsys):
     inst = mst_augment(sample_ngc(56, 7, 11), 5)
     path = tmp_path / "weighted.txt"

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ngc_lab.distributions import (
+    Census,
     Witness,
     auxiliary_edges_for,
     canon,
@@ -26,7 +27,7 @@ from ngc_lab.distributions import (
 from ngc_lab.gadgets import parity, to_edges, vertex_from_id, vertex_id
 from ngc_lab.seeds import master_seed
 from ngc_lab.stats import binomial_check, chi_square_uniform
-from oracles import component_census
+from oracles import component_census, union_find_census
 
 SEED = master_seed(2024)
 
@@ -101,6 +102,81 @@ def test_frozen_theta1_56_7():
     assert census.cycles == {14: 2}
     assert census.paths == {6: 4}
     assert census.components == 6
+
+
+@st.composite
+def multigraph(draw):
+    """Cycles of a random permutation with some edges dropped and some added.
+
+    Covers k-cycles, paths, isolated vertices, self-loops (fixed points),
+    duplicate edges (2-cycles, repeated extras) and vertices of degree > 2.
+    """
+    n = draw(st.integers(1, 16))
+    perm = draw(st.permutations(range(n)))
+    edges = [(v, perm[v]) for v in range(n)]
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    edges = [e for e, kept in zip(edges, keep) if kept]
+    vertex = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=6))
+    return n, draw(st.permutations(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraph())
+def test_census_matches_union_find_reference(graph):
+    n, edges = graph
+    census = census_of_edges(n, edges)
+    assert census == Census(*union_find_census(n, edges))
+    assert list(census.cycles) == sorted(census.cycles)
+    assert list(census.paths) == sorted(census.paths)
+    values = [*census.cycles.items(), *census.paths.items(), census.degree_violations]
+    assert all(type(x) is int for pair in values for x in pair)
+    assert type(census.components) is int
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 14).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
+        )
+    )
+)
+def test_census_matches_bfs_oracle_on_simple_graphs(graph):
+    n, pairs = graph
+    edges = sorted({canon(e) for e in pairs if e[0] != e[1]})
+    census = census_of_edges(n, edges)
+    paths, cycles = component_census(n, edges)
+    assert census.cycles == {c: cycles.count(c) for c in sorted(set(cycles))}
+    assert census.components == len(paths) + len(cycles)
+    degree = [0] * n
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    assert census.degree_violations == tuple(v for v in range(n) if degree[v] > 2)
+    if max(degree) <= 2:  # every non-cycle is a path with one edge per vertex but one
+        assert census.paths == {p - 1: paths.count(p) for p in sorted(set(paths))}
+
+
+def test_census_rejects_ids_outside_the_vertex_range():
+    for edges in ([(0, 4)], [(-1, 2)], [(1, 2), (3, -4)]):
+        with pytest.raises(ValueError, match="vertex range"):
+            census_of_edges(4, edges)
+    assert census_of_edges(0, []) == Census()
+
+
+def test_all_edges_returns_a_fresh_list():
+    inst = sample_ngc(56, 7, SEED.child("fresh"))
+    first = inst.all_edges()
+    expected = list(first)
+    first[0] = (-1, -1)
+    first.append((0, 0))
+    del first[1:5]
+    assert inst.all_edges() == expected
+    core = to_edges(inst.graph)
+    core.clear()
+    assert inst.all_edges() == expected
 
 
 def test_sample_ngc_rejects_bad_shapes():

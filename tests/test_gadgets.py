@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ngc_lab.distributions import pad_to_k, sample_hybrid
 from ngc_lab.gadgets import (
+    SIDE_A,
+    SIDE_B,
     GroupLayeredGraph,
     MatchingSpec,
     check_layered_degrees,
@@ -253,3 +256,62 @@ def test_multi_block_parity_formula(data):
         for x, sigma in zip(X, Sigma):
             want ^= x[sigma[j - 1] - 1]
         assert parity(g, j) == want
+
+
+# --- the vectorized edge expansion against the per-edge one --------------------
+
+
+def per_edge_expansion(g: GroupLayeredGraph) -> list[tuple[int, int]]:
+    """One vertex_id call per endpoint, ordered by layer, group, side."""
+    w = g.width
+    edges = []
+    for layer, m in enumerate(g.matchings, start=1):
+        for j in range(1, w + 1):
+            for side in (SIDE_A, SIDE_B):
+                u = vertex_id(layer, j, side, w)
+                v = vertex_id(layer + 1, m.pi[j - 1], side ^ m.cross[j - 1], w)
+                edges.append((u, v))
+    return edges
+
+
+def assert_expansion_matches(g: GroupLayeredGraph) -> None:
+    want = per_edge_expansion(g)
+    got = to_edges(g)
+    assert got == want
+    assert all(type(u) is int and type(v) is int for u, v in got)
+    got.append((0, 0))
+    got[0] = (-1, -1)
+    assert to_edges(g) == want  # the cached expansion never leaks out
+
+
+@st.composite
+def witness_graph(draw):
+    """Random multi-block, multi-segment or padded hybrid graph."""
+    kind = draw(st.sampled_from(["block", "segment", "padded"]))
+    w = draw(st.integers(1, 5))
+    perm = st.permutations(list(range(1, w + 1))).map(tuple)
+    bits = st.lists(st.integers(0, 1), min_size=w, max_size=w).map(tuple)
+    if kind == "block":
+        t = draw(st.integers(1, 3))
+        return make_multi_block(draw(st.lists(bits, min_size=t, max_size=t)),
+                                draw(st.lists(perm, min_size=t, max_size=t)))
+    if kind == "segment":
+        s, t = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        X = [draw(st.lists(bits, min_size=t, max_size=t)) for _ in range(s)]
+        Sigma = [draw(st.lists(perm, min_size=t, max_size=t)) for _ in range(s)]
+        return make_multi_segment(X, Sigma)
+    m, t = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    inst = sample_hybrid(m, t, draw(st.integers(0, m)), draw(st.integers(0, 2**32)))
+    return pad_to_k(inst, inst.k + draw(st.integers(0, 2))).graph
+
+
+@settings(max_examples=80, deadline=None)
+@given(witness_graph())
+def test_to_edges_matches_per_edge_expansion(g: GroupLayeredGraph):
+    assert_expansion_matches(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_graph())
+def test_to_edges_matches_per_edge_expansion_on_any_matchings(g: GroupLayeredGraph):
+    assert_expansion_matches(g)

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+import struct
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ngc_lab.distributions import (
     Witness,
@@ -199,6 +202,24 @@ def test_pack_unpack_roundtrip():
     assert unpack_edges(pack_edges(edges)) == edges
     assert pack_edges([]) == b"\x00\x00\x00\x00"
     assert unpack_edges(pack_edges([])) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)), max_size=40))
+def test_pack_edges_matches_struct_layout(edges):
+    blob = pack_edges(iter(edges))
+    assert blob == struct.pack(">I", len(edges)) + b"".join(
+        struct.pack(">II", u, v) for u, v in edges
+    )
+    back = unpack_edges(blob)
+    assert back == edges
+    assert all(type(u) is int and type(v) is int for u, v in back)
+
+
+def test_pack_edges_rejects_ids_outside_u32():
+    for edges in ([(-1, 2)], [(0, 2**32)]):
+        with pytest.raises(OverflowError):
+            pack_edges(edges)
 
 
 def test_constant_protocol_is_chance():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import struct
 from collections import Counter
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from ngc_lab.streaming import (
     mst_weight_exact,
     random_walk,
     stream_from_edges,
+    theta_from_components,
     walk_distribution_exact,
 )
 
@@ -184,6 +186,9 @@ def test_union_find_algorithm_roundtrip_and_resume():
     resumed = alg.run(alg.deserialize(blob), stream.events[cut:])
     assert alg.finalize(resumed) == alg.finalize(full)
     assert len(blob) == 4 + 8 * len(head)
+    assert blob == struct.pack(">I", len(head)) + b"".join(
+        struct.pack(">II", u, v) for u, v in sorted(head)
+    )
 
 
 def test_census_theta_decision_separates():
@@ -193,6 +198,14 @@ def test_census_theta_decision_separates():
             alg = CensusThetaDecision(inst.n, k)
             state = alg.run(alg.init(), make_stream(inst, "uniform_random", seed=1).events)
             assert alg.finalize(state) == theta
+
+
+def test_theta_threshold_sits_at_seven_eighths():
+    n, k = 56, 7  # theta=0: n/k = 8 components, theta=1: 3n/4k = 6
+    assert theta_from_components(n, k, 8) == 0
+    assert theta_from_components(n, k, 7) == 0  # 8k * 7 == 7n: ties go to k-cycles
+    assert theta_from_components(n, k, 6.99) == 1
+    assert theta_from_components(n, k, 6) == 1
 
 
 # --- connected-components estimator -------------------------------------------
