@@ -58,6 +58,7 @@ from .partitions import (
     clean_indices_stochastic,
     index_ownership_pattern,
     random_partition_functions,
+    sample_counts,
     stochastic_assign,
 )
 from .protocols import (
@@ -363,13 +364,12 @@ def _sigma1_rank_counts(w: int, w_c: int, trials: int, seed: Seed) -> list[int]:
         size = min(chunk, trials - done)
         mask = gen.integers(0, 64, size=(size, w), dtype=np.uint8) == 0
         sigma1 = gen.integers(0, w, size=size)
-        csum = np.cumsum(mask, axis=1)
-        total = csum[:, -1]
-        at = np.take_along_axis(csum, sigma1[:, None], axis=1).ravel()
-        is_clean = np.take_along_axis(mask, sigma1[:, None], axis=1).ravel()
-        rank = at - 1  # 0-based rank among clean, valid where is_clean
-        use = is_clean & (rank < w_c) & (total >= w_c)
-        counts += np.bincount(rank[use], minlength=w_c)
+        total = np.count_nonzero(mask, axis=1)
+        rows = np.flatnonzero(mask[np.arange(size), sigma1] & (total >= w_c))
+        # 0-based rank of sigma(1) among its row's clean indices
+        before = np.arange(w) < sigma1[rows, None]
+        rank = np.count_nonzero(mask[rows] & before, axis=1)
+        counts += np.bincount(rank[rank < w_c], minlength=w_c)
         done += size
     return counts.tolist()
 
@@ -587,8 +587,7 @@ def adapter_suite(
 def _run_adapter(adapter, edges, assignment, seed):
     """Drive a streaming adapter across a two-player cut, returning Bob's value."""
     shared = as_seed(seed)
-    edges_a = [e for e in edges if assignment.owner_of(e) == 0]
-    edges_b = [e for e in edges if assignment.owner_of(e) == 1]
+    edges_a, edges_b = assignment.split(edges)
     message = adapter.alice(edges_a, shared)
     return adapter.bob(message, edges_b, shared)
 
@@ -750,17 +749,16 @@ def stochastic_stats_suite(
     params = _params(c=c, w=w)
     inst = sample_ngc(4 * 4 * (w // 2), 4, root.child("inst"))
     edges = inst.all_edges()
-    probe = canon(edges[0])
+    probe = canon(edges[0])[0]  # a core edge's column in sample_counts is its lower end
     absent = 0
     a_only = 0
     clean = 0
     for i in range(trials):
         child = root.child("draw", i)
         assignment = stochastic_assign(edges, c, child)
-        seen_a = {canon(e) for e in assignment.samples[0]}
-        seen_b = {canon(e) for e in assignment.samples[1]}
-        absent += probe not in seen_b
-        a_only += probe in seen_a and probe not in seen_b
+        seen_a, seen_b = (sample_counts(inst, assignment)[:, probe] > 0).tolist()
+        absent += not seen_b
+        a_only += seen_a and not seen_b
         report = clean_indices_stochastic(inst, assignment)
         clean += 1 in report.entries[0].clean_uncapped
     rows: list[Row] = []

@@ -20,7 +20,7 @@ integer vertex ids used in edge lists and files are 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +31,7 @@ Edge = tuple[int, int]
 
 SIDE_A = 0
 SIDE_B = 1
+_SIDES = np.array([SIDE_A, SIDE_B])
 
 
 def identity_perm(w: int) -> Perm:
@@ -120,17 +121,49 @@ class GroupLayeredGraph:
         return 2 * self.width * self.depth
 
     @cached_property
-    def _edges(self) -> tuple[Edge, ...]:
-        """All 2w(d-1) edges, built once by broadcasting over (layer, group, side)."""
+    def _targets(self) -> np.ndarray:
+        """Upper ends of all 2w(d-1) edges, by broadcasting over (layer, group, side).
+
+        In that order edge p leaves vertex p, so the lower ends are 0, 1, 2, ...
+        """
         w = self.width
-        shape = (len(self.matchings), w, 1)
-        pi = np.array([m.pi for m in self.matchings], dtype=np.int64).reshape(shape)
-        cross = np.array([m.cross for m in self.matchings], dtype=np.int64).reshape(shape)
-        layer = 2 * w * np.arange(len(self.matchings)).reshape(-1, 1, 1)
-        side = np.array([SIDE_A, SIDE_B])
-        u = layer + 2 * np.arange(w).reshape(1, -1, 1) + side
-        v = layer + 2 * w + 2 * (pi - 1) + (side ^ cross)
-        return tuple(zip(u.ravel().tolist(), v.ravel().tolist()))
+        specs = np.array([(m.pi, m.cross) for m in self.matchings], dtype=np.int64)
+        pi, cross = specs.reshape(-1, 2, w, 1).transpose(1, 0, 2, 3)
+        first_target = 2 * w * np.arange(1, len(self.matchings) + 1).reshape(-1, 1, 1) - 2
+        return (first_target + 2 * pi + (_SIDES ^ cross)).ravel()
+
+    @cached_property
+    def _edges(self) -> tuple[Edge, ...]:
+        """All 2w(d-1) edges as (p, v) tuples, already canonical (p < v)."""
+        return tuple(enumerate(self._targets.tolist()))
+
+    @cached_property
+    def _index_table(self) -> np.ndarray:
+        """Positions (lower ends) of each block index's six edges, shape (blocks, w, 6).
+
+        The graph is read as len(matchings) % 3 padding matchings, then blocks.
+        Row [i, j-1]: the a/b edges of block i+1 into layer-2 group j (leaving
+        group pi^-1(j)), of its middle matching, and out of layer-3 group j.
+        """
+        w = self.width
+        pad = len(self.matchings) % 3
+        into = self._targets.reshape(-1, 2 * w)[pad::3]
+        table = _index_offsets(w, len(into), pad).copy()
+        # sorted by target, a block's into-edges list 2 pi^-1(j) (+1) by group j
+        source = into.argsort()
+        source &= ~1
+        table[:, :, :2] += source.reshape(len(into), w, 2)
+        return table
+
+
+@lru_cache(maxsize=64)
+def _index_offsets(w: int, blocks: int, pad: int) -> np.ndarray:
+    """``_index_table`` less the 2 pi^-1(j) of each into pair, which needs the graph."""
+    slot = 2 * np.arange(w).reshape(-1, 1) + _SIDES
+    one_block = np.concatenate([np.broadcast_to(_SIDES, (w, 2)), 2 * w + slot, 4 * w + slot], axis=1)
+    offsets = 2 * w * (pad + 3 * np.arange(blocks)).reshape(-1, 1, 1) + one_block
+    offsets.flags.writeable = False  # shared by every graph of this shape
+    return offsets
 
 
 def make_xor_matching(x: Sequence[int]) -> MatchingSpec:

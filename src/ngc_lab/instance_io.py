@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .distributions import NgcInstance, Witness, canon
-from .gadgets import Edge
+from .gadgets import Edge, _check_bits, _check_perm
 
 MAGIC = "ngc-lab v1"
 
@@ -166,9 +166,11 @@ def parse_instance(text: str) -> ParsedInstance:
             elif tag in ("x", "p"):
                 key = tuple(int(tokens[i]) for i in range(1, 1 + key_len))
                 if tag == "x":
-                    x_lines[key] = tuple(int(c) for c in tokens[1 + key_len])
+                    row = x_lines[key] = _check_bits([int(c) for c in tokens[1 + key_len]])
                 else:
-                    p_lines[key] = tuple(int(c) for c in tokens[1 + key_len :])
+                    row = p_lines[key] = _check_perm([int(c) for c in tokens[1 + key_len :]])
+                if len(row) != sizes["w"]:
+                    raise ValueError(f"witness line has width {len(row)}, expected w={sizes['w']}")
             elif not tag.startswith("#"):
                 raise ValueError(f"unknown record tag {tag!r}")
     except IndexError:

@@ -15,16 +15,27 @@ On top sit the structural events the lower-bound argument tracks: an index is
 *clean* when its six block edges land Bob/Alice/Bob (in/mid/out), a block is
 *active* when the permutation routes the tracked group 1 onto a (capped)
 clean index, and the batched analogues (active segments, good groups).
+
+Draws are made in bulk (``seeds.randrange_many``) but from the identical
+stream, value for value, as one ``randrange`` per edge or map slot.  Clean
+events are read off owner arrays through the graph's cached table of each
+index's six edge positions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from collections.abc import Iterator
+from functools import cached_property
+from itertools import chain, compress, repeat
+from operator import eq, itemgetter, ne
+
+import numpy as np
 
 from .distributions import NgcInstance, canon
-from .gadgets import Edge, invert_perm, to_edges
-from .seeds import Seed, as_seed
+from .gadgets import Edge
+from .seeds import Seed, as_seed, randrange_many
 
 ALICE = 0  # alpha
 BOB = 1  # beta
@@ -45,13 +56,11 @@ class PartitionFunctions:
     def __post_init__(self) -> None:
         if not (len(self.fL) == len(self.fM) == len(self.fR)):
             raise ValueError("fL, fM, fR must cover the same number of blocks")
-        widths = {len(f) for trio in (self.fL, self.fM, self.fR) for f in trio}
-        if len(widths) > 1:
+        maps = (*self.fL, *self.fM, *self.fR)
+        if len({len(f) for f in maps}) > 1:
             raise ValueError("all maps must share one domain size 2w")
-        for trio in (self.fL, self.fM, self.fR):
-            for f in trio:
-                if any(v not in (ALICE, BOB) for v in f):
-                    raise ValueError("map values must be ALICE/BOB")
+        if not set(chain.from_iterable(maps)) <= {ALICE, BOB}:
+            raise ValueError("map values must be ALICE/BOB")
 
     @property
     def t(self) -> int:
@@ -61,19 +70,20 @@ class PartitionFunctions:
 def random_partition_functions(
     w: int, t: int, seed: Seed | int | None = None
 ) -> PartitionFunctions:
-    rng = as_seed(seed).rng()
-
-    def draw() -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(rng.randrange(2) for _ in range(2 * w)) for _ in range(t)
-        )
-
-    return PartitionFunctions(draw(), draw(), draw())
+    """Uniform maps: all of fL's slots block by block, then fM's, then fR's."""
+    bits = randrange_many(as_seed(seed).rng(), 2, 3 * t * 2 * w)
+    maps = tuple(tuple(bits[i * 2 * w : (i + 1) * 2 * w]) for i in range(3 * t))
+    return PartitionFunctions(maps[:t], maps[t : 2 * t], maps[2 * t :])
 
 
 def constant_partition_functions(w: int, t: int, value: int) -> PartitionFunctions:
     maps = tuple(tuple(value for _ in range(2 * w)) for _ in range(t))
     return PartitionFunctions(maps, maps, maps)
+
+
+def _canon_keys(edges) -> Iterator[Edge]:
+    """``canon`` of every edge, lazily."""
+    return ((u, v) if u <= v else (v, u) for u, v in edges)
 
 
 @dataclass(frozen=True)
@@ -97,6 +107,24 @@ class EdgeAssignment:
         assert self.owner is not None
         return self.owner[canon(edge)]
 
+    @cached_property
+    def _sample_ends(self) -> np.ndarray:
+        """Both samples as one (S, 2) array of (low, high) ends, Alice's first."""
+        assert self.samples is not None
+        drawn = list(chain(*self.samples))
+        ends = np.fromiter(chain.from_iterable(drawn), np.int64, 2 * len(drawn)).reshape(-1, 2)
+        ends.sort(axis=1)
+        return ends
+
+    def split(self, edges: list[Edge]) -> tuple[list[Edge], list[Edge]]:
+        """(Alice's edges, everyone else's), each in the order given."""
+        assert self.owner is not None
+        owners = list(map(self.owner.__getitem__, _canon_keys(edges)))
+        return (
+            list(compress(edges, map(eq, owners, repeat(ALICE)))),
+            list(compress(edges, map(ne, owners, repeat(ALICE)))),
+        )
+
 
 def assign_uniform(
     edges: list[Edge], players: int, seed: Seed | int | None = None
@@ -104,35 +132,15 @@ def assign_uniform(
     """Every edge independently to a uniform player."""
     if players < 2:
         raise ValueError("need at least two players")
-    rng = as_seed(seed).rng()
-    owner = {canon(e): rng.randrange(players) for e in edges}
+    draws = randrange_many(as_seed(seed).rng(), players, len(edges))
+    owner = dict(zip(_canon_keys(edges), draws))
     mode = "two_player" if players == 2 else "l_player"
     return EdgeAssignment(mode=mode, players=players, owner=owner)
 
 
-def _block_matching_range(instance: NgcInstance, block: int) -> tuple[int, int, int]:
-    """Matching indices (1-based) of block's L, M, R matchings, padding-aware."""
-    pad = instance.k - instance.core_k
-    base = pad + 3 * (block - 1)
-    return base + 1, base + 2, base + 3
-
-
-def _edge_of(core_edges: list[Edge], w: int, q: int, src_group: int, side: int) -> Edge:
-    """The core edge of matching q leaving (source group, side)."""
-    return core_edges[(q - 1) * 2 * w + 2 * (src_group - 1) + side]
-
-
-def _index_edges_cached(
-    instance: NgcInstance, core: list[Edge], block: int, j: int
-) -> tuple[tuple[Edge, Edge], tuple[Edge, Edge], tuple[Edge, Edge]]:
-    w = instance.width
-    qL, qM, qR = _block_matching_range(instance, block)
-    piL_inv = invert_perm(instance.graph.matchings[qL - 1].pi)
-    src = piL_inv[j - 1]
-    into = (_edge_of(core, w, qL, src, 0), _edge_of(core, w, qL, src, 1))
-    mid = (_edge_of(core, w, qM, j, 0), _edge_of(core, w, qM, j, 1))
-    out = (_edge_of(core, w, qR, j, 0), _edge_of(core, w, qR, j, 1))
-    return into, mid, out
+def _require_block(instance: NgcInstance, what: str) -> None:
+    if instance.form != "block":
+        raise ValueError(f"{what} needs a block-form instance")
 
 
 def index_edges(
@@ -143,9 +151,11 @@ def index_edges(
     "Layer 2/3" are the block's middle layers; j names the group there (the
     middle matching of a block never permutes groups).
     """
-    if instance.form != "block":
-        raise ValueError("index_edges needs a block-form instance")
-    return _index_edges_cached(instance, to_edges(instance.graph), block, j)
+    _require_block(instance, "index_edges")
+    if not (1 <= block <= instance.t and 1 <= j <= instance.width):
+        raise ValueError(f"no index j={j} in block {block} (t={instance.t}, w={instance.width})")
+    e = itemgetter(*instance.graph._index_table[block - 1, j - 1].tolist())(instance.graph._edges)
+    return e[0:2], e[2:4], e[4:6]
 
 
 def assign_by_functions(
@@ -157,38 +167,28 @@ def assign_by_functions(
 
     Within block i: an edge into layer-2 vertex u goes to fL_i(u), a middle
     edge leaving layer-2 vertex u to fM_i(u), an edge leaving layer-3 vertex v
-    to fR_i(v).
+    to fR_i(v).  Padding edges, then auxiliary and augmentation edges, take
+    one uniform draw each, in edge order.
     """
-    if instance.form != "block":
-        raise ValueError("assign_by_functions needs a block-form instance")
+    _require_block(instance, "assign_by_functions")
     if F.t != instance.t:
         raise ValueError(f"F covers {F.t} blocks, instance has {instance.t}")
     w = instance.width
     if F.fL and len(F.fL[0]) != 2 * w:
         raise ValueError("F domain size differs from 2w")
-    rng = as_seed(seed).rng()
-    owner: dict[Edge, int] = {}
-    core = to_edges(instance.graph)
-    pad = instance.k - instance.core_k
-    for q, m in enumerate(instance.graph.matchings, start=1):
-        for src in range(1, w + 1):
-            tgt = m.pi[src - 1]
-            flip = m.cross[src - 1]
-            for side in (0, 1):
-                e = _edge_of(core, w, q, src, side)
-                if q <= pad:
-                    owner[canon(e)] = rng.randrange(2)
-                    continue
-                block, role = divmod(q - pad - 1, 3)
-                if role == 0:  # into layer 2, keyed by target vertex
-                    val = F.fL[block][2 * (tgt - 1) + (side ^ flip)]
-                elif role == 1:  # middle, keyed by layer-2 source vertex
-                    val = F.fM[block][2 * (src - 1) + side]
-                else:  # out of layer 3, keyed by layer-3 source vertex
-                    val = F.fR[block][2 * (src - 1) + side]
-                owner[canon(e)] = val
-    for e in list(instance.auxiliary_edges) + list(instance.extra_edges):
-        owner[canon(e)] = rng.randrange(2)
+    graph = instance.graph
+    pad_edges = 2 * w * (instance.k - instance.core_k)
+    loose = [*instance.auxiliary_edges, *instance.extra_edges]
+    draws = randrange_many(as_seed(seed).rng(), 2, pad_edges + len(loose))
+    owners = draws[:pad_edges]
+    for block, (fl, fm, fr) in enumerate(zip(F.fL, F.fM, F.fR)):
+        # block i's into-edges, keyed by their target's slot: the id mod 2w
+        first = pad_edges + 6 * w * block
+        owners += itemgetter(*(v % (2 * w) for _, v in graph._edges[first : first + 2 * w]))(fl)
+        owners += fm
+        owners += fr
+    owner = dict(zip(graph._edges, owners))
+    owner.update(zip(_canon_keys(loose), draws[pad_edges:]))
     return EdgeAssignment(mode="two_player", players=2, owner=owner)
 
 
@@ -197,10 +197,11 @@ def index_ownership_pattern(
 ) -> tuple[int, ...]:
     """The six owners (in-a, in-b, mid-a, mid-b, out-a, out-b) of index j."""
     into, mid, out = index_edges(instance, block, j)
-    return tuple(assignment.owner_of(e) for pair in (into, mid, out) for e in pair)
+    return itemgetter(*into, *mid, *out)(assignment.owner)
 
 
 CLEAN_PATTERN = (BOB, BOB, ALICE, ALICE, BOB, BOB)
+_CLEAN = np.array(CLEAN_PATTERN)
 
 
 @dataclass(frozen=True)
@@ -228,10 +229,24 @@ class CleanReport:
         return len(self.active_list)
 
 
-def _cap(uncapped: tuple[int, ...], w: int, w_c_raw: int) -> tuple[tuple[int, ...], int, bool]:
-    floored = w_c_raw < 1
+def _clean_report(instance: NgcInstance, owners: np.ndarray, w_c_raw: int) -> CleanReport:
+    """Per block, the indices whose six edge owners read CLEAN_PATTERN.
+
+    ``owners`` holds one entry per core edge position.  Clean sets are capped
+    to max(1, w_c_raw), lexicographically-first; the floor substitution is
+    flagged in the report.
+    """
+    table = instance.graph._index_table
+    blocks, w = table.shape[:2]
+    found: list[list[int]] = [[] for _ in range(blocks)]
+    for at in (owners[table] == _CLEAN).all(axis=2).ravel().nonzero()[0].tolist():
+        found[at // w].append(at % w + 1)
     w_c = max(1, w_c_raw)
-    return uncapped[:w_c], w_c, floored
+    entries = [
+        BlockCleanEntry(block, tuple(clean[:w_c]), tuple(clean), w_c, cap_floored=w_c_raw < 1)
+        for block, clean in enumerate(found, start=1)
+    ]
+    return CleanReport(tuple(entries))
 
 
 def clean_indices(
@@ -247,43 +262,16 @@ def clean_indices(
     are capped to w_c = max(1, floor(w/100)), lexicographically-first; the
     floor substitution is flagged in the report.
     """
+    _require_block(instance, "clean_indices")
     if isinstance(F_or_assignment, PartitionFunctions):
         assignment = assign_by_functions(instance, F_or_assignment, seed)
     else:
         assignment = F_or_assignment
         if assignment.mode != "two_player":
             raise ValueError("clean_indices needs a two-player assignment")
-    w = instance.width
-    core = to_edges(instance.graph)
-    entries = []
-    for block in range(1, instance.t + 1):
-        qL, qM, qR = _block_matching_range(instance, block)
-        piL_inv = invert_perm(instance.graph.matchings[qL - 1].pi)
-        uncapped = []
-        for j in range(1, w + 1):
-            src = piL_inv[j - 1]
-            six = (
-                _edge_of(core, w, qL, src, 0),
-                _edge_of(core, w, qL, src, 1),
-                _edge_of(core, w, qM, j, 0),
-                _edge_of(core, w, qM, j, 1),
-                _edge_of(core, w, qR, j, 0),
-                _edge_of(core, w, qR, j, 1),
-            )
-            if tuple(assignment.owner_of(e) for e in six) == CLEAN_PATTERN:
-                uncapped.append(j)
-        uncapped = tuple(uncapped)
-        capped, w_c, floored = _cap(uncapped, w, w // 100)
-        entries.append(
-            BlockCleanEntry(
-                block=block,
-                clean=capped,
-                clean_uncapped=uncapped,
-                w_c=w_c,
-                cap_floored=floored,
-            )
-        )
-    return CleanReport(tuple(entries))
+    edges = instance.graph._edges
+    owners = np.fromiter(map(assignment.owner.__getitem__, edges), np.int64, len(edges))
+    return _clean_report(instance, owners, instance.width // 100)
 
 
 def active_blocks(
@@ -298,20 +286,13 @@ def active_blocks(
     """
     if instance.witness.form != "block":
         raise ValueError("active_blocks needs a block-form witness")
-    base = clean_indices(instance, F_or_assignment, seed)
     entries = []
-    for entry in base.entries:
-        sigma1 = instance.witness.Sigma[entry.block - 1][0]
+    for e in clean_indices(instance, F_or_assignment, seed).entries:
+        sigma1 = instance.witness.Sigma[e.block - 1][0]
         entries.append(
             BlockCleanEntry(
-                block=entry.block,
-                clean=entry.clean,
-                clean_uncapped=entry.clean_uncapped,
-                w_c=entry.w_c,
-                cap_floored=entry.cap_floored,
-                sigma1=sigma1,
-                active=sigma1 in entry.clean,
-                active_uncapped=sigma1 in entry.clean_uncapped,
+                e.block, e.clean, e.clean_uncapped, e.w_c, e.cap_floored,
+                sigma1, sigma1 in e.clean, sigma1 in e.clean_uncapped,
             )
         )
     return CleanReport(tuple(entries))
@@ -325,12 +306,10 @@ def assign_batches(
         raise ValueError("instance carries no batches")
     if l < 1:
         raise ValueError("need at least one player")
-    rng = as_seed(seed).rng()
-    batch_owners = tuple(rng.randrange(1, l + 1) for _ in instance.batches)
-    owner: dict[Edge, int] = {}
-    for b, (e1, e2) in enumerate(instance.batches):
-        owner[canon(e1)] = batch_owners[b]
-        owner[canon(e2)] = batch_owners[b]
+    draws = randrange_many(as_seed(seed).rng(), l, len(instance.batches))
+    batch_owners = tuple(player + 1 for player in draws)
+    keys = _canon_keys(chain.from_iterable(instance.batches))
+    owner = dict(zip(keys, chain.from_iterable(zip(batch_owners, batch_owners))))
     return EdgeAssignment(
         mode="l_player", players=l, owner=owner, batch_owners=batch_owners
     )
@@ -345,15 +324,6 @@ class SegmentReport:
     alpha: int | None
     beta: int | None
     good_groups: tuple[int, ...]
-
-    @property
-    def good_count(self) -> int:
-        return len(self.good_groups)
-
-
-def _batch_of(w: int, q: int, src_group: int) -> int:
-    """Batch id of matching q's (source-group) edge pair under canonical batching."""
-    return (q - 1) * w + (src_group - 1)
 
 
 def active_segments(
@@ -387,55 +357,63 @@ def active_segments(
         raise ValueError(f"player count l={l} not divisible by segment count s={s}")
     w = instance.width
     window = l // s
-    matchings = instance.graph.matchings
-    owners = assignment.batch_owners
+    graph = instance.graph
+    # batch b = (q-1)w + (g-1) holds matching q's pair leaving group g; beta
+    # reads the pair leaving each group, alpha the pair entering it
+    leaving = np.array(assignment.batch_owners[: len(graph.matchings) * w]).reshape(-1, w)
+    entering = np.empty_like(leaving)
+    np.put_along_axis(entering, graph._targets[::2].reshape(-1, w) % (2 * w) // 2, leaving, axis=1)
+    q_in = ((2 * t + 1) * np.arange(s).reshape(-1, 1) + 2 * np.arange(t)).ravel()
+    alpha = entering[q_in].reshape(s, t, w)
+    beta = leaving[q_in + 1].reshape(s, t, w)
+    lo = window * np.arange(s).reshape(-1, 1, 1) + 1
+    hit = (lo <= beta) & (beta < alpha) & (alpha < lo + window)
     reports = []
-    for i in range(1, s + 1):
-        lo, hi = window * (i - 1) + 1, window * i
-        hit: tuple[int, int, int, int] | None = None  # (a, j, beta, alpha)
-        for a in range(1, t + 1):
-            q_in = (2 * t + 1) * (i - 1) + 2 * a - 1
-            q_out = q_in + 1
-            pi_in_inv = invert_perm(matchings[q_in - 1].pi)
-            for j in range(1, w + 1):
-                beta = owners[_batch_of(w, q_out, j)]
-                alpha = owners[_batch_of(w, q_in, pi_in_inv[j - 1])]
-                if lo <= beta < alpha <= hi:
-                    hit = (a, j, beta, alpha)
-                    break
-            if hit:
-                break
-        if hit is None:
-            reports.append(SegmentReport(i, False, None, None, None, None, ()))
+    for i in range(s):
+        first = hit[i].ravel().nonzero()[0]
+        if not len(first):
+            reports.append(SegmentReport(i + 1, False, None, None, None, None, ()))
             continue
-        a_star, j_star, beta, alpha = hit
-        q_in = (2 * t + 1) * (i - 1) + 2 * a_star - 1
-        q_out = q_in + 1
-        pi_in_inv = invert_perm(matchings[q_in - 1].pi)
-        good = tuple(
-            j
-            for j in range(1, w + 1)
-            if j != j_star
-            and owners[_batch_of(w, q_out, j)] == beta
-            and owners[_batch_of(w, q_in, pi_in_inv[j - 1])] == alpha
-        )
-        reports.append(SegmentReport(i, True, a_star, j_star, alpha, beta, good))
+        a, j = divmod(int(first[0]), w)
+        pair = (int(beta[i, a, j]), int(alpha[i, a, j]))
+        same = (beta[i, a] == pair[0]) & (alpha[i, a] == pair[1])
+        same[j] = False
+        good = tuple((same.nonzero()[0] + 1).tolist())
+        reports.append(SegmentReport(i + 1, True, a + 1, j + 1, pair[1], pair[0], good))
     return tuple(reports)
 
 
 def stochastic_assign(
     edges: list[Edge], c: float, seed: Seed | int | None = None
 ) -> EdgeAssignment:
-    """Each player an iid sample (with repetition) of ceil(c*|E|/2) edges."""
+    """Each player an iid sample (with repetition) of ceil(c*|E|/2) edges.
+
+    One bulk draw of 2 * ceil(c*|E|/2) edge indices: Alice's sample is the
+    first half, Bob's the second.
+    """
     if c < 0:
         raise ValueError("need c >= 0")
-    rng = as_seed(seed).rng()
     count = math.ceil(c * len(edges) / 2)
-    sample_a = tuple(edges[rng.randrange(len(edges))] for _ in range(count))
-    sample_b = tuple(edges[rng.randrange(len(edges))] for _ in range(count))
+    picks = randrange_many(as_seed(seed).rng(), len(edges), 2 * count)
+    drawn = tuple(map(edges.__getitem__, picks))
     return EdgeAssignment(
-        mode="stochastic", players=2, samples=(sample_a, sample_b), c=c
+        mode="stochastic", players=2, samples=(drawn[:count], drawn[count:]), c=c
     )
+
+
+def sample_counts(instance: NgcInstance, assignment: EdgeAssignment) -> np.ndarray:
+    """How often each player's sample holds each core edge: shape (2, 2w(d-1)).
+
+    Column p counts the core edge leaving vertex p, in either orientation;
+    sampled auxiliary and augmentation edges are not counted.
+    """
+    if assignment.mode != "stochastic" or assignment.samples is None or assignment.c is None:
+        raise ValueError("expected a stochastic assignment")
+    low, high = assignment._sample_ends.T
+    targets = instance.graph._targets
+    core = (low < len(targets)) & (targets[np.minimum(low, len(targets) - 1)] == high)
+    ids = low + len(targets) * (np.arange(len(low)) >= len(assignment.samples[0]))
+    return np.bincount(ids[core], minlength=2 * len(targets)).reshape(2, -1)
 
 
 def clean_indices_stochastic(
@@ -446,33 +424,10 @@ def clean_indices_stochastic(
     middle edges unseen by Bob but seen by Alice.  Cap is
     max(1, floor(w / (2 e^{9c}))), lexicographically-first.
     """
-    if assignment.mode != "stochastic" or assignment.samples is None:
-        raise ValueError("clean_indices_stochastic needs a stochastic assignment")
-    assert assignment.c is not None
-    w = instance.width
-    core = to_edges(instance.graph)
-    seen_a = {canon(e) for e in assignment.samples[0]}
-    seen_b = {canon(e) for e in assignment.samples[1]}
-    w_c_raw = int(w / (2 * math.exp(9 * assignment.c)))
-    entries = []
-    for block in range(1, instance.t + 1):
-        uncapped = []
-        for j in range(1, w + 1):
-            into, mid, out = _index_edges_cached(instance, core, block, j)
-            outer = [canon(e) for e in into + out]
-            middle = [canon(e) for e in mid]
-            if all(e not in seen_a and e in seen_b for e in outer) and all(
-                e not in seen_b and e in seen_a for e in middle
-            ):
-                uncapped.append(j)
-        capped, w_c, floored = _cap(tuple(uncapped), w, w_c_raw)
-        entries.append(
-            BlockCleanEntry(
-                block=block,
-                clean=capped,
-                clean_uncapped=tuple(uncapped),
-                w_c=w_c,
-                cap_floored=floored,
-            )
-        )
-    return CleanReport(tuple(entries))
+    _require_block(instance, "clean_indices_stochastic")
+    seen_a, seen_b = sample_counts(instance, assignment) > 0
+    # an edge seen by exactly one player "belongs" to that player (ALICE = 0,
+    # BOB = 1); one seen by both or neither matches no clean slot
+    owners = np.where(seen_a != seen_b, seen_b, -1)
+    w_c_raw = int(instance.width / (2 * math.exp(9 * assignment.c)))
+    return _clean_report(instance, owners, w_c_raw)

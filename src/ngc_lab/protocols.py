@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 from .distributions import NgcInstance, Witness, census_of_edges, sample_hybrid
 from .gadgets import Edge, GroupLayeredGraph
-from .partitions import ALICE, EdgeAssignment, assign_uniform
+from .partitions import EdgeAssignment, assign_uniform
 from .seeds import Seed, as_seed
 from .stats import clopper_pearson
 from .streaming import (
@@ -215,9 +215,7 @@ def run_protocol(
     if assignment.mode != "two_player":
         raise ValueError("run_protocol needs a two-player assignment")
     shared = as_seed(seed)
-    edges_a, edges_b = [], []
-    for edge in instance.all_edges():
-        (edges_a if assignment.owner_of(edge) == ALICE else edges_b).append(edge)
+    edges_a, edges_b = assignment.split(instance.all_edges())
     message = protocol.alice(edges_a, shared)
     bits = 8 * len(message)
     budget = protocol.message_budget

@@ -4,12 +4,14 @@ Every sampler in the package takes a ``Seed``.  Two calls with the same
 (master, path) produce identical output; deriving children with distinct
 labels produces independent-looking streams.  Both a stdlib ``random.Random``
 and a numpy ``Generator`` are available off the same derivation, so scalar
-and vectorized code paths can share one seed discipline.
+and vectorized code paths can share one seed discipline; ``randrange_many``
+replays many ``randrange`` draws from one ``getrandbits`` call.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 import os
 import random
 from dataclasses import dataclass, field
@@ -63,3 +65,34 @@ def as_seed(seed: "Seed | int | None" = None, *labels: str | int) -> Seed:
     """Coerce an int/None to a Seed (ints taken literally), optionally descending."""
     base = seed if isinstance(seed, Seed) else master_seed(seed)
     return base.child(*labels) if labels else base
+
+
+def randrange_many(rng: random.Random, n: int, count: int) -> list[int]:
+    """``[rng.randrange(n) for _ in range(count)]``, drawn in bulk from the same stream.
+
+    For 0 < n < 2**32 each ``randrange(n)`` attempt is the top n.bit_length()
+    bits of one 32-bit Mersenne Twister word, retried while >= n, and
+    ``getrandbits(32 * need)`` returns those words least significant first.
+    Each numpy round draws exactly as many words as values are missing, so the
+    generator ends where the loop would; under 32 missing values a round costs
+    more than it saves, and the rest are drawn word by word.
+    """
+    n = operator.index(n)
+    if count <= 0:
+        return []
+    if n <= 0:
+        rng.randrange(n)  # raises randrange's own ValueError
+    if n >= 2**32:
+        raise ValueError(f"randrange_many needs n < 2**32, got {n}")
+    shift = 32 - n.bit_length()
+    out: list[int] = []
+    while count - len(out) >= 32:
+        need = count - len(out)
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        values = np.frombuffer(words, dtype="<u4") >> shift
+        out += values[values < n].tolist()
+    while len(out) < count:
+        value = rng.getrandbits(32 - shift)
+        if value < n:
+            out.append(value)
+    return out

@@ -4,12 +4,30 @@ Everything here works from raw edge lists only — no layered-graph structure,
 no permutation algebra — so a bug in the package cannot hide in its own
 oracle.  Brute-force routines are deliberately naive and bounded to small
 components.
+
+The exception is the partition layer at the end: there the references are
+the object-level routes the array code replaced, one ``randrange`` per edge
+or map slot and one owner lookup per edge, so the array routes can be
+checked draw for draw against them.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from dataclasses import replace
 from itertools import combinations
+
+from ngc_lab.distributions import canon
+from ngc_lab.gadgets import invert_perm, to_edges
+from ngc_lab.partitions import (
+    CLEAN_PATTERN,
+    BlockCleanEntry,
+    CleanReport,
+    EdgeAssignment,
+    PartitionFunctions,
+)
+from ngc_lab.seeds import as_seed
 
 
 def build_adjacency(n_vertices: int, edges: list[tuple[int, int]]) -> list[list[int]]:
@@ -257,3 +275,156 @@ def traced_group_and_parity(
     if layer_of(end, width) != depth:
         raise AssertionError("trace did not end in the last layer")
     return group_of(end, width), side_of(end)
+
+
+# --- partition layer: the per-element routes --------------------------------------
+
+
+def randrange_loop(rng, n: int, count: int) -> list[int]:
+    return [rng.randrange(n) for _ in range(count)]
+
+
+def reference_random_partition_functions(w: int, t: int, seed):
+    rng = as_seed(seed).rng()
+
+    def draw():
+        return tuple(tuple(rng.randrange(2) for _ in range(2 * w)) for _ in range(t))
+
+    return PartitionFunctions(draw(), draw(), draw())
+
+
+def reference_assign_uniform(edges, players: int, seed):
+    rng = as_seed(seed).rng()
+    owner = {canon(e): rng.randrange(players) for e in edges}
+    mode = "two_player" if players == 2 else "l_player"
+    return EdgeAssignment(mode=mode, players=players, owner=owner)
+
+
+def reference_assign_batches(instance, l: int, seed):
+    rng = as_seed(seed).rng()
+    batch_owners = tuple(rng.randrange(1, l + 1) for _ in instance.batches)
+    owner = {}
+    for b, (e1, e2) in enumerate(instance.batches):
+        owner[canon(e1)] = batch_owners[b]
+        owner[canon(e2)] = batch_owners[b]
+    return EdgeAssignment(mode="l_player", players=l, owner=owner, batch_owners=batch_owners)
+
+
+def _block_matchings(instance, block: int) -> tuple[int, int, int]:
+    """1-based matching indices of block's L, M, R matchings, padding-aware."""
+    base = instance.k - instance.core_k + 3 * (block - 1)
+    return base + 1, base + 2, base + 3
+
+
+def _edge_of(core, w: int, q: int, src_group: int, side: int):
+    """The core edge of matching q leaving (source group, side)."""
+    return core[(q - 1) * 2 * w + 2 * (src_group - 1) + side]
+
+
+def reference_index_edges(instance, block: int, j: int):
+    w = instance.width
+    core = to_edges(instance.graph)
+    qL, qM, qR = _block_matchings(instance, block)
+    src = invert_perm(instance.graph.matchings[qL - 1].pi)[j - 1]
+    into = (_edge_of(core, w, qL, src, 0), _edge_of(core, w, qL, src, 1))
+    mid = (_edge_of(core, w, qM, j, 0), _edge_of(core, w, qM, j, 1))
+    out = (_edge_of(core, w, qR, j, 0), _edge_of(core, w, qR, j, 1))
+    return into, mid, out
+
+
+def reference_assign_by_functions(instance, F, seed):
+    w = instance.width
+    rng = as_seed(seed).rng()
+    owner = {}
+    core = to_edges(instance.graph)
+    pad = instance.k - instance.core_k
+    for q, m in enumerate(instance.graph.matchings, start=1):
+        for src in range(1, w + 1):
+            tgt = m.pi[src - 1]
+            flip = m.cross[src - 1]
+            for side in (0, 1):
+                e = _edge_of(core, w, q, src, side)
+                if q <= pad:
+                    owner[canon(e)] = rng.randrange(2)
+                    continue
+                block, role = divmod(q - pad - 1, 3)
+                if role == 0:  # into layer 2, keyed by target vertex
+                    val = F.fL[block][2 * (tgt - 1) + (side ^ flip)]
+                elif role == 1:  # middle, keyed by layer-2 source vertex
+                    val = F.fM[block][2 * (src - 1) + side]
+                else:  # out of layer 3, keyed by layer-3 source vertex
+                    val = F.fR[block][2 * (src - 1) + side]
+                owner[canon(e)] = val
+    for e in list(instance.auxiliary_edges) + list(instance.extra_edges):
+        owner[canon(e)] = rng.randrange(2)
+    return EdgeAssignment(mode="two_player", players=2, owner=owner)
+
+
+def _reference_report(instance, is_clean, w_c_raw: int):
+    entries = []
+    for block in range(1, instance.t + 1):
+        uncapped = tuple(
+            j
+            for j in range(1, instance.width + 1)
+            if is_clean(*reference_index_edges(instance, block, j))
+        )
+        w_c = max(1, w_c_raw)
+        entries.append(
+            BlockCleanEntry(
+                block=block,
+                clean=uncapped[:w_c],
+                clean_uncapped=uncapped,
+                w_c=w_c,
+                cap_floored=w_c_raw < 1,
+            )
+        )
+    return CleanReport(tuple(entries))
+
+
+def reference_clean_indices(instance, F_or_assignment, seed=None):
+    assignment = F_or_assignment
+    if isinstance(F_or_assignment, PartitionFunctions):
+        assignment = reference_assign_by_functions(instance, F_or_assignment, seed)
+
+    def is_clean(into, mid, out):
+        return tuple(assignment.owner_of(e) for e in into + mid + out) == CLEAN_PATTERN
+
+    return _reference_report(instance, is_clean, instance.width // 100)
+
+
+def reference_active_blocks(instance, F_or_assignment, seed=None):
+    base = reference_clean_indices(instance, F_or_assignment, seed)
+    entries = []
+    for entry in base.entries:
+        sigma1 = instance.witness.Sigma[entry.block - 1][0]
+        entries.append(
+            replace(
+                entry,
+                sigma1=sigma1,
+                active=sigma1 in entry.clean,
+                active_uncapped=sigma1 in entry.clean_uncapped,
+            )
+        )
+    return CleanReport(tuple(entries))
+
+
+def reference_stochastic_assign(edges, c: float, seed):
+    rng = as_seed(seed).rng()
+    count = math.ceil(c * len(edges) / 2)
+    sample_a = tuple(edges[rng.randrange(len(edges))] for _ in range(count))
+    sample_b = tuple(edges[rng.randrange(len(edges))] for _ in range(count))
+    return EdgeAssignment(mode="stochastic", players=2, samples=(sample_a, sample_b), c=c)
+
+
+def reference_clean_indices_stochastic(instance, assignment):
+    seen_a = {canon(e) for e in assignment.samples[0]}
+    seen_b = {canon(e) for e in assignment.samples[1]}
+
+    def is_clean(into, mid, out):
+        outer = [canon(e) for e in into + out]
+        middle = [canon(e) for e in mid]
+        return all(e not in seen_a and e in seen_b for e in outer) and all(
+            e not in seen_b and e in seen_a for e in middle
+        )
+
+    return _reference_report(instance, is_clean, int(instance.width / (2 * math.exp(9 * assignment.c))))

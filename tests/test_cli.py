@@ -1,6 +1,7 @@
 """Front-end behavior: exit codes, CSV shape, config precedence, round trips."""
 
 import csv
+import hashlib
 import io
 import os
 import subprocess
@@ -118,6 +119,11 @@ def test_validate_fails_on_tampered_census(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("FAIL:")
 
 
+def _replace(lines, prefix, record):
+    """Swap the (w = 2) witness line starting with prefix for record."""
+    return [record if ln.startswith(prefix) else ln for ln in lines]
+
+
 @pytest.mark.parametrize(
     "mangle",
     [
@@ -126,6 +132,10 @@ def test_validate_fails_on_tampered_census(tmp_path, capsys):
         pytest.param(lambda lines: lines[:2] + ["e 0 one"], id="non-integer"),
         pytest.param(lambda lines: lines + ["e 0 999"], id="out-of-range"),
         pytest.param(lambda lines: lines + ["e -1 3"], id="negative"),
+        pytest.param(lambda lines: _replace(lines, "x 1 ", "x 1 12"), id="non-bit-digit"),
+        pytest.param(lambda lines: _replace(lines, "x 1 ", "x 1 101"), id="wrong-width"),
+        pytest.param(lambda lines: _replace(lines, "p 1 ", "p 1 1 1"), id="repeated-image"),
+        pytest.param(lambda lines: _replace(lines, "p 1 ", "p 1 1 3"), id="not-a-permutation"),
     ],
 )
 def test_validate_malformed_file_is_a_usage_error(tmp_path, capsys, mangle):
@@ -147,6 +157,43 @@ def test_validate_weighted_file_census_only(tmp_path, capsys):
 
 
 # --- experiment CSV behavior -------------------------------------------------------
+
+
+# sha256 of each run's CSV, recorded before the partition layer drew in bulk:
+# a change that alters one random draw, or the order in which draws are
+# consumed, changes the bytes.  The rates and counts depend only on the draws;
+# the p-values and intervals also on scipy (recorded with numpy 2.4, scipy 1.17).
+@pytest.mark.parametrize(
+    "argv, exit_code, digest",
+    [
+        pytest.param(
+            ["partition-stats", "--w", "2", "--trials", "400"],
+            0,
+            "7226f4eddccc0c02e0ef92a350650194d12d2201ad4df19fefacecb55e06d5bc",
+            id="partition-stats-w2",
+        ),
+        pytest.param(
+            [
+                "partition-stats", "--w", "512", "--trials", "6",
+                "--sigma1-trials", "8000", "--tail-blocks", "1024",
+            ],
+            1,  # 1024 blocks are too few for the tail row at w = 512
+            "6e31fe7a011d6fbeca41302116e0eb71945e74e6f6386f42ef252337bfccd5c7",
+            id="partition-stats-w512",
+        ),
+        pytest.param(
+            ["stochastic-stats", "--c", "1", "--trials", "400"],
+            0,
+            "dc7285cd52ceb85f2b5b04ce4f516b7971887c91d17326b311910f64e1905840",
+            id="stochastic-stats-c1",
+        ),
+    ],
+)
+def test_pinned_seed_csv_is_byte_identical(tmp_path, capsys, argv, exit_code, digest):
+    out = tmp_path / "rows.csv"
+    assert run_cli(*argv, "--seed", "5", "--out", str(out)) == exit_code
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_csv_columns_and_seed_column(tmp_path):

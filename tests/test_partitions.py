@@ -6,8 +6,10 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ngc_lab.distributions import canon, sample_ngc, sample_ngc_batched
+from ngc_lab.distributions import canon, mst_augment, pad_to_k, sample_ngc, sample_ngc_batched
 from ngc_lab.gadgets import invert_perm, to_edges
 from ngc_lab.partitions import (
     ALICE,
@@ -30,6 +32,18 @@ from ngc_lab.partitions import (
 )
 from ngc_lab.seeds import master_seed
 from ngc_lab.stats import binomial_check, chi_square_uniform
+
+from oracles import (
+    reference_active_blocks,
+    reference_assign_batches,
+    reference_assign_by_functions,
+    reference_assign_uniform,
+    reference_clean_indices,
+    reference_clean_indices_stochastic,
+    reference_index_edges,
+    reference_random_partition_functions,
+    reference_stochastic_assign,
+)
 
 SEED = master_seed(77)
 
@@ -284,16 +298,23 @@ def brute_segment_reports(inst, assignment, l):
 
 
 def test_active_segments_matches_brute():
-    inst = sample_ngc_batched(120, 15, 2, 3, SEED.child("segs"))
-    for i in range(200):
-        assignment = assign_batches(inst, 4, SEED.child("segsA", i))
-        reports = active_segments(inst, assignment)
-        brute = brute_segment_reports(inst, assignment, 4)
-        got = [
-            (r.segment, r.active, r.a_star, r.group_star, r.alpha, r.beta, r.good_groups)
-            for r in reports
-        ]
-        assert got == brute
+    shapes = [
+        (120, 15, 2, 3, 4, SEED.child("segs")),
+        (56, 7, 2, 1, 2, SEED.child("segs", 7)),
+        (8 * 22, 22, 3, 3, 6, SEED.child("segs", 22)),
+        (4 * 8 * 3, 8, 1, 3, 3, SEED.child("segs", 8)),
+    ]
+    for n, k, s, t, l, seed in shapes:
+        inst = sample_ngc_batched(n, k, s, t, seed)
+        for i in range(200):
+            assignment = assign_batches(inst, l, SEED.child("segsA", i))
+            reports = active_segments(inst, assignment)
+            brute = brute_segment_reports(inst, assignment, l)
+            got = [
+                (r.segment, r.active, r.a_star, r.group_star, r.alpha, r.beta, r.good_groups)
+                for r in reports
+            ]
+            assert got == brute
 
 
 def test_active_segments_requires_divisible_l():
@@ -405,3 +426,95 @@ def test_stochastic_clean_requires_stochastic_mode():
 
 def test_clean_pattern_constant_is_bob_alice_bob():
     assert CLEAN_PATTERN == (BOB, BOB, ALICE, ALICE, BOB, BOB)
+
+
+# --- array routes against the per-element references -------------------------------
+
+
+@st.composite
+def block_instances(draw):
+    """Block instances at t = 1..3 and w = 2..8, padded by 0-2 layers, some augmented."""
+    t = draw(st.integers(1, 3))
+    k = 3 * t + 1
+    m = draw(st.integers(1, 4))
+    inst = sample_ngc(4 * k * m, k, draw(st.integers(0, 2**32)))
+    inst = pad_to_k(inst, k + draw(st.integers(0, 2)))
+    if m > 1 and draw(st.booleans()):
+        inst = mst_augment(inst, 5)
+    return inst
+
+
+def test_partition_references_cover_width_two_and_two_blocks():
+    # the strategy's corners: w = 2 at t = 2, padded
+    inst = pad_to_k(sample_ngc(4 * 7, 7, SEED.child("corner")), 9)
+    assert (inst.width, inst.t, inst.k - inst.core_k) == (2, 2, 2)
+    F = random_partition_functions(2, 2, SEED.child("cornerF"))
+    assert clean_indices(inst, F, 1) == reference_clean_indices(inst, F, 1)
+
+
+@settings(max_examples=120, deadline=None)
+@given(block_instances(), st.integers(0, 2**32))
+def test_function_routes_match_references(inst, seed):
+    F = random_partition_functions(inst.width, inst.t, seed)
+    assert F == reference_random_partition_functions(inst.width, inst.t, seed)
+    got = assign_by_functions(inst, F, seed + 1)
+    want = reference_assign_by_functions(inst, F, seed + 1)
+    assert list(got.owner.items()) == list(want.owner.items())
+    assert clean_indices(inst, F, seed + 1) == reference_clean_indices(inst, F, seed + 1)
+    assert active_blocks(inst, got) == reference_active_blocks(inst, want)
+    for block in range(1, inst.t + 1):
+        for j in range(1, inst.width + 1):
+            assert index_edges(inst, block, j) == reference_index_edges(inst, block, j)
+
+
+@settings(max_examples=120, deadline=None)
+@given(block_instances(), st.integers(0, 2**32), st.sampled_from([2, 3, 7]))
+def test_uniform_split_matches_reference(inst, seed, players):
+    edges = inst.all_edges()
+    got = assign_uniform(edges, players, seed)
+    assert list(got.owner.items()) == list(reference_assign_uniform(edges, players, seed).owner.items())
+    if players == 2:
+        assert clean_indices(inst, got) == reference_clean_indices(inst, got)
+        assert active_blocks(inst, got) == reference_active_blocks(inst, got)
+        alice, bob = got.split(edges)
+        assert alice == [e for e in edges if got.owner_of(e) == ALICE]
+        assert bob == [e for e in edges if got.owner_of(e) == BOB]
+
+
+@settings(max_examples=120, deadline=None)
+@given(block_instances(), st.integers(0, 2**32), st.sampled_from([0.0, 0.05, 0.5, 1.0, 3.0]))
+def test_stochastic_routes_match_references(inst, seed, c):
+    edges = inst.all_edges()
+    got = stochastic_assign(edges, c, seed)
+    assert got == reference_stochastic_assign(edges, c, seed)
+    assert clean_indices_stochastic(inst, got) == reference_clean_indices_stochastic(inst, got)
+
+
+def test_stochastic_clean_reads_reversed_and_repeated_samples():
+    # a sample may hold a core edge reversed, twice, or not at all; index 1
+    # would be clean but for an outer edge that both players hold
+    inst = sample_ngc(4 * 4 * 2, 4, SEED.child("rev"))
+    into, mid, out = index_edges(inst, 1, 2)
+    into1, mid1, out1 = index_edges(inst, 1, 1)
+    alice = tuple((v, u) for u, v in mid) + mid[:1] + mid1 + out1[:1]
+    bob = into + tuple((v, u) for u, v in out) + inst.auxiliary_edges + into1 + out1
+    assignment = EdgeAssignment(mode="stochastic", players=2, samples=(alice, bob), c=0.0)
+    report = clean_indices_stochastic(inst, assignment)
+    assert report == reference_clean_indices_stochastic(inst, assignment)
+    assert report.entries[0].clean_uncapped == (2,)
+
+
+def test_batch_split_matches_reference():
+    inst = sample_ngc_batched(4 * 7 * 2, 7, 2, 1, SEED.child("batref"))
+    for i, l in enumerate((1, 2, 4)):
+        got = assign_batches(inst, l, SEED.child("batrefA", i))
+        want = reference_assign_batches(inst, l, SEED.child("batrefA", i))
+        assert got.batch_owners == want.batch_owners
+        assert list(got.owner.items()) == list(want.owner.items())
+
+
+def test_index_edges_rejects_out_of_range_indices():
+    inst = sample_ngc(28, 7, SEED.child("range"))
+    for block, j in ((0, 1), (3, 1), (1, 0), (1, inst.width + 1)):
+        with pytest.raises(ValueError):
+            index_edges(inst, block, j)
