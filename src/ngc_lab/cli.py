@@ -3,9 +3,9 @@
 Every experiment subcommand resolves an ``ExperimentConfig`` (flags override a
 key=value config file, which overrides defaults), runs the matching suite from
 ``experiments``, and writes CSV rows with the fixed column order (suite,
-params, metric, value, ci_low, ci_high, trials, seed).  Rows are flushed as
-they are produced, so an interrupted run leaves a valid prefix.  The same
-config always produces byte-identical output.
+params, metric, value, ci_low, ci_high, trials, seed).  The rows are written
+only once the suite has returned, so an interrupted run leaves no rows.  The
+same config always produces byte-identical output.
 
 Exit codes: 0 all checks passed, 1 a statistical check failed, 2 usage error,
 3 an internal invariant was violated.
@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass, fields
 
 from . import experiments as ex
-from .distributions import census_of_edges, pad_to_k, sample_hybrid, sample_ngc
+from .distributions import census_law, census_of_edges, pad_to_k, sample_hybrid, sample_ngc
 from .instance_io import parse_instance, serialize_instance
 from .seeds import master_seed
 
@@ -114,7 +114,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _emit_rows(rows, out_path: str | None) -> None:
-    """Write header + rows, flushing after each line (interrupt-safe prefix)."""
+    """Write header + rows of a finished suite, flushing after each line."""
     sink = open(out_path, "w", encoding="utf-8", newline="") if out_path else sys.stdout
     try:
         sink.write(",".join(ex.CSV_COLUMNS) + "\n")
@@ -205,20 +205,17 @@ def cmd_validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         # nothing declared to check against: report the census and accept
         print(_census_line(census))
         return 0
-    m = parsed.m
-    length = parsed.k if parsed.theta == 0 else 2 * parsed.k
-    count = 2 * m if parsed.theta == 0 else m
-    expected_cycles = {length: count}
-    expected_paths = {parsed.k - 1: 2 * m}
+    law = census_law(parsed.k, parsed.m, parsed.theta)
     if census.degree_violations:
         print("FAIL: vertex degree exceeds two")
         return 1
-    if census.cycles != expected_cycles:
+    if census.cycles != law.cycles:
         print("FAIL: cycle census mismatch")
         return 1
-    if census.paths != expected_paths:
+    if census.paths != law.paths:
         print("FAIL: path census mismatch")
         return 1
+    (count,) = law.cycles.values()
     label = "k-cycles" if parsed.theta == 0 else "2k-cycles"
     print(f"OK: {count} {label}")
     return 0

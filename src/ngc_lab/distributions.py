@@ -27,7 +27,7 @@ import random
 import warnings
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -43,7 +43,7 @@ from .gadgets import (
     to_edges,
     vertex_id,
 )
-from .seeds import Seed, as_seed
+from .seeds import Seed, as_seed, randrange_many
 
 SIDE_A = 0
 SIDE_B = 1
@@ -71,21 +71,41 @@ class Witness:
         if self.form not in ("block", "segment"):
             raise ValueError(f"unknown witness form {self.form!r}")
 
+    @classmethod
+    def from_gadgets(cls, form: str, xs: Sequence, sigmas: Sequence, t: int) -> "Witness":
+        """Assemble from row-major lists of cross vectors and permutations, t per row."""
+        if form == "block":
+            return cls(form, tuple(xs), tuple(sigmas))
+        rows = range(0, len(xs), t)
+        return cls(
+            form,
+            tuple(tuple(xs[i : i + t]) for i in rows),
+            tuple(tuple(sigmas[i : i + t]) for i in rows),
+        )
+
+    @property
+    def gadgets(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """(cross vector, permutation) of every gadget, segments in row-major order."""
+        if self.form == "block":
+            return list(zip(self.X, self.Sigma))
+        return [g for row in zip(self.X, self.Sigma) for g in zip(*row)]
+
+    def parity(self, group: int) -> int:
+        """Crossing parity XOR_i x^i_{sigma^i(group)} of one start group."""
+        return crossing_parity(self.gadgets, group)
+
     def build(self) -> GroupLayeredGraph:
         if self.form == "block":
             return make_multi_block(self.X, self.Sigma)
         return make_multi_segment(self.X, self.Sigma)
 
 
-@dataclass(frozen=True)
-class HybridSpec:
-    m: int
-    t: int
-    h: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.h <= self.m:
-            raise ValueError(f"cut index h={self.h} outside [0, {self.m}]")
+def crossing_parity(gadgets: Iterable[tuple[Sequence[int], Sequence[int]]], group: int) -> int:
+    """XOR of the cross bits start group `group` picks up across (x, sigma) gadgets."""
+    bit = 0
+    for x, sigma in gadgets:
+        bit ^= x[sigma[group - 1] - 1]
+    return bit
 
 
 @dataclass(frozen=True)
@@ -137,47 +157,67 @@ def auxiliary_edges_for(k: int, m: int, width: int) -> tuple[Edge, ...]:
     return tuple(out)
 
 
-def _uniform_perm(rng: random.Random, w: int) -> tuple[int, ...]:
-    return tuple(rng.sample(range(1, w + 1), w))
+def _perms(rng: random.Random, w: int, count: int) -> list[tuple[int, ...]]:
+    return [tuple(rng.sample(range(1, w + 1), w)) for _ in range(count)]
 
 
-def _uniform_bits(rng: random.Random, w: int) -> list[int]:
-    return [rng.randrange(2) for _ in range(w)]
+def _bits(rng: random.Random, w: int, count: int) -> list[list[int]]:
+    """count uniform cross vectors, the same bits as one randrange(2) each."""
+    flat = randrange_many(rng, 2, count * w)
+    return [flat[i * w : (i + 1) * w] for i in range(count)]
 
 
-def _sample_blocks_conditioned(
-    w: int, t: int, targets: dict[int, int], rng: random.Random
-) -> Witness:
-    """Uniform (X, Sigma) given parity(j) = targets[j]; forces the last block."""
-    Sigma = [_uniform_perm(rng, w) for _ in range(t)]
-    X = [_uniform_bits(rng, w) for _ in range(t)]
-    for j, bit in targets.items():
-        acc = 0
-        for i in range(t - 1):
-            acc ^= X[i][Sigma[i][j - 1] - 1]
-        X[t - 1][Sigma[t - 1][j - 1] - 1] = bit ^ acc
-    return Witness("block", tuple(tuple(x) for x in X), tuple(Sigma))
+def _uniform_witness(form: str, w: int, s: int, t: int, seed: Seed | int | None) -> Witness:
+    """Unconditioned draw: every cross vector, then every permutation."""
+    rng = as_seed(seed).rng()
+    xs = [tuple(x) for x in _bits(rng, w, s * t)]
+    return Witness.from_gadgets(form, xs, _perms(rng, w, s * t), t)
 
 
-def _sample_segments_conditioned(
-    w: int, s: int, t: int, targets: dict[int, int], rng: random.Random
-) -> Witness:
-    """Segment-form analogue; forces gadget (s, t), the last of the last segment."""
-    Sigma = [[_uniform_perm(rng, w) for _ in range(t)] for _ in range(s)]
-    X = [[_uniform_bits(rng, w) for _ in range(t)] for _ in range(s)]
-    for j, bit in targets.items():
-        acc = 0
-        for i in range(s):
-            for ip in range(t):
-                if (i, ip) == (s - 1, t - 1):
-                    continue
-                acc ^= X[i][ip][Sigma[i][ip][j - 1] - 1]
-        X[s - 1][t - 1][Sigma[s - 1][t - 1][j - 1] - 1] = bit ^ acc
-    return Witness(
-        "segment",
-        tuple(tuple(tuple(x) for x in row) for row in X),
-        tuple(tuple(row) for row in Sigma),
+def _hybrid(
+    rng: random.Random, m: int, s: int | None, t: int, h: int, with_auxiliary: bool
+) -> NgcInstance:
+    """Hybrid h on the block (s None) or segment family, drawn from rng.
+
+    Every permutation and cross vector is uniform, then the last gadget's bit
+    at sigma(j) is forced so that group j <= h has parity 0 and h < j <= m has
+    parity 1.  The forced slots are distinct, so this is the uniform law given
+    those parities.
+    """
+    if not 0 <= h <= m:
+        raise ValueError(f"cut index h={h} outside [0, {m}]")
+    w = 2 * m
+    count = t if s is None else s * t
+    k = 3 * t + 1 if s is None else (2 * t + 1) * s + 1
+    sigmas = _perms(rng, w, count)
+    xs = _bits(rng, w, count)
+    head = list(zip(xs[:-1], sigmas[:-1]))
+    last_x, last_sigma = xs[-1], sigmas[-1]
+    for j in range(1, m + 1):
+        last_x[last_sigma[j - 1] - 1] = int(j > h) ^ crossing_parity(head, j)
+    xs = [tuple(x) for x in xs]
+    witness = Witness.from_gadgets("block" if s is None else "segment", xs, sigmas, t)
+    instance = NgcInstance(
+        n=4 * k * m,
+        k=k,
+        m=m,
+        t=t,
+        theta=0 if h == m else (1 if h == 0 else None),
+        graph=witness.build(),
+        witness=witness,
+        auxiliary_edges=auxiliary_edges_for(k, m, w) if with_auxiliary else (),
+        s=s,
     )
+    if s is None:
+        return instance
+    return replace(instance, batches=_rebatch(instance))
+
+
+def _ngc_shape(n: int, k: int) -> int:
+    """m = n/4k, after checking n is a positive multiple of 4k."""
+    if n % (4 * k) != 0 or n < 4 * k:
+        raise ValueError(f"n={n} is not a positive multiple of 4k={4 * k}")
+    return n // (4 * k)
 
 
 def sample_ngc(n: int, k: int, seed: Seed | int | None = None) -> NgcInstance:
@@ -185,28 +225,15 @@ def sample_ngc(n: int, k: int, seed: Seed | int | None = None) -> NgcInstance:
 
     Requires k = 3t+1 and n = 4km.  The first m of the 2m groups are
     conditioned to parity theta and closed into cycles; the remaining m stay
-    open paths with unconstrained parity.
+    open paths with unconstrained parity.  theta=0 is hybrid m, theta=1
+    hybrid 0.
     """
     if k < 4 or (k - 1) % 3 != 0:
         raise ValueError(f"k={k} is not of the form 3t+1 with t >= 1")
-    t = (k - 1) // 3
-    if n % (4 * k) != 0 or n < 4 * k:
-        raise ValueError(f"n={n} is not a positive multiple of 4k={4 * k}")
-    m = n // (4 * k)
-    w = 2 * m
+    m = _ngc_shape(n, k)
     rng = as_seed(seed).rng()
     theta = rng.randrange(2)
-    witness = _sample_blocks_conditioned(w, t, {j: theta for j in range(1, m + 1)}, rng)
-    return NgcInstance(
-        n=n,
-        k=k,
-        m=m,
-        t=t,
-        theta=theta,
-        graph=witness.build(),
-        witness=witness,
-        auxiliary_edges=auxiliary_edges_for(k, m, w),
-    )
+    return _hybrid(rng, m, None, (k - 1) // 3, 0 if theta else m, with_auxiliary=True)
 
 
 def sample_hybrid(
@@ -221,23 +248,7 @@ def sample_hybrid(
     h=0 reproduces the theta=1 branch and h=m the theta=0 branch; intermediate
     h mixes them groupwise.  theta is recorded only at the endpoints.
     """
-    spec = HybridSpec(m, t, h)
-    w = 2 * m
-    k = 3 * t + 1
-    rng = as_seed(seed).rng()
-    targets = {j: (0 if j <= spec.h else 1) for j in range(1, m + 1)}
-    witness = _sample_blocks_conditioned(w, t, targets, rng)
-    theta = 0 if h == m else (1 if h == 0 else None)
-    return NgcInstance(
-        n=4 * k * m,
-        k=k,
-        m=m,
-        t=t,
-        theta=theta,
-        graph=witness.build(),
-        witness=witness,
-        auxiliary_edges=auxiliary_edges_for(k, m, w) if with_auxiliary else (),
-    )
+    return _hybrid(as_seed(seed).rng(), m, None, t, h, with_auxiliary)
 
 
 def sample_dhx(
@@ -249,12 +260,7 @@ def sample_dhx(
     """
     if w < 1 or t < 1:
         raise ValueError("need w >= 1 and t >= 1")
-    rng = as_seed(seed).rng()
-    witness = Witness(
-        "block",
-        tuple(tuple(_uniform_bits(rng, w)) for _ in range(t)),
-        tuple(_uniform_perm(rng, w) for _ in range(t)),
-    )
+    witness = _uniform_witness("block", w, 1, t, seed)
     return witness.build(), witness
 
 
@@ -264,12 +270,7 @@ def sample_dhx_segment(
     """Unconditioned multi-segment draw, the batched reduction's target."""
     if w < 1 or s < 1 or t < 1:
         raise ValueError("need w, s, t >= 1")
-    rng = as_seed(seed).rng()
-    witness = Witness(
-        "segment",
-        tuple(tuple(tuple(_uniform_bits(rng, w)) for _ in range(t)) for _ in range(s)),
-        tuple(tuple(_uniform_perm(rng, w) for _ in range(t)) for _ in range(s)),
-    )
+    witness = _uniform_witness("segment", w, s, t, seed)
     return witness.build(), witness
 
 
@@ -294,27 +295,10 @@ def sample_ngc_batched(
     """
     if k != (2 * t + 1) * s + 1:
         raise ValueError(f"k={k} != (2t+1)s+1 for s={s}, t={t}")
-    if n % (4 * k) != 0 or n < 4 * k:
-        raise ValueError(f"n={n} is not a positive multiple of 4k={4 * k}")
-    m = n // (4 * k)
-    w = 2 * m
+    m = _ngc_shape(n, k)
     rng = as_seed(seed).rng()
     theta = rng.randrange(2)
-    witness = _sample_segments_conditioned(
-        w, s, t, {j: theta for j in range(1, m + 1)}, rng
-    )
-    instance = NgcInstance(
-        n=n,
-        k=k,
-        m=m,
-        t=t,
-        theta=theta,
-        graph=witness.build(),
-        witness=witness,
-        auxiliary_edges=auxiliary_edges_for(k, m, w),
-        s=s,
-    )
-    return replace(instance, batches=_rebatch(instance))
+    return _hybrid(rng, m, s, t, 0 if theta else m, with_auxiliary=True)
 
 
 def sample_hybrid_batched(
@@ -326,25 +310,7 @@ def sample_hybrid_batched(
     with_auxiliary: bool = False,
 ) -> NgcInstance:
     """Batched counterpart of sample_hybrid on the multi-segment family."""
-    spec = HybridSpec(m, t, h)
-    w = 2 * m
-    k = (2 * t + 1) * s + 1
-    rng = as_seed(seed).rng()
-    targets = {j: (0 if j <= spec.h else 1) for j in range(1, m + 1)}
-    witness = _sample_segments_conditioned(w, s, t, targets, rng)
-    theta = 0 if h == m else (1 if h == 0 else None)
-    instance = NgcInstance(
-        n=4 * k * m,
-        k=k,
-        m=m,
-        t=t,
-        theta=theta,
-        graph=witness.build(),
-        witness=witness,
-        auxiliary_edges=auxiliary_edges_for(k, m, w) if with_auxiliary else (),
-        s=s,
-    )
-    return replace(instance, batches=_rebatch(instance))
+    return _hybrid(as_seed(seed).rng(), m, s, t, h, with_auxiliary)
 
 
 def pad_to_k(instance: NgcInstance, k: int) -> NgcInstance:
@@ -443,13 +409,13 @@ def _tally(lengths: np.ndarray) -> dict[int, int]:
     return dict(zip(keys.tolist(), counts.tolist()))
 
 
-def census_of_edges(n_vertices: int, edges: Iterable[Edge]) -> Census:
-    """Connected-components census of a multigraph on vertices 0..n-1.
+def component_pass(n_vertices: int, edges: Iterable[Edge]) -> tuple[np.ndarray, ...]:
+    """One connected-components pass over a multigraph on vertices 0..n-1.
 
-    A component with #edges == #vertices and all degrees 2 is a cycle of that
-    length; otherwise it is reported as a path keyed by edge count (isolated
-    vertex = path of length 0).  Vertices of degree > 2 are flagged, not
-    crashed on; ids outside [0, n) raise ValueError.
+    Returns (label, size, nedges, cycle, degree): each vertex's component
+    label, then per component its vertex count, edge count and cycle flag (all
+    degrees 2 and #edges == #vertices), then each vertex's degree.  Ids
+    outside [0, n) raise ValueError.
     """
     flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
     if flat.size and (flat.min() < 0 or flat.max() >= n_vertices):
@@ -462,12 +428,35 @@ def census_of_edges(n_vertices: int, edges: Iterable[Edge]) -> Census:
     nedges = np.bincount(label[u], minlength=components)
     irregular = np.bincount(label, weights=degree != 2, minlength=components)
     cycle = (irregular == 0) & (nedges == size)
+    return label, size, nedges, cycle, degree
+
+
+def census_of_edges(n_vertices: int, edges: Iterable[Edge]) -> Census:
+    """Connected-components census of a multigraph on vertices 0..n-1.
+
+    A component with #edges == #vertices and all degrees 2 is a cycle of that
+    length; otherwise it is reported as a path keyed by edge count (isolated
+    vertex = path of length 0).  Vertices of degree > 2 are flagged, not
+    crashed on; ids outside [0, n) raise ValueError.
+    """
+    _, size, nedges, cycle, degree = component_pass(n_vertices, edges)
     return Census(
         cycles=_tally(size[cycle]),
         paths=_tally(nedges[~cycle]),
-        components=int(components),
+        components=len(size),
         degree_violations=tuple(np.flatnonzero(degree > 2).tolist()),
     )
+
+
+def census_law(k: int, m: int, theta: int) -> Census:
+    """The component law of a theta-conditioned instance of depth k with 2m groups.
+
+    theta=0 gives n/2k = 2m cycles of k edges, theta=1 gives n/4k = m cycles
+    of 2k edges, and the m unconstrained groups always contribute 2m paths of
+    k-1 edges.
+    """
+    cycles = {k: 2 * m} if theta == 0 else {2 * k: m}
+    return Census(cycles=cycles, paths={k - 1: 2 * m}, components=sum(cycles.values()) + 2 * m)
 
 
 def validate_instance(instance: NgcInstance) -> Census:

@@ -41,7 +41,9 @@ from .distributions import (
     NgcInstance,
     Witness,
     canon,
+    census_law,
     census_of_edges,
+    component_pass,
     mst_augment,
     pad_to_k,
     sample_dhx,
@@ -79,6 +81,8 @@ from .streaming import (
     UnionFindCensusAlgorithm,
     build_adjacency,
     cc_estimate,
+    census_matching_size,
+    census_mis_size,
     detect_cycle_length_from_walks,
     exact_census,
     make_stream,
@@ -146,29 +150,13 @@ def _finish(rows: list[Row], failures: list[str]) -> SuiteResult:
 
 
 def expected_census(instance: NgcInstance) -> Census | None:
-    """The exact component law of a theta-conditioned instance, or None.
+    """The exact component law (``census_law``) of a theta-conditioned instance, or None.
 
-    Applies to plain/padded instances (core + closers, unit weights): theta=0
-    gives n/2k cycles of k edges, theta=1 gives n/4k cycles of 2k edges, and
-    the m unconstrained groups always contribute n/2k paths of k-1 edges.
+    Applies to plain/padded instances (core + closers, unit weights).
     """
     if instance.theta is None or instance.extra_edges or instance.weights:
         return None
-    k, m = instance.k, instance.m
-    if instance.theta == 0:
-        cycles, components = {k: 2 * m}, 4 * m
-    else:
-        cycles, components = {2 * k: m}, 3 * m
-    return Census(cycles=cycles, paths={k - 1: 2 * m}, components=components)
-
-
-def _census_matches(census: Census, law: Census) -> bool:
-    return (
-        census.cycles == law.cycles
-        and census.paths == law.paths
-        and census.components == law.components
-        and not census.degree_violations
-    )
+    return census_law(instance.k, instance.m, instance.theta)
 
 
 def census_suite(
@@ -192,7 +180,7 @@ def census_suite(
             inst = pad_to_k(inst, pad)
         law = expected_census(inst)
         assert law is not None
-        ok += _census_matches(validate_instance(inst), law)
+        ok += validate_instance(inst) == law
     suite = "census"
     params = _params(n=n, k=k, pad=pad)
     rows = [
@@ -385,19 +373,6 @@ def _active_count_tail(w: int, blocks: int, trials: int, seed: Seed) -> int:
 # --- reduction checks -------------------------------------------------------------
 
 
-def _witness_group_parity(witness: Witness, group: int) -> int:
-    """XOR of the cross bits group `group` picks up across all gadgets."""
-    acc = 0
-    if witness.form == "block":
-        for x, sig in zip(witness.X, witness.Sigma):
-            acc ^= x[sig[group - 1] - 1]
-    else:
-        for xs, sigs in zip(witness.X, witness.Sigma):
-            for x, sig in zip(xs, sigs):
-                acc ^= x[sig[group - 1] - 1]
-    return acc
-
-
 def reduce_check_suite(
     m: int,
     t: int,
@@ -436,9 +411,7 @@ def reduce_check_suite(
             _, record = embed_dhx_batched(
                 narrow, h_star, m, s, t, rng.getrandbits(63), build_graph=False
             )
-        planted = _witness_group_parity(record.witness, h_star)
-        answer = _witness_group_parity(narrow, 1)
-        ok += planted == answer
+        ok += record.witness.parity(h_star) == narrow.parity(1)
     rows.append(
         Row(suite, params, "claim_holds", f"{ok}/{trials}", None, None, trials, root.master)
     )
@@ -513,7 +486,7 @@ def stream_run_suite(
         census = exact_census(n, stream)
         law = expected_census(inst)
         assert law is not None
-        census_ok += _census_matches(census, law)
+        census_ok += census == law
         decision = CensusThetaDecision(n, k)
         state = decision.run(decision.init(), stream.events)
         decision_ok += decision.finalize(state) == inst.theta
@@ -863,13 +836,13 @@ def _object_walk_coverage(
     """(cycle-started walks, covering walks, certified length) with real walks."""
     edges = inst.all_edges()
     adjacency = build_adjacency(inst.n, edges)
-    cycle_vertices = _cycle_vertex_set(inst.n, edges)
+    label, _, _, cycle, _ = component_pass(inst.n, edges)
     rng = seed.rng()
     samples = []
     on_cycle = 0
     for _ in range(walks):
         start = rng.randrange(inst.n)
-        on_cycle += start in cycle_vertices
+        on_cycle += bool(cycle[label[start]])
         samples.append(
             random_walk(edges, start, 2 * inst.k, seed=rng.getrandbits(63), adjacency=adjacency)
         )
@@ -877,33 +850,6 @@ def _object_walk_coverage(
     hits = detection.k_certificates + detection.two_k_certificates
     guessed = {"k_cycles": inst.k, "2k_cycles": 2 * inst.k}.get(detection.classification)
     return on_cycle, hits, guessed
-
-
-def _cycle_vertex_set(n: int, edges) -> set:
-    """Vertices lying on cycle components (every member has degree two)."""
-    degree = [0] * n
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-    adjacency = build_adjacency(n, edges)
-    seen = [False] * n
-    out: set = set()
-    for v0 in range(n):
-        if seen[v0] or not adjacency[v0]:
-            continue
-        comp = [v0]
-        seen[v0] = True
-        queue = [v0]
-        while queue:
-            u = queue.pop()
-            for x in adjacency[u]:
-                if not seen[x]:
-                    seen[x] = True
-                    comp.append(x)
-                    queue.append(x)
-        if all(degree[u] == 2 for u in comp):
-            out.update(comp)
-    return out
 
 
 # --- bias scan --------------------------------------------------------------------
@@ -970,21 +916,15 @@ def combinatorial_suite(
     root = as_seed(seed)
     suite = "combinatorial"
     params = _params(n=n, k=k)
-    m = n // (4 * k)
-    # component law: theta=0 has 2m k-cycles, theta=1 has m 2k-cycles; always
-    # 2m paths of k vertices (k-1 edges)
-    law = {
-        0: (2 * m * (k // 2) + 2 * m * (k // 2), 2 * m * (k // 2) + 2 * m * ((k + 1) // 2)),
-        1: (m * k + 2 * m * (k // 2), m * k + 2 * m * ((k + 1) // 2)),
-    }
+    laws = {theta: census_law(k, n // (4 * k), theta) for theta in (0, 1)}
     match_ok = 0
     mis_ok = 0
     for i in range(trials):
         inst = sample_ngc(n, k, root.child("comb", i))
         edges = inst.all_edges()
-        want_matching, want_mis = law[inst.theta]
-        match_ok += matching_size_exact(n, edges) == want_matching
-        mis_ok += mis_size_exact(n, edges) == want_mis
+        law = laws[inst.theta]
+        match_ok += matching_size_exact(n, edges) == census_matching_size(law)
+        mis_ok += mis_size_exact(n, edges) == census_mis_size(law)
     rows = [
         Row(suite, params, "matching_exact", match_ok / trials, None, None, trials, root.master),
         Row(suite, params, "mis_exact", mis_ok / trials, None, None, trials, root.master),

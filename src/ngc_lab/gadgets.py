@@ -66,9 +66,6 @@ class VertexRef:
     group: int
     side: int  # SIDE_A or SIDE_B
 
-    def to_id(self, width: int) -> int:
-        return (self.layer - 1) * 2 * width + 2 * (self.group - 1) + self.side
-
 
 def vertex_id(layer: int, group: int, side: int, width: int) -> int:
     return (layer - 1) * 2 * width + 2 * (group - 1) + side
@@ -85,7 +82,8 @@ class MatchingSpec:
     """One inter-layer perfect matching: group permutation + per-group cross bit.
 
     Group j's two vertices both map into group pi(j); cross[j-1] == 0 keeps
-    a->a, b->b, cross[j-1] == 1 swaps a->b, b->a.
+    a->a, b->b, cross[j-1] == 1 swaps a->b, b->a.  This is the one place a
+    matching is validated; the gadget builders rely on it.
     """
 
     pi: Perm
@@ -168,13 +166,13 @@ def _index_offsets(w: int, blocks: int, pad: int) -> np.ndarray:
 
 def make_xor_matching(x: Sequence[int]) -> MatchingSpec:
     """Matching that keeps every group in place and crosses group j iff x_j=1."""
-    bits = _check_bits(x)
+    bits = tuple(x)
     return MatchingSpec(identity_perm(len(bits)), bits)
 
 
 def make_perm_matching(sigma: Sequence[int]) -> MatchingSpec:
     """Matching that routes group j to group sigma(j) without crossing."""
-    perm = _check_perm(sigma)
+    perm = tuple(sigma)
     return MatchingSpec(perm, (0,) * len(perm))
 
 
@@ -197,12 +195,11 @@ def make_block(x: Sequence[int], sigma: Sequence[int]) -> GroupLayeredGraph:
     Routes every group back to itself; the crossing picked up by start group j
     is x_{sigma(j)}.
     """
-    perm = _check_perm(sigma)
-    bits = _check_bits(x)
+    perm, bits = tuple(sigma), tuple(x)
     if len(perm) != len(bits):
         raise ValueError("x and sigma lengths differ")
     return graph_of(
-        make_perm_matching(perm),
+        make_perm_matching(perm),  # validates perm before it is inverted
         make_xor_matching(bits),
         make_perm_matching(invert_perm(perm)),
     )
@@ -222,8 +219,7 @@ def make_multi_block(
 
 def make_perm_xor(sigma: Sequence[int], x: Sequence[int]) -> GroupLayeredGraph:
     """Depth-3 gadget perm(sigma) | xor(x): group j lands on sigma(j), crossing x_{sigma(j)}."""
-    perm = _check_perm(sigma)
-    bits = _check_bits(x)
+    perm, bits = tuple(sigma), tuple(x)
     if len(perm) != len(bits):
         raise ValueError("x and sigma lengths differ")
     return graph_of(make_perm_matching(perm), make_xor_matching(bits))

@@ -19,6 +19,7 @@ byte-stable: identical data serializes to identical text.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .distributions import NgcInstance, Witness, canon
 from .gadgets import Edge, _check_bits, _check_perm
@@ -72,18 +73,11 @@ def serialize_instance(instance: NgcInstance, reveal: bool = False) -> str:
 
     if reveal:
         wit = instance.witness
-        if wit.form == "block":
-            for i, x in enumerate(wit.X, start=1):
-                lines.append(f"x {i} {''.join(map(str, x))}")
-            for i, perm in enumerate(wit.Sigma, start=1):
-                lines.append(f"p {i} {' '.join(map(str, perm))}")
-        else:
-            for i, row in enumerate(wit.X, start=1):
-                for ip, x in enumerate(row, start=1):
-                    lines.append(f"x {i} {ip} {''.join(map(str, x))}")
-            for i, row in enumerate(wit.Sigma, start=1):
-                for ip, perm in enumerate(row, start=1):
-                    lines.append(f"p {i} {ip} {' '.join(map(str, perm))}")
+        gadgets = wit.gadgets
+        t = len(wit.Sigma[0]) if wit.form == "segment" else None
+        keys = [str(g + 1) if t is None else f"{g // t + 1} {g % t + 1}" for g in range(len(gadgets))]
+        lines += [f"x {key} {''.join(map(str, x))}" for key, (x, _) in zip(keys, gadgets)]
+        lines += [f"p {key} {' '.join(map(str, perm))}" for key, (_, perm) in zip(keys, gadgets)]
     return "\n".join(lines) + "\n"
 
 
@@ -124,6 +118,7 @@ def parse_instance(text: str) -> ParsedInstance:
     p_lines: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     lineno, ln = header[1]
+    param_lineno = lineno
     try:
         params = _parse_param_line(ln)
         for key in ("n", "k", "w", "d", "m", "form", "theta", "t"):
@@ -139,6 +134,9 @@ def parse_instance(text: str) -> ParsedInstance:
         n = sizes["n"]
         if n < 1:
             raise ValueError(f"n must be positive, got {n}")
+        w, d = sizes["w"], sizes["d"]  # every written file holds these three laws
+        if n != 2 * w * d or d != sizes["k"] or w != 2 * sizes["m"]:
+            raise ValueError("header breaks n = 2wd, d = k or w = 2m")
         s = int(params["s"]) if "s" in params else None
         key_len = 1 if form == "block" else 2
 
@@ -178,6 +176,11 @@ def parse_instance(text: str) -> ParsedInstance:
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc} in {ln.strip()!r}") from None
 
+    if 2 * len(edges) < n:  # instance vertices are never isolated
+        raise ValueError(
+            f"line {param_lineno}: n={n} needs at least n/2 edge records, the file has {len(edges)}"
+        )
+
     batches = None
     if saw_batch:
         pairs = []
@@ -192,31 +195,16 @@ def parse_instance(text: str) -> ParsedInstance:
     if x_lines or p_lines:
         if set(x_lines) != set(p_lines):
             raise ValueError("witness x/p lines do not cover the same gadgets")
-        if form == "block":
-            t = max(key[0] for key in x_lines)
-            if set(x_lines) != {(i,) for i in range(1, t + 1)}:
-                raise ValueError("block witness lines are not 1..t")
-            witness = Witness(
-                "block",
-                tuple(x_lines[(i,)] for i in range(1, t + 1)),
-                tuple(p_lines[(i,)] for i in range(1, t + 1)),
-            )
-        else:
-            s = max(key[0] for key in x_lines)
-            t = max(key[1] for key in x_lines)
-            if set(x_lines) != {(i, ip) for i in range(1, s + 1) for ip in range(1, t + 1)}:
-                raise ValueError("segment witness lines are not an s x t grid")
-            witness = Witness(
-                "segment",
-                tuple(
-                    tuple(x_lines[(i, ip)] for ip in range(1, t + 1))
-                    for i in range(1, s + 1)
-                ),
-                tuple(
-                    tuple(p_lines[(i, ip)] for ip in range(1, t + 1))
-                    for i in range(1, s + 1)
-                ),
-            )
+        shape = [max(key[i] for key in x_lines) for i in range(key_len)]
+        keys = sorted(x_lines)  # row-major
+        if keys != list(product(*(range(1, size + 1) for size in shape))):
+            grid = "1..t" if form == "block" else "an s x t grid"
+            raise ValueError(f"{form} witness lines are not {grid}")
+        if form == "segment":
+            s = shape[0]
+        witness = Witness.from_gadgets(
+            form, [x_lines[key] for key in keys], [p_lines[key] for key in keys], shape[-1]
+        )
 
     return ParsedInstance(
         theta=theta,

@@ -13,9 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
-from .distributions import NgcInstance, Witness, census_of_edges, sample_hybrid
+from .distributions import (
+    NgcInstance,
+    Witness,
+    census_of_edges,
+    crossing_parity,
+    sample_hybrid,
+)
 from .gadgets import Edge, GroupLayeredGraph
 from .partitions import EdgeAssignment, assign_uniform
 from .seeds import Seed, as_seed
@@ -46,18 +52,27 @@ class EmbeddingRecord:
     source: Witness
 
 
-def _embed_grid(
-    gadgets: Sequence[tuple[Sequence[int], Sequence[int]]],
+def _embed(
+    narrow: Witness,
     h_star: int,
     m: int,
-    rng,
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Shared embedding core over a flat list of (bits, perm) gadgets.
+    t: int,
+    seed: Seed | int | None,
+    build_graph: bool,
+) -> tuple[GroupLayeredGraph | None, EmbeddingRecord]:
+    """Shared embedding core over the narrow witness's row-major gadgets.
 
     Pre-samples the columns of groups [m] \\ {h_star} (uniform distinct images,
     bit parities forced to 0 below h_star and 1 above via the last gadget),
     then maps the narrow witness onto the remaining m+1 indices per gadget.
     """
+    gadgets = narrow.gadgets
+    width = len(gadgets[0][1])
+    if width != m + 1:
+        raise ValueError(f"witness width {width} != m+1 = {m + 1}")
+    if not 1 <= h_star <= m:
+        raise ValueError(f"h_star={h_star} outside [1, {m}]")
+    rng = as_seed(seed).rng()
     wide = 2 * m
     count = len(gadgets)
     free = [j for j in range(1, m + 1) if j != h_star]
@@ -90,16 +105,12 @@ def _embed_grid(
         maps.append(f)
         sigmas.append(tuple(sigma))
         xs.append(tuple(x))
-    return maps, sigmas, xs
+    if crossing_parity(zip(xs, sigmas), h_star) != crossing_parity(gadgets, 1):
+        raise RuntimeError("embedding lost the planted parity")
 
-
-def _check_narrow(witness: Witness, m: int, h_star: int) -> int:
-    width = len(witness.Sigma[0]) if witness.form == "block" else len(witness.Sigma[0][0])
-    if width != m + 1:
-        raise ValueError(f"witness width {width} != m+1 = {m + 1}")
-    if not 1 <= h_star <= m:
-        raise ValueError(f"h_star={h_star} outside [1, {m}]")
-    return width
+    assembled = Witness.from_gadgets(narrow.form, xs, sigmas, t)
+    record = EmbeddingRecord(h_star, tuple(maps), assembled, narrow)
+    return (assembled.build() if build_graph else None), record
 
 
 def embed_dhx(
@@ -118,22 +129,7 @@ def embed_dhx(
     """
     if dhx_witness.form != "block":
         raise ValueError("expected a block-form witness")
-    _check_narrow(dhx_witness, m, h_star)
-    rng = as_seed(seed).rng()
-    gadgets = list(zip(dhx_witness.X, dhx_witness.Sigma))
-    maps, sigmas, xs = _embed_grid(gadgets, h_star, m, rng)
-    assembled = Witness("block", tuple(xs), tuple(sigmas))
-
-    planted = 0
-    answer = 0
-    for g in range(len(gadgets)):
-        planted ^= xs[g][sigmas[g][h_star - 1] - 1]
-        answer ^= dhx_witness.X[g][dhx_witness.Sigma[g][0] - 1]
-    if planted != answer:
-        raise RuntimeError("embedding lost the planted parity")
-
-    record = EmbeddingRecord(h_star, tuple(maps), assembled, dhx_witness)
-    return (assembled.build() if build_graph else None), record
+    return _embed(dhx_witness, h_star, m, len(dhx_witness.X), seed, build_graph)
 
 
 def embed_dhx_batched(
@@ -150,30 +146,7 @@ def embed_dhx_batched(
         raise ValueError("expected a segment-form witness")
     if len(dhx_witness.Sigma) != s or any(len(row) != t for row in dhx_witness.Sigma):
         raise ValueError(f"witness grid is not {s} x {t}")
-    _check_narrow(dhx_witness, m, h_star)
-    rng = as_seed(seed).rng()
-    gadgets = [
-        (dhx_witness.X[i][ip], dhx_witness.Sigma[i][ip])
-        for i in range(s)
-        for ip in range(t)
-    ]
-    maps, sigmas, xs = _embed_grid(gadgets, h_star, m, rng)
-    assembled = Witness(
-        "segment",
-        tuple(tuple(xs[i * t : (i + 1) * t]) for i in range(s)),
-        tuple(tuple(sigmas[i * t : (i + 1) * t]) for i in range(s)),
-    )
-
-    planted = 0
-    answer = 0
-    for g, (y, phi) in enumerate(gadgets):
-        planted ^= xs[g][sigmas[g][h_star - 1] - 1]
-        answer ^= y[phi[0] - 1]
-    if planted != answer:
-        raise RuntimeError("embedding lost the planted parity")
-
-    record = EmbeddingRecord(h_star, tuple(maps), assembled, dhx_witness)
-    return (assembled.build() if build_graph else None), record
+    return _embed(dhx_witness, h_star, m, t, seed, build_graph)
 
 
 # --- one-way protocol harness ----------------------------------------------------

@@ -282,8 +282,8 @@ def cc_estimate(
 # --- exact oracles on degree-<=2 graphs ------------------------------------------
 
 
-def _components_deg2(n: int, edges: list[Edge]) -> list[tuple[int, int, bool]]:
-    """(vertex count, edge count, is_cycle) per component; rejects degree > 2."""
+def _census_deg2(n: int, edges: list[Edge]) -> Census:
+    """Census of a disjoint union of paths and cycles; rejects degree > 2."""
     census = census_of_edges(n, {canon(e) for e in edges})
     if census.degree_violations:
         raise ValueError(
@@ -291,28 +291,31 @@ def _components_deg2(n: int, edges: list[Edge]) -> list[tuple[int, int, bool]]:
             if len(census.degree_violations) > 5
             else f"degree > 2 at vertices {census.degree_violations}"
         )
-    out = []
-    for length, count in census.cycles.items():
-        out.extend([(length, length, True)] * count)
-    for length, count in census.paths.items():
-        out.extend([(length + 1, length, False)] * count)
-    return out
+    return census
+
+
+def census_matching_size(census: Census) -> int:
+    """Maximum matching: floor(v/2) per component (a path is keyed by v - 1 edges)."""
+    return sum(c * (length // 2) for length, c in census.cycles.items()) + sum(
+        c * ((length + 1) // 2) for length, c in census.paths.items()
+    )
+
+
+def census_mis_size(census: Census) -> int:
+    """Maximum independent set: floor(v/2) per cycle, ceil(v/2) per path."""
+    return sum(c * (length // 2) for length, c in census.cycles.items()) + sum(
+        c * ((length + 2) // 2) for length, c in census.paths.items()
+    )
 
 
 def matching_size_exact(n: int, edges: list[Edge]) -> int:
     """Maximum matching on disjoint paths/cycles: floor(p/2) resp. floor(c/2)."""
-    total = 0
-    for vertices, _, is_cycle in _components_deg2(n, edges):
-        total += vertices // 2
-    return total
+    return census_matching_size(_census_deg2(n, edges))
 
 
 def mis_size_exact(n: int, edges: list[Edge]) -> int:
     """Maximum independent set: ceil(p/2) per path, floor(c/2) per cycle."""
-    total = 0
-    for vertices, _, is_cycle in _components_deg2(n, edges):
-        total += vertices // 2 if is_cycle else (vertices + 1) // 2
-    return total
+    return census_mis_size(_census_deg2(n, edges))
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,10 @@ no permutation algebra — so a bug in the package cannot hide in its own
 oracle.  Brute-force routines are deliberately naive and bounded to small
 components.
 
-The exception is the partition layer at the end: there the references are
-the object-level routes the array code replaced, one ``randrange`` per edge
-or map slot and one owner lookup per edge, so the array routes can be
-checked draw for draw against them.
+The exceptions are the witness and partition layers at the end: there the
+references are the per-gadget and object-level routes the shared code
+replaced, one ``randrange`` per cross bit, edge or map slot and one owner
+lookup per edge, so the new routes can be checked draw for draw against them.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import replace
 from itertools import combinations
 
-from ngc_lab.distributions import canon
+from ngc_lab.distributions import Witness, canon
 from ngc_lab.gadgets import invert_perm, to_edges
 from ngc_lab.partitions import (
     CLEAN_PATTERN,
@@ -275,6 +275,81 @@ def traced_group_and_parity(
     if layer_of(end, width) != depth:
         raise AssertionError("trace did not end in the last layer")
     return group_of(end, width), side_of(end)
+
+
+# --- witness layer: the per-gadget samplers ---------------------------------------
+
+
+def witness_parity(witness: Witness, group: int) -> int:
+    """Crossing parity from the witness algebra, bypassing the graph."""
+    bit = 0
+    if witness.form == "block":
+        for x, sigma in zip(witness.X, witness.Sigma):
+            bit ^= x[sigma[group - 1] - 1]
+    else:
+        for xs, sigmas in zip(witness.X, witness.Sigma):
+            for x, sigma in zip(xs, sigmas):
+                bit ^= x[sigma[group - 1] - 1]
+    return bit
+
+
+def _uniform_perm(rng, w: int) -> tuple[int, ...]:
+    return tuple(rng.sample(range(1, w + 1), w))
+
+
+def _uniform_bits(rng, w: int) -> list[int]:
+    return [rng.randrange(2) for _ in range(w)]
+
+
+def reference_blocks_conditioned(w: int, t: int, targets: dict[int, int], rng) -> Witness:
+    """Uniform (X, Sigma) given parity(j) = targets[j]; forces the last block."""
+    Sigma = [_uniform_perm(rng, w) for _ in range(t)]
+    X = [_uniform_bits(rng, w) for _ in range(t)]
+    for j, bit in targets.items():
+        acc = 0
+        for i in range(t - 1):
+            acc ^= X[i][Sigma[i][j - 1] - 1]
+        X[t - 1][Sigma[t - 1][j - 1] - 1] = bit ^ acc
+    return Witness("block", tuple(tuple(x) for x in X), tuple(Sigma))
+
+
+def reference_segments_conditioned(
+    w: int, s: int, t: int, targets: dict[int, int], rng
+) -> Witness:
+    """Segment-form analogue; forces gadget (s, t), the last of the last segment."""
+    Sigma = [[_uniform_perm(rng, w) for _ in range(t)] for _ in range(s)]
+    X = [[_uniform_bits(rng, w) for _ in range(t)] for _ in range(s)]
+    for j, bit in targets.items():
+        acc = 0
+        for i in range(s):
+            for ip in range(t):
+                if (i, ip) == (s - 1, t - 1):
+                    continue
+                acc ^= X[i][ip][Sigma[i][ip][j - 1] - 1]
+        X[s - 1][t - 1][Sigma[s - 1][t - 1][j - 1] - 1] = bit ^ acc
+    return Witness(
+        "segment",
+        tuple(tuple(tuple(x) for x in row) for row in X),
+        tuple(tuple(row) for row in Sigma),
+    )
+
+
+def reference_dhx(w: int, t: int, seed) -> Witness:
+    rng = as_seed(seed).rng()
+    return Witness(
+        "block",
+        tuple(tuple(_uniform_bits(rng, w)) for _ in range(t)),
+        tuple(_uniform_perm(rng, w) for _ in range(t)),
+    )
+
+
+def reference_dhx_segment(w: int, s: int, t: int, seed) -> Witness:
+    rng = as_seed(seed).rng()
+    return Witness(
+        "segment",
+        tuple(tuple(tuple(_uniform_bits(rng, w)) for _ in range(t)) for _ in range(s)),
+        tuple(tuple(_uniform_perm(rng, w) for _ in range(t)) for _ in range(s)),
+    )
 
 
 # --- partition layer: the per-element routes --------------------------------------

@@ -136,6 +136,20 @@ def _replace(lines, prefix, record):
         pytest.param(lambda lines: _replace(lines, "x 1 ", "x 1 101"), id="wrong-width"),
         pytest.param(lambda lines: _replace(lines, "p 1 ", "p 1 1 1"), id="repeated-image"),
         pytest.param(lambda lines: _replace(lines, "p 1 ", "p 1 1 3"), id="not-a-permutation"),
+        pytest.param(
+            lambda lines: lines[:1]
+            + ["param n=1000000000000 k=7 w=2 d=7 theta=0 m=1 form=block t=2", "e 0 1"],
+            id="hostile-header",
+        ),
+        pytest.param(
+            lambda lines: lines[:1]
+            + [
+                "param n=28000000000000 k=7 w=2000000000000 d=7 theta=0"
+                " m=1000000000000 form=block t=2",
+                "e 0 1",
+            ],
+            id="huge-header-one-edge",
+        ),
     ],
 )
 def test_validate_malformed_file_is_a_usage_error(tmp_path, capsys, mangle):
@@ -186,6 +200,66 @@ def test_validate_weighted_file_census_only(tmp_path, capsys):
             0,
             "dc7285cd52ceb85f2b5b04ce4f516b7971887c91d17326b311910f64e1905840",
             id="stochastic-stats-c1",
+        ),
+        # the witness samplers and the embedding, recorded before they shared
+        # one draw per law: the instance files and the TVD row move with any
+        # change to the stream; the exact-check rates pin the rows themselves
+        pytest.param(
+            ["gen", "--n", "112", "--k", "7"],
+            0,
+            "8d15ceda5a85a8970b5e371e62d1938bb10ec1a836915c6586fd82033fe43145",
+            id="gen-hidden",
+        ),
+        pytest.param(
+            ["gen", "--n", "112", "--k", "7", "--theta", "0", "--reveal"],
+            0,
+            "644ad763504f8f27b2d462f93b6144ae519e8609c4d4a62047f852e7cc946a4f",
+            id="gen-theta0",
+        ),
+        pytest.param(
+            ["gen", "--n", "112", "--k", "7", "--theta", "1", "--reveal"],
+            0,
+            "06b6e09fc65e0209a1290749bb2696096f1effeaeb65529ec0b2f1a63574f77d",
+            id="gen-theta1",
+        ),
+        pytest.param(
+            ["gen", "--n", "80", "--k", "5", "--pad", "--reveal"],
+            0,
+            "cc1f87865980bc6ea51dfb660623477fa8dc2cb5c612bcd61a0a4e7761719f03",
+            id="gen-pad",
+        ),
+        pytest.param(
+            ["reduce-check", "--m", "1", "--t", "2", "--trials", "50", "--tvd-samples", "2000"],
+            1,  # 2000 samples are too few for the 0.02 TVD line
+            "80710bb318e8398c9f0f3be82f7f7895fb07bf1b334fe16c4ae3ee5c119d08f2",
+            id="reduce-check-block-tvd",
+        ),
+        pytest.param(
+            ["reduce-check", "--m", "3", "--t", "2", "--s", "2", "--trials", "100"],
+            0,
+            "28c58566bc5b8efc815ad2fad87c0afc49b8504b99f07153f61f17e2be6cc2bf",
+            id="reduce-check-segment",
+        ),
+        pytest.param(
+            [
+                "stream-run", "--check", "relay", "--n", "120", "--k", "15",
+                "--s", "2", "--t", "3", "--l", "4", "--trials", "20",
+            ],
+            0,
+            "2d95d7fa5a5b873236610ab70548fb42145ae551c7a1b120f57a8c4c71dbd602",
+            id="stream-run-relay",
+        ),
+        pytest.param(
+            ["stream-run", "--check", "combinatorial", "--n", "56", "--k", "7", "--trials", "20"],
+            0,
+            "778298d5172ac9117adc3eb31caa5cabfe785443876b236de6ec09cddc1f01bf",
+            id="stream-run-combinatorial",
+        ),
+        pytest.param(
+            ["stream-run", "--check", "census", "--n", "56", "--k", "7", "--trials", "20"],
+            0,
+            "131cc0a604e87c820c51be2aefb201b40fc756da723a4d138958cd962ea5b37c",
+            id="stream-run-census",
         ),
     ],
 )

@@ -27,26 +27,21 @@ from ngc_lab.distributions import (
 from ngc_lab.gadgets import parity, to_edges, vertex_from_id, vertex_id
 from ngc_lab.seeds import master_seed
 from ngc_lab.stats import binomial_check, chi_square_uniform
-from oracles import component_census, union_find_census
+from oracles import (
+    component_census,
+    reference_blocks_conditioned,
+    reference_dhx,
+    reference_dhx_segment,
+    reference_segments_conditioned,
+    union_find_census,
+    witness_parity,
+)
 
 SEED = master_seed(2024)
 
 
 def bits(s: str) -> tuple[int, ...]:
     return tuple(int(c) for c in s)
-
-
-def witness_parity(witness: Witness, j: int) -> int:
-    """Crossing parity from the witness algebra, bypassing the graph."""
-    acc = 0
-    if witness.form == "block":
-        for x, sigma in zip(witness.X, witness.Sigma):
-            acc ^= x[sigma[j - 1] - 1]
-    else:
-        for xs, sigmas in zip(witness.X, witness.Sigma):
-            for x, sigma in zip(xs, sigmas):
-                acc ^= x[sigma[j - 1] - 1]
-    return acc
 
 
 # --- frozen witness ----------------------------------------------------------
@@ -450,3 +445,40 @@ def test_property_batched_theta(data):
     inst = sample_ngc_batched(4 * k * m, k, s, t, SEED.child("pbat", m, s, t, i))
     for j in range(1, m + 1):
         assert parity(inst.graph, j) == inst.theta
+
+
+# --- differential: the shared draws replay the per-gadget reference samplers ---
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_samplers_match_per_gadget_references(data):
+    m = data.draw(st.integers(1, 20))  # w = 2m up to 40: randrange_many's bulk path
+    s = data.draw(st.integers(1, 3))
+    t = data.draw(st.integers(1, 3))
+    h = data.draw(st.integers(0, m))
+    seed = SEED.child("ref", data.draw(st.integers(0, 2**32)))
+    w = 2 * m
+
+    k = 3 * t + 1
+    rng = seed.rng()
+    theta = rng.randrange(2)
+    want = reference_blocks_conditioned(w, t, dict.fromkeys(range(1, m + 1), theta), rng)
+    inst = sample_ngc(4 * k * m, k, seed)
+    assert (inst.theta, inst.witness) == (theta, want)
+
+    k = (2 * t + 1) * s + 1
+    rng = seed.rng()
+    theta = rng.randrange(2)
+    want = reference_segments_conditioned(w, s, t, dict.fromkeys(range(1, m + 1), theta), rng)
+    inst = sample_ngc_batched(4 * k * m, k, s, t, seed)
+    assert (inst.theta, inst.witness) == (theta, want)
+
+    targets = {j: int(j > h) for j in range(1, m + 1)}
+    want = reference_blocks_conditioned(w, t, targets, seed.rng())
+    assert sample_hybrid(m, t, h, seed).witness == want
+    want = reference_segments_conditioned(w, s, t, targets, seed.rng())
+    assert sample_hybrid_batched(m, s, t, h, seed).witness == want
+
+    assert sample_dhx(w, t, seed)[1] == reference_dhx(w, t, seed)
+    assert sample_dhx_segment(w, s, t, seed)[1] == reference_dhx_segment(w, s, t, seed)

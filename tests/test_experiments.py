@@ -13,7 +13,6 @@ from ngc_lab.distributions import (
 )
 from ngc_lab.experiments import (
     Row,
-    _witness_group_parity,
     adapter_suite,
     bias_scan_suite,
     bob_only_suite,
@@ -137,7 +136,7 @@ def test_witness_parity_matches_graph_trace_block():
         _, witness = sample_dhx(5, 3, SEED.child("wp", i))
         graph = witness.build()
         for g in range(1, 6):
-            assert _witness_group_parity(witness, g) == parity(graph, g)
+            assert witness.parity(g) == parity(graph, g)
 
 
 def test_witness_parity_matches_graph_trace_segment():
@@ -145,7 +144,7 @@ def test_witness_parity_matches_graph_trace_segment():
         _, witness = sample_dhx_segment(4, 2, 2, SEED.child("wps", i))
         graph = witness.build()
         for g in range(1, 5):
-            assert _witness_group_parity(witness, g) == parity(graph, g)
+            assert witness.parity(g) == parity(graph, g)
 
 
 def test_reduce_check_claim_block_and_segment():

@@ -46,18 +46,7 @@ from ngc_lab.protocols import (
 from ngc_lab.seeds import Seed, master_seed
 from ngc_lab.stats import binomial_check, chi_square_uniform
 from ngc_lab.streaming import CensusThetaDecision
-
-
-def witness_parity(witness: Witness, group: int) -> int:
-    bit = 0
-    if witness.form == "block":
-        for x, sigma in zip(witness.X, witness.Sigma):
-            bit ^= x[sigma[group - 1] - 1]
-    else:
-        for xs, sigmas in zip(witness.X, witness.Sigma):
-            for x, sigma in zip(xs, sigmas):
-                bit ^= x[sigma[group - 1] - 1]
-    return bit
+from oracles import witness_parity
 
 
 # --- embedding ---------------------------------------------------------------
