@@ -18,7 +18,14 @@ import sys
 from dataclasses import dataclass, fields
 
 from . import experiments as ex
-from .distributions import census_law, census_of_edges, pad_to_k, sample_hybrid, sample_ngc
+from .distributions import (
+    census_law,
+    census_of_edges,
+    ngc_shape,
+    pad_to_k,
+    sample_hybrid,
+    sample_ngc,
+)
 from .instance_io import parse_instance, serialize_instance
 from .seeds import master_seed
 
@@ -155,10 +162,10 @@ def _census_line(census) -> str:
 
 def cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     n, k = args.n, args.k
-    if k < 4:
-        parser.error("need k >= 4")
-    if n < 4 * k or n % (4 * k):
-        parser.error(f"n={n} must be a positive multiple of 4k={4 * k}")
+    try:
+        m = ngc_shape(n, k)
+    except ValueError as exc:
+        parser.error(str(exc))
     pad = 0
     core_k = k
     if k % 3 != 1:
@@ -169,7 +176,6 @@ def cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             )
         core_k = 3 * ((k - 1) // 3) + 1
         pad = k - core_k
-    m = n // (4 * k)
     t = (core_k - 1) // 3
     seed = master_seed(args.seed)
     if args.theta is None:

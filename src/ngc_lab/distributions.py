@@ -184,6 +184,8 @@ def _hybrid(
     parity 1.  The forced slots are distinct, so this is the uniform law given
     those parities.
     """
+    if m < 1 or t < 1 or (s is not None and s < 1):
+        raise ValueError(f"need m, t >= 1 (and s >= 1), got m={m} t={t} s={s}")
     if not 0 <= h <= m:
         raise ValueError(f"cut index h={h} outside [0, {m}]")
     w = 2 * m
@@ -213,10 +215,12 @@ def _hybrid(
     return replace(instance, batches=_rebatch(instance))
 
 
-def _ngc_shape(n: int, k: int) -> int:
-    """m = n/4k, after checking n is a positive multiple of 4k."""
+def ngc_shape(n: int, k: int) -> int:
+    """m = n/4k, after checking k >= 4 and that n is a positive multiple of 4k."""
+    if k < 4:
+        raise ValueError("need k >= 4")
     if n % (4 * k) != 0 or n < 4 * k:
-        raise ValueError(f"n={n} is not a positive multiple of 4k={4 * k}")
+        raise ValueError(f"n={n} must be a positive multiple of 4k={4 * k}")
     return n // (4 * k)
 
 
@@ -230,7 +234,7 @@ def sample_ngc(n: int, k: int, seed: Seed | int | None = None) -> NgcInstance:
     """
     if k < 4 or (k - 1) % 3 != 0:
         raise ValueError(f"k={k} is not of the form 3t+1 with t >= 1")
-    m = _ngc_shape(n, k)
+    m = ngc_shape(n, k)
     rng = as_seed(seed).rng()
     theta = rng.randrange(2)
     return _hybrid(rng, m, None, (k - 1) // 3, 0 if theta else m, with_auxiliary=True)
@@ -295,7 +299,7 @@ def sample_ngc_batched(
     """
     if k != (2 * t + 1) * s + 1:
         raise ValueError(f"k={k} != (2t+1)s+1 for s={s}, t={t}")
-    m = _ngc_shape(n, k)
+    m = ngc_shape(n, k)
     rng = as_seed(seed).rng()
     theta = rng.randrange(2)
     return _hybrid(rng, m, s, t, 0 if theta else m, with_auxiliary=True)

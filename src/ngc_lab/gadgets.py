@@ -13,6 +13,12 @@ group reachable from first-layer group j — and ``parity(g, j)`` — the XOR of
 crossing bits picked up along group j's path, which decides whether the a/b
 strands stay parallel (0) or swap sides (1).
 
+Validation lives in two places: the public constructors (``MatchingSpec``,
+``make_*_matching``, ``graph_of``, ``concat``) check every matching they get,
+and the witness builders (``make_multi_block``, ``make_multi_segment``) check
+each gadget's permutation, bits and width once, then emit all its matchings
+in one pass without re-checking them.
+
 Indices are 1-based to match the construction's arithmetic; the canonical
 integer vertex ids used in edge lists and files are 0-based.
 """
@@ -53,9 +59,20 @@ def _check_perm(perm: Sequence[int]) -> Perm:
 
 
 def _check_bits(bits: Sequence[int]) -> Bits:
-    if any(b not in (0, 1) for b in bits):
+    out = tuple(bits)
+    if out.count(0) + out.count(1) != len(out):
         raise ValueError(f"cross vector must be 0/1: {bits!r}")
-    return tuple(bits)
+    return out
+
+
+def _check_gadget(x: Sequence[int], sigma: Sequence[int], w: int) -> tuple[Perm, Bits]:
+    """One gadget's (permutation, cross bits), checked against each other and width w."""
+    perm, bits = _check_perm(sigma), _check_bits(x)
+    if len(perm) != len(bits):
+        raise ValueError("x and sigma lengths differ")
+    if len(perm) != w:
+        raise ValueError(f"width mismatch: {w} vs {len(perm)}")
+    return perm, bits
 
 
 @dataclass(frozen=True)
@@ -82,8 +99,9 @@ class MatchingSpec:
     """One inter-layer perfect matching: group permutation + per-group cross bit.
 
     Group j's two vertices both map into group pi(j); cross[j-1] == 0 keeps
-    a->a, b->b, cross[j-1] == 1 swaps a->b, b->a.  This is the one place a
-    matching is validated; the gadget builders rely on it.
+    a->a, b->b, cross[j-1] == 1 swaps a->b, b->a.  Constructing one checks
+    it.  The witness builders below instead check each gadget once and make
+    the specs it implies with ``_spec``, which skips the check.
     """
 
     pi: Perm
@@ -98,6 +116,13 @@ class MatchingSpec:
     @property
     def width(self) -> int:
         return len(self.pi)
+
+
+def _spec(pi: Perm, cross: Bits) -> MatchingSpec:
+    """A MatchingSpec from a checked permutation and cross tuple of equal length."""
+    spec = object.__new__(MatchingSpec)
+    spec.__dict__.update(pi=pi, cross=cross)
+    return spec
 
 
 @dataclass(frozen=True)
@@ -189,20 +214,20 @@ def concat(g1: GroupLayeredGraph, g2: GroupLayeredGraph) -> GroupLayeredGraph:
     return GroupLayeredGraph(g1.width, g1.matchings + g2.matchings)
 
 
+def _built(w: int, matchings: list[MatchingSpec]) -> GroupLayeredGraph:
+    """A graph over specs a builder made at width w, without re-checking them."""
+    graph = object.__new__(GroupLayeredGraph)
+    graph.__dict__.update(width=w, matchings=tuple(matchings))
+    return graph
+
+
 def make_block(x: Sequence[int], sigma: Sequence[int]) -> GroupLayeredGraph:
     """Depth-4 gadget perm(sigma) | xor(x) | perm(sigma^-1).
 
     Routes every group back to itself; the crossing picked up by start group j
     is x_{sigma(j)}.
     """
-    perm, bits = tuple(sigma), tuple(x)
-    if len(perm) != len(bits):
-        raise ValueError("x and sigma lengths differ")
-    return graph_of(
-        make_perm_matching(perm),  # validates perm before it is inverted
-        make_xor_matching(bits),
-        make_perm_matching(invert_perm(perm)),
-    )
+    return make_multi_block([x], [sigma])
 
 
 def make_multi_block(
@@ -211,10 +236,13 @@ def make_multi_block(
     """t concatenated blocks; depth 3t+1; parity(j) = XOR_i x^i_{sigma^i(j)}."""
     if len(X) != len(Sigma) or not X:
         raise ValueError("need equally many cross vectors and permutations, t >= 1")
-    g = make_block(X[0], Sigma[0])
-    for x, sigma in zip(X[1:], Sigma[1:]):
-        g = concat(g, make_block(x, sigma))
-    return g
+    w = len(Sigma[0])
+    ident, zeros = identity_perm(w), (0,) * w
+    specs = []
+    for x, sigma in zip(X, Sigma):
+        perm, bits = _check_gadget(x, sigma, w)
+        specs += (_spec(perm, zeros), _spec(ident, bits), _spec(invert_perm(perm), zeros))
+    return _built(w, specs)
 
 
 def make_perm_xor(sigma: Sequence[int], x: Sequence[int]) -> GroupLayeredGraph:
@@ -234,30 +262,32 @@ def make_segment(
     closer is (sigma^t)^-1, so the whole segment maps every group to itself and
     start group j accumulates crossing XOR_i x^i_{sigma^i(j)}.
     """
-    if len(X_i) != len(Sigma_i) or not X_i:
-        raise ValueError("need equally many cross vectors and permutations, t >= 1")
-    perms = [_check_perm(s) for s in Sigma_i]
-    g = make_perm_xor(perms[0], X_i[0])
-    for i in range(1, len(perms)):
-        prev_inv = invert_perm(perms[i - 1])
-        step = tuple(perms[i][prev_inv[g - 1] - 1] for g in range(1, len(prev_inv) + 1))
-        g = concat(g, make_perm_xor(step, X_i[i]))
-    return concat(g, graph_of(make_perm_matching(invert_perm(perms[-1]))))
+    return make_multi_segment([X_i], [Sigma_i])
 
 
 def make_multi_segment(
     X: Sequence[Sequence[Sequence[int]]], Sigma: Sequence[Sequence[Sequence[int]]]
 ) -> GroupLayeredGraph:
-    """s concatenated segments of t gadgets each; depth (2t+1)s+1."""
+    """s concatenated segments of t gadgets each (see make_segment); depth (2t+1)s+1."""
     if len(X) != len(Sigma) or not X:
         raise ValueError("need equally many segment rows, s >= 1")
     t = len(X[0])
     if any(len(row) != t for row in X) or any(len(row) != t for row in Sigma):
         raise ValueError("ragged input: every segment needs exactly t gadgets")
-    g = make_segment(X[0], Sigma[0])
-    for xs, sigmas in zip(X[1:], Sigma[1:]):
-        g = concat(g, make_segment(xs, sigmas))
-    return g
+    if not t:
+        raise ValueError("need t >= 1 gadgets per segment")
+    w = len(Sigma[0][0])
+    ident, zeros = identity_perm(w), (0,) * w
+    specs = []
+    for xs, sigmas in zip(X, Sigma):
+        prev_inv = None  # (sigma^{i-1})^-1 once gadget i-1 of the row is laid down
+        for x, sigma in zip(xs, sigmas):
+            perm, bits = _check_gadget(x, sigma, w)
+            step = perm if prev_inv is None else tuple(perm[g - 1] for g in prev_inv)
+            specs += (_spec(step, zeros), _spec(ident, bits))
+            prev_inv = invert_perm(perm)
+        specs.append(_spec(prev_inv, zeros))
+    return _built(w, specs)
 
 
 def group_map(g: GroupLayeredGraph, j: int) -> int:

@@ -200,8 +200,14 @@ def parse_instance(text: str) -> ParsedInstance:
         if keys != list(product(*(range(1, size + 1) for size in shape))):
             grid = "1..t" if form == "block" else "an s x t grid"
             raise ValueError(f"{form} witness lines are not {grid}")
-        if form == "segment":
+        if form == "segment" and s is None:  # no s= in the header to hold the grid to
             s = shape[0]
+        want = [sizes["t"]] if form == "block" else [s, sizes["t"]]
+        if shape != want:
+            got, said = (" x ".join(map(str, dims)) for dims in (shape, want))
+            raise ValueError(
+                f"line {param_lineno}: witness lines form a {got} grid, the header says {said}"
+            )
         witness = Witness.from_gadgets(
             form, [x_lines[key] for key in keys], [p_lines[key] for key in keys], shape[-1]
         )

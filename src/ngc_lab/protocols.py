@@ -24,7 +24,7 @@ from .distributions import (
 )
 from .gadgets import Edge, GroupLayeredGraph
 from .partitions import EdgeAssignment, assign_uniform
-from .seeds import Seed, as_seed
+from .seeds import Seed, as_seed, randrange_many
 from .stats import clopper_pearson
 from .streaming import (
     StreamingAlgorithm,
@@ -72,36 +72,34 @@ def _embed(
         raise ValueError(f"witness width {width} != m+1 = {m + 1}")
     if not 1 <= h_star <= m:
         raise ValueError(f"h_star={h_star} outside [1, {m}]")
-    rng = as_seed(seed).rng()
     wide = 2 * m
     count = len(gadgets)
     free = [j for j in range(1, m + 1) if j != h_star]
 
-    partial_sigma = [dict(zip(free, rng.sample(range(1, wide + 1), m - 1))) for _ in range(count)]
-    partial_x: list[dict[int, int]] = [{} for _ in range(count)]
-    for g in range(count - 1):
-        for j in free:
-            partial_x[g][partial_sigma[g][j]] = rng.randrange(2)
-    for j in free:
-        acc = 0 if j < h_star else 1
-        for g in range(count - 1):
-            acc ^= partial_x[g][partial_sigma[g][j]]
-        partial_x[count - 1][partial_sigma[count - 1][j]] = acc
+    # images[g][i] is gadget g's pre-sampled image of group free[i] and
+    # bits[g][i] the cross bit there; the last gadget's bits force the parities
+    images: list[list[int]] = [[]] * count
+    bits: list[list[int]] = [[]] * count
+    if free:  # at m=1 nothing is pre-sampled, so no generator is derived
+        rng = as_seed(seed).rng()
+        images = [rng.sample(range(1, wide + 1), m - 1) for _ in range(count)]
+        flat = randrange_many(rng, 2, (count - 1) * (m - 1))
+        bits = [flat[g * (m - 1) : (g + 1) * (m - 1)] for g in range(count - 1)]
+        bits.append([int(j > h_star) ^ (sum(flat[i :: m - 1]) & 1) for i, j in enumerate(free)])
 
     maps, sigmas, xs = [], [], []
-    for g, (y, phi) in enumerate(gadgets):
-        taken = set(partial_sigma[g].values())
+    for (y, phi), image, bit in zip(gadgets, images, bits):
+        taken = set(image)
         f = tuple(v for v in range(1, wide + 1) if v not in taken)
         sigma = [0] * wide
         x = [0] * wide
-        for j, v in partial_sigma[g].items():
+        for j, v, b in zip(free, image, bit):
             sigma[j - 1] = v
-            x[v - 1] = partial_x[g][v]
+            x[v - 1] = b
         sigma[h_star - 1] = f[phi[0] - 1]
-        for j in range(m + 1, wide + 1):
-            sigma[j - 1] = f[phi[j - m] - 1]
-        for r in range(1, m + 2):
-            x[f[r - 1] - 1] = y[r - 1]
+        sigma[m:] = [f[phi[r] - 1] for r in range(1, m + 1)]
+        for r in range(m + 1):
+            x[f[r] - 1] = y[r]
         maps.append(f)
         sigmas.append(tuple(sigma))
         xs.append(tuple(x))

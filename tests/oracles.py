@@ -5,10 +5,11 @@ no permutation algebra — so a bug in the package cannot hide in its own
 oracle.  Brute-force routines are deliberately naive and bounded to small
 components.
 
-The exceptions are the witness and partition layers at the end: there the
-references are the per-gadget and object-level routes the shared code
-replaced, one ``randrange`` per cross bit, edge or map slot and one owner
-lookup per edge, so the new routes can be checked draw for draw against them.
+The exceptions are the gadget, witness and partition layers at the end:
+there the references are the per-gadget and object-level routes the shared
+code replaced (a validated concat chain per gadget, one ``randrange`` per
+cross bit, edge or map slot, one owner lookup per edge), so the new routes can
+be checked draw for draw against them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,16 @@ from dataclasses import replace
 from itertools import combinations
 
 from ngc_lab.distributions import Witness, canon
-from ngc_lab.gadgets import invert_perm, to_edges
+from ngc_lab.gadgets import (
+    GroupLayeredGraph,
+    concat,
+    graph_of,
+    invert_perm,
+    make_perm_matching,
+    make_perm_xor,
+    make_xor_matching,
+    to_edges,
+)
 from ngc_lab.partitions import (
     CLEAN_PATTERN,
     BlockCleanEntry,
@@ -275,6 +285,57 @@ def traced_group_and_parity(
     if layer_of(end, width) != depth:
         raise AssertionError("trace did not end in the last layer")
     return group_of(end, width), side_of(end)
+
+
+# --- gadget layer: the concat chain -----------------------------------------------
+
+
+def reference_block(x, sigma) -> GroupLayeredGraph:
+    """perm(sigma) | xor(x) | perm(sigma^-1), every matching validated on its own."""
+    perm, bits = tuple(sigma), tuple(x)
+    if len(perm) != len(bits):
+        raise ValueError("x and sigma lengths differ")
+    return graph_of(
+        make_perm_matching(perm),  # validates perm before it is inverted
+        make_xor_matching(bits),
+        make_perm_matching(invert_perm(perm)),
+    )
+
+
+def reference_multi_block(X, Sigma) -> GroupLayeredGraph:
+    """t blocks glued one at a time with concat."""
+    if len(X) != len(Sigma) or not X:
+        raise ValueError("need equally many cross vectors and permutations, t >= 1")
+    g = reference_block(X[0], Sigma[0])
+    for x, sigma in zip(X[1:], Sigma[1:]):
+        g = concat(g, reference_block(x, sigma))
+    return g
+
+
+def reference_segment(X_i, Sigma_i) -> GroupLayeredGraph:
+    """Perm-XOR gadgets with step perms sigma^i (sigma^{i-1})^-1, closed by (sigma^t)^-1."""
+    if len(X_i) != len(Sigma_i) or not X_i:
+        raise ValueError("need equally many cross vectors and permutations, t >= 1")
+    perms = [make_perm_matching(s).pi for s in Sigma_i]  # validated before inversion
+    g = make_perm_xor(perms[0], X_i[0])
+    for i in range(1, len(perms)):
+        prev_inv = invert_perm(perms[i - 1])
+        step = tuple(perms[i][prev_inv[g - 1] - 1] for g in range(1, len(prev_inv) + 1))
+        g = concat(g, make_perm_xor(step, X_i[i]))
+    return concat(g, graph_of(make_perm_matching(invert_perm(perms[-1]))))
+
+
+def reference_multi_segment(X, Sigma) -> GroupLayeredGraph:
+    """s segments glued one at a time with concat."""
+    if len(X) != len(Sigma) or not X:
+        raise ValueError("need equally many segment rows, s >= 1")
+    t = len(X[0])
+    if any(len(row) != t for row in X) or any(len(row) != t for row in Sigma):
+        raise ValueError("ragged input: every segment needs exactly t gadgets")
+    g = reference_segment(X[0], Sigma[0])
+    for xs, sigmas in zip(X[1:], Sigma[1:]):
+        g = concat(g, reference_segment(xs, sigmas))
+    return g
 
 
 # --- witness layer: the per-gadget samplers ---------------------------------------

@@ -12,9 +12,9 @@ import pytest
 
 import ngc_lab
 from ngc_lab.cli import ExperimentConfig, main, resolve_config
-from ngc_lab.distributions import mst_augment, sample_ngc
+from ngc_lab.distributions import mst_augment, sample_ngc, sample_ngc_batched
 from ngc_lab.experiments import CSV_COLUMNS
-from ngc_lab.instance_io import write_instance
+from ngc_lab.instance_io import serialize_instance, write_instance
 
 
 def run_cli(*argv):
@@ -104,6 +104,21 @@ def test_gen_rejects_bad_vertex_count():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "n, k, message",
+    [
+        ("30", "7", "n=30 must be a positive multiple of 4k=28"),
+        ("0", "7", "n=0 must be a positive multiple of 4k=28"),
+        ("36", "3", "need k >= 4"),
+    ],
+)
+def test_gen_shape_errors_are_usage_errors(capsys, n, k, message):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("gen", "--n", n, "--k", k)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.rstrip().endswith(f"error: {message}")
+
+
 def test_validate_fails_on_tampered_census(tmp_path, capsys):
     out = tmp_path / "inst.txt"
     run_cli(
@@ -122,6 +137,12 @@ def test_validate_fails_on_tampered_census(tmp_path, capsys):
 def _replace(lines, prefix, record):
     """Swap the (w = 2) witness line starting with prefix for record."""
     return [record if ln.startswith(prefix) else ln for ln in lines]
+
+
+def _segment_rows_missing(_lines):
+    """A revealed s=2 segment file (in place of the block one) without its second witness row."""
+    text = serialize_instance(sample_ngc_batched(56, 7, 2, 1, 3), reveal=True)
+    return [ln for ln in text.splitlines() if not ln.startswith(("x 2 ", "p 2 "))]
 
 
 @pytest.mark.parametrize(
@@ -150,6 +171,7 @@ def _replace(lines, prefix, record):
             ],
             id="huge-header-one-edge",
         ),
+        pytest.param(_segment_rows_missing, id="segment-rows-missing"),
     ],
 )
 def test_validate_malformed_file_is_a_usage_error(tmp_path, capsys, mangle):

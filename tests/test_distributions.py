@@ -230,6 +230,27 @@ def test_hybrid_rejects_bad_h():
         sample_hybrid(2, 2, -1, SEED)
 
 
+def test_hybrid_rejects_no_groups():
+    with pytest.raises(ValueError, match="m=0"):
+        sample_hybrid(0, 2, 0, SEED)  # used to return an empty n=0 instance
+    with pytest.raises(ValueError, match="m=0"):
+        sample_hybrid_batched(0, 1, 2, 0, SEED)
+
+
+def test_hybrid_rejects_no_gadgets():
+    with pytest.raises(ValueError, match="t=0"):
+        sample_hybrid(1, 0, 0, SEED)  # used to die in an IndexError
+    with pytest.raises(ValueError, match="t=0"):
+        sample_hybrid_batched(1, 2, 0, 0, SEED)
+
+
+def test_hybrid_rejects_no_segments():
+    with pytest.raises(ValueError, match="s=0"):
+        sample_hybrid_batched(1, 0, 2, 0, SEED)
+    with pytest.raises(ValueError, match="s=-1"):
+        sample_hybrid_batched(1, -1, 2, 0, SEED)
+
+
 # --- unconditioned target distribution ----------------------------------------
 
 

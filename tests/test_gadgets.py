@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ngc_lab.distributions import pad_to_k, sample_hybrid
+from ngc_lab.distributions import Witness, pad_to_k, sample_hybrid, sample_hybrid_batched
 from ngc_lab.gadgets import (
     SIDE_A,
     SIDE_B,
@@ -30,7 +30,7 @@ from ngc_lab.gadgets import (
     vertex_from_id,
     vertex_id,
 )
-from oracles import traced_group_and_parity
+from oracles import reference_multi_block, reference_multi_segment, traced_group_and_parity
 
 
 def bits(s: str) -> tuple[int, ...]:
@@ -315,3 +315,104 @@ def test_to_edges_matches_per_edge_expansion(g: GroupLayeredGraph):
 @given(random_graph())
 def test_to_edges_matches_per_edge_expansion_on_any_matchings(g: GroupLayeredGraph):
     assert_expansion_matches(g)
+
+
+# --- the one-pass builders against the validated concat chain --------------------
+
+
+def reference_build(witness: Witness) -> GroupLayeredGraph:
+    if witness.form == "block":
+        return reference_multi_block(witness.X, witness.Sigma)
+    return reference_multi_segment(witness.X, witness.Sigma)
+
+
+@st.composite
+def built_and_reference(draw):
+    """(one-pass graph, concat-chain graph) of a random witness, sometimes padded."""
+    form = draw(st.sampled_from(["block", "segment"]))
+    t = draw(st.integers(1, 4))
+    s = draw(st.integers(1, 3)) if form == "segment" else None
+    if draw(st.booleans()):  # a hybrid instance, stretched by 0-2 identity layers
+        m = draw(st.integers(1, 4))
+        seed = draw(st.integers(0, 2**32))
+        if s is None:
+            inst = sample_hybrid(m, t, draw(st.integers(0, m)), seed)
+        else:
+            inst = sample_hybrid_batched(m, s, t, draw(st.integers(0, m)), seed)
+        pad = draw(st.integers(0, 2))
+        w = inst.width
+        ident = MatchingSpec(identity_perm(w), (0,) * w)
+        want = reference_build(inst.witness)
+        want = GroupLayeredGraph(w, (ident,) * pad + want.matchings)
+        return pad_to_k(inst, inst.k + pad).graph, want
+    w = draw(st.integers(1, 9))
+    perm = st.permutations(list(range(1, w + 1)))
+    bits = st.lists(st.integers(0, 1), min_size=w, max_size=w)
+    count = t if s is None else s * t
+    xs = draw(st.lists(bits, min_size=count, max_size=count))
+    sigmas = draw(st.lists(perm, min_size=count, max_size=count))
+    if s is None:  # lists, not tuples: the builders normalize what they are given
+        return make_multi_block(xs, sigmas), reference_multi_block(xs, sigmas)
+    X = [xs[i : i + t] for i in range(0, count, t)]
+    Sigma = [sigmas[i : i + t] for i in range(0, count, t)]
+    return make_multi_segment(X, Sigma), reference_multi_segment(X, Sigma)
+
+
+@settings(max_examples=200, deadline=None)
+@given(built_and_reference())
+def test_one_pass_builders_match_concat_chain(pair):
+    got, want = pair
+    assert got == want
+    assert all(type(spec.pi) is tuple and type(spec.cross) is tuple for spec in got.matchings)
+    assert to_edges(got) == to_edges(want)
+
+
+def test_block_and_segment_builders_match_concat_chain_frozen():
+    X, Sigma = [bits("1001"), bits("0110")], [(3, 1, 2, 4), (2, 1, 4, 3)]
+    assert make_multi_block(X, Sigma) == reference_multi_block(X, Sigma)
+    assert make_block(X[0], Sigma[0]) == reference_multi_block(X[:1], Sigma[:1])
+    X6 = [bits("100101"), bits("011001")]
+    Sigma6 = [(3, 1, 4, 2, 6, 5), (2, 1, 4, 5, 3, 6)]
+    assert make_segment(X6, Sigma6) == reference_multi_segment([X6], [Sigma6])
+
+
+@pytest.mark.parametrize(
+    "form, X, Sigma",
+    [
+        ("block", ((0, 1),), ((1, 1),)),  # not a permutation
+        ("block", ((0, 1), (0, 1)), ((1, 2), (2, 3))),  # second gadget out of range
+        ("block", ((0, 2),), ((2, 1),)),  # a cross bit outside 0/1
+        ("block", ((0, 1, 1),), ((2, 1),)),  # x and sigma lengths differ
+        ("block", ((0, 1), (0, 1, 1)), ((2, 1), (2, 1, 3))),  # width changes mid-stack
+        ("block", ((0, 1),), ()),  # more cross vectors than permutations
+        ("block", (), ()),  # t = 0
+        ("segment", (((0, 1), (1, 0)), ((0, 1),)), (((2, 1), (1, 2)), ((1, 2),))),  # ragged
+        ("segment", (((0, 1),),), (((2, 2),),)),  # not a permutation
+        ("segment", (((0, -1),),), (((2, 1),),)),  # a cross bit outside 0/1
+        ("segment", (((0, 1, 0),),), (((2, 1),),)),  # x and sigma lengths differ
+        ("segment", (((0, 1),), ((0, 1, 1),)), (((2, 1),), ((2, 1, 3),))),  # width changes
+        ("segment", ((), ()), ((), ())),  # t = 0
+        ("segment", (), ()),  # s = 0
+    ],
+)
+def test_witness_build_rejects_malformed_gadgets(form, X, Sigma):
+    witness = Witness(form, X, Sigma)
+    with pytest.raises(ValueError):
+        witness.build()
+    with pytest.raises(ValueError):
+        reference_build(witness)  # the same input is malformed for the concat chain too
+
+
+def test_public_matching_constructors_still_validate():
+    with pytest.raises(ValueError):
+        make_perm_matching((1, 1))
+    with pytest.raises(ValueError):
+        make_xor_matching((0, 2))
+    with pytest.raises(ValueError):
+        make_block(bits("01"), (1, 3))
+    with pytest.raises(ValueError):
+        make_segment([bits("01")], [(1, 2), (2, 1)])
+    with pytest.raises(ValueError):
+        graph_of()
+    with pytest.raises(ValueError):
+        concat(make_block(bits("01"), (2, 1)), make_block(bits("010"), (1, 2, 3)))
