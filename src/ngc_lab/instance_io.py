@@ -18,8 +18,12 @@ byte-stable: identical data serializes to identical text.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .distributions import NgcInstance, Witness, canon
 from .gadgets import Edge, _check_bits, _check_perm
@@ -47,7 +51,6 @@ class ParsedInstance:
 
 
 def serialize_instance(instance: NgcInstance, reveal: bool = False) -> str:
-    lines = [MAGIC]
     theta_tok = "?" if (not reveal or instance.theta is None) else str(instance.theta)
     param = (
         f"param n={instance.n} k={instance.k} w={instance.width}"
@@ -56,29 +59,33 @@ def serialize_instance(instance: NgcInstance, reveal: bool = False) -> str:
     )
     if instance.s is not None:
         param += f" s={instance.s}"
-    lines.append(param)
 
-    batch_id: dict[Edge, int] = {}
-    if instance.batches is not None:
-        for b, (e1, e2) in enumerate(instance.batches):
-            batch_id[canon(e1)] = b
-            batch_id[canon(e2)] = b
-    for u, v in instance.all_edges():
-        rec = f"e {u} {v}"
+    # every edge record in one %-format pass over the flattened fields
+    edges = instance.all_edges()
+    record, rows = "e %d %d", edges
+    if instance.weights is not None or instance.batches is not None:
+        canon_edges = list(map(canon, edges))
+        notes = []
         if instance.weights is not None:
-            rec += f" w={instance.weights[canon((u, v))]}"
+            record += " w=%d"
+            notes.append(map(instance.weights.__getitem__, canon_edges))
         if instance.batches is not None:
-            rec += f" b={batch_id[canon((u, v))]}"
-        lines.append(rec)
+            record += " b=%d"
+            batch_id = {canon(e): b for b, batch in enumerate(instance.batches) for e in batch}
+            notes.append(map(batch_id.__getitem__, canon_edges))
+        rows = [edge + note for edge, note in zip(edges, zip(*notes))]
+    text = f"{MAGIC}\n{param}\n" + (record + "\n") * len(rows) % tuple(chain.from_iterable(rows))
 
     if reveal:
         wit = instance.witness
         gadgets = wit.gadgets
         t = len(wit.Sigma[0]) if wit.form == "segment" else None
         keys = [str(g + 1) if t is None else f"{g // t + 1} {g % t + 1}" for g in range(len(gadgets))]
-        lines += [f"x {key} {''.join(map(str, x))}" for key, (x, _) in zip(keys, gadgets)]
-        lines += [f"p {key} {' '.join(map(str, perm))}" for key, (_, perm) in zip(keys, gadgets)]
-    return "\n".join(lines) + "\n"
+        text += "".join(
+            [f"x {key} {''.join(map(str, x))}\n" for key, (x, _) in zip(keys, gadgets)]
+            + [f"p {key} {' '.join(map(str, perm))}\n" for key, (_, perm) in zip(keys, gadgets)]
+        )
+    return text
 
 
 def _parse_param_line(line: str) -> dict[str, str]:
@@ -94,12 +101,44 @@ def _parse_param_line(line: str) -> dict[str, str]:
     return out
 
 
+# A run of plain edge records, `e <u> <v>` with ASCII-digit ids short enough
+# for int64, from a line start.  Runs are capped so that one run's text and
+# array stay small next to the edge list.
+_PLAIN_EDGE_RUN = re.compile(r"^(?:e [0-9]{1,18} [0-9]{1,18}\n){1,4096}", re.MULTILINE)
+
+
+def _records(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, record) in file order, numbered as ``str.splitlines`` numbers lines.
+
+    A run of plain edge records comes as one record, its text with every
+    newline kept; every other line comes alone, without its line break.
+    """
+    lineno = pos = 0
+    for run in _PLAIN_EDGE_RUN.finditer(text):
+        lines = text[pos : run.start()].splitlines()
+        yield from enumerate(lines, start=lineno + 1)
+        lineno += len(lines)
+        yield lineno + 1, run.group()
+        lineno += run.group().count("\n")
+        pos = run.end()
+    yield from enumerate(text[pos:].splitlines(), start=lineno + 1)
+
+
 def parse_instance(text: str) -> ParsedInstance:
     """Parse a file's text; malformed input raises ValueError naming its line."""
-    lines = enumerate(text.splitlines(), start=1)
+    return _parse_records(_records(text))
+
+
+def _parse_records(records: Iterable[tuple[int, str]]) -> ParsedInstance:
+    """The record loop over (line number, record) pairs in file order.
+
+    A record ending in a newline is a run of plain edge records, converted in
+    one numpy call; any other record is one line.
+    """
+    lines = iter(records)
     header = []  # the magic and param lines, the first two records
     for lineno, ln in lines:
-        ln = ln.strip()
+        ln = ln.partition("\n")[0].strip()  # a run's first line: any run here is an error
         if ln and not ln.startswith("#"):
             header.append((lineno, ln))
             if len(header) == 2:
@@ -113,9 +152,11 @@ def parse_instance(text: str) -> ParsedInstance:
     edges: list[Edge] = []
     weights: dict[Edge, int] = {}
     batch_of: dict[int, list[Edge]] = {}
+    batch_line: dict[int, int] = {}  # each batch's first edge record
     saw_weight = saw_batch = False
     x_lines: dict[tuple[int, ...], tuple[int, ...]] = {}
     p_lines: dict[tuple[int, ...], tuple[int, ...]] = {}
+    witness_line: dict[tuple[int, ...], int] = {}  # each gadget's first witness record
 
     lineno, ln = header[1]
     param_lineno = lineno
@@ -141,24 +182,35 @@ def parse_instance(text: str) -> ParsedInstance:
         key_len = 1 if form == "block" else 2
 
         for lineno, ln in lines:  # the records after the header
+            if ln.endswith("\n"):  # the hot path: a run of plain edge records
+                flat = np.fromstring(ln.replace("e", ""), dtype=np.int64, sep=" ")
+                outside = flat >= n  # ASCII digits are never negative
+                if outside.any():
+                    at = int(outside.argmax()) // 2
+                    lineno, ln = lineno + at, ln.split("\n")[at]
+                    u, v = flat[2 * at : 2 * at + 2].tolist()
+                    raise ValueError(f"edge ({u}, {v}) leaves the vertex range [0, {n})")
+                flat = flat.tolist()
+                edges += zip(flat[0::2], flat[1::2])
+                continue
             tokens = ln.split()
             if not tokens:
                 continue
             tag = tokens[0]
-            if tag == "e":  # the hot path: one line per edge
+            if tag == "e":
                 u, v = int(tokens[1]), int(tokens[2])
                 if u < 0 or v < 0 or u >= n or v >= n:
                     raise ValueError(f"edge ({u}, {v}) leaves the vertex range [0, {n})")
                 edges.append((u, v))
-                if len(tokens) == 3:
-                    continue
                 for tok in tokens[3:]:
                     if tok.startswith("w="):
                         weights[canon((u, v))] = int(tok[2:])
                         saw_weight = True
                     elif tok.startswith("b="):
                         saw_batch = True
-                        batch_of.setdefault(int(tok[2:]), []).append((u, v))
+                        b = int(tok[2:])
+                        batch_of.setdefault(b, []).append((u, v))
+                        batch_line.setdefault(b, lineno)
                     else:
                         raise ValueError(f"unknown edge annotation {tok!r}")
             elif tag in ("x", "p"):
@@ -167,6 +219,7 @@ def parse_instance(text: str) -> ParsedInstance:
                     row = x_lines[key] = _check_bits([int(c) for c in tokens[1 + key_len]])
                 else:
                     row = p_lines[key] = _check_perm([int(c) for c in tokens[1 + key_len :]])
+                witness_line.setdefault(key, lineno)
                 if len(row) != sizes["w"]:
                     raise ValueError(f"witness line has width {len(row)}, expected w={sizes['w']}")
             elif not tag.startswith("#"):
@@ -187,19 +240,27 @@ def parse_instance(text: str) -> ParsedInstance:
         for b in sorted(batch_of):
             group = batch_of[b]
             if len(group) != 2:
-                raise ValueError(f"batch {b} has {len(group)} edges, expected 2")
+                raise ValueError(
+                    f"line {batch_line[b]}: batch {b} has {len(group)} edges, expected 2"
+                )
             pairs.append((group[0], group[1]))
         batches = tuple(pairs)
 
     witness = None
     if x_lines or p_lines:
-        if set(x_lines) != set(p_lines):
-            raise ValueError("witness x/p lines do not cover the same gadgets")
+        unmatched = set(x_lines) ^ set(p_lines)
+        if unmatched:
+            where = min(map(witness_line.__getitem__, unmatched))
+            raise ValueError(f"line {where}: witness x/p lines do not cover the same gadgets")
         shape = [max(key[i] for key in x_lines) for i in range(key_len)]
         keys = sorted(x_lines)  # row-major
-        if keys != list(product(*(range(1, size + 1) for size in shape))):
-            grid = "1..t" if form == "block" else "an s x t grid"
-            raise ValueError(f"{form} witness lines are not {grid}")
+        grid = list(product(*(range(1, size + 1) for size in shape)))
+        if keys != grid:
+            # the first gadget out of place, or the last one when only the tail is missing
+            off = next((i for i, (a, b) in enumerate(zip(keys, grid)) if a != b), len(grid))
+            where = witness_line[keys[min(off, len(keys) - 1)]]
+            grid_name = "1..t" if form == "block" else "an s x t grid"
+            raise ValueError(f"line {where}: {form} witness lines are not {grid_name}")
         if form == "segment" and s is None:  # no s= in the header to hold the grid to
             s = shape[0]
         want = [sizes["t"]] if form == "block" else [s, sizes["t"]]

@@ -19,14 +19,14 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable
 
 import numpy as np
 
 from .distributions import Census, NgcInstance, canon, census_of_edges
 from .gadgets import Edge
-from .seeds import Seed, as_seed
+from .seeds import Seed, as_seed, randrange_many
 
 Event = tuple[Edge, int | None]
 
@@ -53,30 +53,31 @@ def stream_from_edges(
     stochastic emits ceil(c*|E|) iid samples with repetition.
     """
 
-    def event(edge: Edge) -> Event:
-        return (edge, None if weights is None else weights[canon(edge)])
+    def events_of(ordered: Iterable[Edge]) -> Iterable[Event]:
+        if weights is None:
+            return zip(ordered, repeat(None))
+        return ((e, weights[canon(e)]) for e in ordered)
 
     rng = as_seed(seed).rng()
     if mode == "given":
-        events = [event(e) for e in edges]
+        events = events_of(edges)
     elif mode == "uniform_random":
         shuffled = list(edges)
         rng.shuffle(shuffled)
-        events = [event(e) for e in shuffled]
+        events = events_of(shuffled)
     elif mode == "batched_random":
         if batches is None:
             raise ValueError("batched_random needs batches")
         groups = [list(b) for b in batches]
         rng.shuffle(groups)
-        events = []
         for batch in groups:
             rng.shuffle(batch)
-            events.extend(event(e) for e in batch)
+        events = events_of(chain.from_iterable(groups))
     elif mode == "stochastic":
         if c is None or c < 0:
             raise ValueError("stochastic mode needs c >= 0")
-        count = math.ceil(c * len(edges))
-        events = [event(edges[rng.randrange(len(edges))]) for _ in range(count)]
+        picks = randrange_many(rng, len(edges), math.ceil(c * len(edges)))
+        events = events_of(map(edges.__getitem__, picks))
     else:
         raise ValueError(f"unknown stream mode {mode!r}")
     return Stream(n=n, events=tuple(events), order_mode=mode)
@@ -156,6 +157,11 @@ class StreamingAlgorithm:
         raise NotImplementedError
 
     def run(self, state, events) -> object:
+        """Fold ``process`` over the events.
+
+        An override may fold in bulk, but it must return what this fold
+        returns, from the same starting state.
+        """
         for ev in events:
             state = self.process(state, ev)
         return state
@@ -178,6 +184,10 @@ class UnionFindCensusAlgorithm(StreamingAlgorithm):
     def process(self, state: set[Edge], event: Event) -> set[Edge]:
         edge, _ = event
         state.add(canon(edge))
+        return state
+
+    def run(self, state: set[Edge], events) -> set[Edge]:
+        state.update([e if e[0] <= e[1] else (e[1], e[0]) for e, _ in events])
         return state
 
     def serialize(self, state: set[Edge]) -> bytes:

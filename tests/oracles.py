@@ -5,11 +5,12 @@ no permutation algebra — so a bug in the package cannot hide in its own
 oracle.  Brute-force routines are deliberately naive and bounded to small
 components.
 
-The exceptions are the gadget, witness and partition layers at the end:
-there the references are the per-gadget and object-level routes the shared
-code replaced (a validated concat chain per gadget, one ``randrange`` per
-cross bit, edge or map slot, one owner lookup per edge), so the new routes can
-be checked draw for draw against them.
+The exceptions are the gadget, witness, partition and file layers at the
+end: there the references are the per-gadget and object-level routes the
+shared code replaced (a validated concat chain per gadget, one ``randrange``
+per cross bit, edge or map slot, one owner lookup per edge, one record loop
+step per line), so the new routes can be checked draw for draw and byte for
+byte against them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from collections import deque
 from dataclasses import replace
 from itertools import combinations
 
-from ngc_lab.distributions import Witness, canon
+from ngc_lab.distributions import NgcInstance, Witness, canon
 from ngc_lab.gadgets import (
     GroupLayeredGraph,
     concat,
@@ -30,6 +31,7 @@ from ngc_lab.gadgets import (
     make_xor_matching,
     to_edges,
 )
+from ngc_lab.instance_io import ParsedInstance, _parse_records
 from ngc_lab.partitions import (
     CLEAN_PATTERN,
     BlockCleanEntry,
@@ -564,3 +566,28 @@ def reference_clean_indices_stochastic(instance, assignment):
         )
 
     return _reference_report(instance, is_clean, int(instance.width / (2 * math.exp(9 * assignment.c))))
+
+
+# --- file layer: one line at a time ------------------------------------------------
+
+
+def parse_instance_by_lines(text: str) -> ParsedInstance:
+    """``parse_instance`` with every line, plain edge records too, each its own record."""
+    return _parse_records(enumerate(text.splitlines(), start=1))
+
+
+def reference_edge_records(instance: NgcInstance) -> list[str]:
+    """One ``e <u> <v> [w=<int>] [b=<int>]`` record per edge, formatted edge by edge."""
+    batch_id = {}
+    for b, (e1, e2) in enumerate(instance.batches or ()):
+        batch_id[canon(e1)] = b
+        batch_id[canon(e2)] = b
+    records = []
+    for u, v in instance.all_edges():
+        rec = f"e {u} {v}"
+        if instance.weights is not None:
+            rec += f" w={instance.weights[canon((u, v))]}"
+        if instance.batches is not None:
+            rec += f" b={batch_id[canon((u, v))]}"
+        records.append(rec)
+    return records

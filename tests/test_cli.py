@@ -145,6 +145,13 @@ def _segment_rows_missing(_lines):
     return [ln for ln in text.splitlines() if not ln.startswith(("x 2 ", "p 2 "))]
 
 
+def _batch_split(_lines):
+    """A revealed batched file (in place of the block one); its first edge leaves its batch."""
+    lines = serialize_instance(sample_ngc_batched(56, 7, 2, 1, 3), reveal=True).splitlines()
+    lines[2] = lines[2].replace(" b=0", " b=99")
+    return lines
+
+
 @pytest.mark.parametrize(
     "mangle",
     [
@@ -172,6 +179,14 @@ def _segment_rows_missing(_lines):
             id="huge-header-one-edge",
         ),
         pytest.param(_segment_rows_missing, id="segment-rows-missing"),
+        pytest.param(
+            lambda lines: [ln for ln in lines if not ln.startswith("p 2 ")], id="witness-unmatched"
+        ),
+        pytest.param(
+            lambda lines: [ln.replace("x 2 ", "x 3 ").replace("p 2 ", "p 3 ") for ln in lines],
+            id="witness-grid-gap",
+        ),
+        pytest.param(_batch_split, id="batch-not-a-pair"),
     ],
 )
 def test_validate_malformed_file_is_a_usage_error(tmp_path, capsys, mangle):

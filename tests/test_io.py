@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from ngc_lab.cli import main
 from ngc_lab.distributions import (
     canon,
     mst_augment,
@@ -19,6 +22,8 @@ from ngc_lab.instance_io import (
     serialize_instance,
     write_instance,
 )
+
+from oracles import parse_instance_by_lines, reference_edge_records
 
 
 def test_header_shape():
@@ -167,3 +172,113 @@ def test_parse_rejects_incomplete_batches_and_witnesses():
         parse_instance(base + "x 1 01\n")  # x without matching p
     with pytest.raises(ValueError):
         parse_instance(base + "x 2 01\np 2 1 2\n")  # gadget 1 missing
+
+
+# --- bulk edge records against the one-line-at-a-time references ---------------------
+
+
+FILES = {
+    "block": serialize_instance(sample_ngc(56, 7, seed=21)),
+    "block-revealed": serialize_instance(sample_ngc(28, 7, seed=22), reveal=True),
+    "segment-batched-revealed": serialize_instance(
+        sample_ngc_batched(n=56, k=7, s=2, t=1, seed=23), reveal=True
+    ),
+    "weighted-revealed": serialize_instance(
+        mst_augment(sample_ngc(28, 7, seed=24), W=4), reveal=True
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        sample_ngc(56, 7, seed=25),
+        mst_augment(sample_ngc(56, 7, seed=26), W=5),
+        sample_ngc_batched(n=120, k=15, s=2, t=3, seed=27),
+    ],
+    ids=["plain", "weighted", "batched"],
+)
+def test_edge_records_match_the_per_edge_format(inst):
+    lines = serialize_instance(inst, reveal=True).splitlines()
+    records = reference_edge_records(inst)
+    assert lines[2 : 2 + len(records)] == records
+    assert not lines[2 + len(records)].startswith("e ")
+
+
+def test_long_edge_runs_keep_line_numbers():
+    inst = sample_ngc(8192, 4, seed=28)  # 7,168 edges: one capped run and part of the next
+    lines = serialize_instance(inst).splitlines()
+    assert parse_instance("\n".join(lines) + "\n").edges == inst.all_edges()
+    for at in (2, 2 + 4095, 2 + 4096, len(lines) - 1):
+        bad = lines[:at] + ["e 5 8192"] + lines[at:]
+        with pytest.raises(ValueError, match=rf"^line {at + 1}: edge \(5, 8192\) leaves"):
+            parse_instance("\n".join(bad) + "\n")
+
+
+NON_ASCII_DIGITS = "\u0663\uff17\u09e8"  # Arabic-Indic 3, fullwidth 7, Bengali 2
+
+
+@st.composite
+def mutated_files(draw):
+    lines = FILES[draw(st.sampled_from(sorted(FILES)))].split("\n")
+    n = int(lines[1].split()[1][2:])
+    for _ in range(draw(st.integers(1, 4))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines) - 1))
+        op = draw(
+            st.sampled_from(
+                ["delete", "duplicate", "move", "digit", "space", "cr", "id", "id", "non-ascii"]
+            )
+        )
+        line = lines[i]
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(j, line)
+        elif op == "move":
+            lines.insert(j, lines.pop(i))
+        elif op == "space":
+            at = draw(st.integers(0, len(line)))
+            lines[i] = line[:at] + draw(st.sampled_from([" ", "\t", "  ", "\x0b"])) + line[at:]
+        elif op == "cr":
+            lines[i] = line + "\r"
+        elif op == "id":  # an over-long, zero-padded or out-of-range id
+            tokens = line.split(" ")
+            ids = [k for k, tok in enumerate(tokens) if tok.isdigit()]
+            if ids:
+                k = draw(st.sampled_from(ids))
+                choices = ["0" * 20 + tokens[k], "9" * 19, str(n), str(n + 3)]
+                tokens[k] = draw(st.sampled_from(choices))
+                lines[i] = " ".join(tokens)
+        else:
+            digits = [k for k, c in enumerate(line) if c.isdigit()]
+            if digits:
+                at = draw(st.sampled_from(digits))
+                new = draw(st.sampled_from("0123456789" if op == "digit" else NON_ASCII_DIGITS))
+                lines[i] = line[:at] + new + line[at + 1 :]
+    text = "\n".join(lines)
+    return text if draw(st.booleans()) else text.rstrip("\n")
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(mutated_files())
+def test_mutated_files_parse_as_the_line_loop_and_validate_cleanly(tmp_path, capsys, text):
+    got = parse_outcome(parse_instance, text)
+    assert got == parse_outcome(parse_instance_by_lines, text)
+    path = tmp_path / "mutated.txt"
+    path.write_text(text, encoding="utf-8")
+    code = main(["validate", str(path)])
+    assert code in (0, 1, 2)
+    assert (code == 2) == isinstance(got, str)
+    capsys.readouterr()

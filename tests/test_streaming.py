@@ -3,18 +3,23 @@
 from __future__ import annotations
 
 import math
+import random
 import struct
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ngc_lab.distributions import (
+    canon,
     census_of_edges,
     mst_augment,
     sample_ngc,
     sample_ngc_batched,
 )
+from ngc_lab.seeds import Seed
 from ngc_lab.stats import binomial_check, chi_square_expected, chi_square_uniform
 from ngc_lab.streaming import (
     CensusThetaDecision,
@@ -121,6 +126,20 @@ def test_stochastic_event_count_exact():
         make_stream(inst, "stochastic", seed=0)
 
 
+@pytest.mark.parametrize("size", [0, 1, 7, 300])
+@pytest.mark.parametrize("c", [0, 0.5, 1, 2.5])
+def test_stochastic_draws_match_the_per_event_loop(monkeypatch, c, size):
+    edges = [(i, i + 1) for i in range(size)]
+    drawn = random.Random(5)
+    monkeypatch.setattr(Seed, "rng", lambda self: drawn)
+    stream = stream_from_edges(size + 1, edges, "stochastic", seed=9, c=c)
+    loop = random.Random(5)
+    count = math.ceil(c * size)
+    want = [(edges[loop.randrange(len(edges))], None) for _ in range(count)]
+    assert stream.events == tuple(want)
+    assert drawn.getstate() == loop.getstate()
+
+
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         stream_from_edges(3, TRIANGLE, "sorted", seed=0)
@@ -189,6 +208,27 @@ def test_union_find_algorithm_roundtrip_and_resume():
     assert blob == struct.pack(">I", len(head)) + b"".join(
         struct.pack(">II", u, v) for u, v in sorted(head)
     )
+
+
+vertex = st.integers(0, 9)
+census_events = st.lists(
+    st.tuples(st.tuples(vertex, vertex), st.none() | st.integers(1, 5)), max_size=40
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(census_events, census_events)
+def test_census_run_equals_the_process_fold(head, events):
+    """Duplicates, reversed edges, self-loops, weights, and a resumed state."""
+    for alg in (UnionFindCensusAlgorithm(10), CensusThetaDecision(10, 4)):
+        start = alg.deserialize(alg.serialize({canon(e) for e, _ in head}))
+        folded = set(start)
+        for ev in events:
+            folded = alg.process(folded, ev)
+        bulk = alg.run(set(start), events)
+        assert bulk == folded
+        assert alg.serialize(bulk) == alg.serialize(folded)
+        assert alg.finalize(bulk) == alg.finalize(folded)
 
 
 def test_census_theta_decision_separates():
