@@ -149,12 +149,13 @@ class NgcInstance:
 
 
 def auxiliary_edges_for(k: int, m: int, width: int) -> tuple[Edge, ...]:
-    """Closers (a^k_j, a^1_j), (b^k_j, b^1_j) for the first m groups."""
-    out = []
-    for j in range(1, m + 1):
-        out.append((vertex_id(k, j, SIDE_A, width), vertex_id(1, j, SIDE_A, width)))
-        out.append((vertex_id(k, j, SIDE_B, width), vertex_id(1, j, SIDE_B, width)))
-    return tuple(out)
+    """Closers (a^k_j, a^1_j), (b^k_j, b^1_j) for the first m groups.
+
+    The first m groups' 2m vertices are consecutive ids on every layer, a
+    before b, so the closers pair two runs of ids.
+    """
+    top, bottom = vertex_id(k, 1, SIDE_A, width), vertex_id(1, 1, SIDE_A, width)
+    return tuple(zip(range(top, top + 2 * m), range(bottom, bottom + 2 * m)))
 
 
 def _perms(rng: random.Random, w: int, count: int) -> list[tuple[int, ...]]:

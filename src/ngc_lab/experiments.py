@@ -24,6 +24,11 @@ route is not obvious from the code alone:
   degree one), so only the cycle-started half of the budget matters.  The
   object-level route (``method="objects"``) runs the same statistic with real
   walks and real certificates; the test suite cross-checks the two routes.
+
+The object trials of ``partition_stats_suite`` and ``stochastic_stats_suite``
+are not simulated: each trial makes its own draws from its own seed path, and
+only the counting is batched, on arrays with a leading trials axis, so the
+rows equal those of the one-trial-at-a-time loop the tests keep as reference.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -40,7 +46,6 @@ from .distributions import (
     Census,
     NgcInstance,
     Witness,
-    canon,
     census_law,
     census_of_edges,
     component_pass,
@@ -53,15 +58,15 @@ from .distributions import (
     validate_instance,
 )
 from .partitions import (
-    active_blocks,
     assign_batches,
-    assign_by_functions,
     assign_uniform,
-    clean_indices_stochastic,
-    index_ownership_pattern,
+    clean_masks,
+    core_columns,
+    function_index_table,
     random_partition_functions,
-    sample_counts,
-    stochastic_assign,
+    sample_size,
+    seen_counts,
+    stochastic_owners,
 )
 from .protocols import (
     BobOnlyCycleDetector,
@@ -74,7 +79,7 @@ from .protocols import (
     streaming_as_protocol,
     tvd,
 )
-from .seeds import Seed, as_seed
+from .seeds import Seed, as_seed, randrange_many
 from .stats import binomial_check, chi_square_uniform, clopper_pearson
 from .streaming import (
     CensusThetaDecision,
@@ -213,6 +218,58 @@ def capped_activity_probability(w: int) -> Fraction:
     return expect / w
 
 
+# array elements per batch of trials in the two object suites: bounds their memory
+_BATCH_ELEMENTS = 1 << 18
+
+
+def _trial_batches(trials: int, per_trial: int) -> Iterator[range]:
+    """Consecutive runs of trial numbers, about _BATCH_ELEMENTS // per_trial long."""
+    step = max(1, _BATCH_ELEMENTS // per_trial)
+    return (range(start, min(start + step, trials)) for start in range(0, trials, step))
+
+
+def _check_width_and_trials(w: int, trials: int) -> None:
+    if w < 2 or w % 2:
+        raise ValueError("need even w >= 2")
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got trials={trials}")
+
+
+def _partition_counts(w: int, trials: int, root: Seed) -> tuple[list[int], int, int, int]:
+    """(64 pattern-cell counts, clean, active capped, active uncapped) over object trials.
+
+    Trial i draws a one-block instance of width w from ``object/i/inst`` and
+    partition functions from ``object/i/F``.  Index 1's pattern and every
+    index's cleanness read F's slots alone (``function_index_table``), so the
+    instance contributes only sigma(1), and the counting runs once per batch
+    on (trials, 6w) arrays.
+    """
+    n = 4 * 4 * (w // 2)  # one-block instances: k = 4, t = 1, width w
+    table = function_index_table(w, 1)
+    w_c = max(1, w // 100)
+    pattern_counts = np.zeros(64, dtype=np.int64)
+    clean_hits = active_capped = active_uncapped = 0
+    for batch in _trial_batches(trials, 6 * w):
+        slots: list[int] = []
+        sigma1: list[int] = []
+        for i in batch:
+            child = root.child("object", i)
+            inst = sample_ngc(n, 4, child.child("inst"))
+            F = random_partition_functions(w, 1, child.child("F"))
+            slots += chain(*F.fL, *F.fM, *F.fR)
+            sigma1.append(inst.witness.Sigma[0][0] - 1)
+        owners = np.array(slots, dtype=np.int8).reshape(len(batch), -1)
+        clean, capped = clean_masks(owners, table, w_c)
+        rows = np.arange(len(batch))
+        clean_hits += int(np.count_nonzero(clean[:, 0, 0]))
+        active_capped += int(np.count_nonzero(capped[rows, 0, sigma1]))
+        active_uncapped += int(np.count_nonzero(clean[rows, 0, sigma1]))
+        # six-owner pattern of index 1, encoded little-endian as a cell id
+        cells = owners[:, table[0, 0]].astype(np.int64) @ (1 << np.arange(6))
+        pattern_counts += np.bincount(cells, minlength=64)
+    return pattern_counts.tolist(), clean_hits, active_capped, active_uncapped
+
+
 def partition_stats_suite(
     w: int,
     trials: int,
@@ -223,8 +280,9 @@ def partition_stats_suite(
 ) -> SuiteResult:
     """Ownership-pattern and activity statistics for the two-player split.
 
-    Object-level rows (fresh instance + partition functions per trial, all at
-    width w, one block): the 64-cell ownership-pattern chi-square, Pr[index
+    Object-level rows (per trial a fresh one-block instance of width w and
+    fresh partition functions, each from its own seed path, counted in
+    batches of trials): the 64-cell ownership-pattern chi-square, Pr[index
     clean], and Pr[block active] both capped and uncapped.  The capped
     probability is compared against its exact cap-aware value, the uncapped
     one against 1/64.
@@ -239,32 +297,14 @@ def partition_stats_suite(
     independent blocks at this width, the number of active ones is at least
     ln(w) with frequency at least 1 - 1/w^2.
     """
-    if w < 2 or w % 2:
-        raise ValueError("need even w >= 2")
+    _check_width_and_trials(w, trials)
     root = as_seed(seed)
     suite = "partition-stats"
     params = _params(w=w)
     rows: list[Row] = []
     failures: list[str] = []
 
-    n = 4 * 4 * (w // 2)  # one-block instances: k = 4, t = 1, width w
-    pattern_counts = [0] * 64
-    clean_hits = 0
-    active_capped = 0
-    active_uncapped = 0
-    for i in range(trials):
-        child = root.child("object", i)
-        inst = sample_ngc(n, 4, child.child("inst"))
-        F = random_partition_functions(w, 1, child.child("F"))
-        assignment = assign_by_functions(inst, F, child.child("split"))
-        report = active_blocks(inst, assignment)
-        entry = report.entries[0]
-        clean_hits += 1 in entry.clean_uncapped
-        active_capped += bool(entry.active)
-        active_uncapped += bool(entry.active_uncapped)
-        # six-owner pattern of index 1, encoded little-endian as a cell id
-        pat = index_ownership_pattern(inst, assignment, 1, 1)
-        pattern_counts[sum(b << i for i, b in enumerate(pat))] += 1
+    pattern_counts, clean_hits, active_capped, active_uncapped = _partition_counts(w, trials, root)
 
     obs_p = chi_square_uniform(pattern_counts)
     rows.append(Row(suite, params, "ownership_pvalue", obs_p, None, None, trials, root.master))
@@ -702,6 +742,36 @@ def bob_only_suite(
 # --- stochastic model -------------------------------------------------------------
 
 
+def _stochastic_counts(c: float, trials: int, w: int, root: Seed) -> tuple[int, int, int]:
+    """(absent, alice-only, clean) counts over stochastic trials on one instance.
+
+    The instance of width w comes from ``inst``; trial i draws both players'
+    samples as 2 ceil(c|E|/2) edge indices from ``draw/i``, Alice's half
+    first.  Absence is read at the probe edge (core edge 0), cleanness at
+    index 1 of the block; the counting runs once per batch on (trials, 2, S)
+    arrays of sampled core positions.
+    """
+    inst = sample_ngc(4 * 4 * (w // 2), 4, root.child("inst"))
+    edges = inst.all_edges()
+    count = sample_size(c, len(edges))
+    columns = core_columns(inst, np.array(edges, dtype=np.int64))
+    probe = columns[0]  # a core edge's column is its lower end
+    positions = len(inst.graph._targets)
+    table = inst.graph._index_table[:1, :1]
+    absent = a_only = clean = 0
+    for batch in _trial_batches(trials, 2 * count + 2 * positions):
+        picks: list[int] = []
+        for i in batch:
+            picks += randrange_many(root.child("draw", i).rng(), len(edges), 2 * count)
+        drawn = columns[np.array(picks, dtype=np.int64).reshape(len(batch), 2, count)]
+        counts = seen_counts(drawn, positions)
+        seen_a, seen_b = counts[:, 0, probe] > 0, counts[:, 1, probe] > 0
+        absent += int(np.count_nonzero(~seen_b))
+        a_only += int(np.count_nonzero(seen_a & ~seen_b))
+        clean += int(np.count_nonzero(clean_masks(stochastic_owners(counts), table, 1)[0]))
+    return absent, a_only, clean
+
+
 def stochastic_stats_suite(
     c: float,
     trials: int,
@@ -711,29 +781,18 @@ def stochastic_stats_suite(
     """Sampling-model absence and cleanness frequencies against their floors.
 
     Fixed instance of width w (k=4); per trial both players draw their
-    ceil(c|E|/2) edge samples afresh.  Checks, one-sided at 3 sigma:
+    ceil(c|E|/2) edge samples afresh from the trial's own seed path, and the
+    samples are counted in batches of trials.  Checks, one-sided at 3 sigma:
     Pr[fixed edge unseen by the second player] >= e^{-c}, Pr[seen by the first
     player only] >= e^{-3c/2}, and Pr[a fixed index is clean] >= e^{-9c}.
     """
+    _check_width_and_trials(w, trials)
     if c <= 0:
         raise ValueError("the bounds need c > 0")
     root = as_seed(seed)
     suite = "stochastic-stats"
     params = _params(c=c, w=w)
-    inst = sample_ngc(4 * 4 * (w // 2), 4, root.child("inst"))
-    edges = inst.all_edges()
-    probe = canon(edges[0])[0]  # a core edge's column in sample_counts is its lower end
-    absent = 0
-    a_only = 0
-    clean = 0
-    for i in range(trials):
-        child = root.child("draw", i)
-        assignment = stochastic_assign(edges, c, child)
-        seen_a, seen_b = (sample_counts(inst, assignment)[:, probe] > 0).tolist()
-        absent += not seen_b
-        a_only += seen_a and not seen_b
-        report = clean_indices_stochastic(inst, assignment)
-        clean += 1 in report.entries[0].clean_uncapped
+    absent, a_only, clean = _stochastic_counts(c, trials, w, root)
     rows: list[Row] = []
     failures: list[str] = []
     for metric, count, floor in (

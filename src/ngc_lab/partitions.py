@@ -18,8 +18,10 @@ clean index, and the batched analogues (active segments, good groups).
 
 Draws are made in bulk (``seeds.randrange_many``) but from the identical
 stream, value for value, as one ``randrange`` per edge or map slot.  Clean
-events are read off owner arrays through the graph's cached table of each
-index's six edge positions.
+events are read off owner arrays through a table of each index's six
+positions: the graph's cached table of edge positions, or under partition
+functions ``function_index_table`` over F's slots.  ``clean_masks`` and
+``seen_counts`` accept leading axes, so one call counts a batch of trials.
 """
 
 from __future__ import annotations
@@ -109,12 +111,10 @@ class EdgeAssignment:
 
     @cached_property
     def _sample_ends(self) -> np.ndarray:
-        """Both samples as one (S, 2) array of (low, high) ends, Alice's first."""
+        """Both samples as one (S, 2) array of edge ends, Alice's first."""
         assert self.samples is not None
         drawn = list(chain(*self.samples))
-        ends = np.fromiter(chain.from_iterable(drawn), np.int64, 2 * len(drawn)).reshape(-1, 2)
-        ends.sort(axis=1)
-        return ends
+        return np.fromiter(chain.from_iterable(drawn), np.int64, 2 * len(drawn)).reshape(-1, 2)
 
     def split(self, edges: list[Edge]) -> tuple[list[Edge], list[Edge]]:
         """(Alice's edges, everyone else's), each in the order given."""
@@ -200,8 +200,33 @@ def index_ownership_pattern(
     return itemgetter(*into, *mid, *out)(assignment.owner)
 
 
+def function_index_table(w: int, t: int) -> np.ndarray:
+    """Where index j's six owners sit among F's slots, shape (t, w, 6).
+
+    The slots are laid out as ``random_partition_functions`` draws them: fL of
+    every block, then fM, then fR, 2w each.  Index j's into pair enters
+    layer-2 slots 2j-2 and 2j-1, which key fL; its middle pair leaves those
+    slots (fM) and its out pair leaves the layer-3 slots 2j-2 and 2j-1 (fR).
+    So under a function split the pattern reads F alone, whatever sigma, x,
+    padding or augmentation are.
+    """
+    return np.arange(6 * t * w).reshape(3, t, w, 2).transpose(1, 2, 0, 3).reshape(t, w, 6)
+
+
 CLEAN_PATTERN = (BOB, BOB, ALICE, ALICE, BOB, BOB)
 _CLEAN = np.array(CLEAN_PATTERN)
+
+
+def clean_masks(owners: np.ndarray, table: np.ndarray, w_c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Clean indices, uncapped and capped to w_c, each of shape (..., blocks, w).
+
+    ``owners[..., p]`` is the owner of position p, and ``table`` (blocks, w,
+    6) holds each index's six positions; an index is clean when its six owners
+    read CLEAN_PATTERN.  The capped mask keeps each block's first w_c clean
+    indices.  Leading axes of ``owners``, such as trials, carry through.
+    """
+    clean = (owners[..., table] == _CLEAN).all(axis=-1)
+    return clean, clean & (clean.cumsum(axis=-1) <= w_c)
 
 
 @dataclass(frozen=True)
@@ -236,17 +261,18 @@ def _clean_report(instance: NgcInstance, owners: np.ndarray, w_c_raw: int) -> Cl
     to max(1, w_c_raw), lexicographically-first; the floor substitution is
     flagged in the report.
     """
-    table = instance.graph._index_table
-    blocks, w = table.shape[:2]
-    found: list[list[int]] = [[] for _ in range(blocks)]
-    for at in (owners[table] == _CLEAN).all(axis=2).ravel().nonzero()[0].tolist():
-        found[at // w].append(at % w + 1)
     w_c = max(1, w_c_raw)
+    clean, capped = clean_masks(owners, instance.graph._index_table, w_c)
     entries = [
-        BlockCleanEntry(block, tuple(clean[:w_c]), tuple(clean), w_c, cap_floored=w_c_raw < 1)
-        for block, clean in enumerate(found, start=1)
+        BlockCleanEntry(block, _indices(head), _indices(every), w_c, cap_floored=w_c_raw < 1)
+        for block, (every, head) in enumerate(zip(clean, capped), start=1)
     ]
     return CleanReport(tuple(entries))
+
+
+def _indices(mask: np.ndarray) -> tuple[int, ...]:
+    """The 1-based indices a block's mask holds."""
+    return tuple((mask.nonzero()[0] + 1).tolist())
 
 
 def clean_indices(
@@ -383,6 +409,13 @@ def active_segments(
     return tuple(reports)
 
 
+def sample_size(c: float, edge_count: int) -> int:
+    """ceil(c|E|/2): how many edges each player draws under the stochastic model."""
+    if c < 0:
+        raise ValueError("need c >= 0")
+    return math.ceil(c * edge_count / 2)
+
+
 def stochastic_assign(
     edges: list[Edge], c: float, seed: Seed | int | None = None
 ) -> EdgeAssignment:
@@ -391,14 +424,38 @@ def stochastic_assign(
     One bulk draw of 2 * ceil(c*|E|/2) edge indices: Alice's sample is the
     first half, Bob's the second.
     """
-    if c < 0:
-        raise ValueError("need c >= 0")
-    count = math.ceil(c * len(edges) / 2)
+    count = sample_size(c, len(edges))
     picks = randrange_many(as_seed(seed).rng(), len(edges), 2 * count)
     drawn = tuple(map(edges.__getitem__, picks))
     return EdgeAssignment(
         mode="stochastic", players=2, samples=(drawn[:count], drawn[count:]), c=c
     )
+
+
+def core_columns(instance: NgcInstance, ends: np.ndarray) -> np.ndarray:
+    """Each edge's core position, or -1 off the core: ends (N, 2) -> (N,).
+
+    The core edge at position p leaves vertex p, so its column is its lower
+    end, in either orientation; auxiliary and augmentation edges get -1.
+    """
+    low, high = ends.min(axis=1), ends.max(axis=1)
+    targets = instance.graph._targets
+    core = (low < len(targets)) & (targets[np.minimum(low, len(targets) - 1)] == high)
+    return np.where(core, low, -1)
+
+
+def seen_counts(columns: np.ndarray, positions: int) -> np.ndarray:
+    """How often each row of draws holds each core position: (..., S) -> (..., positions).
+
+    ``columns`` holds each draw's core position, or -1 for a draw off the
+    core, which is not counted.  One bincount covers every row: the row
+    number is folded into the bin id.
+    """
+    lead = columns.shape[:-1]
+    rows = math.prod(lead)
+    ids = columns + positions * np.arange(rows).reshape(*lead, 1)
+    counts = np.bincount(ids[columns >= 0], minlength=rows * positions)
+    return counts.reshape(*lead, positions)
 
 
 def sample_counts(instance: NgcInstance, assignment: EdgeAssignment) -> np.ndarray:
@@ -409,11 +466,20 @@ def sample_counts(instance: NgcInstance, assignment: EdgeAssignment) -> np.ndarr
     """
     if assignment.mode != "stochastic" or assignment.samples is None or assignment.c is None:
         raise ValueError("expected a stochastic assignment")
-    low, high = assignment._sample_ends.T
-    targets = instance.graph._targets
-    core = (low < len(targets)) & (targets[np.minimum(low, len(targets) - 1)] == high)
-    ids = low + len(targets) * (np.arange(len(low)) >= len(assignment.samples[0]))
-    return np.bincount(ids[core], minlength=2 * len(targets)).reshape(2, -1)
+    columns = core_columns(instance, assignment._sample_ends)
+    alice = len(assignment.samples[0])
+    positions = len(instance.graph._targets)
+    return np.stack([seen_counts(half, positions) for half in (columns[:alice], columns[alice:])])
+
+
+def stochastic_owners(counts: np.ndarray) -> np.ndarray:
+    """Owner of each core edge from sample counts: (..., 2, P) -> (..., P).
+
+    An edge seen by exactly one player "belongs" to that player (ALICE = 0,
+    BOB = 1); one seen by both or neither gets -1 and matches no clean slot.
+    """
+    seen_a, seen_b = counts[..., 0, :] > 0, counts[..., 1, :] > 0
+    return np.where(seen_a != seen_b, seen_b, -1)
 
 
 def clean_indices_stochastic(
@@ -425,9 +491,6 @@ def clean_indices_stochastic(
     max(1, floor(w / (2 e^{9c}))), lexicographically-first.
     """
     _require_block(instance, "clean_indices_stochastic")
-    seen_a, seen_b = sample_counts(instance, assignment) > 0
-    # an edge seen by exactly one player "belongs" to that player (ALICE = 0,
-    # BOB = 1); one seen by both or neither matches no clean slot
-    owners = np.where(seen_a != seen_b, seen_b, -1)
+    owners = stochastic_owners(sample_counts(instance, assignment))
     w_c_raw = int(instance.width / (2 * math.exp(9 * assignment.c)))
     return _clean_report(instance, owners, w_c_raw)

@@ -5,12 +5,13 @@ no permutation algebra — so a bug in the package cannot hide in its own
 oracle.  Brute-force routines are deliberately naive and bounded to small
 components.
 
-The exceptions are the gadget, witness, partition and file layers at the
-end: there the references are the per-gadget and object-level routes the
-shared code replaced (a validated concat chain per gadget, one ``randrange``
-per cross bit, edge or map slot, one owner lookup per edge, one record loop
-step per line), so the new routes can be checked draw for draw and byte for
-byte against them.
+The exceptions are the gadget, witness, partition, claim-suite and file
+layers at the end: there the references are the per-gadget and object-level
+routes the shared code replaced (a validated concat chain per gadget, one
+``randrange`` per cross bit, edge or map slot, one owner lookup per edge, one
+assignment and clean report per suite trial, one record loop step per line),
+so the new routes can be checked draw for draw and byte for byte against
+them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from collections import deque
 from dataclasses import replace
 from itertools import combinations
 
-from ngc_lab.distributions import NgcInstance, Witness, canon
+from ngc_lab.distributions import SIDE_A, SIDE_B, NgcInstance, Witness, canon, sample_ngc
 from ngc_lab.gadgets import (
     GroupLayeredGraph,
     concat,
@@ -30,6 +31,7 @@ from ngc_lab.gadgets import (
     make_perm_xor,
     make_xor_matching,
     to_edges,
+    vertex_id,
 )
 from ngc_lab.instance_io import ParsedInstance, _parse_records
 from ngc_lab.partitions import (
@@ -38,6 +40,13 @@ from ngc_lab.partitions import (
     CleanReport,
     EdgeAssignment,
     PartitionFunctions,
+    active_blocks,
+    assign_by_functions,
+    clean_indices_stochastic,
+    index_ownership_pattern,
+    random_partition_functions,
+    sample_counts,
+    stochastic_assign,
 )
 from ngc_lab.seeds import as_seed
 
@@ -415,6 +424,15 @@ def reference_dhx_segment(w: int, s: int, t: int, seed) -> Witness:
     )
 
 
+def reference_auxiliary_edges(k: int, m: int, width: int):
+    """One ``vertex_id`` pair per closer: (a^k_j, a^1_j), then (b^k_j, b^1_j)."""
+    out = []
+    for j in range(1, m + 1):
+        out.append((vertex_id(k, j, SIDE_A, width), vertex_id(1, j, SIDE_A, width)))
+        out.append((vertex_id(k, j, SIDE_B, width), vertex_id(1, j, SIDE_B, width)))
+    return tuple(out)
+
+
 # --- partition layer: the per-element routes --------------------------------------
 
 
@@ -566,6 +584,47 @@ def reference_clean_indices_stochastic(instance, assignment):
         )
 
     return _reference_report(instance, is_clean, int(instance.width / (2 * math.exp(9 * assignment.c))))
+
+
+# --- claim suites: one object trial at a time -------------------------------------
+
+
+def reference_partition_counts(w: int, trials: int, root):
+    """``partition_stats_suite``'s counts, one assignment and report per trial.
+
+    Each trial also splits the instance's non-block edges from ``split``,
+    which no count reads.
+    """
+    n = 4 * 4 * (w // 2)
+    pattern_counts = [0] * 64
+    clean_hits = active_capped = active_uncapped = 0
+    for i in range(trials):
+        child = root.child("object", i)
+        inst = sample_ngc(n, 4, child.child("inst"))
+        F = random_partition_functions(w, 1, child.child("F"))
+        assignment = assign_by_functions(inst, F, child.child("split"))
+        entry = active_blocks(inst, assignment).entries[0]
+        clean_hits += 1 in entry.clean_uncapped
+        active_capped += bool(entry.active)
+        active_uncapped += bool(entry.active_uncapped)
+        pat = index_ownership_pattern(inst, assignment, 1, 1)
+        pattern_counts[sum(b << i for i, b in enumerate(pat))] += 1
+    return pattern_counts, clean_hits, active_capped, active_uncapped
+
+
+def reference_stochastic_counts(c: float, trials: int, w: int, root):
+    """``stochastic_stats_suite``'s counts, one assignment and report per trial."""
+    inst = sample_ngc(4 * 4 * (w // 2), 4, root.child("inst"))
+    edges = inst.all_edges()
+    probe = canon(edges[0])[0]
+    absent = a_only = clean = 0
+    for i in range(trials):
+        assignment = stochastic_assign(edges, c, root.child("draw", i))
+        seen_a, seen_b = (sample_counts(inst, assignment)[:, probe] > 0).tolist()
+        absent += not seen_b
+        a_only += seen_a and not seen_b
+        clean += 1 in clean_indices_stochastic(inst, assignment).entries[0].clean_uncapped
+    return absent, a_only, clean
 
 
 # --- file layer: one line at a time ------------------------------------------------

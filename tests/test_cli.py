@@ -207,6 +207,24 @@ def test_validate_weighted_file_census_only(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("cycles")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["partition-stats", "--w", "2", "--trials", "0"], "need trials >= 1, got trials=0"),
+        (["partition-stats", "--w", "2", "--trials", "-5"], "need trials >= 1, got trials=-5"),
+        (["stochastic-stats", "--c", "1", "--trials", "0"], "need trials >= 1, got trials=0"),
+        (["stochastic-stats", "--c", "1", "--w", "3"], "need even w >= 2"),
+        (["stochastic-stats", "--c", "1", "--w", "-4"], "need even w >= 2"),
+    ],
+)
+def test_suite_parameter_errors_are_usage_errors(tmp_path, capsys, recwarn, argv, message):
+    assert run_cli(*argv, "--out", str(tmp_path / "rows.csv")) == 2
+    err = capsys.readouterr().err
+    assert err.rstrip() == f"error: {message}"
+    assert not recwarn.list
+    assert not (tmp_path / "rows.csv").exists()
+
+
 # --- experiment CSV behavior -------------------------------------------------------
 
 

@@ -31,6 +31,7 @@ from oracles import (
     component_census,
     reference_blocks_conditioned,
     reference_dhx,
+    reference_auxiliary_edges,
     reference_dhx_segment,
     reference_segments_conditioned,
     union_find_census,
@@ -356,6 +357,20 @@ def test_pad_rejects_bad_targets():
         pad_to_k(inst, 10)  # would need core k=10, not 7
     with pytest.raises(ValueError):
         pad_to_k(inst, 6)  # core would be k=4
+
+
+@pytest.mark.parametrize("k", [4, 5, 6, 7, 9, 10, 13])
+@pytest.mark.parametrize("m", [1, 2, 3, 17, 256])
+def test_auxiliary_edges_match_per_closer_loop(k, m):
+    for width in (2 * m, 2 * m + 6):
+        assert auxiliary_edges_for(k, m, width) == reference_auxiliary_edges(k, m, width)
+
+
+@pytest.mark.parametrize("pad", [1, 2])
+def test_padded_closers_match_per_closer_loop(pad):
+    core = sample_ngc(4 * 7 * 3, 7, SEED.child("padloop", pad))
+    padded = pad_to_k(core, 7 + pad)
+    assert padded.auxiliary_edges == reference_auxiliary_edges(7 + pad, core.m, core.width)
 
 
 def test_pad_rewires_auxiliary_edges():

@@ -2,9 +2,13 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ngc_lab import experiments
 from ngc_lab.distributions import (
     sample_dhx,
     sample_dhx_segment,
@@ -33,6 +37,8 @@ from ngc_lab.experiments import (
 from ngc_lab.gadgets import parity
 from ngc_lab.seeds import master_seed
 from ngc_lab.stats import binomial_check
+
+from oracles import reference_partition_counts, reference_stochastic_counts
 
 SEED = master_seed(20_250_815)
 
@@ -121,6 +127,33 @@ def test_partition_stats_tail_row():
 def test_partition_stats_tail_row_validation():
     with pytest.raises(ValueError):
         partition_stats_suite(64, 10, seed=1, tail_blocks=0)
+
+
+# batch sizes from one trial per batch up to every trial in one batch
+BATCH_ELEMENTS = st.one_of(st.integers(1, 64), st.integers(1, 5000))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([2, 4, 6, 8, 200, 256]),
+    st.integers(1, 24),
+    st.integers(0, 2**32),
+    BATCH_ELEMENTS,
+)
+def test_partition_counts_match_object_trials(w, trials, seed, batch_elements):
+    with mock.patch.object(experiments, "_BATCH_ELEMENTS", batch_elements):
+        got = experiments._partition_counts(w, trials, master_seed(seed))
+    assert got == reference_partition_counts(w, trials, master_seed(seed))
+
+
+def test_partition_counts_match_object_trials_where_the_cap_binds():
+    # w = 200: w_c = 2, and in these trials sigma(1) is twice a clean index
+    # beyond the first two
+    root = SEED.child("cap", 0)
+    with mock.patch.object(experiments, "_BATCH_ELEMENTS", 40 * 6 * 200):
+        got = experiments._partition_counts(200, 150, root)
+    assert got == reference_partition_counts(200, 150, root)
+    assert got[2:] == (1, 3)
 
 
 def test_partition_stats_rejects_odd_width():
@@ -242,6 +275,30 @@ def test_stochastic_stats_suite_floors():
     absent_true = (1 - 1 / 112) ** 56
     assert abs(by_metric["absent_prob"].value - absent_true) < 0.03
     assert by_metric["clean_prob"].value >= 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([0.05, 0.5, 1.0, 2.5]),
+    st.sampled_from([2, 4, 16, 64]),
+    st.integers(1, 24),
+    st.integers(0, 2**32),
+    BATCH_ELEMENTS,
+)
+def test_stochastic_counts_match_object_trials(c, w, trials, seed, batch_elements):
+    with mock.patch.object(experiments, "_BATCH_ELEMENTS", batch_elements):
+        got = experiments._stochastic_counts(c, trials, w, master_seed(seed))
+    assert got == reference_stochastic_counts(c, trials, w, master_seed(seed))
+
+
+def test_stochastic_stats_rejects_bad_width_and_trials():
+    for w in (3, 0, -4):
+        with pytest.raises(ValueError, match="need even w >= 2"):
+            stochastic_stats_suite(1.0, 10, seed=1, w=w)
+    with pytest.raises(ValueError, match="need trials >= 1"):
+        stochastic_stats_suite(1.0, 0, seed=1)
+    with pytest.raises(ValueError, match="need trials >= 1"):
+        partition_stats_suite(2, -5, seed=1)
 
 
 def test_stochastic_stats_requires_positive_rate():

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import chain
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,11 +26,17 @@ from ngc_lab.partitions import (
     assign_uniform,
     clean_indices,
     clean_indices_stochastic,
+    clean_masks,
     constant_partition_functions,
+    core_columns,
+    function_index_table,
     index_edges,
     index_ownership_pattern,
     random_partition_functions,
+    sample_counts,
+    seen_counts,
     stochastic_assign,
+    stochastic_owners,
 )
 from ngc_lab.seeds import master_seed
 from ngc_lab.stats import binomial_check, chi_square_uniform
@@ -465,6 +473,74 @@ def test_function_routes_match_references(inst, seed):
     for block in range(1, inst.t + 1):
         for j in range(1, inst.width + 1):
             assert index_edges(inst, block, j) == reference_index_edges(inst, block, j)
+
+
+def _report_sets(report):
+    return [(e.clean, e.clean_uncapped) for e in report.entries]
+
+
+def _mask_sets(clean, capped):
+    """Per block, (capped, uncapped) 1-based clean indices of one trial's masks."""
+    return [
+        (tuple((c.nonzero()[0] + 1).tolist()), tuple((u.nonzero()[0] + 1).tolist()))
+        for u, c in zip(clean, capped)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_instances(), st.integers(0, 2**32), st.integers(1, 4))
+def test_function_slots_give_the_ownership_pattern_and_clean_sets(inst, seed, trials):
+    w, t = inst.width, inst.t
+    table = function_index_table(w, t)
+    Fs = [random_partition_functions(w, t, seed + i) for i in range(trials)]
+    slots = np.array([list(chain(*F.fL, *F.fM, *F.fR)) for F in Fs])
+    for F, row in zip(Fs, slots):
+        assignment = assign_by_functions(inst, F, seed)
+        for block in range(1, t + 1):
+            for j in range(1, w + 1):
+                want = index_ownership_pattern(inst, assignment, block, j)
+                assert tuple(row[table[block - 1, j - 1]].tolist()) == want
+    clean, capped = clean_masks(slots, table, max(1, w // 100))
+    for i, F in enumerate(Fs):
+        assert _mask_sets(clean[i], capped[i]) == _report_sets(reference_clean_indices(inst, F, seed))
+
+
+@settings(max_examples=30, deadline=None)
+@given(block_instances(), st.integers(1, 4), st.randoms(use_true_random=False))
+def test_batched_stochastic_clean_matches_each_assignment(inst, trials, rnd):
+    # samples built to make clean indices common: each index's six edges get
+    # the clean sightings half the time, other edges a random sighting, and
+    # draws come reversed and repeated
+    edges = inst.all_edges()
+    plans = []
+    for _ in range(trials):
+        sight = {canon(e): rnd.choice(["a", "b", "ab", ""]) for e in edges}
+        for block in range(1, inst.t + 1):
+            for j in range(1, inst.width + 1):
+                if rnd.random() < 0.5:
+                    into, mid, out = index_edges(inst, block, j)
+                    sight.update({e: "b" for e in into + out})
+                    sight.update({e: "a" for e in mid})
+        samples = []
+        for player in "ab":
+            drawn = [e[::-1] if rnd.random() < 0.3 else e for e in edges if player in sight[canon(e)]]
+            drawn += rnd.choices(drawn, k=len(drawn) // 3) if drawn else []
+            rnd.shuffle(drawn)
+            samples.append(tuple(drawn))
+        plans.append(EdgeAssignment(mode="stochastic", players=2, samples=tuple(samples), c=0.0))
+    longest = max(len(s) for a in plans for s in a.samples)
+    columns = np.full((trials, 2, longest), -1)
+    for i, a in enumerate(plans):
+        for player, sample in enumerate(a.samples):
+            if sample:
+                columns[i, player, : len(sample)] = core_columns(inst, np.array(sample))
+    counts = seen_counts(columns, len(inst.graph._targets))
+    w_c = max(1, inst.width // 2)  # the stochastic cap at c = 0
+    clean, capped = clean_masks(stochastic_owners(counts), inst.graph._index_table, w_c)
+    for i, a in enumerate(plans):
+        assert (counts[i] == sample_counts(inst, a)).all()
+        want = reference_clean_indices_stochastic(inst, a)
+        assert _mask_sets(clean[i], capped[i]) == _report_sets(want)
 
 
 @settings(max_examples=120, deadline=None)
