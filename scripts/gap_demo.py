@@ -50,9 +50,7 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"(n, k) = ({n}, {k});  m = {m} gadget pairs, {t} blocks deep\n")
     for theta in (0, 1):
-        inst = sample_hybrid(
-            m, t, m if theta == 0 else 0, seed=args.seed + theta, with_auxiliary=True
-        )
+        inst = sample_hybrid(m, t, m if theta == 0 else 0, seed=args.seed + theta)
         census = validate_instance(inst)
         edges = inst.all_edges()
         weighted = mst_augment(inst, args.W)

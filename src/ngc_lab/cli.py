@@ -166,26 +166,18 @@ def cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         m = ngc_shape(n, k)
     except ValueError as exc:
         parser.error(str(exc))
-    pad = 0
-    core_k = k
-    if k % 3 != 1:
-        if not args.pad:
-            parser.error(
-                f"k={k} is not of the form 3t+1; pass --pad to fill the gap "
-                "with identity layers"
-            )
-        core_k = 3 * ((k - 1) // 3) + 1
-        pad = k - core_k
-    t = (core_k - 1) // 3
+    core_k = k - (k - 1) % 3
+    if core_k != k and not args.pad:
+        parser.error(
+            f"k={k} is not of the form 3t+1; pass --pad to fill the gap with identity layers"
+        )
     seed = master_seed(args.seed)
     if args.theta is None:
         inst = sample_ngc(4 * core_k * m, core_k, seed)
     else:
         # hybrid endpoints are exactly the theta-conditioned draws
-        h = m if args.theta == 0 else 0
-        inst = sample_hybrid(m, t, h, seed, with_auxiliary=True)
-    if pad:
-        inst = pad_to_k(inst, k)
+        inst = sample_hybrid(m, (core_k - 1) // 3, m if args.theta == 0 else 0, seed)
+    inst = pad_to_k(inst, k)
     text = serialize_instance(inst, reveal=args.reveal)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

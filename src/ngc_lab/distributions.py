@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -110,33 +111,70 @@ def crossing_parity(gadgets: Iterable[tuple[Sequence[int], Sequence[int]]], grou
 
 @dataclass(frozen=True)
 class NgcInstance:
-    n: int
-    k: int
-    m: int
-    t: int
-    theta: int | None
-    graph: GroupLayeredGraph
-    witness: Witness
-    auxiliary_edges: tuple[Edge, ...]
-    weights: dict[Edge, int] | None = None
-    batches: tuple[tuple[Edge, Edge], ...] | None = None
-    extra_edges: tuple[Edge, ...] = ()
-    s: int | None = None
+    """A witness at depth k, plus closers on the first m groups.
 
-    @property
-    def width(self) -> int:
-        return self.graph.width
+    The witness fixes the core (depth ``core_k``); depth k puts k - core_k
+    identity layers in front of it.  theta is recorded only at the hybrid
+    endpoints; weights and extra edges are the MST augmentation's.  The
+    sizes, the graph, the closers and the batches are read off these five
+    fields, the graph on first use.
+    """
+
+    k: int
+    theta: int | None
+    witness: Witness
+    weights: dict[Edge, int] | None = None
+    extra_edges: tuple[Edge, ...] = ()
 
     @property
     def form(self) -> str:
         return self.witness.form
 
     @property
+    def t(self) -> int:
+        return len(self.witness.Sigma[0] if self.form == "segment" else self.witness.Sigma)
+
+    @property
+    def s(self) -> int | None:
+        return len(self.witness.Sigma) if self.form == "segment" else None
+
+    @property
+    def width(self) -> int:
+        first = self.witness.Sigma[0]
+        return len(first[0] if self.form == "segment" else first)
+
+    @property
+    def m(self) -> int:
+        return self.width // 2
+
+    @property
+    def n(self) -> int:
+        return 2 * self.width * self.k
+
+    @property
     def core_k(self) -> int:
-        if self.form == "block":
+        if self.s is None:
             return 3 * self.t + 1
-        assert self.s is not None
         return (2 * self.t + 1) * self.s + 1
+
+    @cached_property
+    def graph(self) -> GroupLayeredGraph:
+        """k - core_k identity layers, then the witness's core."""
+        core, w = self.witness.build(), self.width
+        ident = MatchingSpec(identity_perm(w), (0,) * w)
+        return GroupLayeredGraph(w, (ident,) * (self.k - self.core_k) + core.matchings)
+
+    @cached_property
+    def auxiliary_edges(self) -> tuple[Edge, ...]:
+        return auxiliary_edges_for(self.k, self.m, self.width)
+
+    @cached_property
+    def batches(self) -> tuple[tuple[Edge, Edge], ...] | None:
+        """Segment form: consecutive core edges (one group-transition each), then closers, in pairs."""
+        if self.s is None:
+            return None
+        edges = [*to_edges(self.graph), *self.auxiliary_edges]
+        return tuple(zip(edges[0::2], edges[1::2]))
 
     def all_edges(self) -> list[Edge]:
         """Core edges, then auxiliary closers, then any augmentation edges."""
@@ -175,9 +213,7 @@ def _uniform_witness(form: str, w: int, s: int, t: int, seed: Seed | int | None)
     return Witness.from_gadgets(form, xs, _perms(rng, w, s * t), t)
 
 
-def _hybrid(
-    rng: random.Random, m: int, s: int | None, t: int, h: int, with_auxiliary: bool
-) -> NgcInstance:
+def _hybrid(rng: random.Random, m: int, s: int | None, t: int, h: int) -> NgcInstance:
     """Hybrid h on the block (s None) or segment family, drawn from rng.
 
     Every permutation and cross vector is uniform, then the last gadget's bit
@@ -200,20 +236,7 @@ def _hybrid(
         last_x[last_sigma[j - 1] - 1] = int(j > h) ^ crossing_parity(head, j)
     xs = [tuple(x) for x in xs]
     witness = Witness.from_gadgets("block" if s is None else "segment", xs, sigmas, t)
-    instance = NgcInstance(
-        n=4 * k * m,
-        k=k,
-        m=m,
-        t=t,
-        theta=0 if h == m else (1 if h == 0 else None),
-        graph=witness.build(),
-        witness=witness,
-        auxiliary_edges=auxiliary_edges_for(k, m, w) if with_auxiliary else (),
-        s=s,
-    )
-    if s is None:
-        return instance
-    return replace(instance, batches=_rebatch(instance))
+    return NgcInstance(k, 0 if h == m else (1 if h == 0 else None), witness)
 
 
 def ngc_shape(n: int, k: int) -> int:
@@ -238,22 +261,17 @@ def sample_ngc(n: int, k: int, seed: Seed | int | None = None) -> NgcInstance:
     m = ngc_shape(n, k)
     rng = as_seed(seed).rng()
     theta = rng.randrange(2)
-    return _hybrid(rng, m, None, (k - 1) // 3, 0 if theta else m, with_auxiliary=True)
+    return _hybrid(rng, m, None, (k - 1) // 3, 0 if theta else m)
 
 
-def sample_hybrid(
-    m: int,
-    t: int,
-    h: int,
-    seed: Seed | int | None = None,
-    with_auxiliary: bool = False,
-) -> NgcInstance:
+def sample_hybrid(m: int, t: int, h: int, seed: Seed | int | None = None) -> NgcInstance:
     """Interpolation step h: parity 0 for groups j <= h, parity 1 for h < j <= m.
 
     h=0 reproduces the theta=1 branch and h=m the theta=0 branch; intermediate
-    h mixes them groupwise.  theta is recorded only at the endpoints.
+    h mixes them groupwise.  theta is recorded only at the endpoints.  Like
+    every instance, a hybrid closes its first m groups with auxiliary edges.
     """
-    return _hybrid(as_seed(seed).rng(), m, None, t, h, with_auxiliary)
+    return _hybrid(as_seed(seed).rng(), m, None, t, h)
 
 
 def sample_dhx(
@@ -279,16 +297,6 @@ def sample_dhx_segment(
     return witness.build(), witness
 
 
-def _rebatch(instance: NgcInstance) -> tuple[tuple[Edge, Edge], ...]:
-    """Pair consecutive core edges (one group-transition each) plus a/b closers."""
-    core = to_edges(instance.graph)
-    assert len(core) % 2 == 0
-    batches = [(core[i], core[i + 1]) for i in range(0, len(core), 2)]
-    aux = instance.auxiliary_edges
-    batches.extend((aux[i], aux[i + 1]) for i in range(0, len(aux), 2))
-    return tuple(batches)
-
-
 def sample_ngc_batched(
     n: int, k: int, s: int, t: int, seed: Seed | int | None = None
 ) -> NgcInstance:
@@ -303,27 +311,23 @@ def sample_ngc_batched(
     m = ngc_shape(n, k)
     rng = as_seed(seed).rng()
     theta = rng.randrange(2)
-    return _hybrid(rng, m, s, t, 0 if theta else m, with_auxiliary=True)
+    return _hybrid(rng, m, s, t, 0 if theta else m)
 
 
 def sample_hybrid_batched(
-    m: int,
-    s: int,
-    t: int,
-    h: int,
-    seed: Seed | int | None = None,
-    with_auxiliary: bool = False,
+    m: int, s: int, t: int, h: int, seed: Seed | int | None = None
 ) -> NgcInstance:
-    """Batched counterpart of sample_hybrid on the multi-segment family."""
-    return _hybrid(as_seed(seed).rng(), m, s, t, h, with_auxiliary)
+    """Batched counterpart of sample_hybrid on the multi-segment family, closers batched too."""
+    return _hybrid(as_seed(seed).rng(), m, s, t, h)
 
 
 def pad_to_k(instance: NgcInstance, k: int) -> NgcInstance:
-    """Stretch an instance to depth k by prepending identity layers.
+    """The same instance at depth k: k - core_k identity layers before the core.
 
-    k = core+1 or core+2 handles every k >= 4 (k mod 3 = 2 or 0); k = core is
-    the identity.  Group structure and parities are untouched, auxiliary edges
-    are rewired to span the new depth, so cycle lengths land exactly on k.
+    k = core+1 or core+2 handles every k >= 4 (k mod 3 = 2 or 0); k equal to
+    the instance's depth returns it unchanged.  Group structure and parities
+    are untouched, and the closers and batches, read off k, span the new
+    depth, so cycle lengths land exactly on k.
     """
     if k < 4:
         raise ValueError("padding target k must be >= 4")
@@ -336,22 +340,7 @@ def pad_to_k(instance: NgcInstance, k: int) -> NgcInstance:
         raise ValueError(
             f"cannot pad core k={instance.k} to k={k}: only 1 or 2 identity layers"
         )
-    w = instance.width
-    ident = MatchingSpec(identity_perm(w), (0,) * w)
-    graph = GroupLayeredGraph(w, (ident,) * pad + instance.graph.matchings)
-    aux = (
-        auxiliary_edges_for(k, instance.m, w) if instance.auxiliary_edges else ()
-    )
-    padded = replace(
-        instance,
-        n=2 * w * k,
-        k=k,
-        graph=graph,
-        auxiliary_edges=aux,
-    )
-    if instance.batches is not None:
-        padded = replace(padded, batches=_rebatch(padded))
-    return padded
+    return replace(instance, k=k)
 
 
 def mst_augment(instance: NgcInstance, W: int) -> NgcInstance:
@@ -365,8 +354,6 @@ def mst_augment(instance: NgcInstance, W: int) -> NgcInstance:
     """
     if not isinstance(W, int) or W < 2:
         raise ValueError("weight W must be an integer >= 2")
-    if not instance.auxiliary_edges:
-        raise ValueError("mst_augment needs the auxiliary closing edges")
     m, w, k = instance.m, instance.width, instance.k
     if m < 2:
         warnings.warn("m=1 makes the MST gap degenerate (W multiplier is m-1=0)")

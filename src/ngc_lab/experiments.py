@@ -151,6 +151,13 @@ def _finish(rows: list[Row], failures: list[str]) -> SuiteResult:
     return SuiteResult(tuple(rows), not failures, tuple(failures))
 
 
+def _check_trials(**budgets: int) -> None:
+    """Reject a trial budget below one, by name, before any draw."""
+    for name, count in budgets.items():
+        if count < 1:
+            raise ValueError(f"need {name} >= 1, got {name}={count}")
+
+
 # --- structural census ------------------------------------------------------------
 
 
@@ -177,6 +184,7 @@ def census_suite(
     is restated at the padded k).  The check is exact: any deviation in cycle
     or path multiplicities fails the suite.
     """
+    _check_trials(trials=trials)
     root = as_seed(seed)
     ok = 0
     for i in range(trials):
@@ -231,8 +239,7 @@ def _trial_batches(trials: int, per_trial: int) -> Iterator[range]:
 def _check_width_and_trials(w: int, trials: int) -> None:
     if w < 2 or w % 2:
         raise ValueError("need even w >= 2")
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got trials={trials}")
+    _check_trials(trials=trials)
 
 
 def _partition_counts(w: int, trials: int, root: Seed) -> tuple[list[int], int, int, int]:
@@ -433,6 +440,7 @@ def reduce_check_suite(
     law, the even hybrid mixture, which at m=1 is uniform over all width-2
     witnesses.
     """
+    _check_trials(trials=trials)
     root = as_seed(seed)
     rng = root.child("claim").rng()
     suite = "reduce-check"
@@ -514,6 +522,7 @@ def stream_run_suite(
     mode: str = "uniform_random",
 ) -> SuiteResult:
     """Exact census recovery and the count-based theta decision over streams."""
+    _check_trials(trials=trials)
     root = as_seed(seed)
     suite = "stream-run"
     params = _params(n=n, k=k, mode=mode)
@@ -559,6 +568,7 @@ def adapter_suite(
     players shuffling their halves, the induced arrival order of a small edge
     set is uniform over all |E|! interleavings (chi-square).
     """
+    _check_trials(trials=trials, order_trials=order_trials)
     root = as_seed(seed)
     suite = "adapter"
     params = _params(n=n, k=k, edges=order_edges)
@@ -615,6 +625,7 @@ def l_player_suite(
     seed: Seed | int | None = None,
 ) -> SuiteResult:
     """Relay the census state through l players holding batched edge shares."""
+    _check_trials(trials=trials)
     root = as_seed(seed)
     suite = "l-player"
     params = _params(n=n, k=k, s=s, t=t, l=l)
@@ -648,6 +659,7 @@ def estimator_suite(
     seed: Seed | int | None = None,
 ) -> SuiteResult:
     """Bounded-memory component-count estimation on a disjoint triangle union."""
+    _check_trials(trials=trials)
     if vertices % 3:
         raise ValueError("vertices must be a multiple of 3")
     root = as_seed(seed)
@@ -686,6 +698,7 @@ def estimator_budget_curve(
     exact-census baseline (advantage 1 by construction).  Reported as a curve;
     the suite never fails on the estimator's accuracy.
     """
+    _check_trials(trials=trials)
     root = as_seed(seed)
     suite = "estimator-curve"
     rows: list[Row] = []
@@ -721,6 +734,7 @@ def bob_only_suite(
     n: int, k: int, trials: int, seed: Seed | int | None = None
 ) -> SuiteResult:
     """Zero-communication detection: Bob alone looks for a surviving long cycle."""
+    _check_trials(trials=trials)
     root = as_seed(seed)
     suite = "bob-only"
     params = _params(n=n, k=k)
@@ -832,6 +846,7 @@ def walk_cover_suite(
     ``method="objects"`` runs real walks on the edge lists — ruinously slower,
     meant for cross-checking at small budgets.
     """
+    _check_trials(trials=trials)
     if method not in ("fast", "objects"):
         raise ValueError(f"unknown method {method!r}")
     root = as_seed(seed)
@@ -972,6 +987,7 @@ def combinatorial_suite(
     ceil(v/2) on paths for the independent set), so the theta-conditioned law
     pins both numbers exactly.
     """
+    _check_trials(trials=trials)
     root = as_seed(seed)
     suite = "combinatorial"
     params = _params(n=n, k=k)
@@ -1007,6 +1023,7 @@ def mst_suite(
     seed: Seed | int | None = None,
 ) -> SuiteResult:
     """Weighted-augmentation separation: MST weight n-1 vs >= n-m+W(m-1)."""
+    _check_trials(trials=trials)
     root = as_seed(seed)
     suite = "mst"
     params = _params(n=n, k=k, W=weight)

@@ -54,7 +54,7 @@ def serialize_instance(instance: NgcInstance, reveal: bool = False) -> str:
     theta_tok = "?" if (not reveal or instance.theta is None) else str(instance.theta)
     param = (
         f"param n={instance.n} k={instance.k} w={instance.width}"
-        f" d={instance.graph.depth} theta={theta_tok} m={instance.m}"
+        f" d={instance.k} theta={theta_tok} m={instance.m}"
         f" form={instance.form} t={instance.t}"
     )
     if instance.s is not None:

@@ -353,32 +353,23 @@ class SegmentReport:
 
 
 def active_segments(
-    instance: NgcInstance,
-    assignment: EdgeAssignment,
-    s: int | None = None,
-    t: int | None = None,
-    l: int | None = None,
+    instance: NgcInstance, assignment: EdgeAssignment
 ) -> tuple[SegmentReport, ...]:
     """Per segment: activity, the activating position/group, and good groups.
 
     Segment i is active iff some group at one of its even layers (local layer
     2a, a in [t]) has its outgoing batch owned by player beta and incoming by
     alpha with window(i) containing beta < alpha, where window(i) is the i-th
-    run of l/s consecutive players.  First (a, j) in lexicographic order sets
-    (a*, alpha, beta); good groups are the *other* groups with the same
-    (out, in) owner pair at that layer.
+    run of l/s consecutive players (l the assignment's player count, s and t
+    the instance's).  First (a, j) in lexicographic order sets (a*, alpha,
+    beta); good groups are the *other* groups with the same (out, in) owner
+    pair at that layer.
     """
-    if instance.form != "segment" or instance.s is None:
+    if instance.form != "segment":
         raise ValueError("active_segments needs a segment-form instance")
     if assignment.mode != "l_player" or assignment.batch_owners is None:
         raise ValueError("active_segments needs a batched assignment")
-    s = instance.s if s is None else s
-    t = instance.t if t is None else t
-    l = assignment.players if l is None else l
-    if (s, t) != (instance.s, instance.t):
-        raise ValueError("s/t disagree with the instance")
-    if l != assignment.players:
-        raise ValueError("l disagrees with the assignment")
+    s, t, l = instance.s, instance.t, assignment.players
     if l % s != 0:
         raise ValueError(f"player count l={l} not divisible by segment count s={s}")
     w = instance.width

@@ -499,9 +499,7 @@ def pair_advantage(
         branch = root.child("trial", trial)
         rng = branch.child("coin").rng()
         b = rng.randrange(2)
-        instance = sample_hybrid(
-            m, t, h_one if b else h_zero, seed=branch.child("draw"), with_auxiliary=True
-        )
+        instance = sample_hybrid(m, t, h_one if b else h_zero, seed=branch.child("draw"))
         assignment = assign_uniform(
             instance.all_edges(), 2, seed=branch.child("split")
         )

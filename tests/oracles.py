@@ -433,6 +433,45 @@ def reference_auxiliary_edges(k: int, m: int, width: int):
     return tuple(out)
 
 
+def reference_instance_parts(instance) -> dict:
+    """An instance's derived parts, built eagerly as instances once stored them.
+
+    The witness's concat-chain core with k - core_k identity layers glued in
+    front, the per-closer loop, consecutive pairs of core edges and then of
+    closers for a segment-form instance, and the sizes counted off the
+    witness grid.
+    """
+    wit = instance.witness
+    if wit.form == "block":
+        core, t, s = reference_multi_block(wit.X, wit.Sigma), len(wit.Sigma), None
+        core_k = 3 * t + 1
+    else:
+        core, s, t = reference_multi_segment(wit.X, wit.Sigma), len(wit.Sigma), len(wit.Sigma[0])
+        core_k = (2 * t + 1) * s + 1
+    w, k = core.width, instance.k
+    graph = core
+    for _ in range(k - core_k):
+        graph = concat(graph_of(make_xor_matching((0,) * w)), graph)
+    core_edges = to_edges(graph)
+    aux = reference_auxiliary_edges(k, w // 2, w)
+    batches = None
+    if s is not None:
+        batches = tuple((core_edges[i], core_edges[i + 1]) for i in range(0, len(core_edges), 2))
+        batches += tuple((aux[i], aux[i + 1]) for i in range(0, len(aux), 2))
+    return {
+        "graph": graph,
+        "batches": batches,
+        "auxiliary_edges": aux,
+        "all_edges": [*core_edges, *aux, *instance.extra_edges],
+        "n": 2 * w * k,
+        "m": w // 2,
+        "t": t,
+        "s": s,
+        "width": w,
+        "core_k": core_k,
+    }
+
+
 # --- partition layer: the per-element routes --------------------------------------
 
 

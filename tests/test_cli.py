@@ -215,6 +215,25 @@ def test_validate_weighted_file_census_only(tmp_path, capsys):
         (["stochastic-stats", "--c", "1", "--trials", "0"], "need trials >= 1, got trials=0"),
         (["stochastic-stats", "--c", "1", "--w", "3"], "need even w >= 2"),
         (["stochastic-stats", "--c", "1", "--w", "-4"], "need even w >= 2"),
+        *(
+            (["stream-run", "--check", check, *shape, "--trials", "0"], "need trials >= 1, got trials=0")
+            for check, shape in (
+                ("census", ["--n", "56", "--k", "7"]),
+                ("relay", ["--n", "120", "--k", "15", "--s", "2", "--t", "3", "--l", "4"]),
+                ("adapter", ["--n", "56", "--k", "7"]),
+                ("combinatorial", ["--n", "56", "--k", "7"]),
+                ("mst", ["--n", "56", "--k", "7", "--W", "5"]),
+                ("bob-only", ["--n", "56", "--k", "7"]),
+                ("estimator", ["--n", "30", "--epsilon", "0.1", "--r", "5"]),
+                ("curve", ["--n", "56", "--k", "7", "--epsilon", "0.1", "--budgets", "2,3"]),
+            )
+        ),
+        (
+            ["stream-run", "--check", "adapter", "--n", "56", "--k", "7", "--order-trials", "0"],
+            "need order_trials >= 1, got order_trials=0",
+        ),
+        (["walk-cover", "--k", "4", "--walks", "10", "--trials", "0"], "need trials >= 1, got trials=0"),
+        (["reduce-check", "--m", "1", "--t", "1", "--trials", "0"], "need trials >= 1, got trials=0"),
     ],
 )
 def test_suite_parameter_errors_are_usage_errors(tmp_path, capsys, recwarn, argv, message):
@@ -315,6 +334,35 @@ def test_suite_parameter_errors_are_usage_errors(tmp_path, capsys, recwarn, argv
             0,
             "131cc0a604e87c820c51be2aefb201b40fc756da723a4d138958cd962ea5b37c",
             id="stream-run-census",
+        ),
+        # recorded before instances read their graph, closers and batches off
+        # the witness at depth k
+        pytest.param(
+            [
+                "stream-run", "--check", "adapter", "--n", "56", "--k", "7",
+                "--trials", "20", "--order-trials", "2400",
+            ],
+            0,
+            "0ee804d9e724f0b33097c412f5bc45523760983df902f57198596ba9dc0d0f68",
+            id="stream-run-adapter",
+        ),
+        pytest.param(
+            ["stream-run", "--check", "mst", "--n", "56", "--k", "7", "--W", "5", "--trials", "20"],
+            0,
+            "a9362f1bb291dbfe6a73185cb67afd005a58a4a5c730c396b2de5ae46b259fea",
+            id="stream-run-mst",
+        ),
+        pytest.param(
+            ["stream-run", "--check", "bob-only", "--n", "4096", "--k", "4", "--trials", "30"],
+            0,
+            "c3cbc5e41a0631d14c4c08f6e1e78c5c8de740f1324695ee81dd67005488af2e",
+            id="stream-run-bob-only",
+        ),
+        pytest.param(
+            ["walk-cover", "--k", "4", "--walks", "400", "--trials", "20"],
+            0,
+            "9501c84063a4c0658055eec0353d04c7887be439819d2eec7146ed12a6e8e891",
+            id="walk-cover-fast",
         ),
     ],
 )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from itertools import permutations, product
 
 import pytest
@@ -33,6 +34,7 @@ from oracles import (
     reference_dhx,
     reference_auxiliary_edges,
     reference_dhx_segment,
+    reference_instance_parts,
     reference_segments_conditioned,
     union_find_census,
     witness_parity,
@@ -198,10 +200,10 @@ def test_determinism():
 
 def test_hybrid_endpoints_match_theta_branches():
     for i in range(10):
-        h0 = sample_hybrid(2, 2, 0, SEED.child("h0", i), with_auxiliary=True)
+        h0 = sample_hybrid(2, 2, 0, SEED.child("h0", i))
         assert h0.theta == 1
         assert_census_law(h0)
-        hm = sample_hybrid(2, 2, 2, SEED.child("hm", i), with_auxiliary=True)
+        hm = sample_hybrid(2, 2, 2, SEED.child("hm", i))
         assert hm.theta == 0
         assert_census_law(hm)
 
@@ -383,6 +385,32 @@ def test_pad_rewires_auxiliary_edges():
         assert vertex_from_id(v, w).layer == 1
 
 
+@st.composite
+def derived_instances(draw):
+    """A block or segment hybrid, padded by 0-2 layers, with or without the MST augmentation."""
+    m, t, seed = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(0, 2**32))
+    h = draw(st.integers(0, m))
+    if draw(st.booleans()):
+        inst = sample_hybrid(m, t, h, seed)
+    else:
+        inst = sample_hybrid_batched(m, draw(st.integers(1, 2)), t, h, seed)
+    inst = pad_to_k(inst, inst.k + draw(st.integers(0, 2)))
+    if draw(st.booleans()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # m = 1 is degenerate, not wrong
+            inst = mst_augment(inst, draw(st.integers(2, 9)))
+    return inst
+
+
+@settings(max_examples=60, deadline=None)
+@given(derived_instances())
+def test_derived_parts_match_the_eager_build(inst):
+    want = reference_instance_parts(inst)
+    assert inst.all_edges() == want.pop("all_edges")
+    assert {name: getattr(inst, name) for name in want} == want
+    assert inst.graph.depth == inst.k
+
+
 # --- MST augmentation ---------------------------------------------------------
 
 
@@ -402,10 +430,7 @@ def test_mst_augment_structure():
     assert census.degree_violations != ()  # scaffolding adds degree-3 vertices
 
 
-def test_mst_augment_requires_auxiliary():
-    bare = sample_hybrid(2, 2, 1, SEED.child("mstbare"))
-    with pytest.raises(ValueError):
-        mst_augment(bare, 5)
+def test_mst_augment_rejects_weight_below_two():
     with pytest.raises(ValueError):
         mst_augment(sample_ngc(28, 7, SEED), 1)
 
@@ -446,10 +471,10 @@ def test_batched_rejects_bad_k():
 
 
 def test_batched_hybrid_endpoints():
-    h0 = sample_hybrid_batched(2, 2, 1, 0, SEED.child("bh0"), with_auxiliary=True)
+    h0 = sample_hybrid_batched(2, 2, 1, 0, SEED.child("bh0"))
     assert h0.theta == 1
     assert_census_law(h0)
-    hm = sample_hybrid_batched(2, 2, 1, 2, SEED.child("bhm"), with_auxiliary=True)
+    hm = sample_hybrid_batched(2, 2, 1, 2, SEED.child("bhm"))
     assert hm.theta == 0
     assert_census_law(hm)
 

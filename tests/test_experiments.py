@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ngc_lab import experiments
 from ngc_lab.distributions import (
+    Witness,
     sample_dhx,
     sample_dhx_segment,
     sample_ngc,
@@ -329,6 +330,17 @@ def test_walk_cover_dual_route_agreement():
     spread = 4 * math.sqrt(2 * (6 / 256) / min(rate_f.trials, rate_o.trials))
     assert abs(rate_f.value - rate_o.value) < spread
     assert fast.rows[0].value == 1.0 and objects.rows[0].value == 1.0
+
+
+def test_suites_that_read_only_the_witness_build_no_graph(monkeypatch):
+    builds = []
+    build = Witness.build
+    monkeypatch.setattr(Witness, "build", lambda witness: builds.append(witness) or build(witness))
+    assert partition_stats_suite(2, 50, seed=SEED.child("lazy")).rows
+    assert walk_cover_suite(4, 100, 5, seed=SEED.child("lazy"), method="fast").rows
+    assert builds == []
+    sample_ngc(56, 7, SEED.child("lazy")).all_edges()
+    assert len(builds) == 1  # the counter sees the build an edge list needs
 
 
 def test_walk_cover_rejects_unknown_method():

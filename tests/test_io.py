@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from ngc_lab.distributions import (
     mst_augment,
     pad_to_k,
     sample_hybrid,
+    sample_hybrid_batched,
     sample_ngc,
     sample_ngc_batched,
 )
@@ -56,7 +59,7 @@ def test_round_trip_revealed():
 
 
 def test_reveal_of_mid_hybrid_keeps_theta_hidden():
-    inst = sample_hybrid(3, 1, h=2, seed=4, with_auxiliary=True)
+    inst = sample_hybrid(3, 1, h=2, seed=4)
     text = serialize_instance(inst, reveal=True)
     parsed = parse_instance(text)
     assert "theta=?" in text.splitlines()[1]
@@ -92,6 +95,22 @@ def test_round_trip_padded():
         assert parsed.d == k
         assert parsed.witness == inst.witness
         assert parsed.edges == inst.all_edges()
+
+
+def test_revealed_files_match_pinned_digest():
+    # recorded before instances read their graph, closers and batches off the
+    # witness at depth k (the hybrids then asked for their closers)
+    instances = [
+        pad_to_k(sample_hybrid(3, 2, 1, 21), 9),
+        sample_ngc_batched(4 * 11 * 2, 11, 2, 2, 22),
+        pad_to_k(sample_ngc_batched(4 * 7 * 3, 7, 2, 1, 23), 8),
+        pad_to_k(sample_hybrid_batched(2, 1, 2, 1, 24), 8),
+        mst_augment(pad_to_k(sample_ngc(4 * 7 * 3, 7, 25), 8), 5),
+    ]
+    digest = hashlib.sha256()
+    for inst in instances:
+        digest.update(serialize_instance(inst, reveal=True).encode())
+    assert digest.hexdigest() == "91edf63c9b612c67cc353e1de8866e38dd82d1396f68029949477cc209b219f7"
 
 
 def test_byte_stability():

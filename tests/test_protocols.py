@@ -306,7 +306,7 @@ def test_trace_parity_protocol_reads_the_group_exactly():
     for h in range(1, m + 1):
         protocol = TraceParityProtocol(width, depth, h)
         for b, h_sample in ((1, h - 1), (0, h)):
-            inst = sample_hybrid(m, t, h_sample, seed=h * 31 + b, with_auxiliary=True)
+            inst = sample_hybrid(m, t, h_sample, seed=h * 31 + b)
             assignment = assign_uniform(inst.all_edges(), 2, seed=h * 37 + b)
             result = run_protocol(protocol, inst, assignment, seed=h * 41 + b)
             assert result.output == b
