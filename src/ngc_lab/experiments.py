@@ -14,16 +14,24 @@ route is not obvious from the code alone:
   image over the capped clean set by simulating the index-clean indicator
   directly (each index is clean with probability exactly 1/64, independently
   across indices, and the image is an independent uniform group id).  The
-  object-level route verifies those three facts at small width.
+  object-level route verifies those three facts at small width.  The
+  indicators are ``byte < 4`` of the generator's own bytes
+  (``seeds.replay_bytes``, exactly ``integers(0, 64, dtype=np.uint8) == 0``),
+  and only the draws whose image is clean, about one in 64, are ranked.
 
 * ``walk_cover_suite`` simulates walks started on a cycle as +/-1 increment
   sequences: on an L-cycle every vertex has exactly two neighbours, so the
   walk's position is a lazy-free simple random walk on Z/L, and it covers the
   cycle iff the running range of the increments reaches L-1.  Walks started on
   path components never produce a cycle certificate (their endpoints have
-  degree one), so only the cycle-started half of the budget matters.  The
-  object-level route (``method="objects"``) runs the same statistic with real
-  walks and real certificates; the test suite cross-checks the two routes.
+  degree one), so only the cycle-started half of the budget matters.  Each
+  step is the top bit of one generator byte (exactly
+  ``integers(0, 2, dtype=np.int8)``); a walk's steps pack into byte codes,
+  and a 256-entry table of each code's net, lowest and highest position folds
+  them into the walk's range.  The object-level route (``method="objects"``)
+  runs the same statistic with real walks and real certificates; the test
+  suite cross-checks the two routes, and checks both replays draw for draw
+  against the uint8 and int8 simulators they replaced.
 
 The object trials of ``partition_stats_suite`` and ``stochastic_stats_suite``
 are not simulated: each trial makes its own draws from its own seed path, and
@@ -79,7 +87,7 @@ from .protocols import (
     streaming_as_protocol,
     tvd,
 )
-from .seeds import Seed, as_seed, randrange_many
+from .seeds import Seed, as_seed, randrange_many, replay_bytes
 from .stats import binomial_check, chi_square_uniform, clopper_pearson
 from .streaming import (
     CensusThetaDecision,
@@ -228,6 +236,11 @@ def capped_activity_probability(w: int) -> Fraction:
 
 # array elements per batch of trials in the two object suites: bounds their memory
 _BATCH_ELEMENTS = 1 << 18
+# clean indicators per chunk of sigma(1) draws (a chunk's indicators and images
+# interleave in the stream, so the chunk is part of the rows), and walks per
+# chunk of simulated walks
+_SIGMA1_CHUNK = 20_000_000
+_WALK_CHUNK = 4_000_000
 
 
 def _trial_batches(trials: int, per_trial: int) -> Iterator[range]:
@@ -305,6 +318,8 @@ def partition_stats_suite(
     ln(w) with frequency at least 1 - 1/w^2.
     """
     _check_width_and_trials(w, trials)
+    if sigma1_trials is not None:
+        _check_trials(sigma1_trials=sigma1_trials)
     root = as_seed(seed)
     suite = "partition-stats"
     params = _params(w=w)
@@ -389,23 +404,26 @@ def _sigma1_rank_counts(w: int, w_c: int, trials: int, seed: Seed) -> list[int]:
 
     Simulates the index-clean indicators directly (iid, probability 1/64 per
     index) and an independent uniform image; restricts to draws whose clean
-    set has at least w_c members so every capped slot exists.
+    set has at least w_c members so every capped slot exists.  Each chunk
+    draws its indicators as ``integers(0, 64, dtype=np.uint8) == 0``, which is
+    ``byte < 4`` of the generator's own bytes (``replay_bytes``), then its
+    images with ``integers(0, w)``; only the rows whose sigma(1) index is
+    clean, about one in 64, are counted and ranked.
     """
     gen = seed.generator()
     counts = np.zeros(w_c, dtype=np.int64)
-    chunk = max(1, min(trials, 20_000_000 // max(w, 1)))
-    done = 0
-    while done < trials:
-        size = min(chunk, trials - done)
-        mask = gen.integers(0, 64, size=(size, w), dtype=np.uint8) == 0
+    chunk = max(1, min(trials, _SIGMA1_CHUNK // w))
+    for start in range(0, trials, chunk):
+        size = min(chunk, trials - start)
+        draws = replay_bytes(gen, size * w).reshape(size, w)
         sigma1 = gen.integers(0, w, size=size)
-        total = np.count_nonzero(mask, axis=1)
-        rows = np.flatnonzero(mask[np.arange(size), sigma1] & (total >= w_c))
+        active = np.flatnonzero(draws[np.arange(size), sigma1] < 4)
+        mask, sigma1 = draws[active] < 4, sigma1[active]
+        capped = np.count_nonzero(mask, axis=1) >= w_c
+        mask, sigma1 = mask[capped], sigma1[capped]
         # 0-based rank of sigma(1) among its row's clean indices
-        before = np.arange(w) < sigma1[rows, None]
-        rank = np.count_nonzero(mask[rows] & before, axis=1)
+        rank = np.count_nonzero(mask & (np.arange(w) < sigma1[:, None]), axis=1)
         counts += np.bincount(rank[rank < w_c], minlength=w_c)
-        done += size
     return counts.tolist()
 
 
@@ -801,8 +819,8 @@ def stochastic_stats_suite(
     player only] >= e^{-3c/2}, and Pr[a fixed index is clean] >= e^{-9c}.
     """
     _check_width_and_trials(w, trials)
-    if c <= 0:
-        raise ValueError("the bounds need c > 0")
+    if not 0 < c < math.inf:
+        raise ValueError(f"the bounds need a finite c > 0, got c={c}")
     root = as_seed(seed)
     suite = "stochastic-stats"
     params = _params(c=c, w=w)
@@ -846,7 +864,7 @@ def walk_cover_suite(
     ``method="objects"`` runs real walks on the edge lists — ruinously slower,
     meant for cross-checking at small budgets.
     """
-    _check_trials(trials=trials)
+    _check_trials(trials=trials, walks=walks)
     if method not in ("fast", "objects"):
         raise ValueError(f"unknown method {method!r}")
     root = as_seed(seed)
@@ -886,21 +904,47 @@ def walk_cover_suite(
     return _finish(rows, failures)
 
 
+def _byte_walk_table(steps: int) -> np.ndarray:
+    """(3, 256) int16: net, lowest and highest position of the walk a byte code spells.
+
+    Bit 7 of the code is the first step, a set bit +1 and a clear one -1, and
+    only the first ``steps`` bits count; the extremes include the start, 0.
+    """
+    bits = (np.arange(256)[:, None] >> np.arange(7, 7 - steps, -1)) & 1
+    pos = np.cumsum(2 * bits - 1, axis=1)
+    table = [pos[:, -1], np.minimum(pos.min(axis=1), 0), np.maximum(pos.max(axis=1), 0)]
+    return np.stack(table).astype(np.int16)
+
+
+# a byte code of 1..8 walk steps -> its (net, lowest, highest) position
+_BYTE_WALKS = {steps: _byte_walk_table(steps) for steps in range(1, 9)}
+
+
 def _fast_walk_coverage(walks: int, length: int, steps: int, seed: Seed) -> tuple[int, int]:
-    """(cycle-started walk count, covering walk count) via increment simulation."""
+    """(cycle-started walk count, covering walk count) via increment simulation.
+
+    Each chunk of walks draws its +/-1 steps as ``integers(0, 2, dtype=np.int8)``,
+    the top bit of one byte per step (``replay_bytes``).  A walk's bits pack
+    into ceil(steps/8) byte codes, and folding the codes' (net, lowest,
+    highest) positions left to right gives the walk's range.
+    """
+    if steps >= 1 << 15:
+        raise ValueError(f"walk positions are int16: need 2k < 2^15, got 2k={steps}")
     gen = seed.generator()
     on_cycle = int(gen.binomial(walks, 0.5))  # exactly half the vertices sit on cycles
+    codes_per_walk = -(-steps // 8)
     hits = 0
-    chunk = 4_000_000
-    remaining = on_cycle
-    while remaining > 0:
-        size = min(chunk, remaining)
-        inc = gen.integers(0, 2, size=(size, steps), dtype=np.int8) * 2 - 1
-        pos = np.cumsum(inc, axis=1, dtype=np.int8)
-        hi = np.maximum(pos.max(axis=1), 0)
-        lo = np.minimum(pos.min(axis=1), 0)
+    for start in range(0, on_cycle, _WALK_CHUNK):
+        size = min(_WALK_CHUNK, on_cycle - start)
+        draws = replay_bytes(gen, size * steps).reshape(size, steps)
+        bits = np.zeros((size, 8 * codes_per_walk), dtype=bool)
+        np.greater_equal(draws, 128, out=bits[:, :steps])
+        codes = np.packbits(bits).reshape(size, codes_per_walk)
+        pos, lo, hi = np.take(_BYTE_WALKS[min(8, steps)], codes[:, 0], axis=1)
+        for j in range(1, codes_per_walk):
+            net, low, high = np.take(_BYTE_WALKS[min(8, steps - 8 * j)], codes[:, j], axis=1)
+            lo, hi, pos = np.minimum(lo, pos + low), np.maximum(hi, pos + high), pos + net
         hits += int(np.count_nonzero(hi - lo + 1 >= length))
-        remaining -= size
     return on_cycle, hits
 
 

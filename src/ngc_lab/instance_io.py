@@ -63,18 +63,18 @@ def serialize_instance(instance: NgcInstance, reveal: bool = False) -> str:
     # every edge record in one %-format pass over the flattened fields
     edges = instance.all_edges()
     record, rows = "e %d %d", edges
-    if instance.weights is not None or instance.batches is not None:
-        canon_edges = list(map(canon, edges))
-        notes = []
-        if instance.weights is not None:
-            record += " w=%d"
-            notes.append(map(instance.weights.__getitem__, canon_edges))
-        if instance.batches is not None:
-            record += " b=%d"
-            batch_id = {canon(e): b for b, batch in enumerate(instance.batches) for e in batch}
-            notes.append(map(batch_id.__getitem__, canon_edges))
-        rows = [edge + note for edge, note in zip(edges, zip(*notes))]
-    text = f"{MAGIC}\n{param}\n" + (record + "\n") * len(rows) % tuple(chain.from_iterable(rows))
+    if instance.weights is not None:
+        record += " w=%d"
+        weights = map(instance.weights.__getitem__, map(canon, edges))
+        rows = [edge + (weight,) for edge, weight in zip(edges, weights)]
+    records = (record + "\n") * len(rows)
+    if instance.batches is not None:
+        # augmentation edges come last and belong to no batch: no b= on theirs
+        batch_id = {canon(e): b for b, batch in enumerate(instance.batches) for e in batch}
+        batched = len(rows) - len(instance.extra_edges)
+        rows = [row + (batch_id[canon(row[:2])],) for row in rows[:batched]] + rows[batched:]
+        records = (record + " b=%d\n") * batched + (record + "\n") * (len(rows) - batched)
+    text = f"{MAGIC}\n{param}\n" + records % tuple(chain.from_iterable(rows))
 
     if reveal:
         wit = instance.witness

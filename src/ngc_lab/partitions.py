@@ -400,10 +400,20 @@ def active_segments(
     return tuple(reports)
 
 
+# the most edges one player may draw under the stochastic model: every draw is
+# held as a Python int and an array element at once
+MAX_SAMPLE_SIZE = 1 << 20
+
+
 def sample_size(c: float, edge_count: int) -> int:
     """ceil(c|E|/2): how many edges each player draws under the stochastic model."""
-    if c < 0:
-        raise ValueError("need c >= 0")
+    if not 0 <= c < math.inf:
+        raise ValueError(f"need a finite c >= 0, got c={c}")
+    if c * edge_count / 2 > MAX_SAMPLE_SIZE:
+        raise ValueError(
+            f"c={c} on {edge_count} edges asks each player for more than"
+            f" {MAX_SAMPLE_SIZE} samples"
+        )
     return math.ceil(c * edge_count / 2)
 
 

@@ -4,8 +4,11 @@ Every sampler in the package takes a ``Seed``.  Two calls with the same
 (master, path) produce identical output; deriving children with distinct
 labels produces independent-looking streams.  Both a stdlib ``random.Random``
 and a numpy ``Generator`` are available off the same derivation, so scalar
-and vectorized code paths can share one seed discipline; ``randrange_many``
-replays many ``randrange`` draws from one ``getrandbits`` call.
+and vectorized code paths can share one seed discipline.  Two helpers replay a
+generator's own words in bulk: ``randrange_many`` gives many ``randrange``
+draws from one ``getrandbits`` call, and ``replay_bytes`` gives
+``Generator.integers(0, 256, count, dtype=np.uint8)`` from one ``random_raw``
+call, so a caller can read small power-of-two draws off the bytes directly.
 """
 
 from __future__ import annotations
@@ -96,3 +99,38 @@ def randrange_many(rng: random.Random, n: int, count: int) -> list[int]:
         if value < n:
             out.append(value)
     return out
+
+
+def replay_bytes(gen: np.random.Generator, count: int) -> np.ndarray:
+    """``gen.integers(0, 256, count, dtype=np.uint8)``, read off the raw PCG64 words.
+
+    numpy fills a uint8 draw from 32-bit words, four bytes each, least
+    significant first, and a 32-bit word is the low then the high half of a
+    64-bit output; a high half left over by an earlier call (``has_uint32``)
+    comes first.  So the bytes are that carried half, then the little-endian
+    bytes of ``ceil(words / 2)`` raw outputs, and an odd word count leaves the
+    last output's high half carried for the next call, as numpy would.  For
+    ``0 < b <= 8``, ``integers(0, 2**b, dtype=np.uint8)`` (and for b <= 7 the
+    int8 draw) is ``byte >> (8 - b)`` of these bytes: Lemire's method never
+    rejects on a power-of-two range.
+    """
+    words = -(-count // 4)
+    if words <= 0:
+        return np.empty(0, dtype=np.uint8)
+    bit_generator = gen.bit_generator
+    entry = bit_generator.state
+    if entry["bit_generator"] != "PCG64":
+        raise ValueError(f"replay_bytes reads PCG64 words, got {entry['bit_generator']}")
+    carried, half = entry["has_uint32"], entry["uinteger"]
+    words -= carried
+    raw = bit_generator.random_raw(-(-words // 2)).astype("<u8", copy=False)
+    state = bit_generator.state  # past the raw outputs
+    state["has_uint32"] = words % 2
+    if raw.size:  # numpy keeps the last high half even once it is read
+        state["uinteger"] = int(raw[-1] >> np.uint64(32))
+    bit_generator.state = state
+    out = raw.view(np.uint8)
+    if carried:
+        head = np.array([half], dtype="<u4").view(np.uint8)
+        out = np.concatenate([head, out])
+    return out[:count]

@@ -9,7 +9,8 @@ The exceptions are the gadget, witness, partition, claim-suite and file
 layers at the end: there the references are the per-gadget and object-level
 routes the shared code replaced (a validated concat chain per gadget, one
 ``randrange`` per cross bit, edge or map slot, one owner lookup per edge, one
-assignment and clean report per suite trial, one record loop step per line),
+assignment and clean report per suite trial, the uint8 and int8 simulators
+that byte replay replaced, one record loop step per line),
 so the new routes can be checked draw for draw and byte for byte against
 them.
 """
@@ -20,6 +21,8 @@ import math
 from collections import deque
 from dataclasses import replace
 from itertools import combinations
+
+import numpy as np
 
 from ngc_lab.distributions import SIDE_A, SIDE_B, NgcInstance, Witness, canon, sample_ngc
 from ngc_lab.gadgets import (
@@ -666,6 +669,45 @@ def reference_stochastic_counts(c: float, trials: int, w: int, root):
     return absent, a_only, clean
 
 
+def reference_sigma1_rank_counts(w: int, w_c: int, trials: int, seed, chunk_elements: int):
+    """``_sigma1_rank_counts`` as the uint8 simulator: every row masked and ranked."""
+    gen = seed.generator()
+    counts = np.zeros(w_c, dtype=np.int64)
+    chunk = max(1, min(trials, chunk_elements // w))
+    done = 0
+    while done < trials:
+        size = min(chunk, trials - done)
+        mask = gen.integers(0, 64, size=(size, w), dtype=np.uint8) == 0
+        sigma1 = gen.integers(0, w, size=size)
+        total = np.count_nonzero(mask, axis=1)
+        rows = np.flatnonzero(mask[np.arange(size), sigma1] & (total >= w_c))
+        before = np.arange(w) < sigma1[rows, None]
+        rank = np.count_nonzero(mask[rows] & before, axis=1)
+        counts += np.bincount(rank[rank < w_c], minlength=w_c)
+        done += size
+    return counts.tolist()
+
+
+def reference_fast_walk_coverage(walks: int, length: int, steps: int, seed, chunk: int):
+    """``_fast_walk_coverage`` as the int8 simulator: +/-1 increments and their cumsum.
+
+    The int8 positions wrap past 127 steps, so this reference holds for k < 64.
+    """
+    gen = seed.generator()
+    on_cycle = int(gen.binomial(walks, 0.5))
+    hits = 0
+    remaining = on_cycle
+    while remaining > 0:
+        size = min(chunk, remaining)
+        inc = gen.integers(0, 2, size=(size, steps), dtype=np.int8) * 2 - 1
+        pos = np.cumsum(inc, axis=1, dtype=np.int8)
+        hi = np.maximum(pos.max(axis=1), 0)
+        lo = np.minimum(pos.min(axis=1), 0)
+        hits += int(np.count_nonzero(hi - lo + 1 >= length))
+        remaining -= size
+    return on_cycle, hits
+
+
 # --- file layer: one line at a time ------------------------------------------------
 
 
@@ -685,7 +727,7 @@ def reference_edge_records(instance: NgcInstance) -> list[str]:
         rec = f"e {u} {v}"
         if instance.weights is not None:
             rec += f" w={instance.weights[canon((u, v))]}"
-        if instance.batches is not None:
+        if canon((u, v)) in batch_id:  # augmentation edges belong to no batch
             rec += f" b={batch_id[canon((u, v))]}"
         records.append(rec)
     return records

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import ngc_lab
+from ngc_lab import partitions
 from ngc_lab.cli import ExperimentConfig, main, resolve_config
 from ngc_lab.distributions import mst_augment, sample_ngc, sample_ngc_batched
 from ngc_lab.experiments import CSV_COLUMNS
@@ -234,6 +235,20 @@ def test_validate_weighted_file_census_only(tmp_path, capsys):
         ),
         (["walk-cover", "--k", "4", "--walks", "10", "--trials", "0"], "need trials >= 1, got trials=0"),
         (["reduce-check", "--m", "1", "--t", "1", "--trials", "0"], "need trials >= 1, got trials=0"),
+        (["walk-cover", "--k", "4", "--walks", "0"], "need walks >= 1, got walks=0"),
+        (["walk-cover", "--k", "4", "--walks", "-5"], "need walks >= 1, got walks=-5"),
+        (
+            ["partition-stats", "--w", "512", "--trials", "2", "--sigma1-trials", "-1"],
+            "need sigma1_trials >= 1, got sigma1_trials=-1",
+        ),
+        (
+            ["partition-stats", "--w", "2", "--trials", "2", "--sigma1-trials", "0"],
+            "need sigma1_trials >= 1, got sigma1_trials=0",
+        ),
+        *(
+            (["stochastic-stats", "--c", c], f"the bounds need a finite c > 0, got c={shown}")
+            for c, shown in (("inf", "inf"), ("nan", "nan"), ("0", "0.0"), ("-1", "-1.0"))
+        ),
     ],
 )
 def test_suite_parameter_errors_are_usage_errors(tmp_path, capsys, recwarn, argv, message):
@@ -242,6 +257,18 @@ def test_suite_parameter_errors_are_usage_errors(tmp_path, capsys, recwarn, argv
     assert err.rstrip() == f"error: {message}"
     assert not recwarn.list
     assert not (tmp_path / "rows.csv").exists()
+
+
+def test_stochastic_sample_size_ceiling_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # |E| = 112 at w=16: c=1 asks each player for 56 samples, c=0.5 for 28
+    monkeypatch.setattr(partitions, "MAX_SAMPLE_SIZE", 50)
+    argv = ["stochastic-stats", "--trials", "3", "--out", str(tmp_path / "rows.csv")]
+    assert run_cli(*argv, "--c", "1") == 2
+    err = capsys.readouterr().err.rstrip()
+    assert err == "error: c=1.0 on 112 edges asks each player for more than 50 samples"
+    assert not (tmp_path / "rows.csv").exists()
+    assert run_cli(*argv, "--c", "0.5") in (0, 1)
+    assert (tmp_path / "rows.csv").exists()
 
 
 # --- experiment CSV behavior -------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,7 +40,12 @@ from ngc_lab.gadgets import parity
 from ngc_lab.seeds import master_seed
 from ngc_lab.stats import binomial_check
 
-from oracles import reference_partition_counts, reference_stochastic_counts
+from oracles import (
+    reference_fast_walk_coverage,
+    reference_partition_counts,
+    reference_sigma1_rank_counts,
+    reference_stochastic_counts,
+)
 
 SEED = master_seed(20_250_815)
 
@@ -113,6 +119,26 @@ def test_partition_stats_suite_sigma1_row_at_large_width():
     assert "sigma1_uniform_pvalue" in by_metric
     assert by_metric["sigma1_uniform_pvalue"].value > 1e-3
     assert by_metric["sigma1_uniform_pvalue"].trials > 500  # conditioned draws
+
+
+@pytest.mark.parametrize(
+    "w, trials, chunk_elements",
+    [
+        (200, 5000, 20_000_000),  # one chunk, w_c = 2
+        (512, 20_000, 20_000_000),  # the benchmark's shape
+        (512, 1001, 512 * 37),  # 28 chunks, the last one short
+        (202, 2000, 202 * 3),  # 151.5 words a chunk: the half-word carries across
+        (300, 400, 300),  # one row a chunk, 75 words each
+    ],
+)
+def test_sigma1_rank_counts_match_the_uint8_simulator(w, trials, chunk_elements):
+    w_c = max(1, w // 100)
+    for i in range(6):
+        seed = SEED.child("s1", w, i)
+        with mock.patch.object(experiments, "_SIGMA1_CHUNK", chunk_elements):
+            got = experiments._sigma1_rank_counts(w, w_c, trials, seed)
+        assert got == reference_sigma1_rank_counts(w, w_c, trials, seed, chunk_elements)
+    assert sum(got) > 0
 
 
 def test_partition_stats_tail_row():
@@ -318,6 +344,35 @@ def test_walk_cover_fast_route_matches_exact_law():
     assert binomial_check(
         round(cov.value * cov.trials), cov.trials, 6 / 256
     ).within(4)
+
+
+@pytest.mark.parametrize("k", [3, 4, 7, 10])
+@pytest.mark.parametrize("walks, chunk", [(1, 4_000_000), (5003, 4_000_000), (5003, 999), (20_000, 1001)])
+def test_fast_walk_coverage_matches_the_int8_simulator(k, walks, chunk):
+    # chunk 999 at k=3 is 1498.5 words a chunk: the half-word carries across
+    for length in (k, 2 * k):
+        seed = SEED.child("walk", k, walks, chunk, length)
+        with mock.patch.object(experiments, "_WALK_CHUNK", chunk):
+            got = experiments._fast_walk_coverage(walks, length, 2 * k, seed)
+        assert got == reference_fast_walk_coverage(walks, length, 2 * k, seed, chunk)
+    if walks > 1:
+        assert 0 < got[0] < walks
+
+
+def test_byte_walk_tables_spell_each_code():
+    for steps, table in experiments._BYTE_WALKS.items():
+        for code in range(256):
+            pos, seen = 0, [0]
+            for i in range(steps):
+                pos += 1 if code >> (7 - i) & 1 else -1
+                seen.append(pos)
+            assert table[:, code].tolist() == [pos, min(seen), max(seen)]
+
+
+def test_byte_fold_table_counts_6_of_256_covering_walks_at_k4():
+    # one byte is a whole 8-step walk: the exact per-walk coverage law of the 8-cycle
+    net, low, high = experiments._BYTE_WALKS[8]
+    assert np.count_nonzero(high - low + 1 >= 8) == 6
 
 
 def test_walk_cover_dual_route_agreement():

@@ -86,6 +86,21 @@ def test_round_trip_batched_segment():
     assert parsed.edges == inst.all_edges()
 
 
+def test_round_trip_augmented_batched():
+    # the augmentation edges belong to no batch: their records carry no b=
+    inst = mst_augment(sample_ngc_batched(56, 7, 2, 1, 3), 5)
+    text = serialize_instance(inst, reveal=True)
+    records = [ln for ln in text.splitlines() if ln.startswith("e ")]
+    extra = len(inst.extra_edges)
+    assert all(" b=" in rec for rec in records[:-extra])
+    assert not any(" b=" in rec for rec in records[-extra:])
+    parsed = parse_instance(text)
+    assert parsed.batches == inst.batches
+    assert parsed.weights == inst.weights
+    assert parsed.witness == inst.witness
+    assert parsed.edges == inst.all_edges()
+
+
 def test_round_trip_padded():
     for k in (8, 9):
         inst = pad_to_k(sample_ngc(56, 7, seed=7), k)
@@ -214,8 +229,9 @@ FILES = {
         sample_ngc(56, 7, seed=25),
         mst_augment(sample_ngc(56, 7, seed=26), W=5),
         sample_ngc_batched(n=120, k=15, s=2, t=3, seed=27),
+        mst_augment(sample_ngc_batched(56, 7, 2, 1, 3), 5),
     ],
-    ids=["plain", "weighted", "batched"],
+    ids=["plain", "weighted", "batched", "augmented-batched"],
 )
 def test_edge_records_match_the_per_edge_format(inst):
     lines = serialize_instance(inst, reveal=True).splitlines()

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ngc_lab import partitions
 from ngc_lab.distributions import canon, mst_augment, pad_to_k, sample_ngc, sample_ngc_batched
 from ngc_lab.gadgets import invert_perm, to_edges
 from ngc_lab.partitions import (
@@ -386,8 +387,17 @@ def test_stochastic_zero_c_gives_empty_samples():
     edges = [(0, 1), (2, 3)]
     a = stochastic_assign(edges, 0.0, SEED.child("sto0"))
     assert a.samples == ((), ())
-    with pytest.raises(ValueError):
-        stochastic_assign(edges, -1.0, SEED)
+    for c in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="need a finite c >= 0"):
+            stochastic_assign(edges, c, SEED)
+
+
+def test_stochastic_sample_size_has_a_ceiling(monkeypatch):
+    monkeypatch.setattr(partitions, "MAX_SAMPLE_SIZE", 4)
+    edges = [(i, i + 1) for i in range(0, 16, 2)]  # 8 edges
+    assert len(stochastic_assign(edges, 1.0, SEED).samples[0]) == 4
+    with pytest.raises(ValueError, match="more than 4 samples"):
+        stochastic_assign(edges, 1.01, SEED)
 
 
 def test_stochastic_absence_bounds():

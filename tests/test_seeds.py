@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
-from ngc_lab.seeds import randrange_many
+from ngc_lab.seeds import randrange_many, replay_bytes
 
 from oracles import randrange_loop
 
@@ -34,3 +35,45 @@ def test_randrange_many_empty_range_raises_like_randrange(n):
 def test_randrange_many_rejects_ranges_past_32_bits():
     with pytest.raises(ValueError):
         randrange_many(random.Random(1), 2**32, 3)
+
+
+# --- replay_bytes: numpy's uint8 draws read off the raw words ------------------------
+
+
+def _generators(seed: int, lead: int):
+    """Two equal generators; `lead` 32-bit draws first, so an odd lead carries a half-word."""
+    pair = np.random.default_rng(seed), np.random.default_rng(seed)
+    for gen in pair:
+        gen.integers(0, 2**31, size=lead, dtype=np.uint32)
+    return pair
+
+
+@pytest.mark.parametrize("lead", [0, 1, 2, 3])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 5, 7, 8, 9, 12, 13, 31, 1001, 4096])
+def test_replay_bytes_matches_integers_and_its_end_state(lead, count):
+    for seed in range(4):
+        drawn, replayed = _generators(seed, lead)
+        assert drawn.bit_generator.state["has_uint32"] == lead % 2
+        want = drawn.integers(0, 256, count, dtype=np.uint8)
+        got = replay_bytes(replayed, count)
+        assert got.dtype == np.uint8 and got.tolist() == want.tolist()
+        assert replayed.bit_generator.state == drawn.bit_generator.state
+        # the next draw reads the carried half-word, if any, the same way
+        assert replayed.integers(0, 1000, 3).tolist() == drawn.integers(0, 1000, 3).tolist()
+
+
+@pytest.mark.parametrize(
+    "bits, dtype", [(b, np.uint8) for b in range(1, 9)] + [(b, np.int8) for b in range(1, 8)]
+)
+def test_power_of_two_draws_are_the_top_bits_of_the_bytes(bits, dtype):
+    # the sigma(1) indicators (b=6) and the walk steps (b=1) are read this way;
+    # a numpy that maps bytes to these draws differently fails here first
+    drawn, replayed = _generators(bits, 1)
+    want = drawn.integers(0, 2**bits, 999, dtype=dtype)
+    assert (replay_bytes(replayed, 999) >> (8 - bits)).tolist() == want.tolist()
+    assert replayed.bit_generator.state == drawn.bit_generator.state
+
+
+def test_replay_bytes_rejects_other_bit_generators():
+    with pytest.raises(ValueError, match="PCG64"):
+        replay_bytes(np.random.Generator(np.random.MT19937(1)), 8)
