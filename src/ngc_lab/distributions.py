@@ -23,12 +23,13 @@ support at small parameters).
 
 from __future__ import annotations
 
+import operator
 import random
 import warnings
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -53,6 +54,112 @@ SIDE_B = 1
 def canon(edge: Edge) -> Edge:
     u, v = edge
     return (u, v) if u <= v else (v, u)
+
+
+def as_edge_array(edges: Iterable[Edge] | np.ndarray) -> np.ndarray:
+    """Edges as an (E, 2) int64 array; an array passes through reshaped."""
+    if isinstance(edges, np.ndarray):
+        return edges.reshape(-1, 2).astype(np.int64, copy=False)
+    if not isinstance(edges, Sequence):
+        edges = list(edges)
+    return np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges)).reshape(-1, 2)
+
+
+def canon_keys(edges: Iterable[Edge] | np.ndarray) -> np.ndarray:
+    """One uint64 key per edge, (min << 32) | max: keys sort as canonical edges do.
+
+    Ids outside [0, 2**32) raise ValueError.
+    """
+    ends = as_edge_array(edges)
+    if (ends >> 32).any():
+        raise ValueError("edge endpoint outside [0, 2**32)")
+    u, v = ends[:, 0], ends[:, 1]
+    # a low end >= 2**31 wraps the int64 negative; its bits are the uint64 key
+    return (np.minimum(u, v) << 32 | np.maximum(u, v)).view(np.uint64)
+
+
+def keys_to_edges(keys: np.ndarray) -> np.ndarray:
+    """The (K, 2) int64 canonical edges of ``canon_keys`` keys."""
+    return np.stack([keys >> 32, keys & 0xFFFFFFFF], axis=1).astype(np.int64)
+
+
+def distinct_keys(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys, sorted."""
+    keys = np.sort(keys)
+    return keys[np.concatenate([[True], keys[1:] != keys[:-1]])] if keys.size else keys
+
+
+def distinct_edges(edges: Iterable[Edge] | np.ndarray) -> np.ndarray:
+    """The distinct canonical edges, sorted: a multigraph's edge set as (U, 2)."""
+    return keys_to_edges(distinct_keys(canon_keys(edges)))
+
+
+class EdgeTable(Mapping):
+    """A read-only map from canonical edges to ints, held as two arrays.
+
+    ``codes`` are the sorted distinct ``canon_keys`` and ``data`` the value
+    of each.  Lookups canonicalize, so (u, v) and (v, u) find the same entry;
+    iteration yields canonical edges in sorted order.
+    """
+
+    def __init__(self, codes: np.ndarray, data: np.ndarray) -> None:
+        self.codes = codes
+        self.data = data
+
+    @classmethod
+    def from_edges(cls, edges: Iterable[Edge] | np.ndarray, data) -> "EdgeTable":
+        """Edge i maps to data[i]; of repeated edges the last one wins, as in a dict."""
+        keys = canon_keys(edges)[::-1]
+        codes, first = np.unique(keys, return_index=True)  # first of the reversed: last
+        return cls(codes, np.asarray(data, dtype=np.int64)[::-1][first])
+
+    @classmethod
+    def of(cls, mapping: Mapping[Edge, int]) -> "EdgeTable":
+        """The mapping itself if it is a table, else a table of its items."""
+        if isinstance(mapping, EdgeTable):
+            return mapping
+        return cls.from_edges(list(mapping), list(mapping.values()))
+
+    def lookup(self, edges: Iterable[Edge] | np.ndarray) -> np.ndarray:
+        """The value of every edge, in order.
+
+        An edge not in the table raises KeyError; an id outside [0, 2**32)
+        raises ``canon_keys``' ValueError.
+        """
+        keys = canon_keys(edges)
+        at = np.searchsorted(self.codes, keys)
+        found = at < len(self.codes)
+        found[found] = self.codes[at[found]] == keys[found]
+        if not found.all():
+            missing = keys[np.argmin(found)]
+            raise KeyError((int(missing >> 32), int(missing & 0xFFFFFFFF)))
+        return self.data[at]
+
+    def __getitem__(self, edge: Edge) -> int:
+        """One edge's value, keyed in plain ints as ``canon_keys`` keys it."""
+        u, v = map(operator.index, edge)
+        low, high = min(u, v), max(u, v)
+        key = low << 32 | high
+        at = int(self.codes.searchsorted(key)) if 0 <= low and high < 2**32 else len(self)
+        if at == len(self) or int(self.codes[at]) != key:
+            raise KeyError((low, high))
+        return int(self.data[at])
+
+    def __iter__(self) -> Iterator[Edge]:
+        ends = keys_to_edges(self.codes)
+        return zip(ends[:, 0].tolist(), ends[:, 1].tolist())
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def values(self) -> list[int]:
+        return self.data.tolist()
+
+    def items(self) -> list[tuple[Edge, int]]:
+        return list(zip(self, self.data.tolist()))
+
+    def __repr__(self) -> str:
+        return f"EdgeTable({len(self)} edges)"
 
 
 @dataclass(frozen=True)
@@ -179,6 +286,16 @@ class NgcInstance:
     def all_edges(self) -> list[Edge]:
         """Core edges, then auxiliary closers, then any augmentation edges."""
         return [*to_edges(self.graph), *self.auxiliary_edges, *self.extra_edges]
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """``all_edges()`` as one read-only (E, 2) int64 array; core edge p leaves vertex p."""
+        targets = self.graph._targets
+        core = np.stack([np.arange(targets.size), targets], axis=1)
+        loose = as_edge_array([*self.auxiliary_edges, *self.extra_edges])
+        edges = np.concatenate([core, loose])
+        edges.flags.writeable = False
+        return edges
 
     def edge_weight(self, edge: Edge) -> int:
         if self.weights is None:
@@ -401,7 +518,9 @@ def _tally(lengths: np.ndarray) -> dict[int, int]:
     return dict(zip(keys.tolist(), counts.tolist()))
 
 
-def component_pass(n_vertices: int, edges: Iterable[Edge]) -> tuple[np.ndarray, ...]:
+def component_pass(
+    n_vertices: int, edges: Iterable[Edge] | np.ndarray
+) -> tuple[np.ndarray, ...]:
     """One connected-components pass over a multigraph on vertices 0..n-1.
 
     Returns (label, size, nedges, cycle, degree): each vertex's component
@@ -409,10 +528,11 @@ def component_pass(n_vertices: int, edges: Iterable[Edge]) -> tuple[np.ndarray, 
     degrees 2 and #edges == #vertices), then each vertex's degree.  Ids
     outside [0, n) raise ValueError.
     """
-    flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
+    ends = as_edge_array(edges)
+    flat = ends.ravel()
     if flat.size and (flat.min() < 0 or flat.max() >= n_vertices):
         raise ValueError(f"edge endpoint outside the vertex range [0, {n_vertices})")
-    u, v = flat[0::2], flat[1::2]
+    u, v = ends[:, 0], ends[:, 1]
     adjacency = coo_matrix((np.ones(u.size), (u, v)), shape=(n_vertices, n_vertices))
     components, label = connected_components(adjacency, directed=False)
     degree = np.bincount(flat, minlength=n_vertices)
@@ -423,8 +543,10 @@ def component_pass(n_vertices: int, edges: Iterable[Edge]) -> tuple[np.ndarray, 
     return label, size, nedges, cycle, degree
 
 
-def census_of_edges(n_vertices: int, edges: Iterable[Edge]) -> Census:
+def census_of_edges(n_vertices: int, edges: Iterable[Edge] | np.ndarray) -> Census:
     """Connected-components census of a multigraph on vertices 0..n-1.
+
+    ``edges`` is an (E, 2) array or any iterable of (u, v) pairs.
 
     A component with #edges == #vertices and all degrees 2 is a cycle of that
     length; otherwise it is reported as a path keyed by edge count (isolated
@@ -453,4 +575,4 @@ def census_law(k: int, m: int, theta: int) -> Census:
 
 def validate_instance(instance: NgcInstance) -> Census:
     """Exact structural census of the full edge set (core + closers + extras)."""
-    return census_of_edges(instance.n, instance.all_edges())
+    return census_of_edges(instance.n, instance.edge_array)

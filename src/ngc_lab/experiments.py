@@ -678,6 +678,8 @@ def estimator_suite(
 ) -> SuiteResult:
     """Bounded-memory component-count estimation on a disjoint triangle union."""
     _check_trials(trials=trials)
+    if vertices < 3:
+        raise ValueError(f"need vertices >= 3, got vertices={vertices}")
     if vertices % 3:
         raise ValueError("vertices must be a multiple of 3")
     root = as_seed(seed)

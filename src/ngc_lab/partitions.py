@@ -17,7 +17,9 @@ On top sit the structural events the lower-bound argument tracks: an index is
 clean index, and the batched analogues (active segments, good groups).
 
 Draws are made in bulk (``seeds.randrange_many``) but from the identical
-stream, value for value, as one ``randrange`` per edge or map slot.  Clean
+stream, value for value, as one ``randrange`` per edge or map slot.  An
+owner map is an ``EdgeTable`` (sorted canonical edge keys plus one owner
+each), so a split is one vectorized lookup and a boolean index.  Clean
 events are read off owner arrays through a table of each index's six
 positions: the graph's cached table of edge positions, or under partition
 functions ``function_index_table`` over F's slots.  ``clean_masks`` and
@@ -27,15 +29,15 @@ functions ``function_index_table`` over F's slots.  ``clean_masks`` and
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from collections.abc import Iterator
 from functools import cached_property
-from itertools import chain, compress, repeat
-from operator import eq, itemgetter, ne
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
-from .distributions import NgcInstance, canon
+from .distributions import EdgeTable, NgcInstance, as_edge_array
 from .gadgets import Edge
 from .seeds import Seed, as_seed, randrange_many
 
@@ -83,11 +85,6 @@ def constant_partition_functions(w: int, t: int, value: int) -> PartitionFunctio
     return PartitionFunctions(maps, maps, maps)
 
 
-def _canon_keys(edges) -> Iterator[Edge]:
-    """``canon`` of every edge, lazily."""
-    return ((u, v) if u <= v else (v, u) for u, v in edges)
-
-
 @dataclass(frozen=True)
 class EdgeAssignment:
     """Edge ownership under one of the division models.
@@ -95,47 +92,48 @@ class EdgeAssignment:
     two_player: owner maps every edge to ALICE/BOB.  l_player: owner maps
     edges to players 1..l, constant on batches (batch_owners[b] is batch b's
     player).  stochastic: samples[0]/samples[1] are the two players' iid
-    multisets and owner is None.
+    multisets and owner is None.  The models build owner as an
+    ``EdgeTable``; any mapping keyed by canonical edges is read the same way.
     """
 
     mode: str  # "two_player" | "l_player" | "stochastic"
     players: int
-    owner: dict[Edge, int] | None = None
+    owner: Mapping[Edge, int] | None = None
     batch_owners: tuple[int, ...] | None = None
     samples: tuple[tuple[Edge, ...], ...] | None = None
     c: float | None = None
 
-    def owner_of(self, edge: Edge) -> int:
+    @cached_property
+    def _table(self) -> EdgeTable:
         assert self.owner is not None
-        return self.owner[canon(edge)]
+        return EdgeTable.of(self.owner)
+
+    def owner_of(self, edge: Edge) -> int:
+        return self._table[edge]
 
     @cached_property
     def _sample_ends(self) -> np.ndarray:
         """Both samples as one (S, 2) array of edge ends, Alice's first."""
         assert self.samples is not None
-        drawn = list(chain(*self.samples))
-        return np.fromiter(chain.from_iterable(drawn), np.int64, 2 * len(drawn)).reshape(-1, 2)
+        return as_edge_array(list(chain(*self.samples)))
 
-    def split(self, edges: list[Edge]) -> tuple[list[Edge], list[Edge]]:
-        """(Alice's edges, everyone else's), each in the order given."""
-        assert self.owner is not None
-        owners = list(map(self.owner.__getitem__, _canon_keys(edges)))
-        return (
-            list(compress(edges, map(eq, owners, repeat(ALICE)))),
-            list(compress(edges, map(ne, owners, repeat(ALICE)))),
-        )
+    def split(self, edges: list[Edge] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Alice's edges, everyone else's) as (E, 2) arrays, each in the order given."""
+        ends = as_edge_array(edges)
+        alice = self._table.lookup(ends) == ALICE
+        return ends[alice], ends[~alice]
 
 
 def assign_uniform(
-    edges: list[Edge], players: int, seed: Seed | int | None = None
+    edges: list[Edge] | np.ndarray, players: int, seed: Seed | int | None = None
 ) -> EdgeAssignment:
-    """Every edge independently to a uniform player."""
+    """Every edge independently to a uniform player (a repeated edge keeps its last draw)."""
     if players < 2:
         raise ValueError("need at least two players")
-    draws = randrange_many(as_seed(seed).rng(), players, len(edges))
-    owner = dict(zip(_canon_keys(edges), draws))
+    ends = as_edge_array(edges)
+    draws = randrange_many(as_seed(seed).rng(), players, len(ends))
     mode = "two_player" if players == 2 else "l_player"
-    return EdgeAssignment(mode=mode, players=players, owner=owner)
+    return EdgeAssignment(mode=mode, players=players, owner=EdgeTable.from_edges(ends, draws))
 
 
 def _require_block(instance: NgcInstance, what: str) -> None:
@@ -176,19 +174,19 @@ def assign_by_functions(
     w = instance.width
     if F.fL and len(F.fL[0]) != 2 * w:
         raise ValueError("F domain size differs from 2w")
-    graph = instance.graph
+    targets = instance.graph._targets
     pad_edges = 2 * w * (instance.k - instance.core_k)
-    loose = [*instance.auxiliary_edges, *instance.extra_edges]
-    draws = randrange_many(as_seed(seed).rng(), 2, pad_edges + len(loose))
+    loose = len(instance.edge_array) - len(targets)
+    draws = randrange_many(as_seed(seed).rng(), 2, pad_edges + loose)
     owners = draws[:pad_edges]
     for block, (fl, fm, fr) in enumerate(zip(F.fL, F.fM, F.fR)):
         # block i's into-edges, keyed by their target's slot: the id mod 2w
         first = pad_edges + 6 * w * block
-        owners += itemgetter(*(v % (2 * w) for _, v in graph._edges[first : first + 2 * w]))(fl)
+        owners += itemgetter(*(targets[first : first + 2 * w] % (2 * w)).tolist())(fl)
         owners += fm
         owners += fr
-    owner = dict(zip(graph._edges, owners))
-    owner.update(zip(_canon_keys(loose), draws[pad_edges:]))
+    owners += draws[pad_edges:]
+    owner = EdgeTable.from_edges(instance.edge_array, owners)
     return EdgeAssignment(mode="two_player", players=2, owner=owner)
 
 
@@ -197,7 +195,7 @@ def index_ownership_pattern(
 ) -> tuple[int, ...]:
     """The six owners (in-a, in-b, mid-a, mid-b, out-a, out-b) of index j."""
     into, mid, out = index_edges(instance, block, j)
-    return itemgetter(*into, *mid, *out)(assignment.owner)
+    return tuple(assignment._table.lookup([*into, *mid, *out]).tolist())
 
 
 def function_index_table(w: int, t: int) -> np.ndarray:
@@ -295,9 +293,8 @@ def clean_indices(
         assignment = F_or_assignment
         if assignment.mode != "two_player":
             raise ValueError("clean_indices needs a two-player assignment")
-    edges = instance.graph._edges
-    owners = np.fromiter(map(assignment.owner.__getitem__, edges), np.int64, len(edges))
-    return _clean_report(instance, owners, instance.width // 100)
+    core = instance.edge_array[: len(instance.graph._targets)]
+    return _clean_report(instance, assignment._table.lookup(core), instance.width // 100)
 
 
 def active_blocks(
@@ -334,10 +331,13 @@ def assign_batches(
         raise ValueError("need at least one player")
     draws = randrange_many(as_seed(seed).rng(), l, len(instance.batches))
     batch_owners = tuple(player + 1 for player in draws)
-    keys = _canon_keys(chain.from_iterable(instance.batches))
-    owner = dict(zip(keys, chain.from_iterable(zip(batch_owners, batch_owners))))
+    ends = as_edge_array([e for batch in instance.batches for e in batch])
+    owners = np.repeat(batch_owners, [len(batch) for batch in instance.batches])
     return EdgeAssignment(
-        mode="l_player", players=l, owner=owner, batch_owners=batch_owners
+        mode="l_player",
+        players=l,
+        owner=EdgeTable.from_edges(ends, owners),
+        batch_owners=batch_owners,
     )
 
 

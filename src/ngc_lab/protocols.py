@@ -15,19 +15,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
+import numpy as np
+
 from .distributions import (
     NgcInstance,
     Witness,
+    as_edge_array,
     census_of_edges,
     crossing_parity,
     sample_hybrid,
 )
 from .gadgets import Edge, GroupLayeredGraph
 from .partitions import EdgeAssignment, assign_uniform
-from .seeds import Seed, as_seed, randrange_many
+from .seeds import Seed, as_seed, randrange_many, shuffle_order
 from .stats import clopper_pearson
 from .streaming import (
+    EventView,
     StreamingAlgorithm,
+    batch_order,
     pack_edges,
     theta_from_components,
     unpack_edges,
@@ -157,16 +162,18 @@ class BudgetExceededError(RuntimeError):
 class OneWayProtocol:
     """Alice sees her edges, sends one message, Bob answers with one bit.
 
+    Each player's edges come as an (E, 2) int array (``run_protocol`` passes
+    the split's arrays); the protocols here also accept a list of pairs.
     message_budget is a hard cap in bits (None = uncapped); messages are byte
     strings, accounted at 8 bits per byte, with b"" costing zero.
     """
 
     message_budget: int | None = None
 
-    def alice(self, edges: list[Edge], shared: Seed) -> bytes:
+    def alice(self, edges: np.ndarray, shared: Seed) -> bytes:
         raise NotImplementedError
 
-    def bob(self, message: bytes, edges: list[Edge], shared: Seed):
+    def bob(self, message: bytes, edges: np.ndarray, shared: Seed):
         raise NotImplementedError
 
 
@@ -186,7 +193,7 @@ def run_protocol(
     if assignment.mode != "two_player":
         raise ValueError("run_protocol needs a two-player assignment")
     shared = as_seed(seed)
-    edges_a, edges_b = assignment.split(instance.all_edges())
+    edges_a, edges_b = assignment.split(instance.edge_array)
     message = protocol.alice(edges_a, shared)
     bits = 8 * len(message)
     budget = protocol.message_budget
@@ -206,10 +213,10 @@ class ConstantProtocol(OneWayProtocol):
     def __init__(self, bit: int) -> None:
         self.bit = bit
 
-    def alice(self, edges: list[Edge], shared: Seed) -> bytes:
+    def alice(self, edges: np.ndarray, shared: Seed) -> bytes:
         return b""
 
-    def bob(self, message: bytes, edges: list[Edge], shared: Seed) -> int:
+    def bob(self, message: bytes, edges: np.ndarray, shared: Seed) -> int:
         return self.bit
 
 
@@ -224,11 +231,12 @@ class FullForwardCensusProtocol(OneWayProtocol):
         self.n = n
         self.k = k
 
-    def alice(self, edges: list[Edge], shared: Seed) -> bytes:
+    def alice(self, edges: np.ndarray, shared: Seed) -> bytes:
         return pack_edges(edges)
 
-    def bob(self, message: bytes, edges: list[Edge], shared: Seed) -> int:
-        census = census_of_edges(self.n, unpack_edges(message) + list(edges))
+    def bob(self, message: bytes, edges: np.ndarray, shared: Seed) -> int:
+        seen = np.concatenate([unpack_edges(message), as_edge_array(edges)])
+        census = census_of_edges(self.n, seen)
         return theta_from_components(self.n, self.k, census.components)
 
 
@@ -247,11 +255,11 @@ class BobOnlyCycleDetector(OneWayProtocol):
         self.n = n
         self.k = k
 
-    def alice(self, edges: list[Edge], shared: Seed) -> bytes:
+    def alice(self, edges: np.ndarray, shared: Seed) -> bytes:
         return b""
 
-    def bob(self, message: bytes, edges: list[Edge], shared: Seed) -> int:
-        census = census_of_edges(self.n, list(edges))
+    def bob(self, message: bytes, edges: np.ndarray, shared: Seed) -> int:
+        census = census_of_edges(self.n, edges)
         return 1 if census.count_cycles(2 * self.k) > 0 else 0
 
 
@@ -268,13 +276,13 @@ class TraceParityProtocol(OneWayProtocol):
         self.depth = depth
         self.group = group
 
-    def alice(self, edges: list[Edge], shared: Seed) -> bytes:
+    def alice(self, edges: np.ndarray, shared: Seed) -> bytes:
         return pack_edges(edges)
 
-    def bob(self, message: bytes, edges: list[Edge], shared: Seed) -> int:
-        all_edges = unpack_edges(message) + list(edges)
+    def bob(self, message: bytes, edges: np.ndarray, shared: Seed) -> int:
+        seen = np.concatenate([unpack_edges(message), as_edge_array(edges)])
         neighbours: dict[int, list[int]] = {}
-        for u, v in all_edges:
+        for u, v in seen.tolist():
             neighbours.setdefault(u, []).append(v)
             neighbours.setdefault(v, []).append(u)
         span = 2 * self.width
@@ -303,7 +311,7 @@ class OrderProbe(StreamingAlgorithm):
         return pack_edges(state)
 
     def deserialize(self, blob: bytes):
-        return tuple(unpack_edges(blob))
+        return tuple(map(tuple, unpack_edges(blob).tolist()))
 
     def finalize(self, state):
         return state
@@ -315,24 +323,26 @@ class StreamingProtocol(OneWayProtocol):
     Alice streams her edges in a fresh uniform order and ships the serialized
     state; Bob resumes on his own uniformly shuffled edges and finalizes.
     Under a uniform edge assignment the composed order is a uniformly random
-    order of the whole edge set.
+    order of the whole edge set.  Each order is ``shuffle_order`` of the
+    player's edge count, the permutation ``rng.shuffle`` would apply.
     """
 
     def __init__(self, algorithm: StreamingAlgorithm) -> None:
         self.algorithm = algorithm
 
-    def alice(self, edges: list[Edge], shared: Seed) -> bytes:
-        order = list(edges)
-        shared.child("alice-shuffle").rng().shuffle(order)
+    @staticmethod
+    def _events(edges, shared: Seed, label: str) -> EventView:
+        ends = as_edge_array(edges)
+        return EventView(ends[shuffle_order(shared.child(label).rng(), len(ends))])
+
+    def alice(self, edges: np.ndarray, shared: Seed) -> bytes:
         alg = self.algorithm
-        state = alg.run(alg.init(), [(e, None) for e in order])
+        state = alg.run(alg.init(), self._events(edges, shared, "alice-shuffle"))
         return alg.serialize(state)
 
-    def bob(self, message: bytes, edges: list[Edge], shared: Seed):
-        order = list(edges)
-        shared.child("bob-shuffle").rng().shuffle(order)
+    def bob(self, message: bytes, edges: np.ndarray, shared: Seed):
         alg = self.algorithm
-        state = alg.run(alg.deserialize(message), [(e, None) for e in order])
+        state = alg.run(alg.deserialize(message), self._events(edges, shared, "bob-shuffle"))
         return alg.finalize(state)
 
 
@@ -354,8 +364,10 @@ class LPlayerStreamingProtocol:
     """Sequential relay: players 1..l each stream their own batches.
 
     Player p shuffles the batches they own (batch order and order within each
-    batch uniform), resumes the state received from player p-1, and forwards
-    it; the last player finalizes.  Each hop's serialized size is metered.
+    batch uniform, drawn as ``streaming.batch_order``), resumes the state
+    received from player p-1 with one ``run`` over all of their events, and
+    forwards it; the last player finalizes.  Each hop's serialized size is
+    metered.
     """
 
     def __init__(self, algorithm: StreamingAlgorithm, l: int) -> None:
@@ -380,19 +392,17 @@ class LPlayerStreamingProtocol:
             raise ValueError("instance has no batches")
         shared = as_seed(seed)
         alg = self.algorithm
+        ends = as_edge_array([e for batch in instance.batches for e in batch])
+        sizes = np.array([len(batch) for batch in instance.batches], dtype=np.int64)
+        owners = np.array(assignment.batch_owners, dtype=np.int64)
+        edge_owners = np.repeat(owners, sizes)
         state = alg.init()
         hop_bits = []
         for player in range(1, self.l + 1):
             rng = shared.child("player", player).rng()
-            owned = [
-                list(batch)
-                for batch, owner in zip(instance.batches, assignment.batch_owners)
-                if owner == player
-            ]
-            rng.shuffle(owned)
-            for batch in owned:
-                rng.shuffle(batch)
-                state = alg.run(state, [(e, None) for e in batch])
+            mine = ends[edge_owners == player]  # the owned batches, back to back
+            order = batch_order(rng, sizes[owners == player].tolist())
+            state = alg.run(state, EventView(mine[order]))
             if player < self.l:
                 blob = alg.serialize(state)
                 hop_bits.append(8 * len(blob))

@@ -4,11 +4,14 @@ Every sampler in the package takes a ``Seed``.  Two calls with the same
 (master, path) produce identical output; deriving children with distinct
 labels produces independent-looking streams.  Both a stdlib ``random.Random``
 and a numpy ``Generator`` are available off the same derivation, so scalar
-and vectorized code paths can share one seed discipline.  Two helpers replay a
-generator's own words in bulk: ``randrange_many`` gives many ``randrange``
-draws from one ``getrandbits`` call, and ``replay_bytes`` gives
-``Generator.integers(0, 256, count, dtype=np.uint8)`` from one ``random_raw``
-call, so a caller can read small power-of-two draws off the bytes directly.
+and vectorized code paths can share one seed discipline.  Three helpers replay
+a generator's own words in bulk: ``randrange_many`` gives many ``randrange``
+draws from one ``getrandbits`` call; ``shuffle_order`` gives the permutation
+``Random.shuffle`` would apply to a list of a given length, read off bulk
+``getrandbits`` words, with the generator left where the shuffle would leave
+it; and ``replay_bytes`` gives ``Generator.integers(0, 256, count,
+dtype=np.uint8)`` from one ``random_raw`` call, so a caller can read small
+power-of-two draws off the bytes directly.
 """
 
 from __future__ import annotations
@@ -99,6 +102,108 @@ def randrange_many(rng: random.Random, n: int, count: int) -> list[int]:
         if value < n:
             out.append(value)
     return out
+
+
+# below this length (about where the two cost the same, numpy 2.4) the list
+# shuffle is cheaper than the bulk replay's per-band set-up
+_SHUFFLE_BULK_MIN = 8192
+
+
+def shuffle_order(rng: random.Random, length: int) -> np.ndarray:
+    """The permutation ``rng.shuffle`` applies to a list of ``length`` items.
+
+    ``x = list(range(length)); rng.shuffle(x)`` gives ``x == order.tolist()``
+    and leaves ``rng`` in the same state.  The shuffle swaps ``x[i]`` with
+    ``x[j]`` for i = length-1 down to 1, j = ``randbelow(i + 1)``; each attempt
+    at j is the top ``(i + 1).bit_length()`` bits of one 32-bit word, retried
+    while >= i + 1.  Within one bit-length band the bound falls by one per
+    accepted word, so which words are accepted is the fixpoint of "accept
+    iff below the bound less the words accepted before"; the iteration
+    settles a longer prefix each round.  Each round of words is as many as
+    there are steps left, so no word past the shuffle's last is drawn.  The
+    swaps are then applied at once (``_apply_swaps``).  Short lists are
+    shuffled directly.
+    """
+    length = operator.index(length)
+    if length < _SHUFFLE_BULK_MIN:
+        order = list(range(length))
+        rng.shuffle(order)
+        return np.array(order, dtype=np.int64)
+    if length >= 2**31:  # sort keys j * length + i must fit in int64
+        raise ValueError(f"shuffle_order needs length < 2**31, got {length}")
+    j = np.zeros(length, dtype=np.int64)
+    bound = length  # step i = bound - 1 draws below bound
+    words = np.empty(0, dtype=np.uint32)
+    while bound >= 2:
+        if not words.size:
+            need = bound - 1
+            words = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"), "<u4")
+        k = bound.bit_length()
+        steps = bound - (1 << (k - 1)) + 1  # bounds bound .. 2**(k-1) share k
+        # a band accepts at least half its draws, so this window mostly ends
+        # it; a band that runs past it takes another pass
+        draws = (words[: 2 * steps + 32] >> (32 - k)).astype(np.int64)
+        taken = np.flatnonzero(_accepted(draws, bound))[:steps]
+        used = int(taken[-1]) + 1 if taken.size == steps else draws.size
+        j[bound - taken.size : bound] = draws[taken[::-1]]
+        bound -= taken.size
+        words = words[used:]
+    return _apply_swaps(j)
+
+
+def _accepted(draws: np.ndarray, bound: int) -> np.ndarray:
+    """Which draws ``randbelow`` accepts when the first is tried below ``bound``.
+
+    Draw t is accepted iff it is below ``bound`` less the draws accepted
+    before it.  Iterating from "all accepted" fixes at least one more leading
+    draw per round; the draws before the first change are final.
+    """
+    accepted = np.ones(draws.size, dtype=bool)
+    start = taken = 0  # draws[:start] are final, `taken` of them accepted
+    while True:
+        tail = accepted[start:]
+        before = np.cumsum(tail)
+        before -= tail
+        fresh = draws[start:] < bound - taken - before
+        changed = np.flatnonzero(fresh != tail)
+        if not changed.size:
+            return accepted
+        first = int(changed[0])
+        tail[:] = fresh
+        taken += int(before[first]) + int(fresh[first])
+        start += first + 1
+
+
+def _apply_swaps(j: np.ndarray) -> np.ndarray:
+    """Where each slot's item comes from after swapping x[i], x[j[i]] for i = L-1 .. 1.
+
+    Swaps run from the largest i down, and slot i is final after its own
+    swap, holding what slot j[i] held just before it: the original item,
+    unless a swap already run (a larger i' with j[i'] = j[i], the last run
+    being the smallest) wrote there, in which case it holds what slot i' held
+    just before swap i'.  One sort groups the swaps by target; the "what slot
+    s held before swap s" chains are resolved by pointer doubling.  (j[0] = 0
+    stands for the no-op swap that fixes slot 0 last; a swap of a slot with
+    itself starts a chain no later swap reads.)
+    """
+    size = j.size
+    index = np.arange(size)
+    key = np.sort(j * size + index)  # by target, then by swap
+    swap, target = key % size, key // size
+    same = target[1:] == target[:-1]
+    later = np.full(size, -1)  # the next swap writing to the same target
+    later[swap[:-1][same]] = swap[1:][same]
+    head = np.ones(size, dtype=bool)
+    head[1:] = ~same
+    first = np.full(size, -1)  # the smallest swap writing to each slot
+    first[target[head]] = swap[head]
+    source = np.where(first >= 0, first, index)
+    while True:
+        hop = source[source]
+        if np.array_equal(hop, source):
+            break
+        source = hop
+    return np.where(later >= 0, source[later], j)
 
 
 def replay_bytes(gen: np.random.Generator, count: int) -> np.ndarray:

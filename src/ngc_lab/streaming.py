@@ -3,7 +3,14 @@
 Streams are replayable event sequences (edge, weight) in one of four orders:
 as given, uniformly shuffled, batch-shuffled (batches stay contiguous, order
 of batches and of edges inside each batch uniform), or stochastic (iid edge
-samples with repetition).  Algorithms follow an explicit-state contract —
+samples with repetition).  A stream's events are an ``EventView``: the
+ordered edges as one (E, 2) array (plus a weight array when the graph is
+weighted), read as ((u, v), w) tuples only on demand.  The orders are index
+arrays into the edge array, drawn with ``seeds.shuffle_order`` and
+``seeds.randrange_many`` from exactly the words ``Random.shuffle`` and
+``randrange`` would use.
+
+Algorithms follow an explicit-state contract —
 init/process/serialize/deserialize/finalize — so a one-way protocol can ship
 the state across a cut; serialized size is the honest message cost.
 
@@ -17,70 +24,155 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Iterable
 
 import numpy as np
 
-from .distributions import Census, NgcInstance, canon, census_of_edges
+from .distributions import (
+    Census,
+    EdgeTable,
+    NgcInstance,
+    as_edge_array,
+    canon_keys,
+    census_of_edges,
+    distinct_edges,
+    distinct_keys,
+    keys_to_edges,
+)
 from .gadgets import Edge
-from .seeds import Seed, as_seed, randrange_many
+from .seeds import Seed, as_seed, randrange_many, shuffle_order
 
 Event = tuple[Edge, int | None]
+
+
+class EventView(Sequence):
+    """A tuple of ((u, v), w) events held as an (E, 2) edge array and weights.
+
+    ``weights`` is an (E,) int array, or None for an unweighted stream (every
+    w is None).  Reads like the tuple it stands for: ``len``, iteration and
+    indexing give Python ints, slices are views, ``+`` concatenates, and it
+    equals the tuple of its events.
+    """
+
+    __slots__ = ("edges", "weights")
+
+    def __init__(self, edges: np.ndarray, weights: np.ndarray | None = None) -> None:
+        self.edges = edges
+        self.weights = weights
+
+    def __len__(self) -> int:
+        return len(self.edges)
+
+    def __iter__(self):
+        pairs = zip(self.edges[:, 0].tolist(), self.edges[:, 1].tolist())
+        return zip(pairs, repeat(None) if self.weights is None else self.weights.tolist())
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            weights = None if self.weights is None else self.weights[index]
+            return EventView(self.edges[index], weights)
+        u, v = self.edges[index].tolist()
+        return (u, v), (None if self.weights is None else int(self.weights[index]))
+
+    def __add__(self, other):
+        if isinstance(other, EventView) and (self.weights is None) == (other.weights is None):
+            weights = None if self.weights is None else np.concatenate([self.weights, other.weights])
+            return EventView(np.concatenate([self.edges, other.edges]), weights)
+        if isinstance(other, (EventView, tuple)):
+            return tuple(self) + tuple(other)
+        return NotImplemented
+
+    def __radd__(self, other):
+        return other + tuple(self) if isinstance(other, tuple) else NotImplemented
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, EventView):
+            if len(self) != len(other):
+                return False
+            if self.weights is None or other.weights is None:
+                weighted = self.weights is other.weights or not len(self)
+            else:
+                weighted = np.array_equal(self.weights, other.weights)
+            return weighted and np.array_equal(self.edges, other.edges)
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"EventView({len(self)} events)"
+
+
+def event_edges(events: Iterable[Event]) -> np.ndarray:
+    """The (E, 2) edge array of events: an ``EventView``'s own, else read off the tuples."""
+    if isinstance(events, EventView):
+        return events.edges
+    return as_edge_array([edge for edge, _ in events])
 
 
 @dataclass(frozen=True)
 class Stream:
     n: int
-    events: tuple[Event, ...]
+    events: EventView | tuple[Event, ...]
     order_mode: str
+
+
+def batch_order(rng, sizes: Sequence[int]) -> np.ndarray:
+    """The stream order of batches of these sizes, as positions in their concatenation.
+
+    It is the order ``rng.shuffle`` of the batch list, then of each batch in
+    its new place, would leave the edges in, drawn from the same words.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    pieces = [
+        starts[b] + shuffle_order(rng, int(sizes[b]))
+        for b in shuffle_order(rng, len(sizes)).tolist()
+    ]
+    return np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
 
 
 def stream_from_edges(
     n: int,
-    edges: list[Edge],
+    edges: list[Edge] | np.ndarray,
     mode: str,
     seed: Seed | int | None = None,
     c: float | None = None,
     weights: dict[Edge, int] | None = None,
     batches: tuple[tuple[Edge, ...], ...] | None = None,
 ) -> Stream:
-    """Build a stream over a raw edge list.
+    """Build a stream over a raw edge list or (E, 2) array.
 
     mode: "given" | "uniform_random" | "batched_random" | "stochastic";
     stochastic emits ceil(c*|E|) iid samples with repetition.
     """
-
-    def events_of(ordered: Iterable[Edge]) -> Iterable[Event]:
-        if weights is None:
-            return zip(ordered, repeat(None))
-        return ((e, weights[canon(e)]) for e in ordered)
-
+    ends = as_edge_array(edges)
     rng = as_seed(seed).rng()
     if mode == "given":
-        events = events_of(edges)
+        order = None
     elif mode == "uniform_random":
-        shuffled = list(edges)
-        rng.shuffle(shuffled)
-        events = events_of(shuffled)
+        order = shuffle_order(rng, len(ends))
     elif mode == "batched_random":
         if batches is None:
             raise ValueError("batched_random needs batches")
-        groups = [list(b) for b in batches]
-        rng.shuffle(groups)
-        for batch in groups:
-            rng.shuffle(batch)
-        events = events_of(chain.from_iterable(groups))
+        ends = as_edge_array([e for batch in batches for e in batch])
+        order = batch_order(rng, [len(b) for b in batches])
     elif mode == "stochastic":
         if c is None or c < 0:
             raise ValueError("stochastic mode needs c >= 0")
-        picks = randrange_many(rng, len(edges), math.ceil(c * len(edges)))
-        events = events_of(map(edges.__getitem__, picks))
+        order = np.array(randrange_many(rng, len(ends), math.ceil(c * len(ends))), dtype=np.int64)
     else:
         raise ValueError(f"unknown stream mode {mode!r}")
-    return Stream(n=n, events=tuple(events), order_mode=mode)
+    if order is not None:
+        ends = ends[order]
+    weight = None if weights is None else EdgeTable.of(weights).lookup(ends)
+    return Stream(n=n, events=EventView(ends, weight), order_mode=mode)
 
 
 def make_stream(
@@ -92,7 +184,7 @@ def make_stream(
     """Stream the instance's edges in the requested order."""
     return stream_from_edges(
         instance.n,
-        instance.all_edges(),
+        instance.edge_array,
         mode,
         seed=seed,
         c=c,
@@ -101,13 +193,13 @@ def make_stream(
     )
 
 
-def exact_census(n: int, stream_or_edges: Stream | list[Edge]) -> Census:
+def exact_census(n: int, stream_or_edges: Stream | list[Edge] | np.ndarray) -> Census:
     """Exact census over all events; duplicate edges are idempotent."""
     if isinstance(stream_or_edges, Stream):
-        edges = [e for e, _ in stream_or_edges.events]
+        edges = event_edges(stream_or_edges.events)
     else:
         edges = stream_or_edges
-    return census_of_edges(n, {canon(e) for e in edges})
+    return census_of_edges(n, distinct_edges(edges))
 
 
 def theta_from_components(n: int, k: int, components: float) -> int:
@@ -119,16 +211,22 @@ def theta_from_components(n: int, k: int, components: float) -> int:
     return 0 if 8 * k * components >= 7 * n else 1
 
 
-def pack_edges(edges: Iterable[Edge]) -> bytes:
-    """Big-endian u32 edge count, then u32 (u, v) pairs in the given order."""
-    flat = np.fromiter(chain.from_iterable(edges), dtype=">u4")
-    return struct.pack(">I", flat.size // 2) + flat.tobytes()
+def pack_edges(edges: Iterable[Edge] | np.ndarray) -> bytes:
+    """Big-endian u32 edge count, then u32 (u, v) pairs in the given order.
+
+    Ids outside [0, 2**32) raise OverflowError.
+    """
+    ends = as_edge_array(edges)
+    if (ends >> 32).any():
+        raise OverflowError("edge endpoint outside the u32 range")
+    return struct.pack(">I", len(ends)) + ends.astype(">u4").tobytes()
 
 
-def unpack_edges(blob: bytes) -> list[Edge]:
+def unpack_edges(blob: bytes) -> np.ndarray:
+    """The (E, 2) int64 edges of a ``pack_edges`` message."""
     (count,) = struct.unpack_from(">I", blob, 0)
-    flat = np.frombuffer(blob, dtype=">u4", count=2 * count, offset=4).tolist()
-    return list(zip(flat[0::2], flat[1::2]))
+    flat = np.frombuffer(blob, dtype=">u4", count=2 * count, offset=4)
+    return flat.astype(np.int64).reshape(-1, 2)
 
 
 # --- streaming algorithm contract ---------------------------------------------
@@ -171,33 +269,32 @@ class UnionFindCensusAlgorithm(StreamingAlgorithm):
     """Exact census: state is the deduplicated edge set (honest memory cost).
 
     A parent-array-only sketch cannot stay exact under duplicate edges, so the
-    state is the edge set itself; serialization is a sorted packed list and
-    its byte length is the real one-way message cost of being exact.
+    state is the edge set itself, held as the sorted distinct ``canon_keys``
+    of the edges seen; serialization is the sorted packed list and its byte
+    length is the real one-way message cost of being exact.
     """
 
     def __init__(self, n: int) -> None:
         self.n = n
 
-    def init(self) -> set[Edge]:
-        return set()
+    def init(self) -> np.ndarray:
+        return np.empty(0, dtype=np.uint64)
 
-    def process(self, state: set[Edge], event: Event) -> set[Edge]:
+    def process(self, state: np.ndarray, event: Event) -> np.ndarray:
         edge, _ = event
-        state.add(canon(edge))
-        return state
+        return distinct_keys(np.concatenate([state, canon_keys([edge])]))
 
-    def run(self, state: set[Edge], events) -> set[Edge]:
-        state.update([e if e[0] <= e[1] else (e[1], e[0]) for e, _ in events])
-        return state
+    def run(self, state: np.ndarray, events) -> np.ndarray:
+        return distinct_keys(np.concatenate([state, canon_keys(event_edges(events))]))
 
-    def serialize(self, state: set[Edge]) -> bytes:
-        return pack_edges(sorted(state))
+    def serialize(self, state: np.ndarray) -> bytes:
+        return pack_edges(keys_to_edges(state))
 
-    def deserialize(self, blob: bytes) -> set[Edge]:
-        return set(unpack_edges(blob))
+    def deserialize(self, blob: bytes) -> np.ndarray:
+        return distinct_keys(canon_keys(unpack_edges(blob)))
 
-    def finalize(self, state: set[Edge]) -> Census:
-        return census_of_edges(self.n, state)
+    def finalize(self, state: np.ndarray) -> Census:
+        return census_of_edges(self.n, keys_to_edges(state))
 
 
 class CensusThetaDecision(UnionFindCensusAlgorithm):
@@ -207,8 +304,8 @@ class CensusThetaDecision(UnionFindCensusAlgorithm):
         super().__init__(n)
         self.k = k
 
-    def finalize(self, state: set[Edge]) -> int:
-        census = census_of_edges(self.n, state)
+    def finalize(self, state: np.ndarray) -> int:
+        census = census_of_edges(self.n, keys_to_edges(state))
         return theta_from_components(self.n, self.k, census.components)
 
 
@@ -243,6 +340,8 @@ def cc_estimate(
     """
     if not 0 < epsilon < 1:
         raise ValueError("need 0 < epsilon < 1")
+    if r < 1:
+        raise ValueError(f"need r >= 1, got r={r}")
     if cap is None:
         cap = math.ceil(2 / epsilon)
     rng = as_seed(seed).rng()
@@ -252,8 +351,9 @@ def cc_estimate(
     by_vertex: dict[int, list[int]] = {}
     for i, v in enumerate(seeds):
         by_vertex.setdefault(v, []).append(i)
+    pairs = event_edges(stream.events).tolist()
 
-    for (u, v), _ in stream.events:
+    for u, v in pairs:
         touching = set(by_vertex.get(u, ())) | set(by_vertex.get(v, ()))
         for i in touching:
             s = members[i]
@@ -267,7 +367,7 @@ def cc_estimate(
             by_vertex.setdefault(newcomer, []).append(i)
 
     dirty = [False] * r
-    for (u, v), _ in stream.events:
+    for u, v in pairs:
         for i in set(by_vertex.get(u, ())) | set(by_vertex.get(v, ())):
             if (u in members[i]) != (v in members[i]):
                 dirty[i] = True
@@ -294,7 +394,7 @@ def cc_estimate(
 
 def _census_deg2(n: int, edges: list[Edge]) -> Census:
     """Census of a disjoint union of paths and cycles; rejects degree > 2."""
-    census = census_of_edges(n, {canon(e) for e in edges})
+    census = census_of_edges(n, distinct_edges(edges))
     if census.degree_violations:
         raise ValueError(
             f"degree > 2 at vertices {census.degree_violations[:5]}..."

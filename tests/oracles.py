@@ -10,7 +10,8 @@ layers at the end: there the references are the per-gadget and object-level
 routes the shared code replaced (a validated concat chain per gadget, one
 ``randrange`` per cross bit, edge or map slot, one owner lookup per edge, one
 assignment and clean report per suite trial, the uint8 and int8 simulators
-that byte replay replaced, one record loop step per line),
+that byte replay replaced, one record loop step per line, event tuples
+shuffled in place, set-valued census states relayed batch by batch),
 so the new routes can be checked draw for draw and byte for byte against
 them.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import replace
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -52,6 +53,7 @@ from ngc_lab.partitions import (
     stochastic_assign,
 )
 from ngc_lab.seeds import as_seed
+from ngc_lab.streaming import theta_from_components
 
 
 def build_adjacency(n_vertices: int, edges: list[tuple[int, int]]) -> list[list[int]]:
@@ -731,3 +733,49 @@ def reference_edge_records(instance: NgcInstance) -> list[str]:
             rec += f" b={batch_id[canon((u, v))]}"
         records.append(rec)
     return records
+
+
+# --- streams and relays: event tuples and set states ------------------------------
+
+
+def reference_stream_events(edges, mode: str, seed, c=None, weights=None, batches=None):
+    """The event tuple of a stream, each order made by shuffling a list in place."""
+    rng = as_seed(seed).rng()
+    if mode == "given":
+        ordered = list(edges)
+    elif mode == "uniform_random":
+        ordered = list(edges)
+        rng.shuffle(ordered)
+    elif mode == "batched_random":
+        groups = [list(b) for b in batches]
+        rng.shuffle(groups)
+        for batch in groups:
+            rng.shuffle(batch)
+        ordered = list(chain.from_iterable(groups))
+    else:  # stochastic
+        ordered = [edges[rng.randrange(len(edges))] for _ in range(math.ceil(c * len(edges)))]
+    if weights is None:
+        return tuple((e, None) for e in ordered)
+    return tuple((e, weights[canon(e)]) for e in ordered)
+
+
+def reference_relay(instance, assignment, l: int, seed):
+    """(output, hop bits) of the census-decision relay with a set state, batch by batch."""
+    shared = as_seed(seed)
+    state: set = set()
+    hop_bits = []
+    for player in range(1, l + 1):
+        rng = shared.child("player", player).rng()
+        owned = [
+            list(batch)
+            for batch, owner in zip(instance.batches, assignment.batch_owners)
+            if owner == player
+        ]
+        rng.shuffle(owned)
+        for batch in owned:
+            rng.shuffle(batch)
+            state.update(canon(e) for e in batch)
+        if player < l:
+            hop_bits.append(8 * (4 + 8 * len(state)))  # u32 count, then u32 pairs
+    paths, cycles = component_census(instance.n, sorted(state))
+    return theta_from_components(instance.n, instance.k, len(paths) + len(cycles)), tuple(hop_bits)

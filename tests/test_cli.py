@@ -249,6 +249,14 @@ def test_validate_weighted_file_census_only(tmp_path, capsys):
             (["stochastic-stats", "--c", c], f"the bounds need a finite c > 0, got c={shown}")
             for c, shown in (("inf", "inf"), ("nan", "nan"), ("0", "0.0"), ("-1", "-1.0"))
         ),
+        (
+            ["stream-run", "--check", "estimator", "--n", "96", "--epsilon", "0.25", "--r", "0"],
+            "need r >= 1, got r=0",
+        ),
+        (
+            ["stream-run", "--check", "estimator", "--n", "0", "--epsilon", "0.25", "--r", "4"],
+            "need vertices >= 3, got vertices=0",
+        ),
     ],
 )
 def test_suite_parameter_errors_are_usage_errors(tmp_path, capsys, recwarn, argv, message):

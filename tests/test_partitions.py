@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import replace
 from itertools import chain
 
 import numpy as np
@@ -12,7 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ngc_lab import partitions
-from ngc_lab.distributions import canon, mst_augment, pad_to_k, sample_ngc, sample_ngc_batched
+from ngc_lab.distributions import (
+    EdgeTable,
+    canon,
+    mst_augment,
+    pad_to_k,
+    sample_ngc,
+    sample_ngc_batched,
+)
 from ngc_lab.gadgets import invert_perm, to_edges
 from ngc_lab.partitions import (
     ALICE,
@@ -477,7 +485,8 @@ def test_function_routes_match_references(inst, seed):
     assert F == reference_random_partition_functions(inst.width, inst.t, seed)
     got = assign_by_functions(inst, F, seed + 1)
     want = reference_assign_by_functions(inst, F, seed + 1)
-    assert list(got.owner.items()) == list(want.owner.items())
+    assert dict(got.owner.items()) == want.owner
+    assert list(got.owner) == sorted(want.owner)
     assert clean_indices(inst, F, seed + 1) == reference_clean_indices(inst, F, seed + 1)
     assert active_blocks(inst, got) == reference_active_blocks(inst, want)
     for block in range(1, inst.t + 1):
@@ -558,13 +567,56 @@ def test_batched_stochastic_clean_matches_each_assignment(inst, trials, rnd):
 def test_uniform_split_matches_reference(inst, seed, players):
     edges = inst.all_edges()
     got = assign_uniform(edges, players, seed)
-    assert list(got.owner.items()) == list(reference_assign_uniform(edges, players, seed).owner.items())
+    want = reference_assign_uniform(edges, players, seed).owner
+    assert dict(got.owner.items()) == want
+    assert list(got.owner) == sorted(want)
     if players == 2:
         assert clean_indices(inst, got) == reference_clean_indices(inst, got)
         assert active_blocks(inst, got) == reference_active_blocks(inst, got)
         alice, bob = got.split(edges)
-        assert alice == [e for e in edges if got.owner_of(e) == ALICE]
-        assert bob == [e for e in edges if got.owner_of(e) == BOB]
+        assert alice.tolist() == [list(e) for e in edges if want[canon(e)] == ALICE]
+        assert bob.tolist() == [list(e) for e in edges if want[canon(e)] == BOB]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=80),
+    st.integers(0, 2**32),
+    st.sampled_from([2, 3, 7]),
+)
+def test_owner_table_matches_the_owner_dict(edges, seed, players):
+    # reversed and repeated edges: the dict keeps each canonical edge's last draw
+    got = assign_uniform(edges, players, seed)
+    want = reference_assign_uniform(edges, players, seed).owner
+    assert isinstance(got.owner, EdgeTable) and EdgeTable.of(got.owner) is got.owner
+    assert len(got.owner) == len(want)
+    assert dict(got.owner.items()) == want and got.owner == want
+    assert list(got.owner) == sorted(want)
+    assert sorted(got.owner.values()) == sorted(want.values())
+    assert [got.owner[e] for e in edges] == [got.owner_of(e) for e in edges] == [want[canon(e)] for e in edges]
+    with pytest.raises(KeyError):
+        got.owner[(41, 42)]
+    if players == 2:
+        alice, bob = got.split(edges)
+        assert alice.tolist() == [list(e) for e in edges if want[canon(e)] == ALICE]
+        assert bob.tolist() == [list(e) for e in edges if want[canon(e)] == BOB]
+        plain = replace(got, owner=dict(want))  # any canonical-keyed mapping splits alike
+        assert all(np.array_equal(a, b) for a, b in zip(plain.split(edges), (alice, bob)))
+        with pytest.raises(KeyError):
+            got.split(edges + [(41, 42)])
+
+
+def test_edge_table_reads_ids_up_to_u32_either_way_round():
+    table = EdgeTable.from_edges([(2**32 - 1, 2**31), (0, 2**31), (7, 3)], [1, 0, 1])
+    assert list(table) == [(0, 2**31), (3, 7), (2**31, 2**32 - 1)]
+    assert table[(2**31, 2**32 - 1)] == table[(2**32 - 1, 2**31)] == 1
+    assert table.lookup([(2**31, 0), (3, 7), (2**32 - 1, 2**31)]).tolist() == [0, 1, 1]
+    for missing in [(0, 1), (-1, 3), (3, 2**32)]:
+        assert missing not in table
+    with pytest.raises(KeyError):
+        table.lookup([(3, 7), (0, 1)])
+    with pytest.raises(ValueError):
+        table.lookup([(3, 2**32)])
 
 
 @settings(max_examples=120, deadline=None)
@@ -596,7 +648,8 @@ def test_batch_split_matches_reference():
         got = assign_batches(inst, l, SEED.child("batrefA", i))
         want = reference_assign_batches(inst, l, SEED.child("batrefA", i))
         assert got.batch_owners == want.batch_owners
-        assert list(got.owner.items()) == list(want.owner.items())
+        assert dict(got.owner.items()) == want.owner
+        assert list(got.owner) == sorted(want.owner)
 
 
 def test_index_edges_rejects_out_of_range_indices():

@@ -8,12 +8,15 @@ from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ngc_lab import distributions, protocols, seeds, streaming
 from ngc_lab.distributions import (
     Witness,
+    canon,
     sample_dhx,
     sample_dhx_segment,
     sample_hybrid,
@@ -45,8 +48,8 @@ from ngc_lab.protocols import (
 )
 from ngc_lab.seeds import Seed, master_seed
 from ngc_lab.stats import binomial_check, chi_square_uniform
-from ngc_lab.streaming import CensusThetaDecision
-from oracles import witness_parity
+from ngc_lab.streaming import CensusThetaDecision, stream_from_edges
+from oracles import reference_relay, witness_parity
 
 
 # --- embedding ---------------------------------------------------------------
@@ -188,9 +191,10 @@ def test_embed_batched_s1_matches_segment_dhx_shape():
 
 def test_pack_unpack_roundtrip():
     edges = [(0, 5), (12, 3), (7, 7)]
-    assert unpack_edges(pack_edges(edges)) == edges
+    assert unpack_edges(pack_edges(edges)).tolist() == [list(e) for e in edges]
+    assert pack_edges(np.array(edges)) == pack_edges(edges)
     assert pack_edges([]) == b"\x00\x00\x00\x00"
-    assert unpack_edges(pack_edges([])) == []
+    assert unpack_edges(pack_edges([])).shape == (0, 2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -201,8 +205,8 @@ def test_pack_edges_matches_struct_layout(edges):
         struct.pack(">II", u, v) for u, v in edges
     )
     back = unpack_edges(blob)
-    assert back == edges
-    assert all(type(u) is int and type(v) is int for u, v in back)
+    assert back.dtype == np.int64 and back.shape == (len(edges), 2)
+    assert back.tolist() == [list(e) for e in edges]
 
 
 def test_pack_edges_rejects_ids_outside_u32():
@@ -356,6 +360,55 @@ def test_l_player_relay_matches_census():
             assert result.output == inst.theta
             assert len(result.hop_bits) == l - 1
             assert result.max_bits <= 8 * (4 + 8 * len(inst.all_edges()))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([1, 2, 3, 4]))
+def test_l_player_relay_matches_the_set_state_reference(seed, l):
+    inst = sample_ngc_batched(n=120, k=15, s=2, t=3, seed=seed)
+    assignment = assign_batches(inst, l, seed=seed + 1)
+    relay = streaming_as_l_protocol(CensusThetaDecision(inst.n, inst.k), l)
+    result = relay.run(inst, assignment, seed=seed + 2)
+    assert (result.output, result.hop_bits) == reference_relay(inst, assignment, l, seed + 2)
+
+
+def test_streaming_adapter_orders_are_the_list_shuffles(monkeypatch):
+    # Alice's 350 edges take the bulk shuffle replay, Bob's 250 the list shuffle
+    monkeypatch.setattr(seeds, "_SHUFFLE_BULK_MIN", 300)
+    edges = [(2 * i, 2 * i + 1) for i in range(600)]
+    shared = master_seed(5).child("adapter")
+    adapter = streaming_as_protocol(OrderProbe())
+    order = adapter.bob(adapter.alice(edges[:350], shared), np.array(edges[350:]), shared)
+    want_a, want_b = edges[:350], edges[350:]
+    shared.child("alice-shuffle").rng().shuffle(want_a)
+    shared.child("bob-shuffle").rng().shuffle(want_b)
+    assert list(order) == want_a + want_b
+
+
+def test_large_instance_chain_hands_census_sized_edge_arrays(monkeypatch):
+    # the large-instance chain: stream and decide, then split and run the protocol
+    calls = []
+    original = distributions.census_of_edges
+
+    def recording(n, edges):
+        calls.append(edges)
+        return original(n, edges)
+
+    for module in (distributions, streaming, protocols):
+        monkeypatch.setattr(module, "census_of_edges", recording)
+    n, k = 280, 7
+    inst = sample_ngc(n, k, 11)
+    edges = inst.all_edges()
+    stream = stream_from_edges(n, edges, "uniform_random", seed=12)
+    decision = CensusThetaDecision(n, k)
+    state = decision.run(decision.init(), stream.events)
+    assert np.array_equal(decision.run(decision.init(), tuple(stream.events)), state)
+    decided = decision.finalize(state)
+    assignment = assign_uniform(edges, 2, seed=13)
+    result = run_protocol(FullForwardCensusProtocol(n, k), inst, assignment, seed=14)
+    assert decided == result.output == inst.theta
+    assert all(isinstance(a, np.ndarray) and a.ndim == 2 and a.shape[1] == 2 for a in calls)
+    assert [len(a) for a in calls] == [len({canon(e) for e in edges}), len(edges)]
 
 
 def test_l_player_relay_validation():

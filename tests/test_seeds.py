@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import random
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ngc_lab.seeds import randrange_many, replay_bytes
+from ngc_lab import seeds
+from ngc_lab.seeds import randrange_many, replay_bytes, shuffle_order
 
 from oracles import randrange_loop
 
@@ -35,6 +39,45 @@ def test_randrange_many_empty_range_raises_like_randrange(n):
 def test_randrange_many_rejects_ranges_past_32_bits():
     with pytest.raises(ValueError):
         randrange_many(random.Random(1), 2**32, 3)
+
+
+# --- shuffle_order: Random.shuffle's permutation read off bulk words -----------------
+
+
+def _assert_shuffle_replayed(length: int, seed: int) -> None:
+    loop, bulk = random.Random(seed), random.Random(seed)
+    items = list(range(length))
+    loop.shuffle(items)
+    order = shuffle_order(bulk, length)
+    assert order.dtype == np.int64 and order.tolist() == items
+    assert bulk.getstate() == loop.getstate()
+    assert bulk.getrandbits(64) == loop.getrandbits(64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5000), st.integers(0, 2**64 - 1))
+def test_shuffle_order_matches_shuffle(length, seed):
+    _assert_shuffle_replayed(length, seed)
+    with patch.object(seeds, "_SHUFFLE_BULK_MIN", 0):  # the bulk replay at every length
+        _assert_shuffle_replayed(length, seed)
+
+
+BAND_EDGES = sorted({e + d for b in range(1, 17) for e in [2**b] for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("length", BAND_EDGES + [57344, 60840])
+def test_shuffle_order_matches_shuffle_at_band_edges_and_instance_sizes(monkeypatch, length):
+    monkeypatch.setattr(seeds, "_SHUFFLE_BULK_MIN", 0)
+    for seed in range(3):
+        _assert_shuffle_replayed(length, seed * 7919 + length)
+
+
+def test_shuffle_order_permutes_any_list_as_shuffle_does():
+    loop, bulk = random.Random(11), random.Random(11)
+    items = [f"edge{i}" for i in range(1000)]
+    shuffled = list(items)
+    loop.shuffle(shuffled)
+    assert [items[i] for i in shuffle_order(bulk, len(items))] == shuffled
 
 
 # --- replay_bytes: numpy's uint8 draws read off the raw words ------------------------

@@ -8,6 +8,7 @@ import struct
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from ngc_lab.seeds import Seed
 from ngc_lab.stats import binomial_check, chi_square_expected, chi_square_uniform
 from ngc_lab.streaming import (
     CensusThetaDecision,
+    EventView,
     UnionFindCensusAlgorithm,
     WalkSample,
     cc_estimate,
@@ -32,6 +34,7 @@ from ngc_lab.streaming import (
     matching_size_exact,
     mis_size_exact,
     mst_weight_exact,
+    pack_edges,
     random_walk,
     stream_from_edges,
     theta_from_components,
@@ -42,6 +45,7 @@ from oracles import (
     brute_max_independent_set,
     brute_max_matching,
     component_census,
+    reference_stream_events,
     scipy_mst_weight,
 )
 
@@ -140,6 +144,48 @@ def test_stochastic_draws_match_the_per_event_loop(monkeypatch, c, size):
     assert drawn.getstate() == loop.getstate()
 
 
+def test_event_view_reads_as_the_tuple_it_replaces():
+    edges = np.array([[0, 1], [3, 2], [4, 5], [7, 6], [8, 9]])
+    for weights in (None, np.array([1, 5, 1, 2, 1])):
+        view = EventView(edges, weights)
+        ws = [None] * len(edges) if weights is None else weights.tolist()
+        want = tuple(((u, v), w) for (u, v), w in zip(edges.tolist(), ws))
+        assert len(view) == len(want)
+        assert list(view) == list(want)
+        assert all(type(u) is int and type(v) is int for (u, v), _ in view)
+        assert [view[i] for i in range(-5, 5)] == [want[i] for i in range(-5, 5)]
+        for cut in (slice(None, -1), slice(1, 3), slice(None, None, 2), slice(3, 1), slice(None)):
+            assert isinstance(view[cut], EventView)
+            assert view[cut] == want[cut] and want[cut] == view[cut]
+        assert view[:-1] + view[:1] == want[:-1] + want[:1]
+        assert isinstance(view[:-1] + view[:1], EventView)
+        assert view + want == want + view == want + want
+        assert view == want and not view != want
+        assert view != want[:-1] and view != want[::-1]
+        assert hash(view) == hash(want)
+    assert EventView(edges) != EventView(edges, np.ones(5, dtype=np.int64))
+    assert EventView(edges[:0]) == EventView(edges[:0], np.ones(0, dtype=np.int64)) == ()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), max_size=60),
+    st.sampled_from(["given", "uniform_random", "batched_random", "stochastic"]),
+    st.integers(0, 2**32),
+    st.sampled_from([0, 0.4, 1, 2.5]),
+    st.booleans(),
+)
+def test_streams_match_the_event_tuple_reference(edges, mode, seed, c, weighted):
+    weights = {canon(e): (u * 31 + v) % 7 for e in edges for u, v in [canon(e)]} if weighted else None
+    batches = tuple(tuple(edges[i : i + 2]) for i in range(0, len(edges), 2))
+    got = stream_from_edges(31, edges, mode, seed=seed, c=c, weights=weights, batches=batches)
+    want = reference_stream_events(edges, mode, seed, c=c, weights=weights, batches=batches)
+    assert got.events == want
+    assert tuple(got.events) == want
+    array_input = stream_from_edges(31, np.array(edges).reshape(-1, 2), mode, seed=seed, c=c, weights=weights, batches=batches)
+    assert array_input == got
+
+
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         stream_from_edges(3, TRIANGLE, "sorted", seed=0)
@@ -195,7 +241,7 @@ def test_union_find_algorithm_roundtrip_and_resume():
     alg = UnionFindCensusAlgorithm(inst.n)
 
     full = alg.run(alg.init(), stream.events)
-    assert alg.deserialize(alg.serialize(full)) == full
+    assert np.array_equal(alg.deserialize(alg.serialize(full)), full)
     assert alg.finalize(full) == census_of_edges(inst.n, inst.all_edges())
 
     # split mid-stream, ship the state as bytes, resume on the rest
@@ -204,9 +250,10 @@ def test_union_find_algorithm_roundtrip_and_resume():
     blob = alg.serialize(head)
     resumed = alg.run(alg.deserialize(blob), stream.events[cut:])
     assert alg.finalize(resumed) == alg.finalize(full)
-    assert len(blob) == 4 + 8 * len(head)
-    assert blob == struct.pack(">I", len(head)) + b"".join(
-        struct.pack(">II", u, v) for u, v in sorted(head)
+    seen = {canon(e) for e, _ in stream.events[:cut]}
+    assert len(blob) == 4 + 8 * len(seen)
+    assert blob == struct.pack(">I", len(seen)) + b"".join(
+        struct.pack(">II", u, v) for u, v in sorted(seen)
     )
 
 
@@ -221,14 +268,23 @@ census_events = st.lists(
 def test_census_run_equals_the_process_fold(head, events):
     """Duplicates, reversed edges, self-loops, weights, and a resumed state."""
     for alg in (UnionFindCensusAlgorithm(10), CensusThetaDecision(10, 4)):
-        start = alg.deserialize(alg.serialize({canon(e) for e, _ in head}))
-        folded = set(start)
+        start = alg.deserialize(pack_edges(sorted({canon(e) for e, _ in head})))
+        folded = start
         for ev in events:
             folded = alg.process(folded, ev)
-        bulk = alg.run(set(start), events)
-        assert bulk == folded
+        bulk = alg.run(start, events)
+        assert np.array_equal(bulk, folded)
         assert alg.serialize(bulk) == alg.serialize(folded)
         assert alg.finalize(bulk) == alg.finalize(folded)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)), st.none()), max_size=40))
+def test_census_state_serializes_as_the_sorted_edge_set(events):
+    alg = UnionFindCensusAlgorithm(2**32)
+    state = alg.run(alg.init(), events)
+    assert alg.serialize(state) == pack_edges(sorted({canon(e) for e, _ in events}))
+    assert np.array_equal(alg.deserialize(alg.serialize(state)), state)
 
 
 def test_census_theta_decision_separates():
@@ -299,6 +355,9 @@ def test_cc_estimate_bounds_and_validation():
     for bad in (0.0, 1.0, -0.5):
         with pytest.raises(ValueError):
             cc_estimate(stream, epsilon=bad, r=4, seed=0)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match=f"need r >= 1, got r={bad}"):
+            cc_estimate(stream, epsilon=0.5, r=bad, seed=0)
 
 
 def test_cc_estimate_state_accounting():
