@@ -184,12 +184,12 @@ def cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    emitted = len(inst.all_edges())
-    reparsed = len(parse_instance(text).edges)
+    emitted = len(inst.edge_array)
+    reparsed = len(parse_instance(text).edge_array)
     if emitted != reparsed:
         print(f"edge count mismatch: emitted {emitted}, re-parsed {reparsed}", file=sys.stderr)
         return 3
-    census = census_of_edges(inst.n, inst.all_edges())
+    census = census_of_edges(inst.n, inst.edge_array)
     print(f"edges {emitted}", file=sys.stderr)
     print(_census_line(census), file=sys.stderr)
     return 0
@@ -198,8 +198,8 @@ def cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 def cmd_validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     with open(args.path, encoding="utf-8") as fh:
         parsed = parse_instance(fh.read())
-    census = census_of_edges(parsed.n, parsed.edges)
-    if parsed.theta is None or parsed.weights is not None:
+    census = census_of_edges(parsed.n, parsed.edge_array)
+    if parsed.theta is None or parsed.edge_weights is not None:
         # nothing declared to check against: report the census and accept
         print(_census_line(census))
         return 0

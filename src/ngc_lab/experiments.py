@@ -160,7 +160,7 @@ def _finish(rows: list[Row], failures: list[str]) -> SuiteResult:
 
 
 def _check_trials(**budgets: int) -> None:
-    """Reject a trial budget below one, by name, before any draw."""
+    """Reject a count or size below one, by name, before any draw."""
     for name, count in budgets.items():
         if count < 1:
             raise ValueError(f"need {name} >= 1, got {name}={count}")
@@ -458,7 +458,13 @@ def reduce_check_suite(
     law, the even hybrid mixture, which at m=1 is uniform over all width-2
     witnesses.
     """
-    _check_trials(trials=trials)
+    _check_trials(m=m, t=t, trials=trials, **({} if s is None else {"s": s}))
+    if tvd_samples < 0:
+        raise ValueError(f"need tvd_samples >= 0, got tvd_samples={tvd_samples}")
+    if tvd_samples > 0 and (m != 1 or s is not None):
+        raise ValueError("the marginal TVD row needs block form with m=1")
+    if tvd_samples > 0 and t > 4:  # the exact support enumeration's size
+        raise ValueError(f"the marginal TVD row needs t <= 4, got t={t}")
     root = as_seed(seed)
     rng = root.child("claim").rng()
     suite = "reduce-check"
@@ -485,8 +491,6 @@ def reduce_check_suite(
         failures.append(f"forwarding claim failed in {trials - ok} runs")
 
     if tvd_samples > 0:
-        if m != 1 or s is not None:
-            raise ValueError("the marginal TVD row needs block form with m=1")
         dist = _embedding_marginal_tvd(t, tvd_samples, root.child("tvd"))
         rows.append(
             Row(suite, params, "marginal_tvd", dist, None, None, tvd_samples, root.master)
@@ -499,8 +503,6 @@ def reduce_check_suite(
 
 def _embedding_marginal_tvd(t: int, samples: int, seed: Seed) -> float:
     """TVD between embedded-witness draws (m=1) and the uniform width-2 law."""
-    if t > 4:
-        raise ValueError("exact support enumeration is sized for t <= 4")
     rng = seed.rng()
     draws = []
     for _ in range(samples):
@@ -596,10 +598,10 @@ def adapter_suite(
     for i in range(trials):
         child = root.child("match", i)
         inst = sample_ngc(n, k, child.child("inst"))
-        assignment = assign_uniform(inst.all_edges(), 2, child.child("assign"))
+        assignment = assign_uniform(inst.edge_array, 2, child.child("assign"))
         adapter = streaming_as_protocol(UnionFindCensusAlgorithm(n))
-        streamed = _run_adapter(adapter, inst.all_edges(), assignment, child.child("run"))
-        match += streamed == census_of_edges(n, inst.all_edges())
+        streamed = _run_adapter(adapter, inst.edge_array, assignment, child.child("run"))
+        match += streamed == census_of_edges(n, inst.edge_array)
     rows = [
         Row(suite, params, "adapter_match", match / trials, None, None, trials, root.master)
     ]
@@ -762,7 +764,7 @@ def bob_only_suite(
     for i in range(trials):
         child = root.child("bob", i)
         inst = sample_ngc(n, k, child.child("inst"))
-        assignment = assign_uniform(inst.all_edges(), 2, child.child("assign"))
+        assignment = assign_uniform(inst.edge_array, 2, child.child("assign"))
         result = run_protocol(BobOnlyCycleDetector(n, k), inst, assignment, seed=child.child("run"))
         ok += result.output == inst.theta
     lo, hi = clopper_pearson(ok, trials)
@@ -786,9 +788,9 @@ def _stochastic_counts(c: float, trials: int, w: int, root: Seed) -> tuple[int, 
     arrays of sampled core positions.
     """
     inst = sample_ngc(4 * 4 * (w // 2), 4, root.child("inst"))
-    edges = inst.all_edges()
-    count = sample_size(c, len(edges))
-    columns = core_columns(inst, np.array(edges, dtype=np.int64))
+    ends = inst.edge_array
+    count = sample_size(c, len(ends))
+    columns = core_columns(inst, ends)
     probe = columns[0]  # a core edge's column is its lower end
     positions = len(inst.graph._targets)
     table = inst.graph._index_table[:1, :1]
@@ -796,7 +798,7 @@ def _stochastic_counts(c: float, trials: int, w: int, root: Seed) -> tuple[int, 
     for batch in _trial_batches(trials, 2 * count + 2 * positions):
         picks: list[int] = []
         for i in batch:
-            picks += randrange_many(root.child("draw", i).rng(), len(edges), 2 * count)
+            picks += randrange_many(root.child("draw", i).rng(), len(ends), 2 * count)
         drawn = columns[np.array(picks, dtype=np.int64).reshape(len(batch), 2, count)]
         counts = seen_counts(drawn, positions)
         seen_a, seen_b = counts[:, 0, probe] > 0, counts[:, 1, probe] > 0

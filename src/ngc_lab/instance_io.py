@@ -10,30 +10,98 @@ Grammar (UTF-8, one record per line, `#` starts a comment):
     x <i> <i'> <bitstring>            (segment witness)
     p <i> <i'> <g1> <g2> ...
 
-`w=` carries an edge weight, `b=` a batch id; both optional per edge.  The
+`w=` carries an edge weight, `b=` a batch id, each at most once per edge.
+Weights are all or nothing: once one edge record carries `w=`, every one
+must.  `b=` may be left off (augmentation edges belong to no batch).  The
 `t=` and, for segments, `s=` tokens keep witnessless files reconstructible
 (a padded instance's k no longer determines the gadget count).  Output is
 byte-stable: identical data serializes to identical text.
+
+Edge records travel as arrays both ways: the parser converts each run of
+records of one form with one numpy call, and the writer formats every
+record from the instance's edge array.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, fields
 from itertools import chain, product
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .distributions import NgcInstance, Witness, canon
+from .distributions import EdgeTable, NgcInstance, Witness, as_edge_array
 from .gadgets import Edge, _check_bits, _check_perm
 
 MAGIC = "ngc-lab v1"
 
+_UNSET = object()
+
+
+class _Derived:
+    """A dataclass field that, unless given, is computed on first read and kept."""
+
+    def __init__(self, derive) -> None:
+        self.derive = derive
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.slot = f"_{name}"
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return _UNSET  # the field's default
+        value = obj.__dict__[self.slot]
+        if value is _UNSET:
+            value = obj.__dict__[self.slot] = self.derive(obj)
+        return value
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.slot] = value
+
+
+def _pairs(ends: np.ndarray) -> list[Edge]:
+    return list(zip(ends[:, 0].tolist(), ends[:, 1].tolist()))
+
+
+def _batch_order(batch_ids: np.ndarray) -> np.ndarray:
+    """The records that carry a batch id, by id, and in file order within an id."""
+    held = np.flatnonzero(batch_ids >= 0)
+    return held[np.argsort(batch_ids[held], kind="stable")]
+
+
+def _weights(parsed: ParsedInstance) -> dict[Edge, int] | None:
+    if parsed.edge_weights is None:
+        return None
+    canonical = np.sort(parsed.edge_array, axis=1)
+    return dict(zip(_pairs(canonical), parsed.edge_weights.tolist()))
+
+
+def _batches(parsed: ParsedInstance) -> tuple[tuple[Edge, Edge], ...] | None:
+    if parsed.edge_batches is None:
+        return None
+    members = parsed.edge_array[_batch_order(parsed.edge_batches)]
+    return tuple(zip(_pairs(members[0::2]), _pairs(members[1::2])))
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
 
 @dataclass
 class ParsedInstance:
-    """Everything a file can carry; witness/theta only present if revealed."""
+    """Everything a file can carry; witness/theta only present if revealed.
+
+    The edge records are held as arrays in file order: ``edge_array`` (E, 2)
+    int64, each record's ``w=`` in ``edge_weights`` and its ``b=`` in
+    ``edge_batches`` ((E,) int64, -1 where a record has no ``b=``), either
+    one None when no record carries that annotation.  ``edges`` (the (u, v)
+    list), ``weights`` (canonical edge -> weight) and ``batches`` (the pairs,
+    by batch id) are read off the arrays on first use, unless given.
+    """
 
     n: int
     k: int
@@ -44,10 +112,52 @@ class ParsedInstance:
     form: str
     t: int
     s: int | None
-    edges: list[Edge]
-    weights: dict[Edge, int] | None
-    batches: tuple[tuple[Edge, Edge], ...] | None
     witness: Witness | None
+    edge_array: np.ndarray
+    edge_weights: np.ndarray | None
+    edge_batches: np.ndarray | None
+    edges: list[Edge] = _Derived(lambda parsed: _pairs(parsed.edge_array))
+    weights: dict[Edge, int] | None = _Derived(_weights)
+    batches: tuple[tuple[Edge, Edge], ...] | None = _Derived(_batches)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ParsedInstance):
+            return NotImplemented
+        return all(_same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+def _format_records(notes: tuple[str, ...], table: np.ndarray) -> str:
+    """One line per row of an (R, c) int64 table: note i, then value i in decimal, per column.
+
+    The text ``%d`` formatting writes, for values of magnitude below 2**63.
+    Every row starts as one template line, each column's note, a sign slot
+    and a band of digit slots as wide as the column's longest value; the
+    digits are written right-aligned in their band, and a mask drops the
+    slots a value leaves unused.
+    """
+    columns = []
+    for note, values in zip(notes, table.T):
+        magnitude = np.abs(values)
+        width = len(str(magnitude.max(initial=0)))
+        # up to nine digits fit int32, whose digit arithmetic is the cheaper
+        magnitude = magnitude.astype(np.int32 if width < 10 else np.int64)
+        columns.append((note, values, magnitude, width))
+    template = "".join(note + "-" + "0" * width for note, _, _, width in columns) + "\n"
+    chars = np.tile(np.frombuffer(template.encode(), np.uint8), (len(table), 1))
+    keep = np.ones(chars.shape, bool)
+    at = 0
+    for note, values, magnitude, width in columns:
+        at += len(note)
+        keep[:, at] = values < 0
+        at += width
+        for col in range(at, at - width, -1):  # the units digit first
+            if col < at:
+                keep[:, col] = magnitude > 0
+            quotient = magnitude // 10
+            chars[:, col] = magnitude - 10 * quotient + ord("0")
+            magnitude = quotient
+        at += 1
+    return chars[keep].tobytes().decode("ascii")
 
 
 def serialize_instance(instance: NgcInstance, reveal: bool = False) -> str:
@@ -60,21 +170,23 @@ def serialize_instance(instance: NgcInstance, reveal: bool = False) -> str:
     if instance.s is not None:
         param += f" s={instance.s}"
 
-    # every edge record in one %-format pass over the flattened fields
-    edges = instance.all_edges()
-    record, rows = "e %d %d", edges
+    # every edge record from the edge array, weights and batch ids by one lookup each
+    ends = instance.edge_array
+    notes, table = ("e ", " "), ends
     if instance.weights is not None:
-        record += " w=%d"
-        weights = map(instance.weights.__getitem__, map(canon, edges))
-        rows = [edge + (weight,) for edge, weight in zip(edges, weights)]
-    records = (record + "\n") * len(rows)
-    if instance.batches is not None:
+        notes += (" w=",)
+        table = np.column_stack([ends, EdgeTable.of(instance.weights).lookup(ends)])
+    if instance.batches is None:
+        records = _format_records(notes, table)
+    else:
         # augmentation edges come last and belong to no batch: no b= on theirs
-        batch_id = {canon(e): b for b, batch in enumerate(instance.batches) for e in batch}
-        batched = len(rows) - len(instance.extra_edges)
-        rows = [row + (batch_id[canon(row[:2])],) for row in rows[:batched]] + rows[batched:]
-        records = (record + " b=%d\n") * batched + (record + "\n") * (len(rows) - batched)
-    text = f"{MAGIC}\n{param}\n" + records % tuple(chain.from_iterable(rows))
+        batched = len(ends) - len(instance.extra_edges)
+        members = as_edge_array(chain.from_iterable(instance.batches))
+        ids = EdgeTable.from_edges(members, np.arange(len(members)) // 2).lookup(ends[:batched])
+        records = _format_records(
+            notes + (" b=",), np.column_stack([table[:batched], ids])
+        ) + _format_records(notes, table[batched:])
+    text = f"{MAGIC}\n{param}\n{records}"
 
     if reveal:
         wit = instance.witness
@@ -101,20 +213,30 @@ def _parse_param_line(line: str) -> dict[str, str]:
     return out
 
 
-# A run of plain edge records, `e <u> <v>` with ASCII-digit ids short enough
-# for int64, from a line start.  Runs are capped so that one run's text and
-# array stay small next to the edge list.
-_PLAIN_EDGE_RUN = re.compile(r"^(?:e [0-9]{1,18} [0-9]{1,18}\n){1,4096}", re.MULTILINE)
+# A run of edge records of one form, `e <u> <v>` then ` w=<int>` and/or
+# ` b=<int>` in that order, from a line start, every number ASCII digits
+# short enough for int64.  Runs are capped so that one run's text and array
+# stay small next to the edge array.
+_NUMBER = "[0-9]{1,18}"
+_EDGE_RUN = re.compile(
+    "^(?:"
+    + "|".join(
+        f"(?:e {_NUMBER} {_NUMBER}{notes}\n){{1,4096}}"
+        for notes in ("", f" w={_NUMBER}", f" b={_NUMBER}", f" w={_NUMBER} b={_NUMBER}")
+    )
+    + ")",
+    re.MULTILINE,
+)
 
 
 def _records(text: str) -> Iterator[tuple[int, str]]:
     """(line number, record) in file order, numbered as ``str.splitlines`` numbers lines.
 
-    A run of plain edge records comes as one record, its text with every
-    newline kept; every other line comes alone, without its line break.
+    A run of edge records of one form comes as one record, its text with
+    every newline kept; every other line comes alone, without its line break.
     """
     lineno = pos = 0
-    for run in _PLAIN_EDGE_RUN.finditer(text):
+    for run in _EDGE_RUN.finditer(text):
         lines = text[pos : run.start()].splitlines()
         yield from enumerate(lines, start=lineno + 1)
         lineno += len(lines)
@@ -129,11 +251,32 @@ def parse_instance(text: str) -> ParsedInstance:
     return _parse_records(_records(text))
 
 
+def _edge_row(tokens: list[str], n: int) -> tuple[list[int], bool, bool]:
+    """(row (u, v[, w][, b]), has w=, has b=) of one edge record's tokens."""
+    u, v = int(tokens[1]), int(tokens[2])
+    if u < 0 or v < 0 or u >= n or v >= n:
+        raise ValueError(f"edge ({u}, {v}) leaves the vertex range [0, {n})")
+    notes: dict[str, int] = {}
+    for tok in tokens[3:]:
+        key = tok[:2]
+        if key not in ("w=", "b="):
+            raise ValueError(f"unknown edge annotation {tok!r}")
+        if key in notes:
+            raise ValueError(f"edge annotation {key} given twice")
+        low, sign = (0, "non-negative ") if key == "b=" else (-(2**63), "")
+        notes[key] = int(tok[2:])
+        if not low <= notes[key] < 2**63:
+            raise ValueError(f"edge annotation {tok!r} is not a {sign}64-bit integer")
+    row = [u, v] + [notes[key] for key in ("w=", "b=") if key in notes]
+    return row, "w=" in notes, "b=" in notes
+
+
 def _parse_records(records: Iterable[tuple[int, str]]) -> ParsedInstance:
     """The record loop over (line number, record) pairs in file order.
 
-    A record ending in a newline is a run of plain edge records, converted in
-    one numpy call; any other record is one line.
+    A record ending in a newline is a run of edge records of one form,
+    converted in one numpy call; any other record is one line.  Each edge
+    record adds a row (u, v[, w][, b]) to the edge table, alone or with its run.
     """
     lines = iter(records)
     header = []  # the magic and param lines, the first two records
@@ -149,11 +292,13 @@ def _parse_records(records: Iterable[tuple[int, str]]) -> ParsedInstance:
     if len(header) < 2:
         raise ValueError(f"line {header[0][0]}: param line missing after the magic line")
 
-    edges: list[Edge] = []
-    weights: dict[Edge, int] = {}
-    batch_of: dict[int, list[Edge]] = {}
-    batch_line: dict[int, int] = {}  # each batch's first edge record
-    saw_weight = saw_batch = False
+    ends: list[np.ndarray] = []  # the (u, v) rows of each edge record or run
+    weight_parts: list[np.ndarray | None] = []
+    batch_parts: list[np.ndarray | None] = []
+    part_record: list[int] = []  # each part's first record and its line
+    part_line: list[int] = []
+    count = 0
+    unweighted = None  # (line, text) of the first edge record without w=
     x_lines: dict[tuple[int, ...], tuple[int, ...]] = {}
     p_lines: dict[tuple[int, ...], tuple[int, ...]] = {}
     witness_line: dict[tuple[int, ...], int] = {}  # each gadget's first witness record
@@ -182,69 +327,79 @@ def _parse_records(records: Iterable[tuple[int, str]]) -> ParsedInstance:
         key_len = 1 if form == "block" else 2
 
         for lineno, ln in lines:  # the records after the header
-            if ln.endswith("\n"):  # the hot path: a run of plain edge records
-                flat = np.fromstring(ln.replace("e", ""), dtype=np.int64, sep=" ")
-                outside = flat >= n  # ASCII digits are never negative
-                if outside.any():
-                    at = int(outside.argmax()) // 2
+            if ln.endswith("\n"):  # the hot path: a run of edge records of one form
+                head = ln[: ln.index("\n")]
+                weighted, batched = " w=" in head, " b=" in head
+                digits = ln.replace("e", "")
+                if weighted or batched:
+                    digits = digits.replace("w=", "").replace("b=", "")
+                flat = np.fromstring(digits, dtype=np.int64, sep=" ")
+                rows = flat.reshape(-1, 2 + weighted + batched)
+                if rows[:, :2].max() >= n:  # ASCII digits are never negative
+                    at = int((rows[:, :2] >= n).any(axis=1).argmax())
                     lineno, ln = lineno + at, ln.split("\n")[at]
-                    u, v = flat[2 * at : 2 * at + 2].tolist()
+                    u, v = rows[at, :2].tolist()
                     raise ValueError(f"edge ({u}, {v}) leaves the vertex range [0, {n})")
-                flat = flat.tolist()
-                edges += zip(flat[0::2], flat[1::2])
-                continue
-            tokens = ln.split()
-            if not tokens:
-                continue
-            tag = tokens[0]
-            if tag == "e":
-                u, v = int(tokens[1]), int(tokens[2])
-                if u < 0 or v < 0 or u >= n or v >= n:
-                    raise ValueError(f"edge ({u}, {v}) leaves the vertex range [0, {n})")
-                edges.append((u, v))
-                for tok in tokens[3:]:
-                    if tok.startswith("w="):
-                        weights[canon((u, v))] = int(tok[2:])
-                        saw_weight = True
-                    elif tok.startswith("b="):
-                        saw_batch = True
-                        b = int(tok[2:])
-                        batch_of.setdefault(b, []).append((u, v))
-                        batch_line.setdefault(b, lineno)
+            else:
+                tokens = ln.split()
+                if not tokens or tokens[0].startswith("#"):
+                    continue
+                tag = tokens[0]
+                if tag in ("x", "p"):
+                    key = tuple(int(tokens[i]) for i in range(1, 1 + key_len))
+                    if tag == "x":
+                        row = x_lines[key] = _check_bits([int(c) for c in tokens[1 + key_len]])
                     else:
-                        raise ValueError(f"unknown edge annotation {tok!r}")
-            elif tag in ("x", "p"):
-                key = tuple(int(tokens[i]) for i in range(1, 1 + key_len))
-                if tag == "x":
-                    row = x_lines[key] = _check_bits([int(c) for c in tokens[1 + key_len]])
-                else:
-                    row = p_lines[key] = _check_perm([int(c) for c in tokens[1 + key_len :]])
-                witness_line.setdefault(key, lineno)
-                if len(row) != sizes["w"]:
-                    raise ValueError(f"witness line has width {len(row)}, expected w={sizes['w']}")
-            elif not tag.startswith("#"):
-                raise ValueError(f"unknown record tag {tag!r}")
+                        row = p_lines[key] = _check_perm([int(c) for c in tokens[1 + key_len :]])
+                    witness_line.setdefault(key, lineno)
+                    if len(row) != sizes["w"]:
+                        raise ValueError(f"witness line has width {len(row)}, expected w={sizes['w']}")
+                    continue
+                if tag != "e":
+                    raise ValueError(f"unknown record tag {tag!r}")
+                head = ln
+                row, weighted, batched = _edge_row(tokens, n)
+                rows = np.array([row], dtype=np.int64)
+            part_record.append(count)
+            part_line.append(lineno)
+            count += len(rows)
+            ends.append(rows[:, :2])
+            weight_parts.append(rows[:, 2] if weighted else None)
+            batch_parts.append(rows[:, -1] if batched else None)
+            if not weighted and unweighted is None:
+                unweighted = lineno, head
     except IndexError:
         raise ValueError(f"line {lineno}: truncated record {ln.strip()!r}") from None
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc} in {ln.strip()!r}") from None
 
-    if 2 * len(edges) < n:  # instance vertices are never isolated
+    if 2 * count < n:  # instance vertices are never isolated
         raise ValueError(
-            f"line {param_lineno}: n={n} needs at least n/2 edge records, the file has {len(edges)}"
+            f"line {param_lineno}: n={n} needs at least n/2 edge records, the file has {count}"
         )
+    edge_weights = None
+    if unweighted is None:
+        edge_weights = np.concatenate(weight_parts)
+    elif any(part is not None for part in weight_parts):
+        lineno, ln = unweighted
+        raise ValueError(f"line {lineno}: edge record {ln.strip()!r} has no w=, other records do")
 
-    batches = None
-    if saw_batch:
-        pairs = []
-        for b in sorted(batch_of):
-            group = batch_of[b]
-            if len(group) != 2:
-                raise ValueError(
-                    f"line {batch_line[b]}: batch {b} has {len(group)} edges, expected 2"
-                )
-            pairs.append((group[0], group[1]))
-        batches = tuple(pairs)
+    edge_batches = None
+    if any(part is not None for part in batch_parts):
+        edge_batches = np.concatenate(
+            [np.full(len(e), -1, np.int64) if b is None else b for e, b in zip(ends, batch_parts)]
+        )
+        order = _batch_order(edge_batches)
+        ids, first, counts = np.unique(edge_batches[order], return_index=True, return_counts=True)
+        bad = np.flatnonzero(counts != 2)
+        if bad.size:
+            b = bad[0]
+            record = int(order[first[b]])
+            part = bisect_right(part_record, record) - 1
+            raise ValueError(
+                f"line {part_line[part] + record - part_record[part]}:"
+                f" batch {ids[b]} has {counts[b]} edges, expected 2"
+            )
 
     witness = None
     if x_lines or p_lines:
@@ -273,15 +428,17 @@ def _parse_records(records: Iterable[tuple[int, str]]) -> ParsedInstance:
             form, [x_lines[key] for key in keys], [p_lines[key] for key in keys], shape[-1]
         )
 
+    edge_array = np.concatenate(ends)
+    edge_array.flags.writeable = False
     return ParsedInstance(
         theta=theta,
         form=form,
         s=s,
         **sizes,
-        edges=edges,
-        weights=weights if saw_weight else None,
-        batches=batches,
         witness=witness,
+        edge_array=edge_array,
+        edge_weights=edge_weights,
+        edge_batches=edge_batches,
     )
 
 

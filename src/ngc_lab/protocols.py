@@ -510,9 +510,7 @@ def pair_advantage(
         rng = branch.child("coin").rng()
         b = rng.randrange(2)
         instance = sample_hybrid(m, t, h_one if b else h_zero, seed=branch.child("draw"))
-        assignment = assign_uniform(
-            instance.all_edges(), 2, seed=branch.child("split")
-        )
+        assignment = assign_uniform(instance.edge_array, 2, seed=branch.child("split"))
         result = run_protocol(protocol, instance, assignment, seed=branch.child("run"))
         successes += int(result.output == b)
     lo, hi = clopper_pearson(successes, trials)

@@ -140,6 +140,11 @@ def _replace(lines, prefix, record):
     return [record if ln.startswith(prefix) else ln for ln in lines]
 
 
+def _annotate(lines, notes):
+    """The first edge record with these annotations appended."""
+    return lines[:2] + [lines[2] + notes] + lines[3:]
+
+
 def _segment_rows_missing(_lines):
     """A revealed s=2 segment file (in place of the block one) without its second witness row."""
     text = serialize_instance(sample_ngc_batched(56, 7, 2, 1, 3), reveal=True)
@@ -188,6 +193,9 @@ def _batch_split(_lines):
             id="witness-grid-gap",
         ),
         pytest.param(_batch_split, id="batch-not-a-pair"),
+        pytest.param(lambda lines: _annotate(lines, " w=3"), id="weight-on-one-edge"),
+        pytest.param(lambda lines: _annotate(lines, " w=1 w=2"), id="repeated-weight"),
+        pytest.param(lambda lines: _annotate(lines, " b=0 b=0"), id="repeated-batch"),
     ],
 )
 def test_validate_malformed_file_is_a_usage_error(tmp_path, capsys, mangle):
@@ -256,6 +264,21 @@ def test_validate_weighted_file_census_only(tmp_path, capsys):
         (
             ["stream-run", "--check", "estimator", "--n", "0", "--epsilon", "0.25", "--r", "4"],
             "need vertices >= 3, got vertices=0",
+        ),
+        (["reduce-check", "--m", "0", "--t", "1"], "need m >= 1, got m=0"),
+        (["reduce-check", "--m", "1", "--t", "0"], "need t >= 1, got t=0"),
+        (["reduce-check", "--m", "1", "--t", "1", "--s", "0"], "need s >= 1, got s=0"),
+        (
+            ["reduce-check", "--m", "1", "--t", "1", "--tvd-samples", "-5"],
+            "need tvd_samples >= 0, got tvd_samples=-5",
+        ),
+        (
+            ["reduce-check", "--m", "2", "--t", "1", "--tvd-samples", "5"],
+            "the marginal TVD row needs block form with m=1",
+        ),
+        (
+            ["reduce-check", "--m", "1", "--t", "5", "--tvd-samples", "5"],
+            "the marginal TVD row needs t <= 4, got t=5",
         ),
     ],
 )

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -220,7 +223,16 @@ FILES = {
     "weighted-revealed": serialize_instance(
         mst_augment(sample_ngc(28, 7, seed=24), W=4), reveal=True
     ),
+    "augmented-batched-revealed": serialize_instance(
+        mst_augment(sample_ngc_batched(56, 7, 2, 1, 20), 5), reveal=True
+    ),
 }
+
+
+def signed_weights(inst):
+    """The instance with weights of either sign and of 1 to 19 digits."""
+    weights = {e: (-1) ** i * (10 ** (i % 19) + i) for i, e in enumerate(sorted(inst.weights))}
+    return dataclasses.replace(inst, weights=weights)
 
 
 @pytest.mark.parametrize(
@@ -230,8 +242,19 @@ FILES = {
         mst_augment(sample_ngc(56, 7, seed=26), W=5),
         sample_ngc_batched(n=120, k=15, s=2, t=3, seed=27),
         mst_augment(sample_ngc_batched(56, 7, 2, 1, 3), 5),
+        mst_augment(pad_to_k(sample_ngc_batched(56, 7, 2, 1, 29), 9), 5),
+        sample_ngc_batched(9100, 7, 2, 1, 30),  # 8,450 edges: three runs of b= records
+        signed_weights(mst_augment(sample_ngc(56, 7, seed=31), W=5)),
     ],
-    ids=["plain", "weighted", "batched", "augmented-batched"],
+    ids=[
+        "plain",
+        "weighted",
+        "batched",
+        "augmented-batched",
+        "padded-augmented",
+        "batched-8k",
+        "signed-weights",
+    ],
 )
 def test_edge_records_match_the_per_edge_format(inst):
     lines = serialize_instance(inst, reveal=True).splitlines()
@@ -265,6 +288,7 @@ def mutated_files(draw):
         op = draw(
             st.sampled_from(
                 ["delete", "duplicate", "move", "digit", "space", "cr", "id", "id", "non-ascii"]
+                + ["drop-note", "repeat-note", "bad-note"]
             )
         )
         line = lines[i]
@@ -286,6 +310,18 @@ def mutated_files(draw):
                 k = draw(st.sampled_from(ids))
                 choices = ["0" * 20 + tokens[k], "9" * 19, str(n), str(n + 3)]
                 tokens[k] = draw(st.sampled_from(choices))
+                lines[i] = " ".join(tokens)
+        elif op.endswith("-note"):  # an edge annotation left off, given twice or not an integer
+            tokens = line.split(" ")
+            notes = [k for k, tok in enumerate(tokens) if tok.startswith(("w=", "b="))]
+            if notes:
+                k = draw(st.sampled_from(notes))
+                if op == "drop-note":
+                    del tokens[k]
+                elif op == "repeat-note":
+                    tokens.insert(k + 1, tokens[k][:2] + draw(st.sampled_from(["0", "1", "7"])))
+                else:
+                    tokens[k] = tokens[k][:2] + draw(st.sampled_from(["", "x", "1.5", "0x1", "-"]))
                 lines[i] = " ".join(tokens)
         else:
             digits = [k for k, c in enumerate(line) if c.isdigit()]
@@ -317,3 +353,131 @@ def test_mutated_files_parse_as_the_line_loop_and_validate_cleanly(tmp_path, cap
     assert code in (0, 1, 2)
     assert (code == 2) == isinstance(got, str)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ([(5, " w=1", "")], "line 6: edge record 'e 3 15 b=1' has no w=, other records do"),
+        (
+            [(9, " w=1", ""), (4, " w=1", "")],
+            "line 5: edge record 'e 2 14 b=1' has no w=, other records do",
+        ),
+        (
+            [(3, " w=1", " w=1 w=9")],
+            "line 4: edge annotation w= given twice in 'e 1 11 w=1 w=9 b=0'",
+        ),
+        (
+            [(3, " b=0", " b=0 b=0")],
+            "line 4: edge annotation b= given twice in 'e 1 11 w=1 b=0 b=0'",
+        ),
+        ([(6, " b=2", " b=99")], "line 8: batch 2 has 1 edges, expected 2"),
+        (
+            [(4, " w=1", f" w={2**63}")],
+            f"line 5: edge annotation 'w={2**63}' is not a 64-bit integer"
+            f" in 'e 2 14 w={2**63} b=1'",
+        ),
+        (
+            [(4, " b=1", " b=-1")],
+            "line 5: edge annotation 'b=-1' is not a non-negative 64-bit integer"
+            " in 'e 2 14 w=1 b=-1'",
+        ),
+    ],
+)
+def test_annotation_errors_name_their_record(edits, message):
+    lines = serialize_instance(mst_augment(sample_ngc_batched(56, 7, 2, 1, 3), 5)).splitlines()
+    for at, old, new in edits:
+        lines[at] = lines[at].replace(old, new)
+    text = "\n".join(lines) + "\n"
+    for parse in (parse_instance, parse_instance_by_lines):
+        with pytest.raises(ValueError) as info:
+            parse(text)
+        assert str(info.value) == message
+
+
+def test_derived_fields_read_the_arrays_unless_given():
+    inst = mst_augment(sample_ngc_batched(56, 7, 2, 1, 3), 5)
+    parsed = parse_instance(serialize_instance(inst))
+    assert parsed.edge_array.dtype == np.int64
+    assert np.array_equal(parsed.edge_array, inst.edge_array)
+    assert parsed.edge_batches[-len(inst.extra_edges) :].tolist() == [-1] * len(inst.extra_edges)
+    assert (parsed.edges, parsed.weights, parsed.batches) == (
+        inst.all_edges(), inst.weights, inst.batches
+    )
+    trimmed = dataclasses.replace(parsed, edges=parsed.edges[:-1])
+    assert trimmed.edges == inst.all_edges()[:-1]
+    assert trimmed != parsed
+
+
+# --- the bulk parse against the line loop, on whole files of every kind -------------------
+
+
+DIFF_KINDS = {
+    "plain": lambda long: sample_ngc(8192, 4, 31) if long else sample_ngc(56, 7, 31),
+    "weighted": lambda long: mst_augment(DIFF_KINDS["plain"](long), 5),
+    "batched": lambda long: sample_ngc_batched(4480 if long else 56, 7, 2, 1, 33),
+    "augmented-batched": lambda long: mst_augment(DIFF_KINDS["batched"](long), 5),
+    "padded": lambda long: mst_augment(pad_to_k(DIFF_KINDS["batched"](long), 8), 5),
+}
+
+
+@lru_cache(maxsize=None)
+def diff_file(kind, long):
+    """(instance, file lines); the long files hold more than one 4,096-record run."""
+    inst = DIFF_KINDS[kind](long)
+    return inst, serialize_instance(inst, reveal=long).splitlines()
+
+
+def mutate(lines, at, op, n):
+    """One edit at line ``at`` that the bulk grammar does not cover, or that is an error."""
+    line = lines[at]
+    if op == "comment":  # splits a run, as a blank line or a CR does
+        return lines[:at] + ["# mid-run"] + lines[at:]
+    if op == "cr":
+        return lines[:at] + [line + "\r"] + lines[at + 1 :]
+    if op == "delete":
+        return lines[:at] + lines[at + 1 :]
+    tokens = line.split(" ")
+    notes = [tok for tok in tokens[3:] if tok.startswith(("w=", "b="))]
+    if op == "swap-notes" and notes:  # valid, but outside the bulk grammar
+        tokens = tokens[:3] + notes[::-1]
+    elif op == "drop-note" and notes:
+        tokens.remove(notes[-1])
+    elif op == "repeat-note" and notes:
+        tokens.append(notes[0])
+    elif op == "id" and tokens[0] == "e":
+        tokens[2] = str(n)
+    return lines[:at] + [" ".join(tokens)] + lines[at + 1 :]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(DIFF_KINDS)),
+    st.booleans(),
+    st.lists(
+        st.tuples(
+            st.floats(0, 1, exclude_max=True),
+            st.sampled_from(
+                ["comment", "cr", "delete", "swap-notes", "drop-note", "repeat-note", "id"]
+            ),
+        ),
+        max_size=2,
+    ),
+)
+def test_bulk_parse_matches_the_line_loop(kind, long, edits):
+    inst, lines = diff_file(kind, long)
+    for where, op in edits:
+        lines = mutate(lines, 2 + int(where * (len(lines) - 2)), op, inst.n)
+    text = "\n".join(lines) + "\n"
+    got = parse_outcome(parse_instance, text)
+    want = parse_outcome(parse_instance_by_lines, text)
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+        return
+    assert np.array_equal(got.edge_array, want.edge_array)
+    assert (got.edges, got.weights, got.batches) == (want.edges, want.weights, want.batches)
+    assert got == want
+    if not edits:
+        assert np.array_equal(got.edge_array, inst.edge_array)
+        want = (inst.all_edges(), inst.weights, inst.batches)
+        assert (got.edges, got.weights, got.batches) == want
