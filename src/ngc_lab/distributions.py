@@ -37,12 +37,13 @@ from scipy.sparse.csgraph import connected_components
 
 from .gadgets import (
     Edge,
+    EdgeView,
     GroupLayeredGraph,
     MatchingSpec,
+    edge_rows,
     identity_perm,
     make_multi_block,
     make_multi_segment,
-    to_edges,
     vertex_id,
 )
 from .seeds import Seed, as_seed, randrange_many
@@ -57,7 +58,12 @@ def canon(edge: Edge) -> Edge:
 
 
 def as_edge_array(edges: Iterable[Edge] | np.ndarray) -> np.ndarray:
-    """Edges as an (E, 2) int64 array; an array passes through reshaped."""
+    """Edges as an (E, 2) int64 array.
+
+    An array passes through reshaped, and an ``EdgeView`` as its own array.
+    """
+    if isinstance(edges, EdgeView):
+        return edges.array
     if isinstance(edges, np.ndarray):
         return edges.reshape(-1, 2).astype(np.int64, copy=False)
     if not isinstance(edges, Sequence):
@@ -272,30 +278,44 @@ class NgcInstance:
         return GroupLayeredGraph(w, (ident,) * (self.k - self.core_k) + core.matchings)
 
     @cached_property
-    def auxiliary_edges(self) -> tuple[Edge, ...]:
-        return auxiliary_edges_for(self.k, self.m, self.width)
+    def edge_array(self) -> np.ndarray:
+        """Core edges, then the closers, then any augmentation edges.
+
+        One read-only (E, 2) int64 array, built once; core edge p leaves vertex p.
+        """
+        closers = auxiliary_edges_for(self.k, self.m, self.width).array
+        edges = np.concatenate([edge_rows(self.graph), closers, as_edge_array(self.extra_edges)])
+        edges.flags.writeable = False
+        return edges
+
+    def all_edges(self) -> EdgeView:
+        """Core edges, then closers, then any augmentation edges: a view of ``edge_array``."""
+        return EdgeView(self.edge_array)
+
+    @property
+    def auxiliary_edges(self) -> EdgeView:
+        """The closers: the rows of ``edge_array`` after the core."""
+        core = len(self.graph._targets)
+        return self.all_edges()[core : core + 2 * self.m]
+
+    @property
+    def batched_edges(self) -> np.ndarray | None:
+        """Segment form: the rows of ``edge_array`` that the batches pair, two by two.
+
+        Every edge but the augmentation's, which belong to no batch; None in
+        block form.
+        """
+        if self.s is None:
+            return None
+        return self.edge_array[: len(self.edge_array) - len(self.extra_edges)]
 
     @cached_property
     def batches(self) -> tuple[tuple[Edge, Edge], ...] | None:
         """Segment form: consecutive core edges (one group-transition each), then closers, in pairs."""
         if self.s is None:
             return None
-        edges = [*to_edges(self.graph), *self.auxiliary_edges]
+        edges = list(EdgeView(self.batched_edges))
         return tuple(zip(edges[0::2], edges[1::2]))
-
-    def all_edges(self) -> list[Edge]:
-        """Core edges, then auxiliary closers, then any augmentation edges."""
-        return [*to_edges(self.graph), *self.auxiliary_edges, *self.extra_edges]
-
-    @cached_property
-    def edge_array(self) -> np.ndarray:
-        """``all_edges()`` as one read-only (E, 2) int64 array; core edge p leaves vertex p."""
-        targets = self.graph._targets
-        core = np.stack([np.arange(targets.size), targets], axis=1)
-        loose = as_edge_array([*self.auxiliary_edges, *self.extra_edges])
-        edges = np.concatenate([core, loose])
-        edges.flags.writeable = False
-        return edges
 
     def edge_weight(self, edge: Edge) -> int:
         if self.weights is None:
@@ -303,14 +323,15 @@ class NgcInstance:
         return self.weights[canon(edge)]
 
 
-def auxiliary_edges_for(k: int, m: int, width: int) -> tuple[Edge, ...]:
+def auxiliary_edges_for(k: int, m: int, width: int) -> EdgeView:
     """Closers (a^k_j, a^1_j), (b^k_j, b^1_j) for the first m groups.
 
     The first m groups' 2m vertices are consecutive ids on every layer, a
     before b, so the closers pair two runs of ids.
     """
     top, bottom = vertex_id(k, 1, SIDE_A, width), vertex_id(1, 1, SIDE_A, width)
-    return tuple(zip(range(top, top + 2 * m), range(bottom, bottom + 2 * m)))
+    run = np.arange(2 * m)
+    return EdgeView(np.stack([top + run, bottom + run], axis=1))
 
 
 def _perms(rng: random.Random, w: int, count: int) -> list[tuple[int, ...]]:

@@ -20,14 +20,15 @@ each gadget's permutation, bits and width once, then emit all its matchings
 in one pass without re-checking them.
 
 Indices are 1-based to match the construction's arithmetic; the canonical
-integer vertex ids used in edge lists and files are 0-based.
+integer vertex ids used in edge lists and files are 0-based.  Edge lists are
+``EdgeView``s: read-only list views over an (E, 2) int64 array.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -154,11 +155,6 @@ class GroupLayeredGraph:
         pi, cross = specs.reshape(-1, 2, w, 1).transpose(1, 0, 2, 3)
         first_target = 2 * w * np.arange(1, len(self.matchings) + 1).reshape(-1, 1, 1) - 2
         return (first_target + 2 * pi + (_SIDES ^ cross)).ravel()
-
-    @cached_property
-    def _edges(self) -> tuple[Edge, ...]:
-        """All 2w(d-1) edges as (p, v) tuples, already canonical (p < v)."""
-        return tuple(enumerate(self._targets.tolist()))
 
     @cached_property
     def _index_table(self) -> np.ndarray:
@@ -314,24 +310,73 @@ def parity(g: GroupLayeredGraph, j: int) -> int:
     return bit
 
 
-def to_edges(g: GroupLayeredGraph) -> list[Edge]:
-    """Expand to 2w(d-1) edges on canonical ids, ordered by layer, group, side.
+class EdgeView(Sequence):
+    """A list of (u, v) edges held as a read-only (E, 2) int64 array.
 
-    The expansion is cached on the graph; each call returns a fresh list.
+    Reads like the list it stands for: ``len``, iteration and indexing give
+    tuples of Python ints, slices are views, and it equals any list or tuple
+    of the same pairs in the same order.  ``array`` is the array itself, and
+    ``np.asarray`` returns it without a copy.
     """
-    return list(g._edges)
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray) -> None:
+        if array.flags.writeable:
+            array = array.view()
+            array.flags.writeable = False
+        self.array = array
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __iter__(self):
+        return zip(self.array[:, 0].tolist(), self.array[:, 1].tolist())
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return EdgeView(self.array[index])
+        u, v = self.array[index].tolist()
+        return u, v
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, EdgeView):
+            return np.array_equal(self.array, other.array)
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy:
+            return np.array(self.array, dtype=dtype)
+        out = self.array if dtype is None else self.array.astype(dtype, copy=False)
+        if copy is False and out is not self.array:
+            raise ValueError(f"an EdgeView holds int64, not {np.dtype(dtype)}, so a copy is needed")
+        return out
+
+    def __repr__(self) -> str:
+        return f"EdgeView({len(self)} edges)"
+
+
+def edge_rows(g: GroupLayeredGraph) -> np.ndarray:
+    """The 2w(d-1) edges as a fresh (E, 2) int64 array: row p is (p, target of p)."""
+    targets = g._targets
+    return np.stack([np.arange(targets.size), targets], axis=1)
+
+
+def to_edges(g: GroupLayeredGraph) -> EdgeView:
+    """The 2w(d-1) edges on canonical ids (u < v), ordered by layer, group, side."""
+    return EdgeView(edge_rows(g))
 
 
 def check_layered_degrees(g: GroupLayeredGraph) -> None:
     """Assert the defining degree profile: 1 on boundary layers, 2 inside."""
-    degree: dict[int, int] = {}
-    for u, v in to_edges(g):
-        degree[u] = degree.get(u, 0) + 1
-        degree[v] = degree.get(v, 0) + 1
-    for vid in range(g.n_vertices):
-        ref = vertex_from_id(vid, g.width)
-        want = 1 if ref.layer in (1, g.depth) else 2
-        if degree.get(vid, 0) != want:
-            raise AssertionError(
-                f"vertex {vid} (layer {ref.layer}) has degree {degree.get(vid, 0)}, wanted {want}"
-            )
+    degree = np.bincount(to_edges(g).array.ravel(), minlength=g.n_vertices)
+    layer = np.arange(g.n_vertices) // (2 * g.width) + 1
+    want = np.where((layer == 1) | (layer == g.depth), 1, 2)
+    wrong = np.flatnonzero(degree != want)
+    if wrong.size:
+        vid = int(wrong[0])
+        raise AssertionError(
+            f"vertex {vid} (layer {layer[vid]}) has degree {degree[vid]}, wanted {want[vid]}"
+        )

@@ -27,13 +27,13 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, fields
-from itertools import chain, product
+from itertools import product
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .distributions import EdgeTable, NgcInstance, Witness, as_edge_array
-from .gadgets import Edge, _check_bits, _check_perm
+from .distributions import EdgeTable, NgcInstance, Witness
+from .gadgets import Edge, EdgeView, _check_bits, _check_perm
 
 MAGIC = "ngc-lab v1"
 
@@ -98,9 +98,10 @@ class ParsedInstance:
     The edge records are held as arrays in file order: ``edge_array`` (E, 2)
     int64, each record's ``w=`` in ``edge_weights`` and its ``b=`` in
     ``edge_batches`` ((E,) int64, -1 where a record has no ``b=``), either
-    one None when no record carries that annotation.  ``edges`` (the (u, v)
-    list), ``weights`` (canonical edge -> weight) and ``batches`` (the pairs,
-    by batch id) are read off the arrays on first use, unless given.
+    one None when no record carries that annotation.  ``edges`` (an
+    ``EdgeView`` of ``edge_array``), ``weights`` (canonical edge -> weight)
+    and ``batches`` (the pairs, by batch id) are read off the arrays on first
+    use, unless given.
     """
 
     n: int
@@ -116,7 +117,7 @@ class ParsedInstance:
     edge_array: np.ndarray
     edge_weights: np.ndarray | None
     edge_batches: np.ndarray | None
-    edges: list[Edge] = _Derived(lambda parsed: _pairs(parsed.edge_array))
+    edges: EdgeView = _Derived(lambda parsed: EdgeView(parsed.edge_array))
     weights: dict[Edge, int] | None = _Derived(_weights)
     batches: tuple[tuple[Edge, Edge], ...] | None = _Derived(_batches)
 
@@ -176,15 +177,15 @@ def serialize_instance(instance: NgcInstance, reveal: bool = False) -> str:
     if instance.weights is not None:
         notes += (" w=",)
         table = np.column_stack([ends, EdgeTable.of(instance.weights).lookup(ends)])
-    if instance.batches is None:
+    batched_edges = instance.batched_edges
+    if batched_edges is None:
         records = _format_records(notes, table)
     else:
-        # augmentation edges come last and belong to no batch: no b= on theirs
-        batched = len(ends) - len(instance.extra_edges)
-        members = as_edge_array(chain.from_iterable(instance.batches))
-        ids = EdgeTable.from_edges(members, np.arange(len(members)) // 2).lookup(ends[:batched])
+        # batch i is rows 2i and 2i + 1; the augmentation edges after them
+        # belong to no batch: no b= on theirs
+        batched = len(batched_edges)
         records = _format_records(
-            notes + (" b=",), np.column_stack([table[:batched], ids])
+            notes + (" b=",), np.column_stack([table[:batched], np.arange(batched) // 2])
         ) + _format_records(notes, table[batched:])
     text = f"{MAGIC}\n{param}\n{records}"
 

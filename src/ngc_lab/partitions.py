@@ -152,7 +152,8 @@ def index_edges(
     _require_block(instance, "index_edges")
     if not (1 <= block <= instance.t and 1 <= j <= instance.width):
         raise ValueError(f"no index j={j} in block {block} (t={instance.t}, w={instance.width})")
-    e = itemgetter(*instance.graph._index_table[block - 1, j - 1].tolist())(instance.graph._edges)
+    rows = instance.edge_array[instance.graph._index_table[block - 1, j - 1]]
+    e = tuple(map(tuple, rows.tolist()))
     return e[0:2], e[2:4], e[4:6]
 
 
@@ -325,18 +326,17 @@ def assign_batches(
     instance: NgcInstance, l: int, seed: Seed | int | None = None
 ) -> EdgeAssignment:
     """Each batch iid uniform over players 1..l; both edges follow their batch."""
-    if instance.batches is None:
+    ends = instance.batched_edges
+    if ends is None:
         raise ValueError("instance carries no batches")
     if l < 1:
         raise ValueError("need at least one player")
-    draws = randrange_many(as_seed(seed).rng(), l, len(instance.batches))
+    draws = randrange_many(as_seed(seed).rng(), l, len(ends) // 2)
     batch_owners = tuple(player + 1 for player in draws)
-    ends = as_edge_array([e for batch in instance.batches for e in batch])
-    owners = np.repeat(batch_owners, [len(batch) for batch in instance.batches])
     return EdgeAssignment(
         mode="l_player",
         players=l,
-        owner=EdgeTable.from_edges(ends, owners),
+        owner=EdgeTable.from_edges(ends, np.repeat(batch_owners, 2)),
         batch_owners=batch_owners,
     )
 
@@ -418,16 +418,17 @@ def sample_size(c: float, edge_count: int) -> int:
 
 
 def stochastic_assign(
-    edges: list[Edge], c: float, seed: Seed | int | None = None
+    edges: list[Edge] | np.ndarray, c: float, seed: Seed | int | None = None
 ) -> EdgeAssignment:
     """Each player an iid sample (with repetition) of ceil(c*|E|/2) edges.
 
     One bulk draw of 2 * ceil(c*|E|/2) edge indices: Alice's sample is the
     first half, Bob's the second.
     """
-    count = sample_size(c, len(edges))
-    picks = randrange_many(as_seed(seed).rng(), len(edges), 2 * count)
-    drawn = tuple(map(edges.__getitem__, picks))
+    ends = as_edge_array(edges)
+    count = sample_size(c, len(ends))
+    picks = np.array(randrange_many(as_seed(seed).rng(), len(ends), 2 * count), dtype=np.int64)
+    drawn = tuple(zip(ends[picks, 0].tolist(), ends[picks, 1].tolist()))
     return EdgeAssignment(
         mode="stochastic", players=2, samples=(drawn[:count], drawn[count:]), c=c
     )

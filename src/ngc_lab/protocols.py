@@ -388,20 +388,19 @@ class LPlayerStreamingProtocol:
             raise ValueError(
                 f"assignment has {assignment.players} players, protocol has {self.l}"
             )
-        if instance.batches is None:
+        ends = instance.batched_edges
+        if ends is None:
             raise ValueError("instance has no batches")
         shared = as_seed(seed)
         alg = self.algorithm
-        ends = as_edge_array([e for batch in instance.batches for e in batch])
-        sizes = np.array([len(batch) for batch in instance.batches], dtype=np.int64)
         owners = np.array(assignment.batch_owners, dtype=np.int64)
-        edge_owners = np.repeat(owners, sizes)
+        edge_owners = np.repeat(owners, 2)
         state = alg.init()
         hop_bits = []
         for player in range(1, self.l + 1):
             rng = shared.child("player", player).rng()
             mine = ends[edge_owners == player]  # the owned batches, back to back
-            order = batch_order(rng, sizes[owners == player].tolist())
+            order = batch_order(rng, [2] * int(np.count_nonzero(owners == player)))
             state = alg.run(state, EventView(mine[order]))
             if player < self.l:
                 blob = alg.serialize(state)

@@ -429,6 +429,19 @@ def reference_dhx_segment(w: int, s: int, t: int, seed) -> Witness:
     )
 
 
+def per_edge_expansion(g: GroupLayeredGraph) -> list[tuple[int, int]]:
+    """``to_edges`` as one vertex_id call per endpoint, ordered by layer, group, side."""
+    w = g.width
+    edges = []
+    for layer, m in enumerate(g.matchings, start=1):
+        for j in range(1, w + 1):
+            for side in (SIDE_A, SIDE_B):
+                u = vertex_id(layer, j, side, w)
+                v = vertex_id(layer + 1, m.pi[j - 1], side ^ m.cross[j - 1], w)
+                edges.append((u, v))
+    return edges
+
+
 def reference_auxiliary_edges(k: int, m: int, width: int):
     """One ``vertex_id`` pair per closer: (a^k_j, a^1_j), then (b^k_j, b^1_j)."""
     out = []
@@ -457,7 +470,7 @@ def reference_instance_parts(instance) -> dict:
     graph = core
     for _ in range(k - core_k):
         graph = concat(graph_of(make_xor_matching((0,) * w)), graph)
-    core_edges = to_edges(graph)
+    core_edges = per_edge_expansion(graph)
     aux = reference_auxiliary_edges(k, w // 2, w)
     batches = None
     if s is not None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import warnings
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from ngc_lab.distributions import (
     Census,
     Witness,
+    as_edge_array,
     auxiliary_edges_for,
     canon,
     census_of_edges,
@@ -26,10 +28,12 @@ from ngc_lab.distributions import (
     validate_instance,
 )
 from ngc_lab.gadgets import parity, to_edges, vertex_from_id, vertex_id
+from ngc_lab.instance_io import parse_instance, serialize_instance
 from ngc_lab.seeds import master_seed
 from ngc_lab.stats import binomial_check, chi_square_uniform
 from oracles import (
     component_census,
+    per_edge_expansion,
     reference_blocks_conditioned,
     reference_dhx,
     reference_auxiliary_edges,
@@ -164,16 +168,21 @@ def test_census_rejects_ids_outside_the_vertex_range():
     assert census_of_edges(0, []) == Census()
 
 
-def test_all_edges_returns_a_fresh_list():
+def test_all_edges_is_a_read_only_view():
     inst = sample_ngc(56, 7, SEED.child("fresh"))
     first = inst.all_edges()
     expected = list(first)
-    first[0] = (-1, -1)
-    first.append((0, 0))
-    del first[1:5]
-    assert inst.all_edges() == expected
+    with pytest.raises(TypeError):
+        first[0] = (-1, -1)
+    with pytest.raises(TypeError):
+        del first[1:5]
+    assert not first.array.flags.writeable
+    with pytest.raises(ValueError):
+        first.array[0] = (-1, -1)
+    assert inst.all_edges() == first == expected
     core = to_edges(inst.graph)
-    core.clear()
+    with pytest.raises(ValueError):
+        core.array[:] = 0
     assert inst.all_edges() == expected
 
 
@@ -409,6 +418,31 @@ def test_derived_parts_match_the_eager_build(inst):
     assert inst.all_edges() == want.pop("all_edges")
     assert {name: getattr(inst, name) for name in want} == want
     assert inst.graph.depth == inst.k
+
+
+@settings(max_examples=60, deadline=None)
+@given(derived_instances())
+def test_edge_views_match_the_list_routes(inst):
+    want = reference_instance_parts(inst)
+    views = {
+        "all_edges": inst.all_edges(),
+        "auxiliary_edges": inst.auxiliary_edges,
+        "core": to_edges(inst.graph),
+        "parsed": parse_instance(serialize_instance(inst)).edges,
+    }
+    assert {name: list(view) for name, view in views.items()} == {
+        "all_edges": want["all_edges"],
+        "auxiliary_edges": list(reference_auxiliary_edges(inst.k, inst.m, inst.width)),
+        "core": per_edge_expansion(inst.graph),
+        "parsed": want["all_edges"],
+    }
+    items = [e for view in views.values() for e in view]
+    items += [e for batch in inst.batches or () for e in batch]
+    assert all(type(e) is tuple and [type(u) for u in e] == [int, int] for e in items)
+    for view in views.values():
+        assert as_edge_array(view) is view.array and not view.array.flags.writeable
+    assert np.shares_memory(np.asarray(inst.all_edges()), inst.edge_array)
+    assert np.shares_memory(np.asarray(inst.auxiliary_edges), inst.edge_array)
 
 
 # --- MST augmentation ---------------------------------------------------------

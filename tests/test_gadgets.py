@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ngc_lab.distributions import Witness, pad_to_k, sample_hybrid, sample_hybrid_batched
 from ngc_lab.gadgets import (
-    SIDE_A,
-    SIDE_B,
+    EdgeView,
     GroupLayeredGraph,
     MatchingSpec,
     check_layered_degrees,
@@ -30,7 +30,12 @@ from ngc_lab.gadgets import (
     vertex_from_id,
     vertex_id,
 )
-from oracles import reference_multi_block, reference_multi_segment, traced_group_and_parity
+from oracles import (
+    per_edge_expansion,
+    reference_multi_block,
+    reference_multi_segment,
+    traced_group_and_parity,
+)
 
 
 def bits(s: str) -> tuple[int, ...]:
@@ -261,27 +266,56 @@ def test_multi_block_parity_formula(data):
 # --- the vectorized edge expansion against the per-edge one --------------------
 
 
-def per_edge_expansion(g: GroupLayeredGraph) -> list[tuple[int, int]]:
-    """One vertex_id call per endpoint, ordered by layer, group, side."""
-    w = g.width
-    edges = []
-    for layer, m in enumerate(g.matchings, start=1):
-        for j in range(1, w + 1):
-            for side in (SIDE_A, SIDE_B):
-                u = vertex_id(layer, j, side, w)
-                v = vertex_id(layer + 1, m.pi[j - 1], side ^ m.cross[j - 1], w)
-                edges.append((u, v))
-    return edges
-
-
 def assert_expansion_matches(g: GroupLayeredGraph) -> None:
     want = per_edge_expansion(g)
     got = to_edges(g)
     assert got == want
     assert all(type(u) is int and type(v) is int for u, v in got)
-    got.append((0, 0))
-    got[0] = (-1, -1)
-    assert to_edges(g) == want  # the cached expansion never leaks out
+    with pytest.raises(TypeError):
+        got[0] = (-1, -1)
+    assert not got.array.flags.writeable
+    with pytest.raises(ValueError):
+        got.array[0] = (-1, -1)
+    assert to_edges(g) == got == want  # nothing can write through a view
+
+
+def test_edge_view_reads_like_its_list():
+    pairs = [(0, 5), (1, 4), (2, 7)]
+    view = EdgeView(np.array(pairs))
+    assert len(view) == 3 and list(view) == pairs and list(reversed(view)) == pairs[::-1]
+    assert view == pairs and pairs == view and view == tuple(pairs)
+    assert view != pairs[:2] and view != pairs[::-1] and view != [(0, 5), (1, 4), (2, 8)]
+    assert view != "edges" and view != EdgeView(np.array(pairs[::-1]))
+    assert view[1] == (1, 4) and view[-1] == (2, 7) and type(view[0][0]) is int
+    with pytest.raises(IndexError):
+        view[3]
+    tail = view[1:]
+    assert isinstance(tail, EdgeView) and tail == pairs[1:]
+    assert np.shares_memory(tail.array, view.array)
+    assert view.index((2, 7)) == 2 and (1, 4) in view and (4, 1) not in view
+    with pytest.raises(TypeError):
+        view[0] = (9, 9)
+    assert not view.array.flags.writeable
+    assert np.asarray(view) is view.array and np.asarray(view, dtype=np.int64) is view.array
+    assert np.asarray(view, dtype=np.int32).tolist() == [list(e) for e in pairs]
+    copied = np.array(view)
+    assert copied.flags.writeable and not np.shares_memory(copied, view.array)
+    with pytest.raises(ValueError):
+        np.asarray(view, dtype=np.int32, copy=False)
+
+
+def test_check_layered_degrees_names_the_first_wrong_vertex():
+    g = make_block(bits("1001"), (3, 1, 2, 4))
+    check_layered_degrees(g)
+    targets = g._targets.copy()
+    lost, doubled = targets[0], targets[1]
+    targets[0] = doubled
+    g.__dict__["_targets"] = targets
+    vid = min(lost, doubled)
+    degree = 1 if vid == lost else 3
+    message = rf"^vertex {vid} \(layer 2\) has degree {degree}, wanted 2$"
+    with pytest.raises(AssertionError, match=message):
+        check_layered_degrees(g)
 
 
 @st.composite

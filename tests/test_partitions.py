@@ -635,7 +635,7 @@ def test_stochastic_clean_reads_reversed_and_repeated_samples():
     into, mid, out = index_edges(inst, 1, 2)
     into1, mid1, out1 = index_edges(inst, 1, 1)
     alice = tuple((v, u) for u, v in mid) + mid[:1] + mid1 + out1[:1]
-    bob = into + tuple((v, u) for u, v in out) + inst.auxiliary_edges + into1 + out1
+    bob = into + tuple((v, u) for u, v in out) + tuple(inst.auxiliary_edges) + into1 + out1
     assignment = EdgeAssignment(mode="stochastic", players=2, samples=(alice, bob), c=0.0)
     report = clean_indices_stochastic(inst, assignment)
     assert report == reference_clean_indices_stochastic(inst, assignment)

@@ -208,7 +208,7 @@ def test_exact_census_matches_law_and_oracle():
 def test_exact_census_duplicates_idempotent():
     inst = sample_ngc(28, 7, seed=8)
     once = exact_census(inst.n, inst.all_edges())
-    doubled = exact_census(inst.n, inst.all_edges() * 3)
+    doubled = exact_census(inst.n, [*inst.all_edges()] * 3)
     assert once == doubled
     flipped = exact_census(inst.n, [(v, u) for u, v in inst.all_edges()])
     assert once == flipped
