@@ -54,7 +54,7 @@ def main(argv: list[str] | None = None) -> int:
         census = validate_instance(inst)
         edges = inst.all_edges()
         weighted = mst_augment(inst, args.W)
-        triples = [(u, v, weighted.edge_weight((u, v))) for u, v in weighted.all_edges()]
+        triples = [(u, v, w) for (u, v), w in zip(weighted.all_edges(), weighted.edge_weights.tolist())]
         mst = mst_weight_exact(triples, weighted.n)
         decision = CensusThetaDecision(n, k)
         stream = make_stream(inst, "uniform_random", seed=args.seed + 10 + theta)

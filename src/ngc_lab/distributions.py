@@ -52,11 +52,6 @@ SIDE_A = 0
 SIDE_B = 1
 
 
-def canon(edge: Edge) -> Edge:
-    u, v = edge
-    return (u, v) if u <= v else (v, u)
-
-
 def as_edge_array(edges: Iterable[Edge] | np.ndarray) -> np.ndarray:
     """Edges as an (E, 2) int64 array.
 
@@ -228,16 +223,16 @@ class NgcInstance:
 
     The witness fixes the core (depth ``core_k``); depth k puts k - core_k
     identity layers in front of it.  theta is recorded only at the hybrid
-    endpoints; weights and extra edges are the MST augmentation's.  The
-    sizes, the graph, the closers and the batches are read off these five
+    endpoints; W is the MST augmentation's bridge weight, None when the
+    instance is not augmented.  The sizes, the graph, the closers, the
+    augmentation edges, the weights and the batches are read off these four
     fields, the graph on first use.
     """
 
     k: int
     theta: int | None
     witness: Witness
-    weights: dict[Edge, int] | None = None
-    extra_edges: tuple[Edge, ...] = ()
+    W: int | None = None
 
     @property
     def form(self) -> str:
@@ -283,8 +278,10 @@ class NgcInstance:
 
         One read-only (E, 2) int64 array, built once; core edge p leaves vertex p.
         """
-        closers = auxiliary_edges_for(self.k, self.m, self.width).array
-        edges = np.concatenate([edge_rows(self.graph), closers, as_edge_array(self.extra_edges)])
+        parts = [edge_rows(self.graph), auxiliary_edges_for(self.k, self.m, self.width).array]
+        if self.W is not None:
+            parts.append(augmentation_edges_for(self.k, self.m, self.width))
+        edges = np.concatenate(parts)
         edges.flags.writeable = False
         return edges
 
@@ -298,29 +295,38 @@ class NgcInstance:
         core = len(self.graph._targets)
         return self.all_edges()[core : core + 2 * self.m]
 
+    @cached_property
+    def extra_edges(self) -> EdgeView:
+        """The augmentation edges: the last 4m rows of ``edge_array``, none unless augmented."""
+        extra = 0 if self.W is None else 4 * self.m
+        return self.all_edges()[len(self.edge_array) - extra :]
+
+    @cached_property
+    def edge_weights(self) -> np.ndarray | None:
+        """Each row's weight, aligned with ``edge_array``: read-only (E,) int64.
+
+        Every edge weighs 1 but the m bridges, the first augmentation rows,
+        which weigh W; None when the instance is not augmented.
+        """
+        if self.W is None:
+            return None
+        weights = np.ones(len(self.edge_array), dtype=np.int64)
+        bridges = len(weights) - 4 * self.m
+        weights[bridges : bridges + self.m] = self.W
+        weights.flags.writeable = False
+        return weights
+
     @property
     def batched_edges(self) -> np.ndarray | None:
         """Segment form: the rows of ``edge_array`` that the batches pair, two by two.
 
-        Every edge but the augmentation's, which belong to no batch; None in
-        block form.
+        Batch i is rows 2i and 2i + 1: consecutive core edges (one
+        group-transition each), then the closers.  Every edge but the
+        augmentation's, which belong to no batch; None in block form.
         """
         if self.s is None:
             return None
         return self.edge_array[: len(self.edge_array) - len(self.extra_edges)]
-
-    @cached_property
-    def batches(self) -> tuple[tuple[Edge, Edge], ...] | None:
-        """Segment form: consecutive core edges (one group-transition each), then closers, in pairs."""
-        if self.s is None:
-            return None
-        edges = list(EdgeView(self.batched_edges))
-        return tuple(zip(edges[0::2], edges[1::2]))
-
-    def edge_weight(self, edge: Edge) -> int:
-        if self.weights is None:
-            return 1
-        return self.weights[canon(edge)]
 
 
 def auxiliary_edges_for(k: int, m: int, width: int) -> EdgeView:
@@ -332,6 +338,20 @@ def auxiliary_edges_for(k: int, m: int, width: int) -> EdgeView:
     top, bottom = vertex_id(k, 1, SIDE_A, width), vertex_id(1, 1, SIDE_A, width)
     run = np.arange(2 * m)
     return EdgeView(np.stack([top + run, bottom + run], axis=1))
+
+
+def augmentation_edges_for(k: int, m: int, width: int) -> np.ndarray:
+    """The MST augmentation's 4m edges as an (4m, 2) int64 array, in order:
+
+    the bridges (a^k_j, b^k_j), then the links (a^1_j, a^1_{m+j}) and
+    (a^1_j, b^1_{m+j}) for each j, then the ring (a^1_j, b^1_{j+1}) closed by
+    (a^1_m, b^1_1).  Groups are consecutive vertex ids, a before b.
+    """
+    top, a = vertex_id(k, 1, SIDE_A, width), 2 * np.arange(m)
+    bridges = np.stack([top + a, top + a + 1], axis=1)
+    links = np.stack([np.repeat(a, 2), np.repeat(a + 2 * m, 2) + np.tile([SIDE_A, SIDE_B], m)], axis=1)
+    ring = np.stack([a, np.roll(a, -1) + SIDE_B], axis=1)
+    return np.concatenate([bridges, links, ring])
 
 
 def _perms(rng: random.Random, w: int, count: int) -> list[tuple[int, ...]]:
@@ -469,7 +489,7 @@ def pad_to_k(instance: NgcInstance, k: int) -> NgcInstance:
     """
     if k < 4:
         raise ValueError("padding target k must be >= 4")
-    if instance.weights is not None:
+    if instance.W is not None:
         raise ValueError("pad before weighting, not after")
     pad = k - instance.k
     if pad == 0:
@@ -488,34 +508,14 @@ def mst_augment(instance: NgcInstance, W: int) -> NgcInstance:
     for j in [m]; weight-1 links (a^1_j, a^1_{m+j}) and (a^1_j, b^1_{m+j});
     and a weight-1 ring (a^1_j, b^1_{j+1}) for j in [m-1] closed by
     (a^1_m, b^1_1).  theta=1 then admits a spanning tree of weight n-1, while
-    theta=0 forces m-1 of the weight-W edges.
+    theta=0 forces m-1 of the weight-W edges.  W must lie in [2, 2**63), the
+    instance file's int64 range.
     """
-    if not isinstance(W, int) or W < 2:
-        raise ValueError("weight W must be an integer >= 2")
-    m, w, k = instance.m, instance.width, instance.k
-    if m < 2:
+    if not isinstance(W, int) or not 2 <= W < 2**63:
+        raise ValueError(f"weight W must be an integer in [2, 2**63), got W={W!r}")
+    if instance.m < 2:
         warnings.warn("m=1 makes the MST gap degenerate (W multiplier is m-1=0)")
-    extra: list[Edge] = []
-    weights: dict[Edge, int] = {}
-    for e in instance.all_edges():
-        weights[canon(e)] = 1
-    for j in range(1, m + 1):
-        bridge = (vertex_id(k, j, SIDE_A, w), vertex_id(k, j, SIDE_B, w))
-        extra.append(bridge)
-        weights[canon(bridge)] = W
-    for j in range(1, m + 1):
-        for side in (SIDE_A, SIDE_B):
-            link = (vertex_id(1, j, SIDE_A, w), vertex_id(1, m + j, side, w))
-            extra.append(link)
-            weights[canon(link)] = 1
-    for j in range(1, m):
-        ring = (vertex_id(1, j, SIDE_A, w), vertex_id(1, j + 1, SIDE_B, w))
-        extra.append(ring)
-        weights[canon(ring)] = 1
-    closing = (vertex_id(1, m, SIDE_A, w), vertex_id(1, 1, SIDE_B, w))
-    extra.append(closing)
-    weights[canon(closing)] = 1
-    return replace(instance, extra_edges=tuple(extra), weights=weights)
+    return replace(instance, W=W)
 
 
 @dataclass

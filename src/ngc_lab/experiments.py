@@ -174,7 +174,7 @@ def expected_census(instance: NgcInstance) -> Census | None:
 
     Applies to plain/padded instances (core + closers, unit weights).
     """
-    if instance.theta is None or instance.extra_edges or instance.weights:
+    if instance.theta is None or instance.W is not None:
         return None
     return census_law(instance.k, instance.m, instance.theta)
 
@@ -1079,7 +1079,7 @@ def mst_suite(
     for i in range(trials):
         child = root.child("mst", i)
         inst = mst_augment(sample_ngc(n, k, child), weight)
-        weighted = [(u, v, inst.edge_weight((u, v))) for u, v in inst.all_edges()]
+        weighted = [(u, v, w) for (u, v), w in zip(inst.all_edges(), inst.edge_weights.tolist())]
         result = mst_weight_exact(weighted, n)
         m = inst.m
         if inst.theta == 1:

@@ -32,8 +32,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .distributions import EdgeTable, NgcInstance, Witness
-from .gadgets import Edge, EdgeView, _check_bits, _check_perm
+from .distributions import NgcInstance, Witness
+from .gadgets import EdgeView, _check_bits, _check_perm
 
 MAGIC = "ngc-lab v1"
 
@@ -61,28 +61,10 @@ class _Derived:
         obj.__dict__[self.slot] = value
 
 
-def _pairs(ends: np.ndarray) -> list[Edge]:
-    return list(zip(ends[:, 0].tolist(), ends[:, 1].tolist()))
-
-
 def _batch_order(batch_ids: np.ndarray) -> np.ndarray:
     """The records that carry a batch id, by id, and in file order within an id."""
     held = np.flatnonzero(batch_ids >= 0)
     return held[np.argsort(batch_ids[held], kind="stable")]
-
-
-def _weights(parsed: ParsedInstance) -> dict[Edge, int] | None:
-    if parsed.edge_weights is None:
-        return None
-    canonical = np.sort(parsed.edge_array, axis=1)
-    return dict(zip(_pairs(canonical), parsed.edge_weights.tolist()))
-
-
-def _batches(parsed: ParsedInstance) -> tuple[tuple[Edge, Edge], ...] | None:
-    if parsed.edge_batches is None:
-        return None
-    members = parsed.edge_array[_batch_order(parsed.edge_batches)]
-    return tuple(zip(_pairs(members[0::2]), _pairs(members[1::2])))
 
 
 def _same(a, b) -> bool:
@@ -98,10 +80,9 @@ class ParsedInstance:
     The edge records are held as arrays in file order: ``edge_array`` (E, 2)
     int64, each record's ``w=`` in ``edge_weights`` and its ``b=`` in
     ``edge_batches`` ((E,) int64, -1 where a record has no ``b=``), either
-    one None when no record carries that annotation.  ``edges`` (an
-    ``EdgeView`` of ``edge_array``), ``weights`` (canonical edge -> weight)
-    and ``batches`` (the pairs, by batch id) are read off the arrays on first
-    use, unless given.
+    one None when no record carries that annotation.  ``edges``, an
+    ``EdgeView`` of ``edge_array``, is read off it on first use, unless
+    given.
     """
 
     n: int
@@ -118,8 +99,6 @@ class ParsedInstance:
     edge_weights: np.ndarray | None
     edge_batches: np.ndarray | None
     edges: EdgeView = _Derived(lambda parsed: EdgeView(parsed.edge_array))
-    weights: dict[Edge, int] | None = _Derived(_weights)
-    batches: tuple[tuple[Edge, Edge], ...] | None = _Derived(_batches)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParsedInstance):
@@ -130,33 +109,29 @@ class ParsedInstance:
 def _format_records(notes: tuple[str, ...], table: np.ndarray) -> str:
     """One line per row of an (R, c) int64 table: note i, then value i in decimal, per column.
 
-    The text ``%d`` formatting writes, for values of magnitude below 2**63.
-    Every row starts as one template line, each column's note, a sign slot
-    and a band of digit slots as wide as the column's longest value; the
-    digits are written right-aligned in their band, and a mask drops the
-    slots a value leaves unused.
+    The text ``%d`` formatting writes, for values in [0, 2**63).  Every row
+    starts as one template line, each column's note and a band of digit
+    slots as wide as the column's longest value; the digits are written
+    right-aligned in their band, and a mask drops the slots a value leaves
+    unused.
     """
     columns = []
     for note, values in zip(notes, table.T):
-        magnitude = np.abs(values)
-        width = len(str(magnitude.max(initial=0)))
+        width = len(str(values.max(initial=0)))
         # up to nine digits fit int32, whose digit arithmetic is the cheaper
-        magnitude = magnitude.astype(np.int32 if width < 10 else np.int64)
-        columns.append((note, values, magnitude, width))
-    template = "".join(note + "-" + "0" * width for note, _, _, width in columns) + "\n"
+        columns.append((note, values.astype(np.int32 if width < 10 else np.int64), width))
+    template = "".join(note + "0" * width for note, _, width in columns) + "\n"
     chars = np.tile(np.frombuffer(template.encode(), np.uint8), (len(table), 1))
     keep = np.ones(chars.shape, bool)
     at = 0
-    for note, values, magnitude, width in columns:
-        at += len(note)
-        keep[:, at] = values < 0
-        at += width
+    for note, value, width in columns:
+        at += len(note) + width - 1
         for col in range(at, at - width, -1):  # the units digit first
             if col < at:
-                keep[:, col] = magnitude > 0
-            quotient = magnitude // 10
-            chars[:, col] = magnitude - 10 * quotient + ord("0")
-            magnitude = quotient
+                keep[:, col] = value > 0
+            quotient = value // 10
+            chars[:, col] = value - 10 * quotient + ord("0")
+            value = quotient
         at += 1
     return chars[keep].tobytes().decode("ascii")
 
@@ -171,12 +146,12 @@ def serialize_instance(instance: NgcInstance, reveal: bool = False) -> str:
     if instance.s is not None:
         param += f" s={instance.s}"
 
-    # every edge record from the edge array, weights and batch ids by one lookup each
+    # every edge record from the edge array, with its weight if augmented
     ends = instance.edge_array
     notes, table = ("e ", " "), ends
-    if instance.weights is not None:
+    if instance.W is not None:
         notes += (" w=",)
-        table = np.column_stack([ends, EdgeTable.of(instance.weights).lookup(ends)])
+        table = np.column_stack([ends, instance.edge_weights])
     batched_edges = instance.batched_edges
     if batched_edges is None:
         records = _format_records(notes, table)

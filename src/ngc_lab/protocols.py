@@ -400,7 +400,7 @@ class LPlayerStreamingProtocol:
         for player in range(1, self.l + 1):
             rng = shared.child("player", player).rng()
             mine = ends[edge_owners == player]  # the owned batches, back to back
-            order = batch_order(rng, [2] * int(np.count_nonzero(owners == player)))
+            order = batch_order(rng, int(np.count_nonzero(owners == player)))
             state = alg.run(state, EventView(mine[order]))
             if player < self.l:
                 blob = alg.serialize(state)

@@ -34,7 +34,6 @@ import numpy as np
 
 from .distributions import (
     Census,
-    EdgeTable,
     NgcInstance,
     as_edge_array,
     canon_keys,
@@ -123,19 +122,16 @@ class Stream:
     order_mode: str
 
 
-def batch_order(rng, sizes: Sequence[int]) -> np.ndarray:
-    """The stream order of batches of these sizes, as positions in their concatenation.
+def batch_order(rng, count: int) -> np.ndarray:
+    """The stream order of ``count`` batches of two, as positions in their concatenation.
 
     It is the order ``rng.shuffle`` of the batch list, then of each batch in
-    its new place, would leave the edges in, drawn from the same words.
+    its new place, would leave the edges in, drawn from the same words:
+    shuffling two items is one ``randbelow(2)``, which swaps them on 0.
     """
-    sizes = np.asarray(sizes, dtype=np.int64)
-    starts = np.cumsum(sizes) - sizes
-    pieces = [
-        starts[b] + shuffle_order(rng, int(sizes[b]))
-        for b in shuffle_order(rng, len(sizes)).tolist()
-    ]
-    return np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
+    batches = shuffle_order(rng, count)
+    keep = np.array(randrange_many(rng, 2, count), dtype=np.int64)
+    return (2 * batches[:, None] + np.stack([1 - keep, keep], axis=1)).ravel()
 
 
 def stream_from_edges(
@@ -144,13 +140,14 @@ def stream_from_edges(
     mode: str,
     seed: Seed | int | None = None,
     c: float | None = None,
-    weights: dict[Edge, int] | None = None,
-    batches: tuple[tuple[Edge, ...], ...] | None = None,
+    weights: np.ndarray | None = None,
 ) -> Stream:
     """Build a stream over a raw edge list or (E, 2) array.
 
     mode: "given" | "uniform_random" | "batched_random" | "stochastic";
-    stochastic emits ceil(c*|E|) iid samples with repetition.
+    batched_random pairs rows 2i and 2i + 1 into batch i; stochastic emits
+    ceil(c*|E|) iid samples with repetition.  ``weights`` gives each row's
+    weight, aligned with ``edges``.
     """
     ends = as_edge_array(edges)
     rng = as_seed(seed).rng()
@@ -159,19 +156,21 @@ def stream_from_edges(
     elif mode == "uniform_random":
         order = shuffle_order(rng, len(ends))
     elif mode == "batched_random":
-        if batches is None:
-            raise ValueError("batched_random needs batches")
-        ends = as_edge_array([e for batch in batches for e in batch])
-        order = batch_order(rng, [len(b) for b in batches])
+        if len(ends) % 2:
+            raise ValueError(f"batched_random pairs edges two by two, got {len(ends)} edges")
+        order = batch_order(rng, len(ends) // 2)
     elif mode == "stochastic":
         if c is None or c < 0:
             raise ValueError("stochastic mode needs c >= 0")
         order = np.array(randrange_many(rng, len(ends), math.ceil(c * len(ends))), dtype=np.int64)
     else:
         raise ValueError(f"unknown stream mode {mode!r}")
+    weight = None if weights is None else np.asarray(weights, dtype=np.int64)
+    if weight is not None and weight.shape != (len(ends),):
+        raise ValueError(f"{len(ends)} edges need {len(ends)} weights, got shape {weight.shape}")
     if order is not None:
         ends = ends[order]
-    weight = None if weights is None else EdgeTable.of(weights).lookup(ends)
+        weight = None if weight is None else weight[order]
     return Stream(n=n, events=EventView(ends, weight), order_mode=mode)
 
 
@@ -181,16 +180,18 @@ def make_stream(
     seed: Seed | int | None = None,
     c: float | None = None,
 ) -> Stream:
-    """Stream the instance's edges in the requested order."""
-    return stream_from_edges(
-        instance.n,
-        instance.edge_array,
-        mode,
-        seed=seed,
-        c=c,
-        weights=instance.weights,
-        batches=instance.batches,
-    )
+    """Stream the instance's edges in the requested order.
+
+    batched_random streams the batches, ``batched_edges``, and raises in
+    block form, which has none.
+    """
+    edges, weights = instance.edge_array, instance.edge_weights
+    if mode == "batched_random":
+        edges = instance.batched_edges
+        if edges is None:
+            raise ValueError("batched_random needs a segment-form instance")
+        weights = None if weights is None else weights[: len(edges)]
+    return stream_from_edges(instance.n, edges, mode, seed=seed, c=c, weights=weights)
 
 
 def exact_census(n: int, stream_or_edges: Stream | list[Edge] | np.ndarray) -> Census:

@@ -25,7 +25,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from ngc_lab.distributions import SIDE_A, SIDE_B, NgcInstance, Witness, canon, sample_ngc
+from ngc_lab.distributions import SIDE_A, SIDE_B, NgcInstance, Witness, sample_ngc
 from ngc_lab.gadgets import (
     GroupLayeredGraph,
     concat,
@@ -54,6 +54,11 @@ from ngc_lab.partitions import (
 )
 from ngc_lab.seeds import as_seed
 from ngc_lab.streaming import theta_from_components
+
+
+def canon(edge: tuple[int, int]) -> tuple[int, int]:
+    u, v = edge
+    return (u, v) if u <= v else (v, u)
 
 
 def build_adjacency(n_vertices: int, edges: list[tuple[int, int]]) -> list[list[int]]:
@@ -451,13 +456,42 @@ def reference_auxiliary_edges(k: int, m: int, width: int):
     return tuple(out)
 
 
+def reference_mst_augment(edges, k: int, width: int, W: int):
+    """(extra edges, canonical edge -> weight) of the MST augmentation, one edge at a time.
+
+    Every given edge weighs 1; then come the bridges (a^k_j, b^k_j) of
+    weight W, the links (a^1_j, a^1_{m+j}) and (a^1_j, b^1_{m+j}), and the
+    ring (a^1_j, b^1_{j+1}) closed by (a^1_m, b^1_1), all of weight 1.
+    """
+    m = width // 2
+    extra = []
+    weights = {canon(e): 1 for e in edges}
+    for j in range(1, m + 1):
+        bridge = (vertex_id(k, j, SIDE_A, width), vertex_id(k, j, SIDE_B, width))
+        extra.append(bridge)
+        weights[canon(bridge)] = W
+    for j in range(1, m + 1):
+        for side in (SIDE_A, SIDE_B):
+            link = (vertex_id(1, j, SIDE_A, width), vertex_id(1, m + j, side, width))
+            extra.append(link)
+            weights[canon(link)] = 1
+    for j in range(1, m):
+        ring = (vertex_id(1, j, SIDE_A, width), vertex_id(1, j + 1, SIDE_B, width))
+        extra.append(ring)
+        weights[canon(ring)] = 1
+    closing = (vertex_id(1, m, SIDE_A, width), vertex_id(1, 1, SIDE_B, width))
+    extra.append(closing)
+    weights[canon(closing)] = 1
+    return extra, weights
+
+
 def reference_instance_parts(instance) -> dict:
     """An instance's derived parts, built eagerly as instances once stored them.
 
     The witness's concat-chain core with k - core_k identity layers glued in
     front, the per-closer loop, consecutive pairs of core edges and then of
-    closers for a segment-form instance, and the sizes counted off the
-    witness grid.
+    closers for a segment-form instance, the per-edge augmentation when the
+    instance has a W, and the sizes counted off the witness grid.
     """
     wit = instance.witness
     if wit.form == "block":
@@ -476,11 +510,16 @@ def reference_instance_parts(instance) -> dict:
     if s is not None:
         batches = tuple((core_edges[i], core_edges[i + 1]) for i in range(0, len(core_edges), 2))
         batches += tuple((aux[i], aux[i + 1]) for i in range(0, len(aux), 2))
+    extra, weights = [], None
+    if instance.W is not None:
+        extra, weights = reference_mst_augment([*core_edges, *aux], k, w, instance.W)
     return {
         "graph": graph,
         "batches": batches,
         "auxiliary_edges": aux,
-        "all_edges": [*core_edges, *aux, *instance.extra_edges],
+        "extra_edges": extra,
+        "weights": weights,
+        "all_edges": [*core_edges, *aux, *extra],
         "n": 2 * w * k,
         "m": w // 2,
         "t": t,
@@ -515,9 +554,10 @@ def reference_assign_uniform(edges, players: int, seed):
 
 def reference_assign_batches(instance, l: int, seed):
     rng = as_seed(seed).rng()
-    batch_owners = tuple(rng.randrange(1, l + 1) for _ in instance.batches)
+    batches = reference_instance_parts(instance)["batches"]
+    batch_owners = tuple(rng.randrange(1, l + 1) for _ in batches)
     owner = {}
-    for b, (e1, e2) in enumerate(instance.batches):
+    for b, (e1, e2) in enumerate(batches):
         owner[canon(e1)] = batch_owners[b]
         owner[canon(e2)] = batch_owners[b]
     return EdgeAssignment(mode="l_player", players=l, owner=owner, batch_owners=batch_owners)
@@ -733,15 +773,16 @@ def parse_instance_by_lines(text: str) -> ParsedInstance:
 
 def reference_edge_records(instance: NgcInstance) -> list[str]:
     """One ``e <u> <v> [w=<int>] [b=<int>]`` record per edge, formatted edge by edge."""
+    parts = reference_instance_parts(instance)
     batch_id = {}
-    for b, (e1, e2) in enumerate(instance.batches or ()):
+    for b, (e1, e2) in enumerate(parts["batches"] or ()):
         batch_id[canon(e1)] = b
         batch_id[canon(e2)] = b
     records = []
-    for u, v in instance.all_edges():
+    for u, v in parts["all_edges"]:
         rec = f"e {u} {v}"
-        if instance.weights is not None:
-            rec += f" w={instance.weights[canon((u, v))]}"
+        if parts["weights"] is not None:
+            rec += f" w={parts['weights'][canon((u, v))]}"
         if canon((u, v)) in batch_id:  # augmentation edges belong to no batch
             rec += f" b={batch_id[canon((u, v))]}"
         records.append(rec)
@@ -752,36 +793,43 @@ def reference_edge_records(instance: NgcInstance) -> list[str]:
 
 
 def reference_stream_events(edges, mode: str, seed, c=None, weights=None, batches=None):
-    """The event tuple of a stream, each order made by shuffling a list in place."""
+    """The event tuple of a stream, each order made by shuffling a list in place.
+
+    ``weights`` holds one weight per edge, in order; batched mode streams the
+    edges of ``batches``, and the weights are theirs, batch after batch.
+    """
     rng = as_seed(seed).rng()
+    if mode == "batched_random":
+        edges = list(chain.from_iterable(batches))
+    events = [(e, None if weights is None else weights[i]) for i, e in enumerate(edges)]
     if mode == "given":
-        ordered = list(edges)
+        ordered = events
     elif mode == "uniform_random":
-        ordered = list(edges)
+        ordered = list(events)
         rng.shuffle(ordered)
     elif mode == "batched_random":
-        groups = [list(b) for b in batches]
+        rest = iter(events)
+        groups = [[next(rest) for _ in batch] for batch in batches]
         rng.shuffle(groups)
         for batch in groups:
             rng.shuffle(batch)
         ordered = list(chain.from_iterable(groups))
     else:  # stochastic
-        ordered = [edges[rng.randrange(len(edges))] for _ in range(math.ceil(c * len(edges)))]
-    if weights is None:
-        return tuple((e, None) for e in ordered)
-    return tuple((e, weights[canon(e)]) for e in ordered)
+        ordered = [events[rng.randrange(len(events))] for _ in range(math.ceil(c * len(events)))]
+    return tuple(ordered)
 
 
 def reference_relay(instance, assignment, l: int, seed):
     """(output, hop bits) of the census-decision relay with a set state, batch by batch."""
     shared = as_seed(seed)
+    batches = reference_instance_parts(instance)["batches"]
     state: set = set()
     hop_bits = []
     for player in range(1, l + 1):
         rng = shared.child("player", player).rng()
         owned = [
             list(batch)
-            for batch, owner in zip(instance.batches, assignment.batch_owners)
+            for batch, owner in zip(batches, assignment.batch_owners)
             if owner == player
         ]
         rng.shuffle(owned)

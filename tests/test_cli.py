@@ -280,6 +280,10 @@ def test_validate_weighted_file_census_only(tmp_path, capsys):
             ["reduce-check", "--m", "1", "--t", "5", "--tvd-samples", "5"],
             "the marginal TVD row needs t <= 4, got t=5",
         ),
+        (
+            ["stream-run", "--check", "mst", "--n", "56", "--k", "7", "--W", str(2**63)],
+            f"weight W must be an integer in [2, 2**63), got W={2**63}",
+        ),
     ],
 )
 def test_suite_parameter_errors_are_usage_errors(tmp_path, capsys, recwarn, argv, message):

@@ -15,7 +15,6 @@ from ngc_lab.distributions import (
     Witness,
     as_edge_array,
     auxiliary_edges_for,
-    canon,
     census_of_edges,
     mst_augment,
     pad_to_k,
@@ -32,6 +31,7 @@ from ngc_lab.instance_io import parse_instance, serialize_instance
 from ngc_lab.seeds import master_seed
 from ngc_lab.stats import binomial_check, chi_square_uniform
 from oracles import (
+    canon,
     component_census,
     per_edge_expansion,
     reference_blocks_conditioned,
@@ -39,6 +39,7 @@ from oracles import (
     reference_auxiliary_edges,
     reference_dhx_segment,
     reference_instance_parts,
+    reference_mst_augment,
     reference_segments_conditioned,
     union_find_census,
     witness_parity,
@@ -415,8 +416,19 @@ def derived_instances(draw):
 @given(derived_instances())
 def test_derived_parts_match_the_eager_build(inst):
     want = reference_instance_parts(inst)
-    assert inst.all_edges() == want.pop("all_edges")
+    all_edges, batches, weights = want.pop("all_edges"), want.pop("batches"), want.pop("weights")
+    assert inst.all_edges() == all_edges
     assert {name: getattr(inst, name) for name in want} == want
+    # the batches are rows 2i and 2i + 1 of batched_edges, every row but the augmentation's
+    if batches is None:
+        assert inst.batched_edges is None
+    else:
+        pairs = [tuple(map(tuple, pair)) for pair in inst.batched_edges.reshape(-1, 2, 2).tolist()]
+        assert pairs == list(batches)
+    if weights is None:
+        assert inst.edge_weights is None
+    else:
+        assert inst.edge_weights.tolist() == [weights[canon(e)] for e in all_edges]
     assert inst.graph.depth == inst.k
 
 
@@ -428,21 +440,25 @@ def test_edge_views_match_the_list_routes(inst):
         "all_edges": inst.all_edges(),
         "auxiliary_edges": inst.auxiliary_edges,
         "core": to_edges(inst.graph),
+        "extra_edges": inst.extra_edges,
         "parsed": parse_instance(serialize_instance(inst)).edges,
     }
     assert {name: list(view) for name, view in views.items()} == {
         "all_edges": want["all_edges"],
+        "extra_edges": want["extra_edges"],
         "auxiliary_edges": list(reference_auxiliary_edges(inst.k, inst.m, inst.width)),
         "core": per_edge_expansion(inst.graph),
         "parsed": want["all_edges"],
     }
     items = [e for view in views.values() for e in view]
-    items += [e for batch in inst.batches or () for e in batch]
     assert all(type(e) is tuple and [type(u) for u in e] == [int, int] for e in items)
     for view in views.values():
         assert as_edge_array(view) is view.array and not view.array.flags.writeable
     assert np.shares_memory(np.asarray(inst.all_edges()), inst.edge_array)
     assert np.shares_memory(np.asarray(inst.auxiliary_edges), inst.edge_array)
+    if inst.W is not None:
+        assert np.shares_memory(np.asarray(inst.extra_edges), inst.edge_array)
+        assert not inst.edge_weights.flags.writeable
 
 
 # --- MST augmentation ---------------------------------------------------------
@@ -453,13 +469,16 @@ def test_mst_augment_structure():
     W = 5
     weighted = mst_augment(inst, W)
     m, w, k = inst.m, inst.width, inst.k
+    assert (weighted.k, weighted.theta, weighted.witness, weighted.W) == (k, inst.theta, inst.witness, W)
     assert len(weighted.extra_edges) == 4 * m
+    assert weighted.edge_array[: -4 * m].tolist() == inst.edge_array.tolist()
     bridges = {
         canon((vertex_id(k, j, 0, w), vertex_id(k, j, 1, w))) for j in range(1, m + 1)
     }
-    for e in weighted.all_edges():
-        expected = W if canon(e) in bridges else 1
-        assert weighted.edge_weight(e) == expected
+    assert weighted.edge_weights.shape == (len(weighted.edge_array),)
+    for e, weight in zip(weighted.all_edges(), weighted.edge_weights.tolist()):
+        assert weight == (W if canon(e) in bridges else 1)
+    assert inst.edge_weights is None and len(inst.extra_edges) == 0
     census = validate_instance(weighted)
     assert census.degree_violations != ()  # scaffolding adds degree-3 vertices
 
@@ -467,6 +486,42 @@ def test_mst_augment_structure():
 def test_mst_augment_rejects_weight_below_two():
     with pytest.raises(ValueError):
         mst_augment(sample_ngc(28, 7, SEED), 1)
+
+
+@pytest.mark.parametrize("W", [2**63, 2**64 + 5, -3, 0, 5.0])
+def test_mst_augment_rejects_w_outside_the_int64_range(W):
+    # the instance file writes W as an int64 w= annotation
+    with pytest.raises(ValueError, match=rf"^weight W must be an integer in \[2, 2\*\*63\), got W={W}$"):
+        mst_augment(sample_ngc(56, 7, SEED), W)
+
+
+@st.composite
+def augmented_instances(draw):
+    """A block, segment or padded hybrid at m from 1 to 4, augmented with W up to 2**63 - 1."""
+    m, t, seed = draw(st.integers(1, 4)), draw(st.integers(1, 2)), draw(st.integers(0, 2**32))
+    form = draw(st.sampled_from(["block", "segment", "padded"]))
+    if form == "block":
+        inst = sample_hybrid(m, t, 0, seed)
+    else:
+        inst = sample_hybrid_batched(m, draw(st.integers(1, 2)), t, m, seed)
+    if form == "padded":
+        inst = pad_to_k(inst, inst.k + draw(st.integers(1, 2)))
+    W = draw(st.integers(2, 2**63 - 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # m = 1 is degenerate, not wrong
+        return inst, mst_augment(inst, W), W
+
+
+@settings(max_examples=80, deadline=None)
+@given(augmented_instances())
+def test_augmentation_rows_match_the_per_edge_reference(case):
+    inst, augmented, W = case
+    extra, weights = reference_mst_augment(inst.all_edges(), inst.k, inst.width, W)
+    assert augmented.extra_edges == extra
+    assert augmented.all_edges() == [*inst.all_edges(), *extra]
+    rows = augmented.edge_weights.tolist()
+    assert rows == [weights[canon(e)] for e in augmented.all_edges()]
+    assert all(type(w) is int for w in rows) and rows.count(W) == inst.m
 
 
 def test_mst_augment_flags_degenerate_m1():
@@ -487,11 +542,11 @@ def test_batched_shapes_and_pairing():
     inst = sample_ngc_batched(56, 7, 2, 1, SEED.child("bat"))
     assert inst.k == 7 and inst.s == 2 and inst.t == 1
     edges = inst.all_edges()
-    assert inst.batches is not None
-    assert len(inst.batches) == len(edges) // 2
-    assert sorted(e for b in inst.batches for e in b) == sorted(edges)
+    batches = inst.batched_edges.reshape(-1, 2, 2).tolist()
+    assert len(batches) == len(edges) // 2
+    assert sorted(tuple(e) for b in batches for e in b) == sorted(edges)
     w = inst.width
-    for e1, e2 in inst.batches:
+    for e1, e2 in batches:
         (l1, g1, s1) = layer_group_side(e1[0], w)
         (l2, g2, s2) = layer_group_side(e2[0], w)
         assert (l1, g1) == (l2, g2)  # same source layer and group

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from ngc_lab.cli import main
 from ngc_lab.distributions import (
-    canon,
     mst_augment,
     pad_to_k,
     sample_hybrid,
@@ -30,6 +29,25 @@ from ngc_lab.instance_io import (
 )
 
 from oracles import parse_instance_by_lines, reference_edge_records
+
+
+def batch_pairs(parsed):
+    """The (B, 2, 2) edges of each batch id, by id, in file order within an id."""
+    held = np.flatnonzero(parsed.edge_batches >= 0)
+    order = held[np.argsort(parsed.edge_batches[held], kind="stable")]
+    return parsed.edge_array[order].reshape(-1, 2, 2)
+
+
+def same_annotations(parsed, inst):
+    """The file's weights are the instance's row weights, and its batches pairs of its rows."""
+    if inst.W is None:
+        assert parsed.edge_weights is None
+    else:
+        assert np.array_equal(parsed.edge_weights, inst.edge_weights)
+    if inst.batched_edges is None:
+        assert parsed.edge_batches is None
+    else:
+        assert np.array_equal(batch_pairs(parsed), inst.batched_edges.reshape(-1, 2, 2))
 
 
 def test_header_shape():
@@ -49,7 +67,7 @@ def test_round_trip_plain_hidden():
     assert (parsed.n, parsed.k, parsed.w, parsed.d) == (56, 7, 4, 7)
     assert (parsed.m, parsed.form, parsed.t, parsed.s) == (2, "block", 2, None)
     assert parsed.theta is None and parsed.witness is None
-    assert parsed.weights is None and parsed.batches is None
+    assert parsed.edge_weights is None and parsed.edge_batches is None
     assert parsed.edges == inst.all_edges()
 
 
@@ -74,7 +92,10 @@ def test_round_trip_weighted():
     inst = mst_augment(sample_ngc(56, 7, seed=5), W=5)
     text = serialize_instance(inst, reveal=True)
     parsed = parse_instance(text)
-    assert parsed.weights == {canon(e): inst.edge_weight(e) for e in inst.all_edges()}
+    weights = parsed.edge_weights.tolist()
+    bridges = len(weights) - 4 * inst.m  # the m bridges lead the augmentation rows
+    assert weights == [1] * bridges + [5] * inst.m + [1] * (3 * inst.m)
+    same_annotations(parsed, inst)
     assert parsed.edges == inst.all_edges()
 
 
@@ -84,7 +105,7 @@ def test_round_trip_batched_segment():
     parsed = parse_instance(text)
     assert parsed.form == "segment"
     assert parsed.s == 2 and parsed.t == 3
-    assert parsed.batches == inst.batches
+    same_annotations(parsed, inst)
     assert parsed.witness == inst.witness
     assert parsed.edges == inst.all_edges()
 
@@ -98,8 +119,7 @@ def test_round_trip_augmented_batched():
     assert all(" b=" in rec for rec in records[:-extra])
     assert not any(" b=" in rec for rec in records[-extra:])
     parsed = parse_instance(text)
-    assert parsed.batches == inst.batches
-    assert parsed.weights == inst.weights
+    same_annotations(parsed, inst)
     assert parsed.witness == inst.witness
     assert parsed.edges == inst.all_edges()
 
@@ -229,12 +249,6 @@ FILES = {
 }
 
 
-def signed_weights(inst):
-    """The instance with weights of either sign and of 1 to 19 digits."""
-    weights = {e: (-1) ** i * (10 ** (i % 19) + i) for i, e in enumerate(sorted(inst.weights))}
-    return dataclasses.replace(inst, weights=weights)
-
-
 @pytest.mark.parametrize(
     "inst",
     [
@@ -244,7 +258,7 @@ def signed_weights(inst):
         mst_augment(sample_ngc_batched(56, 7, 2, 1, 3), 5),
         mst_augment(pad_to_k(sample_ngc_batched(56, 7, 2, 1, 29), 9), 5),
         sample_ngc_batched(9100, 7, 2, 1, 30),  # 8,450 edges: three runs of b= records
-        signed_weights(mst_augment(sample_ngc(56, 7, seed=31), W=5)),
+        mst_augment(sample_ngc(56, 7, seed=31), W=2**63 - 1),  # 19 digits: the int64 route
     ],
     ids=[
         "plain",
@@ -253,7 +267,7 @@ def signed_weights(inst):
         "augmented-batched",
         "padded-augmented",
         "batched-8k",
-        "signed-weights",
+        "widest-weight",
     ],
 )
 def test_edge_records_match_the_per_edge_format(inst):
@@ -401,9 +415,8 @@ def test_derived_fields_read_the_arrays_unless_given():
     assert parsed.edge_array.dtype == np.int64
     assert np.array_equal(parsed.edge_array, inst.edge_array)
     assert parsed.edge_batches[-len(inst.extra_edges) :].tolist() == [-1] * len(inst.extra_edges)
-    assert (parsed.edges, parsed.weights, parsed.batches) == (
-        inst.all_edges(), inst.weights, inst.batches
-    )
+    assert parsed.edges == inst.all_edges()
+    same_annotations(parsed, inst)
     trimmed = dataclasses.replace(parsed, edges=parsed.edges[:-1])
     assert trimmed.edges == inst.all_edges()[:-1]
     assert trimmed != parsed
@@ -475,9 +488,8 @@ def test_bulk_parse_matches_the_line_loop(kind, long, edits):
         assert got == want
         return
     assert np.array_equal(got.edge_array, want.edge_array)
-    assert (got.edges, got.weights, got.batches) == (want.edges, want.weights, want.batches)
     assert got == want
     if not edits:
         assert np.array_equal(got.edge_array, inst.edge_array)
-        want = (inst.all_edges(), inst.weights, inst.batches)
-        assert (got.edges, got.weights, got.batches) == want
+        assert got.edges == inst.all_edges()
+        same_annotations(got, inst)

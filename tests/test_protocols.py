@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from ngc_lab import distributions, protocols, seeds, streaming
 from ngc_lab.distributions import (
     Witness,
-    canon,
     sample_dhx,
     sample_dhx_segment,
     sample_hybrid,
@@ -49,7 +48,7 @@ from ngc_lab.protocols import (
 from ngc_lab.seeds import Seed, master_seed
 from ngc_lab.stats import binomial_check, chi_square_uniform
 from ngc_lab.streaming import CensusThetaDecision, stream_from_edges
-from oracles import reference_relay, witness_parity
+from oracles import canon, reference_relay, witness_parity
 
 
 # --- embedding ---------------------------------------------------------------

@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ngc_lab.distributions import (
-    canon,
     census_of_edges,
     mst_augment,
+    pad_to_k,
     sample_ngc,
     sample_ngc_batched,
 )
@@ -27,6 +27,7 @@ from ngc_lab.streaming import (
     EventView,
     UnionFindCensusAlgorithm,
     WalkSample,
+    batch_order,
     cc_estimate,
     detect_cycle_length_from_walks,
     exact_census,
@@ -44,7 +45,9 @@ from ngc_lab.streaming import (
 from oracles import (
     brute_max_independent_set,
     brute_max_matching,
+    canon,
     component_census,
+    reference_instance_parts,
     reference_stream_events,
     scipy_mst_weight,
 )
@@ -67,8 +70,7 @@ def test_given_order_preserves_edges_and_weights():
     inst = mst_augment(instance_with_theta(56, 7, 0, 300), W=5)
     stream = make_stream(inst, "given", seed=1)
     assert [e for e, _ in stream.events] == inst.all_edges()
-    for edge, weight in stream.events:
-        assert weight == inst.edge_weight(edge)
+    assert [w for _, w in stream.events] == inst.edge_weights.tolist()
     plain = make_stream(sample_ngc(28, 7, seed=2), "given", seed=1)
     assert all(w is None for _, w in plain.events)
 
@@ -94,8 +96,7 @@ def test_uniform_order_is_permutation_and_deterministic():
 
 def test_batched_mode_never_splits_a_batch():
     inst = sample_ngc_batched(n=64, k=4, s=1, t=1, seed=11)
-    assert inst.batches is not None
-    batch_sets = [frozenset(b) for b in inst.batches]
+    batch_sets = [frozenset(b) for b in reference_instance_parts(inst)["batches"]]
     seen_orders: set[tuple] = set()
     for s in range(40):
         stream = make_stream(inst, "batched_random", seed=s)
@@ -176,14 +177,67 @@ def test_event_view_reads_as_the_tuple_it_replaces():
     st.booleans(),
 )
 def test_streams_match_the_event_tuple_reference(edges, mode, seed, c, weighted):
-    weights = {canon(e): (u * 31 + v) % 7 for e in edges for u, v in [canon(e)]} if weighted else None
+    if mode == "batched_random":  # rows 2i and 2i + 1 are batch i
+        edges = edges[: len(edges) // 2 * 2]
+    weights = [(u * 31 + v) % 7 for u, v in edges] if weighted else None
     batches = tuple(tuple(edges[i : i + 2]) for i in range(0, len(edges), 2))
-    got = stream_from_edges(31, edges, mode, seed=seed, c=c, weights=weights, batches=batches)
+    rows = None if weights is None else np.array(weights, dtype=np.int64)
+    got = stream_from_edges(31, edges, mode, seed=seed, c=c, weights=rows)
     want = reference_stream_events(edges, mode, seed, c=c, weights=weights, batches=batches)
     assert got.events == want
     assert tuple(got.events) == want
-    array_input = stream_from_edges(31, np.array(edges).reshape(-1, 2), mode, seed=seed, c=c, weights=weights, batches=batches)
+    array_input = stream_from_edges(31, np.array(edges).reshape(-1, 2), mode, seed=seed, c=c, weights=rows)
     assert array_input == got
+
+
+@pytest.mark.parametrize("count", [1, 3, 7])
+def test_batched_streams_reject_an_odd_edge_count(count):
+    edges = [(i, i + 1) for i in range(count)]
+    with pytest.raises(ValueError, match=f"pairs edges two by two, got {count} edges"):
+        stream_from_edges(count + 1, edges, "batched_random", seed=0)
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_stream_weights_align_with_the_edge_rows(count):
+    with pytest.raises(ValueError, match=f"^2 edges need 2 weights, got shape \\({count},\\)$"):
+        stream_from_edges(3, [(0, 1), (1, 2)], "given", weights=np.ones(count, dtype=np.int64))
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 5, 64, 8191, 8192, 9000])
+def test_batch_order_matches_the_per_batch_shuffles(count):
+    batches = [[2 * b, 2 * b + 1] for b in range(count)]
+    loop, bulk = random.Random(count), random.Random(count)
+    loop.shuffle(batches)
+    for batch in batches:
+        loop.shuffle(batch)
+    assert batch_order(bulk, count).tolist() == [e for batch in batches for e in batch]
+    assert bulk.getstate() == loop.getstate()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: sample_ngc_batched(56, 7, 2, 1, 40),
+        lambda: sample_ngc_batched(120, 15, 2, 3, 41),
+        lambda: pad_to_k(sample_ngc_batched(56, 7, 2, 1, 42), 9),
+        lambda: mst_augment(sample_ngc_batched(56, 7, 2, 1, 43), 5),
+        lambda: mst_augment(pad_to_k(sample_ngc_batched(112, 7, 2, 1, 44), 8), 7),
+    ],
+    ids=["segment", "segment-t3", "padded", "augmented", "padded-augmented"],
+)
+def test_batched_instance_streams_match_the_pair_shuffle_reference(monkeypatch, make):
+    inst = make()
+    parts = reference_instance_parts(inst)
+    edges = [e for batch in parts["batches"] for e in batch]
+    weights = None if parts["weights"] is None else [parts["weights"][canon(e)] for e in edges]
+    made = []
+    rng = Seed.rng
+    monkeypatch.setattr(Seed, "rng", lambda self: made.append(rng(self)) or made[-1])
+    for seed in range(4):
+        got = make_stream(inst, "batched_random", seed)
+        want = reference_stream_events(edges, "batched_random", seed, weights=weights, batches=parts["batches"])
+        assert got.events == want
+        assert made[-2].getstate() == made[-1].getstate()
 
 
 def test_unknown_mode_rejected():
@@ -419,7 +473,7 @@ def test_matching_mis_agree_with_brute_force():
 
 
 def weighted_edge_list(inst):
-    return [(u, v, inst.edge_weight((u, v))) for u, v in inst.all_edges()]
+    return [(u, v, w) for (u, v), w in zip(inst.all_edges(), inst.edge_weights.tolist())]
 
 
 def test_mst_augmented_instances():
