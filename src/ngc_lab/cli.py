@@ -70,8 +70,9 @@ class ExperimentConfig:
     out: str | None = None
 
 
-def _load_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _load_config_file(path: str) -> dict[str, tuple[int, str]]:
+    """Each key's (line number, raw value); a later line overrides an earlier one."""
+    values: dict[str, tuple[int, str]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -80,7 +81,7 @@ def _load_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+            values[key.strip()] = (lineno, value.strip())
     return values
 
 
@@ -105,11 +106,15 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge defaults < config file < explicit flags into one config."""
     known = {f.name for f in fields(ExperimentConfig)}
     merged: dict = {"suite": args.suite}
-    if getattr(args, "config", None):
-        for key, raw in _load_config_file(args.config).items():
+    path = getattr(args, "config", None)
+    if path:
+        for key, (lineno, raw) in _load_config_file(path).items():
             if key not in known or key == "suite":
-                raise ValueError(f"unknown config key {key!r}")
-            merged[key] = _coerce(key, raw)
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            try:
+                merged[key] = _coerce(key, raw)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}={raw!r}: {exc}") from None
     for key in known:
         flag = getattr(args, key, None)
         if flag is not None and key != "suite":

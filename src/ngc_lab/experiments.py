@@ -34,9 +34,12 @@ route is not obvious from the code alone:
   against the uint8 and int8 simulators they replaced.
 
 The object trials of ``partition_stats_suite`` and ``stochastic_stats_suite``
-are not simulated: each trial makes its own draws from its own seed path, and
-only the counting is batched, on arrays with a leading trials axis, so the
-rows equal those of the one-trial-at-a-time loop the tests keep as reference.
+are not simulated: each trial draws from its own ``random.Random`` on its own
+seed path.  A batch of trials derives its generators together
+(``Seed.rngs``), reads their draws in one pass each (``sample_ngc_sigma1``,
+``partition_slots``, ``stochastic_picks``: row r is trial r's stream) and
+counts on arrays with a leading trials axis, so the rows equal those of the
+one-trial-at-a-time loop the tests keep as reference.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -63,6 +65,7 @@ from .distributions import (
     sample_dhx_segment,
     sample_ngc,
     sample_ngc_batched,
+    sample_ngc_sigma1,
     validate_instance,
 )
 from .partitions import (
@@ -71,10 +74,11 @@ from .partitions import (
     clean_masks,
     core_columns,
     function_index_table,
-    random_partition_functions,
+    partition_slots,
     sample_size,
     seen_counts,
     stochastic_owners,
+    stochastic_picks,
 )
 from .protocols import (
     BobOnlyCycleDetector,
@@ -87,7 +91,7 @@ from .protocols import (
     streaming_as_protocol,
     tvd,
 )
-from .seeds import Seed, as_seed, randrange_many, replay_bytes
+from .seeds import Seed, as_seed, replay_bytes
 from .stats import binomial_check, chi_square_uniform, clopper_pearson
 from .streaming import (
     CensusThetaDecision,
@@ -234,8 +238,10 @@ def capped_activity_probability(w: int) -> Fraction:
     return expect / w
 
 
-# array elements per batch of trials in the two object suites: bounds their memory
+# array elements per batch of trials in the two object suites, and trials per
+# batch (one stdlib generator of about 2.9 kB each): bound their memory
 _BATCH_ELEMENTS = 1 << 18
+_BATCH_TRIALS = 256
 # clean indicators per chunk of sigma(1) draws (a chunk's indicators and images
 # interleave in the stream, so the chunk is part of the rows), and walks per
 # chunk of simulated walks
@@ -244,8 +250,11 @@ _WALK_CHUNK = 4_000_000
 
 
 def _trial_batches(trials: int, per_trial: int) -> Iterator[range]:
-    """Consecutive runs of trial numbers, about _BATCH_ELEMENTS // per_trial long."""
-    step = max(1, _BATCH_ELEMENTS // per_trial)
+    """Consecutive runs of trial numbers, about _BATCH_ELEMENTS // per_trial long.
+
+    At most _BATCH_TRIALS long, so that few generators are alive at once.
+    """
+    step = max(1, min(_BATCH_ELEMENTS // per_trial, _BATCH_TRIALS))
     return (range(start, min(start + step, trials)) for start in range(0, trials, step))
 
 
@@ -261,24 +270,18 @@ def _partition_counts(w: int, trials: int, root: Seed) -> tuple[list[int], int, 
     Trial i draws a one-block instance of width w from ``object/i/inst`` and
     partition functions from ``object/i/F``.  Index 1's pattern and every
     index's cleanness read F's slots alone (``function_index_table``), so the
-    instance contributes only sigma(1), and the counting runs once per batch
-    on (trials, 6w) arrays.
+    instance contributes only sigma(1).  A batch of trials reads sigma(1)
+    (``sample_ngc_sigma1``) and F's slots (``partition_slots``) off its
+    generators in one pass each, and counts on (trials, 6w) arrays.
     """
-    n = 4 * 4 * (w // 2)  # one-block instances: k = 4, t = 1, width w
     table = function_index_table(w, 1)
     w_c = max(1, w // 100)
     pattern_counts = np.zeros(64, dtype=np.int64)
     clean_hits = active_capped = active_uncapped = 0
+    trial = root.child("object")
     for batch in _trial_batches(trials, 6 * w):
-        slots: list[int] = []
-        sigma1: list[int] = []
-        for i in batch:
-            child = root.child("object", i)
-            inst = sample_ngc(n, 4, child.child("inst"))
-            F = random_partition_functions(w, 1, child.child("F"))
-            slots += chain(*F.fL, *F.fM, *F.fR)
-            sigma1.append(inst.witness.Sigma[0][0] - 1)
-        owners = np.array(slots, dtype=np.int8).reshape(len(batch), -1)
+        sigma1 = sample_ngc_sigma1(trial.rngs(batch, "inst"), w) - 1
+        owners = partition_slots(trial.rngs(batch, "F"), w, 1)
         clean, capped = clean_masks(owners, table, w_c)
         rows = np.arange(len(batch))
         clean_hits += int(np.count_nonzero(clean[:, 0, 0]))
@@ -782,10 +785,10 @@ def _stochastic_counts(c: float, trials: int, w: int, root: Seed) -> tuple[int, 
     """(absent, alice-only, clean) counts over stochastic trials on one instance.
 
     The instance of width w comes from ``inst``; trial i draws both players'
-    samples as 2 ceil(c|E|/2) edge indices from ``draw/i``, Alice's half
-    first.  Absence is read at the probe edge (core edge 0), cleanness at
-    index 1 of the block; the counting runs once per batch on (trials, 2, S)
-    arrays of sampled core positions.
+    samples from ``draw/i`` (``stochastic_picks``, Alice's half first), a
+    batch of trials in one pass.  Absence is read at the probe edge (core
+    edge 0), cleanness at index 1 of the block; the counting runs once per
+    batch on (trials, 2, S) arrays of sampled core positions.
     """
     inst = sample_ngc(4 * 4 * (w // 2), 4, root.child("inst"))
     ends = inst.edge_array
@@ -795,11 +798,9 @@ def _stochastic_counts(c: float, trials: int, w: int, root: Seed) -> tuple[int, 
     positions = len(inst.graph._targets)
     table = inst.graph._index_table[:1, :1]
     absent = a_only = clean = 0
+    draws = root.child("draw")
     for batch in _trial_batches(trials, 2 * count + 2 * positions):
-        picks: list[int] = []
-        for i in batch:
-            picks += randrange_many(root.child("draw", i).rng(), len(ends), 2 * count)
-        drawn = columns[np.array(picks, dtype=np.int64).reshape(len(batch), 2, count)]
+        drawn = columns[stochastic_picks(draws.rngs(batch), len(ends), c)]
         counts = seen_counts(drawn, positions)
         seen_a, seen_b = counts[:, 0, probe] > 0, counts[:, 1, probe] > 0
         absent += int(np.count_nonzero(~seen_b))
@@ -976,6 +977,10 @@ def _object_walk_coverage(
 
 # --- bias scan --------------------------------------------------------------------
 
+# the largest support bias-scan draws is 2**MAX_LOG_A members, each held as a
+# Python int in a list and a set
+MAX_LOG_A = 20
+
 
 def bias_scan_suite(
     m: int,
@@ -991,7 +996,9 @@ def bias_scan_suite(
     ((m - log|A|)/m)^k.  Fails only if the ratio is non-finite.
     """
     if not 0 <= log_a <= m:
-        raise ValueError("need 0 <= log_a <= m")
+        raise ValueError(f"need 0 <= logA <= m, got logA={log_a} m={m}")
+    if log_a > MAX_LOG_A:
+        raise ValueError(f"logA={log_a} asks for a support past 2**{MAX_LOG_A} members")
     root = as_seed(seed)
     suite = "bias-scan"
     params = _params(m=m, logA=log_a, k=k)

@@ -17,7 +17,11 @@ On top sit the structural events the lower-bound argument tracks: an index is
 clean index, and the batched analogues (active segments, good groups).
 
 Draws are made in bulk (``seeds.randrange_many``) but from the identical
-stream, value for value, as one ``randrange`` per edge or map slot.  An
+stream, value for value, as one ``randrange`` per edge or map slot.
+``partition_slots`` and ``stochastic_picks`` take a list of generators and
+read them all in one pass (``seeds.randrange_rows``), row r being generator
+r's draw; ``random_partition_functions`` and ``stochastic_assign`` are their
+one-row cases, so the batched suites and the object route share one law.  An
 owner map is an ``EdgeTable`` (sorted canonical edge keys plus one owner
 each), so a split is one vectorized lookup and a boolean index.  Clean
 events are read off owner arrays through a table of each index's six
@@ -29,7 +33,8 @@ functions ``function_index_table`` over F's slots.  ``clean_masks`` and
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+import random
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -39,7 +44,7 @@ import numpy as np
 
 from .distributions import EdgeTable, NgcInstance, as_edge_array
 from .gadgets import Edge
-from .seeds import Seed, as_seed, randrange_many
+from .seeds import Seed, as_seed, randrange_many, randrange_rows
 
 ALICE = 0  # alpha
 BOB = 1  # beta
@@ -71,11 +76,20 @@ class PartitionFunctions:
         return len(self.fL)
 
 
+def partition_slots(rngs: Sequence[random.Random], w: int, t: int) -> np.ndarray:
+    """Uniform partition functions' 6wt slots per generator, shape (len(rngs), 6wt), int8.
+
+    One ``randrange(2)`` per slot: all of fL's slots block by block, then
+    fM's, then fR's, 2w each; ``function_index_table`` reads this layout.
+    """
+    return randrange_rows(rngs, 2, 3 * t * 2 * w).astype(np.int8)
+
+
 def random_partition_functions(
     w: int, t: int, seed: Seed | int | None = None
 ) -> PartitionFunctions:
-    """Uniform maps: all of fL's slots block by block, then fM's, then fR's."""
-    bits = randrange_many(as_seed(seed).rng(), 2, 3 * t * 2 * w)
+    """Uniform maps, the one-row case of ``partition_slots``."""
+    bits = partition_slots([as_seed(seed).rng()], w, t)[0].tolist()
     maps = tuple(tuple(bits[i * 2 * w : (i + 1) * 2 * w]) for i in range(3 * t))
     return PartitionFunctions(maps[:t], maps[t : 2 * t], maps[2 * t :])
 
@@ -417,21 +431,27 @@ def sample_size(c: float, edge_count: int) -> int:
     return math.ceil(c * edge_count / 2)
 
 
+def stochastic_picks(rngs: Sequence[random.Random], edge_count: int, c: float) -> np.ndarray:
+    """Both players' samples as edge indices per generator: (len(rngs), 2, ceil(c|E|/2)).
+
+    One bulk draw of 2 * ceil(c|E|/2) ``randrange(|E|)`` values per
+    generator: Alice's sample is the first half, Bob's the second.
+    """
+    count = sample_size(c, edge_count)
+    return randrange_rows(rngs, edge_count, 2 * count).reshape(len(rngs), 2, count)
+
+
 def stochastic_assign(
     edges: list[Edge] | np.ndarray, c: float, seed: Seed | int | None = None
 ) -> EdgeAssignment:
     """Each player an iid sample (with repetition) of ceil(c*|E|/2) edges.
 
-    One bulk draw of 2 * ceil(c*|E|/2) edge indices: Alice's sample is the
-    first half, Bob's the second.
+    The one-row case of ``stochastic_picks``.
     """
     ends = as_edge_array(edges)
-    count = sample_size(c, len(ends))
-    picks = np.array(randrange_many(as_seed(seed).rng(), len(ends), 2 * count), dtype=np.int64)
-    drawn = tuple(zip(ends[picks, 0].tolist(), ends[picks, 1].tolist()))
-    return EdgeAssignment(
-        mode="stochastic", players=2, samples=(drawn[:count], drawn[count:]), c=c
-    )
+    picks = stochastic_picks([as_seed(seed).rng()], len(ends), c)[0]
+    alice, bob = (tuple(zip(ends[half, 0].tolist(), ends[half, 1].tolist())) for half in picks)
+    return EdgeAssignment(mode="stochastic", players=2, samples=(alice, bob), c=c)
 
 
 def core_columns(instance: NgcInstance, ends: np.ndarray) -> np.ndarray:

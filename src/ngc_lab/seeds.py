@@ -4,9 +4,14 @@ Every sampler in the package takes a ``Seed``.  Two calls with the same
 (master, path) produce identical output; deriving children with distinct
 labels produces independent-looking streams.  Both a stdlib ``random.Random``
 and a numpy ``Generator`` are available off the same derivation, so scalar
-and vectorized code paths can share one seed discipline.  Three helpers replay
-a generator's own words in bulk: ``randrange_many`` gives many ``randrange``
-draws from one ``getrandbits`` call; ``shuffle_order`` gives the permutation
+and vectorized code paths can share one seed discipline.
+
+Batched suites keep one ``random.Random`` per trial, on the trial's own path:
+``Seed.rngs`` derives a run of them, hashing the shared prefix once, and
+``randrange_rows`` reads every trial's ``randrange`` draws in one pass, row r
+being trial r's own stream.  Three more helpers replay one generator's words
+in bulk: ``randrange_many`` (the one-row case) gives many ``randrange`` draws
+from one ``getrandbits`` call; ``shuffle_order`` gives the permutation
 ``Random.shuffle`` would apply to a list of a given length, read off bulk
 ``getrandbits`` words, with the generator left where the shuffle would leave
 it; and ``replay_bytes`` gives ``Generator.integers(0, 256, count,
@@ -20,6 +25,7 @@ import hashlib
 import operator
 import os
 import random
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,21 +48,42 @@ class Seed:
     def child(self, *labels: str | int) -> "Seed":
         return Seed(self.master, self.path + tuple(str(l) for l in labels))
 
-    def _digest(self) -> bytes:
-        h = hashlib.sha256()
-        h.update(self.master.to_bytes(8, "little"))
+    def _hash(self):
+        """sha256 over the master's 8 little-endian bytes, then "/" + label per label."""
+        h = hashlib.sha256(self.master.to_bytes(8, "little"))
         for label in self.path:
-            h.update(b"/")
-            h.update(label.encode("utf-8"))
-        return h.digest()
+            h.update(b"/" + label.encode("utf-8"))
+        return h
+
+    def _digest(self) -> bytes:
+        return self._hash().digest()
 
     def rng(self) -> random.Random:
         """Stdlib RNG for shuffles, permutations, and scalar draws."""
-        return random.Random(int.from_bytes(self._digest()[:16], "little"))
+        return _stdlib_rng(self._digest())
+
+    def rngs(self, indices: Iterable[str | int], *suffix: str | int) -> list[random.Random]:
+        """``[self.child(i, *suffix).rng() for i in indices]``, hashing this path once.
+
+        A run of trial generators: the hash of the shared prefix is copied per
+        trial and fed the same bytes the child's path would add.
+        """
+        prefix = self._hash()
+        tail = b"".join(b"/" + str(label).encode("utf-8") for label in suffix)
+        out = []
+        for i in indices:
+            h = prefix.copy()
+            h.update(b"/" + str(i).encode("utf-8") + tail)
+            out.append(_stdlib_rng(h.digest()))
+        return out
 
     def generator(self) -> np.random.Generator:
         """Numpy RNG for vectorized draws (independent of .rng())."""
         return np.random.default_rng(int.from_bytes(self._digest()[16:], "little"))
+
+
+def _stdlib_rng(digest: bytes) -> random.Random:
+    return random.Random(int.from_bytes(digest[:16], "little"))
 
 
 def master_seed(value: int | None = None) -> Seed:
@@ -73,34 +100,108 @@ def as_seed(seed: "Seed | int | None" = None, *labels: str | int) -> Seed:
     return base.child(*labels) if labels else base
 
 
+# below this many missing values in a round, numpy costs more than it saves
+# and the rest are drawn word by word
+_ROUND_MIN = 32
+
+
+def _randbelow(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``randbelow(n)``'s attempts on uint32 words: (values, accepted).
+
+    For 0 < n < 2**32 each attempt is the top ``n.bit_length()`` bits of one
+    Mersenne Twister word, accepted when below n and retried otherwise.
+    """
+    values = words >> (32 - n.bit_length())
+    return values, values < n
+
+
+def _check_bound(n: int) -> None:
+    if n <= 0:
+        random.randrange(n)  # raises randrange's own ValueError, drawing nothing
+    if n >= 2**32:
+        raise ValueError(f"randrange needs n < 2**32 to draw in bulk, got {n}")
+
+
+def _words(rng: random.Random, count: int) -> np.ndarray:
+    """The next ``count`` 32-bit words of ``rng``, from one ``getrandbits`` call."""
+    return np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count, "little"), dtype="<u4")
+
+
+def _draw_singly(rng: random.Random, n: int, count: int, out: list[int]) -> list[int]:
+    """``out`` filled up to ``count`` values, drawn word by word.
+
+    ``getrandbits(bits)`` is the top bits of one word, so this is
+    ``_randbelow`` one attempt at a time, spelled out: a call per word would
+    double the cost of the small draws that end here.
+    """
+    bits = n.bit_length()
+    while len(out) < count:
+        value = rng.getrandbits(bits)
+        if value < n:
+            out.append(value)
+    return out
+
+
 def randrange_many(rng: random.Random, n: int, count: int) -> list[int]:
     """``[rng.randrange(n) for _ in range(count)]``, drawn in bulk from the same stream.
 
-    For 0 < n < 2**32 each ``randrange(n)`` attempt is the top n.bit_length()
-    bits of one 32-bit Mersenne Twister word, retried while >= n, and
-    ``getrandbits(32 * need)`` returns those words least significant first.
-    Each numpy round draws exactly as many words as values are missing, so the
-    generator ends where the loop would; under 32 missing values a round costs
-    more than it saves, and the rest are drawn word by word.
+    ``getrandbits(32 * need)`` returns ``need`` words least significant first,
+    the words ``need`` calls of ``getrandbits(32)`` would return.  Each numpy
+    round draws exactly as many words as values are missing and accepts them
+    at once (``_randbelow``), so the generator ends where the loop would; under
+    32 missing values a round costs more than it saves, and the rest are
+    drawn word by word.
     """
     n = operator.index(n)
     if count <= 0:
         return []
-    if n <= 0:
-        rng.randrange(n)  # raises randrange's own ValueError
-    if n >= 2**32:
-        raise ValueError(f"randrange_many needs n < 2**32, got {n}")
-    shift = 32 - n.bit_length()
+    if not 0 < n < 2**32:
+        _check_bound(n)
     out: list[int] = []
-    while count - len(out) >= 32:
-        need = count - len(out)
-        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
-        values = np.frombuffer(words, dtype="<u4") >> shift
-        out += values[values < n].tolist()
-    while len(out) < count:
-        value = rng.getrandbits(32 - shift)
-        if value < n:
-            out.append(value)
+    while count - len(out) >= _ROUND_MIN:
+        values, accepted = _randbelow(_words(rng, count - len(out)), n)
+        out += values[accepted].tolist()
+    return _draw_singly(rng, n, count, out)
+
+
+def randrange_rows(rngs: Sequence[random.Random], n: int, count: int) -> np.ndarray:
+    """Row r is ``randrange_many(rngs[r], n, count)``: shape (len(rngs), count), int64.
+
+    Each round draws from every short row exactly as many words as it still
+    misses, and accepts the words of all rows at once; a row's accepted values
+    keep their order, so each generator ends where its own ``randrange_many``
+    would.  Once fewer than 32 values are missing in all, the rest are drawn
+    word by word.  One row is ``randrange_many`` itself.
+    """
+    n = operator.index(n)
+    out = np.zeros((len(rngs), max(count, 0)), dtype=np.int64)
+    if count <= 0:
+        return out
+    _check_bound(n)
+    if len(rngs) == 1:
+        out[0] = randrange_many(rngs[0], n, count)
+        return out
+    flat = out.reshape(-1)
+    filled = np.zeros(len(rngs), dtype=np.int64)
+    live = np.arange(len(rngs))  # rows still short, in order
+    while live.size:
+        missing = count - filled[live]
+        if missing.sum() < _ROUND_MIN:
+            for r, need in zip(live.tolist(), missing.tolist()):
+                out[r, count - need :] = _draw_singly(rngs[r], n, need, [])
+            break
+        words = b"".join(
+            rngs[r].getrandbits(32 * need).to_bytes(4 * need, "little")
+            for r, need in zip(live.tolist(), missing.tolist())
+        )
+        values, accepted = _randbelow(np.frombuffer(words, dtype="<u4"), n)
+        got = np.add.reduceat(accepted.astype(np.int64), np.cumsum(missing) - missing)
+        # the k-th value accepted this round goes to its row's fill, offset
+        # by k less the values accepted in the rows before it
+        base = live * count + filled[live] - (np.cumsum(got) - got)
+        flat[np.repeat(base, got) + np.arange(int(got.sum()))] = values[accepted]
+        filled[live] += got
+        live = live[filled[live] < count]
     return out
 
 
@@ -137,7 +238,7 @@ def shuffle_order(rng: random.Random, length: int) -> np.ndarray:
     while bound >= 2:
         if not words.size:
             need = bound - 1
-            words = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"), "<u4")
+            words = _words(rng, need)
         k = bound.bit_length()
         steps = bound - (1 << (k - 1)) + 1  # bounds bound .. 2**(k-1) share k
         # a band accepts at least half its draws, so this window mostly ends

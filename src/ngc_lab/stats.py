@@ -3,7 +3,8 @@
 Policy: empirical frequencies are judged by exact binomial three-sigma windows
 or by chi-square goodness of fit (p > 0.001); confidence intervals are
 Clopper-Pearson.  Chernoff bounds appear only when sizing trial counts up
-front, never as a pass/fail rule.
+front, never as a pass/fail rule.  ``scipy.stats`` is imported on first use:
+it is most of what importing the package would otherwise cost.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,8 @@ def chi_square_uniform(counts: list[int] | np.ndarray) -> float:
     arr = np.asarray(counts, dtype=float)
     if arr.ndim != 1 or len(arr) < 2:
         raise ValueError("need at least two cells")
+    from scipy import stats as sps
+
     return float(sps.chisquare(arr).pvalue)
 
 
@@ -65,6 +67,8 @@ def chi_square_expected(counts, expected) -> float:
     obs = np.asarray(counts, dtype=float)
     exp = np.asarray(expected, dtype=float)
     exp = exp * obs.sum() / exp.sum()
+    from scipy import stats as sps
+
     return float(sps.chisquare(obs, exp).pvalue)
 
 
@@ -72,6 +76,8 @@ def clopper_pearson(successes: int, trials: int, alpha: float = 0.05) -> tuple[f
     """Exact binomial CI endpoints via the beta quantiles."""
     if trials <= 0 or not 0 <= successes <= trials:
         raise ValueError("need 0 <= successes <= trials, trials > 0")
+    from scipy import stats as sps
+
     lo = 0.0 if successes == 0 else float(sps.beta.ppf(alpha / 2, successes, trials - successes + 1))
     hi = 1.0 if successes == trials else float(
         sps.beta.ppf(1 - alpha / 2, successes + 1, trials - successes)

@@ -337,7 +337,8 @@ def cc_estimate(
     set is below cap.  A second pass over the same replayable stream marks a
     seed dirty if any edge still crosses its boundary — that catches both
     cap overflow and growth missed due to arrival order.  Clean seeds hold
-    exactly their component.  State is accounted as r*cap vertex ids.
+    exactly their component.  State is accounted as r*cap vertex ids.  The
+    seeds are r ``randrange(n)`` values drawn in bulk, which needs n < 2**32.
     """
     if not 0 < epsilon < 1:
         raise ValueError("need 0 < epsilon < 1")
@@ -347,7 +348,7 @@ def cc_estimate(
         cap = math.ceil(2 / epsilon)
     rng = as_seed(seed).rng()
     n = stream.n
-    seeds = [rng.randrange(n) for _ in range(r)]
+    seeds = randrange_many(rng, n, r)
     members: list[set[int]] = [{v} for v in seeds]
     by_vertex: dict[int, list[int]] = {}
     for i, v in enumerate(seeds):

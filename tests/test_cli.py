@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ngc_lab
-from ngc_lab import partitions
+from ngc_lab import experiments, partitions
 from ngc_lab.cli import ExperimentConfig, main, resolve_config
 from ngc_lab.distributions import mst_augment, sample_ngc, sample_ngc_batched
 from ngc_lab.experiments import CSV_COLUMNS
@@ -486,6 +486,17 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["sigma1_trials=abc", "epsilon=0.2.5", "budgets=2,x"])
+def test_config_value_that_does_not_coerce_names_file_line_and_key(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# a comment\nw=2\n{line}\n")
+    assert run_cli("partition-stats", "--config", str(cfg), "--trials", "5") == 2
+    err = capsys.readouterr().err
+    key = line.split("=")[0]
+    assert f"{cfg}:3: {key}=" in err
+    assert "Traceback" not in err
+
+
 def test_config_file_malformed_line(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("trials 30\n")
@@ -595,3 +606,28 @@ def test_console_script_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "edges 26" in proc.stderr
     assert out.read_text().startswith("ngc-lab v1")
+
+
+def test_bias_scan_support_ceiling_exits_two(monkeypatch, capsys):
+    # a small stand-in for the real ceiling, so the test never asks for a
+    # large support
+    monkeypatch.setattr(experiments, "MAX_LOG_A", 4)
+    args = ["bias-scan", "--m", "8", "--k", "2", "--trials", "10", "--seed", "3"]
+    assert run_cli(*args, "--logA", "5") == 2
+    err = capsys.readouterr().err
+    assert "logA=5" in err and "Traceback" not in err
+    assert run_cli(*args, "--logA", "4") == 0
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    package_parent = str(Path(ngc_lab.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [package_parent, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, ngc_lab; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -24,6 +24,7 @@ from ngc_lab.distributions import (
     sample_hybrid_batched,
     sample_ngc,
     sample_ngc_batched,
+    sample_ngc_sigma1,
     validate_instance,
 )
 from ngc_lab.gadgets import parity, to_edges, vertex_from_id, vertex_id
@@ -206,6 +207,25 @@ def test_determinism():
 
 
 # --- hybrids -----------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.integers(1, 12), st.sampled_from([32, 100, 256])),
+    st.integers(1, 3),
+    st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+)
+def test_sample_ngc_sigma1_reads_the_first_image(m, t, masters):
+    k, w = 3 * t + 1, 2 * m
+    roots = [master_seed(master).child("sigma1") for master in masters]
+    rngs = [root.rng() for root in roots]
+    got = sample_ngc_sigma1(rngs, w)
+    assert got.tolist() == [sample_ngc(4 * k * m, k, root).witness.Sigma[0][0] for root in roots]
+    for root, rng in zip(roots, rngs):  # theta's draw, then the first pick, and no more
+        loop = root.rng()
+        loop.randrange(2)
+        loop.randrange(w)
+        assert rng.getstate() == loop.getstate()
 
 
 def test_hybrid_endpoints_match_theta_branches():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ngc_lab import seeds
-from ngc_lab.seeds import randrange_many, replay_bytes, shuffle_order
+from ngc_lab.seeds import Seed, randrange_many, randrange_rows, replay_bytes, shuffle_order
 
 from oracles import randrange_loop
 
@@ -39,6 +39,70 @@ def test_randrange_many_empty_range_raises_like_randrange(n):
 def test_randrange_many_rejects_ranges_past_32_bits():
     with pytest.raises(ValueError):
         randrange_many(random.Random(1), 2**32, 3)
+
+
+# --- randrange_rows: many generators' randrange draws in one pass ------------------
+
+ROW_BOUNDS = [1, 2, 3, 112, 2**31 - 1, 2**32 - 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(ROW_BOUNDS),
+    st.integers(0, 80),
+    st.lists(st.integers(0, 2**128 - 1), max_size=12),
+    st.sampled_from([1, 32, 10**9]),  # every round in numpy, the default, word by word
+)
+def test_randrange_rows_matches_randrange_many_per_row(n, count, keys, round_min):
+    rows = [random.Random(key) for key in keys]
+    singles = [random.Random(key) for key in keys]
+    loops = [random.Random(key) for key in keys]
+    with patch.object(seeds, "_ROUND_MIN", round_min):
+        got = randrange_rows(rows, n, count)
+    assert got.dtype == np.int64 and got.shape == (len(keys), count)
+    for row, single, loop, values in zip(rows, singles, loops, got.tolist()):
+        assert values == randrange_many(single, n, count) == randrange_loop(loop, n, count)
+        assert row.getstate() == single.getstate() == loop.getstate()
+
+
+@pytest.mark.parametrize("n", [0, -3, 2**32, 2**40])
+def test_randrange_rows_rejects_what_randrange_many_rejects(n):
+    for count in (1, 40):
+        with pytest.raises(ValueError) as many_error:
+            randrange_many(random.Random(1), n, count)
+        with pytest.raises(ValueError) as rows_error:
+            randrange_rows([random.Random(1), random.Random(2)], n, count)
+        assert str(rows_error.value) == str(many_error.value)
+        with pytest.raises(ValueError):
+            randrange_rows([], n, count)
+    # nothing is drawn, so nothing is checked, as with randrange_many
+    assert randrange_rows([random.Random(1)], n, 0).shape == (1, 0)
+
+
+# --- Seed.rngs: a run of trial generators off one hashed prefix ---------------------
+
+LABELS = st.one_of(st.text(max_size=6), st.integers(-5, 10**6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.lists(st.text(max_size=6), max_size=3),
+    st.lists(LABELS, max_size=5),
+    st.lists(LABELS, max_size=2),
+)
+def test_seed_rngs_match_the_chained_children(master, path, indices, suffix):
+    root = Seed(master, tuple(path))
+    got = root.rngs(indices, *suffix)
+    assert len(got) == len(indices)
+    for i, rng in zip(indices, got):
+        assert rng.getstate() == root.child(i, *suffix).rng().getstate()
+
+
+def test_seed_rngs_hash_non_ascii_labels_as_children_do():
+    root = Seed(17, ("σ", "Ω/x"))
+    (got,) = root.rngs(["ü"], "ünïcode", 3)
+    assert got.getstate() == root.child("ü", "ünïcode", 3).rng().getstate()
 
 
 # --- shuffle_order: Random.shuffle's permutation read off bulk words -----------------

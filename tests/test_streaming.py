@@ -20,6 +20,7 @@ from ngc_lab.distributions import (
     sample_ngc,
     sample_ngc_batched,
 )
+from ngc_lab import streaming
 from ngc_lab.seeds import Seed
 from ngc_lab.stats import binomial_check, chi_square_expected, chi_square_uniform
 from ngc_lab.streaming import (
@@ -47,6 +48,7 @@ from oracles import (
     brute_max_matching,
     canon,
     component_census,
+    randrange_loop,
     reference_instance_parts,
     reference_stream_events,
     scipy_mst_weight,
@@ -377,6 +379,36 @@ def test_cc_estimate_triangles_exact():
         assert result.cap == 8
         assert result.clean_seeds == 64
         assert result.estimate == pytest.approx(n / 3)
+
+
+def test_cc_estimate_draws_its_seed_vertices_as_the_randrange_loop(monkeypatch):
+    # cliques of 1 to 4 vertices: every seed's set is its clique, so the
+    # estimate depends on which vertices the seeds are
+    sizes = [1, 2, 3, 4] * 3
+    starts = np.cumsum([0] + sizes)
+    n = int(starts[-1])
+    edges = [(int(a) + i, int(a) + j) for a, size in zip(starts, sizes)
+             for i in range(size) for j in range(i + 1, size)]
+    component = np.repeat(sizes, sizes)
+    seed = Seed(17, ("cc", "seeds"))
+    calls = []
+    bulk = streaming.randrange_many
+
+    def spy(rng, bound, count):
+        loop = random.Random()
+        loop.setstate(rng.getstate())
+        values = bulk(rng, bound, count)
+        calls.append(values == randrange_loop(loop, bound, count) and rng.getstate() == loop.getstate())
+        return values
+
+    monkeypatch.setattr(streaming, "randrange_many", spy)
+    stream = stream_from_edges(n, edges, "given", seed=0)
+    result = cc_estimate(stream, epsilon=0.25, r=40, seed=seed)
+    assert calls == [True]
+    rng = seed.rng()
+    loop_seeds = [rng.randrange(n) for _ in range(40)]
+    assert result.clean_seeds == 40
+    assert result.estimate == pytest.approx(n / 40 * sum(1 / component[v] for v in loop_seeds))
 
 
 def test_cc_estimate_caps_large_components():
