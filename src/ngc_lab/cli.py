@@ -103,7 +103,11 @@ def _coerce(key: str, value: str):
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge defaults < config file < explicit flags into one config."""
+    """Merge defaults < config file < explicit flags into one config.
+
+    A file key must name a config field that the subcommand has a flag for:
+    a key the subcommand does not read is an error, not silently dropped.
+    """
     known = {f.name for f in fields(ExperimentConfig)}
     merged: dict = {"suite": args.suite}
     path = getattr(args, "config", None)
@@ -115,6 +119,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
                 merged[key] = _coerce(key, raw)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {key}={raw!r}: {exc}") from None
+            if not hasattr(args, key):
+                raise ValueError(f"{path}:{lineno}: {key}: {args.suite} does not read this key")
     for key in known:
         flag = getattr(args, key, None)
         if flag is not None and key != "suite":

@@ -46,7 +46,7 @@ from .gadgets import (
     make_multi_segment,
     vertex_id,
 )
-from .seeds import Seed, as_seed, randrange_many, randrange_rows
+from .seeds import Seed, as_seed, randrange_many, randrange_rows, sample_range
 
 SIDE_A = 0
 SIDE_B = 1
@@ -355,7 +355,8 @@ def augmentation_edges_for(k: int, m: int, width: int) -> np.ndarray:
 
 
 def _perms(rng: random.Random, w: int, count: int) -> list[tuple[int, ...]]:
-    return [tuple(rng.sample(range(1, w + 1), w)) for _ in range(count)]
+    """count uniform permutations, each ``rng.sample(range(1, w + 1), w)``."""
+    return [tuple(sample_range(rng, w, w)) for _ in range(count)]
 
 
 def _bits(rng: random.Random, w: int, count: int) -> list[list[int]]:
@@ -364,11 +365,23 @@ def _bits(rng: random.Random, w: int, count: int) -> list[list[int]]:
     return [flat[i * w : (i + 1) * w] for i in range(count)]
 
 
-def _uniform_witness(form: str, w: int, s: int, t: int, seed: Seed | int | None) -> Witness:
-    """Unconditioned draw: every cross vector, then every permutation."""
+def uniform_witness(form: str, w: int, s: int, t: int, seed: Seed | int | None = None) -> Witness:
+    """Fully unconditioned width-w witness: t blocks (s = 1) or an s x t segment grid.
+
+    Every cross vector is drawn, then every permutation.  This is the
+    reduction's target problem (decide the crossing parity of group 1), with
+    no closers and no theta; ``sample_dhx`` and ``sample_dhx_segment`` build
+    its graph.
+    """
+    if w < 1 or s < 1 or t < 1:
+        raise ValueError(f"need w, s, t >= 1, got w={w} s={s} t={t}")
+    if form == "block" and s != 1:
+        raise ValueError(f"a block witness has s = 1, got s={s}")
     rng = as_seed(seed).rng()
-    xs = [tuple(x) for x in _bits(rng, w, s * t)]
-    return Witness.from_gadgets(form, xs, _perms(rng, w, s * t), t)
+    count = s * t
+    flat = randrange_many(rng, 2, count * w)
+    xs = [tuple(flat[i : i + w]) for i in range(0, count * w, w)]
+    return Witness.from_gadgets(form, xs, _perms(rng, w, count), t)
 
 
 def _hybrid(rng: random.Random, m: int, s: int | None, t: int, h: int) -> NgcInstance:
@@ -449,23 +462,16 @@ def sample_hybrid(m: int, t: int, h: int, seed: Seed | int | None = None) -> Ngc
 def sample_dhx(
     w: int, t: int, seed: Seed | int | None = None
 ) -> tuple[GroupLayeredGraph, Witness]:
-    """Fully unconditioned multi-block draw: the reduction's target problem
-
-    (decide the crossing parity of group 1).  No auxiliary edges, no theta.
-    """
-    if w < 1 or t < 1:
-        raise ValueError("need w >= 1 and t >= 1")
-    witness = _uniform_witness("block", w, 1, t, seed)
+    """``uniform_witness`` in block form, with its graph."""
+    witness = uniform_witness("block", w, 1, t, seed)
     return witness.build(), witness
 
 
 def sample_dhx_segment(
     w: int, s: int, t: int, seed: Seed | int | None = None
 ) -> tuple[GroupLayeredGraph, Witness]:
-    """Unconditioned multi-segment draw, the batched reduction's target."""
-    if w < 1 or s < 1 or t < 1:
-        raise ValueError("need w, s, t >= 1")
-    witness = _uniform_witness("segment", w, s, t, seed)
+    """``uniform_witness`` on an s x t segment grid, with its graph: the batched reduction's target."""
+    witness = uniform_witness("segment", w, s, t, seed)
     return witness.build(), witness
 
 

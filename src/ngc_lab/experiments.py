@@ -55,17 +55,15 @@ from .bias import SupportSet, kkl_rhs, mean_bias_sq
 from .distributions import (
     Census,
     NgcInstance,
-    Witness,
     census_law,
     census_of_edges,
     component_pass,
     mst_augment,
     pad_to_k,
-    sample_dhx,
-    sample_dhx_segment,
     sample_ngc,
     sample_ngc_batched,
     sample_ngc_sigma1,
+    uniform_witness,
     validate_instance,
 )
 from .partitions import (
@@ -85,11 +83,9 @@ from .protocols import (
     OrderProbe,
     embed_dhx,
     embed_dhx_batched,
-    empirical_table,
     run_protocol,
     streaming_as_l_protocol,
     streaming_as_protocol,
-    tvd,
 )
 from .seeds import Seed, as_seed, replay_bytes
 from .stats import binomial_check, chi_square_uniform, clopper_pearson
@@ -479,10 +475,10 @@ def reduce_check_suite(
     for _ in range(trials):
         h_star = rng.randrange(1, m + 1)
         if s is None:
-            _, narrow = sample_dhx(m + 1, t, rng.getrandbits(63))
+            narrow = uniform_witness("block", m + 1, 1, t, rng.getrandbits(63))
             _, record = embed_dhx(narrow, h_star, m, rng.getrandbits(63), build_graph=False)
         else:
-            _, narrow = sample_dhx_segment(m + 1, s, t, rng.getrandbits(63))
+            narrow = uniform_witness("segment", m + 1, s, t, rng.getrandbits(63))
             _, record = embed_dhx_batched(
                 narrow, h_star, m, s, t, rng.getrandbits(63), build_graph=False
             )
@@ -505,33 +501,23 @@ def reduce_check_suite(
 
 
 def _embedding_marginal_tvd(t: int, samples: int, seed: Seed) -> float:
-    """TVD between embedded-witness draws (m=1) and the uniform width-2 law."""
+    """TVD between embedded-witness draws (m=1) and the uniform width-2 law.
+
+    A width-2 block witness is its t gadgets' (sigma(1), x_1, x_2), so each
+    draw is tallied as the code 8 code + 4 (sigma(1) - 1) + 2 x_1 + x_2 over
+    its gadgets, one of 8^t cells; the distance is summed exactly.
+    """
     rng = seed.rng()
-    draws = []
+    counts = [0] * 8**t
     for _ in range(samples):
-        _, narrow = sample_dhx(2, t, rng.getrandbits(63))
+        narrow = uniform_witness("block", 2, 1, t, rng.getrandbits(63))
         _, record = embed_dhx(narrow, 1, 1, rng.getrandbits(63), build_graph=False)
-        draws.append(record.witness)
-    support = _all_width2_block_witnesses(t)
-    exact = {cell: Fraction(1, len(support)) for cell in support}
-    return float(tvd(empirical_table(draws, support=support), exact))
-
-
-def _all_width2_block_witnesses(t: int) -> list[Witness]:
-    perms = ((1, 2), (2, 1))
-    bits = ((0, 0), (0, 1), (1, 0), (1, 1))
-    cells: list[Witness] = []
-
-    def rec(i: int, xs: tuple, sigmas: tuple) -> None:
-        if i == t:
-            cells.append(Witness("block", xs, sigmas))
-            return
-        for sig in perms:
-            for x in bits:
-                rec(i + 1, xs + (x,), sigmas + (sig,))
-
-    rec(0, (), ())
-    return cells
+        code = 0
+        for x, sigma in zip(record.witness.X, record.witness.Sigma):
+            code = 8 * code + 4 * (sigma[0] - 1) + 2 * x[0] + x[1]
+        counts[code] += 1
+    uniform = Fraction(1, len(counts))
+    return float(sum(abs(Fraction(c, samples) - uniform) for c in counts)) / 2
 
 
 # --- streaming runs ---------------------------------------------------------------

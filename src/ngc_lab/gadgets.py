@@ -122,7 +122,9 @@ class MatchingSpec:
 def _spec(pi: Perm, cross: Bits) -> MatchingSpec:
     """A MatchingSpec from a checked permutation and cross tuple of equal length."""
     spec = object.__new__(MatchingSpec)
-    spec.__dict__.update(pi=pi, cross=cross)
+    fields = spec.__dict__  # item stores: cheaper than update() on a build's hot path
+    fields["pi"] = pi
+    fields["cross"] = cross
     return spec
 
 
@@ -213,7 +215,9 @@ def concat(g1: GroupLayeredGraph, g2: GroupLayeredGraph) -> GroupLayeredGraph:
 def _built(w: int, matchings: list[MatchingSpec]) -> GroupLayeredGraph:
     """A graph over specs a builder made at width w, without re-checking them."""
     graph = object.__new__(GroupLayeredGraph)
-    graph.__dict__.update(width=w, matchings=tuple(matchings))
+    fields = graph.__dict__
+    fields["width"] = w
+    fields["matchings"] = tuple(matchings)
     return graph
 
 

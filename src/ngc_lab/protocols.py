@@ -27,7 +27,7 @@ from .distributions import (
 )
 from .gadgets import Edge, GroupLayeredGraph
 from .partitions import EdgeAssignment, assign_uniform
-from .seeds import Seed, as_seed, randrange_many, shuffle_order
+from .seeds import Seed, as_seed, randrange_many, sample_range, shuffle_order
 from .stats import clopper_pearson
 from .streaming import (
     EventView,
@@ -80,6 +80,9 @@ def _embed(
     wide = 2 * m
     count = len(gadgets)
     free = [j for j in range(1, m + 1) if j != h_star]
+    # sigma slot of narrow group r + 1: h_star first, then groups m+1 .. 2m
+    slots = [h_star - 1, *range(m, wide)]
+    everything = tuple(range(1, wide + 1))
 
     # images[g][i] is gadget g's pre-sampled image of group free[i] and
     # bits[g][i] the cross bit there; the last gadget's bits force the parities
@@ -87,24 +90,26 @@ def _embed(
     bits: list[list[int]] = [[]] * count
     if free:  # at m=1 nothing is pre-sampled, so no generator is derived
         rng = as_seed(seed).rng()
-        images = [rng.sample(range(1, wide + 1), m - 1) for _ in range(count)]
+        images = [sample_range(rng, wide, m - 1) for _ in range(count)]
         flat = randrange_many(rng, 2, (count - 1) * (m - 1))
         bits = [flat[g * (m - 1) : (g + 1) * (m - 1)] for g in range(count - 1)]
         bits.append([int(j > h_star) ^ (sum(flat[i :: m - 1]) & 1) for i, j in enumerate(free)])
+        columns = set(everything)
 
     maps, sigmas, xs = [], [], []
     for (y, phi), image, bit in zip(gadgets, images, bits):
-        taken = set(image)
-        f = tuple(v for v in range(1, wide + 1) if v not in taken)
         sigma = [0] * wide
         x = [0] * wide
-        for j, v, b in zip(free, image, bit):
-            sigma[j - 1] = v
+        f = everything
+        if image:
+            f = tuple(sorted(columns.difference(image)))
+            for j, v, b in zip(free, image, bit):
+                sigma[j - 1] = v
+                x[v - 1] = b
+        for slot, r in zip(slots, phi):
+            sigma[slot] = f[r - 1]
+        for v, b in zip(f, y):
             x[v - 1] = b
-        sigma[h_star - 1] = f[phi[0] - 1]
-        sigma[m:] = [f[phi[r] - 1] for r in range(1, m + 1)]
-        for r in range(m + 1):
-            x[f[r] - 1] = y[r]
         maps.append(f)
         sigmas.append(tuple(sigma))
         xs.append(tuple(x))

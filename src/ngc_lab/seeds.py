@@ -9,19 +9,21 @@ and vectorized code paths can share one seed discipline.
 Batched suites keep one ``random.Random`` per trial, on the trial's own path:
 ``Seed.rngs`` derives a run of them, hashing the shared prefix once, and
 ``randrange_rows`` reads every trial's ``randrange`` draws in one pass, row r
-being trial r's own stream.  Three more helpers replay one generator's words
-in bulk: ``randrange_many`` (the one-row case) gives many ``randrange`` draws
-from one ``getrandbits`` call; ``shuffle_order`` gives the permutation
-``Random.shuffle`` would apply to a list of a given length, read off bulk
-``getrandbits`` words, with the generator left where the shuffle would leave
-it; and ``replay_bytes`` gives ``Generator.integers(0, 256, count,
-dtype=np.uint8)`` from one ``random_raw`` call, so a caller can read small
-power-of-two draws off the bytes directly.
+being trial r's own stream.  ``sample_range`` spells out ``Random.sample``
+over a range of integers, word for word.  Three more helpers replay one
+generator's words in bulk: ``randrange_many`` (the one-row case) gives many
+``randrange`` draws from one ``getrandbits`` call; ``shuffle_order`` gives
+the permutation ``Random.shuffle`` would apply to a list of a given length,
+read off bulk ``getrandbits`` words, with the generator left where the
+shuffle would leave it; and ``replay_bytes`` gives ``Generator.integers(0,
+256, count, dtype=np.uint8)`` from one ``random_raw`` call, so a caller can
+read small power-of-two draws off the bytes directly.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import operator
 import os
 import random
@@ -162,6 +164,35 @@ def randrange_many(rng: random.Random, n: int, count: int) -> list[int]:
         values, accepted = _randbelow(_words(rng, count - len(out)), n)
         out += values[accepted].tolist()
     return _draw_singly(rng, n, count, out)
+
+
+def sample_range(rng: random.Random, n: int, k: int) -> list[int]:
+    """``rng.sample(range(1, n + 1), k)``: the same values, the same words drawn.
+
+    ``Random.sample`` keeps a pool when an n-list is smaller than a k-set,
+    and then pick i is ``pool[randbelow(n - i)]``, the vacancy filled from
+    the pool's end; ``randbelow(size)`` is ``getrandbits(size.bit_length())``
+    retried while >= size.  That is spelled out here, the generator left where
+    ``sample`` leaves it.  Where ``sample`` would track a set of picks instead,
+    this raises ValueError: k = n always takes the pool, and so does
+    k = m - 1 of n = 2m.
+    """
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got n={n} k={k}")
+    setsize = 21 if k <= 5 else 21 + 4 ** math.ceil(math.log(k * 3, 4))  # as in ``sample``
+    if n > setsize:
+        raise ValueError(f"sample({n}, {k}) tracks a set of picks, not a pool")
+    getrandbits = rng.getrandbits
+    pool = list(range(1, n + 1))
+    out = []
+    for size in range(n, n - k, -1):
+        bits = size.bit_length()
+        j = getrandbits(bits)
+        while j >= size:
+            j = getrandbits(bits)
+        out.append(pool[j])
+        pool[j] = pool[size - 1]
+    return out
 
 
 def randrange_rows(rngs: Sequence[random.Random], n: int, count: int) -> np.ndarray:

@@ -8,7 +8,8 @@ components.
 The exceptions are the gadget, witness, partition, claim-suite and file
 layers at the end: there the references are the per-gadget and object-level
 routes the shared code replaced (a validated concat chain per gadget, one
-``randrange`` per cross bit, edge or map slot, one owner lookup per edge, one
+``randrange`` per cross bit, edge or map slot, one ``Random.sample`` and one
+set per embedded gadget, one owner lookup per edge, one
 assignment and clean report per suite trial, the uint8 and int8 simulators
 that byte replay replaced, one record loop step per line, event tuples
 shuffled in place, set-valued census states relayed batch by batch),
@@ -25,7 +26,14 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from ngc_lab.distributions import SIDE_A, SIDE_B, NgcInstance, Witness, sample_ngc
+from ngc_lab.distributions import (
+    SIDE_A,
+    SIDE_B,
+    NgcInstance,
+    Witness,
+    crossing_parity,
+    sample_ngc,
+)
 from ngc_lab.gadgets import (
     GroupLayeredGraph,
     concat,
@@ -52,6 +60,7 @@ from ngc_lab.partitions import (
     sample_counts,
     stochastic_assign,
 )
+from ngc_lab.protocols import EmbeddingRecord
 from ngc_lab.seeds import as_seed
 from ngc_lab.streaming import theta_from_components
 
@@ -432,6 +441,54 @@ def reference_dhx_segment(w: int, s: int, t: int, seed) -> Witness:
         tuple(tuple(tuple(_uniform_bits(rng, w)) for _ in range(t)) for _ in range(s)),
         tuple(tuple(_uniform_perm(rng, w) for _ in range(t)) for _ in range(s)),
     )
+
+
+def reference_embed(narrow: Witness, h_star: int, m: int, t: int, seed, build_graph: bool):
+    """``protocols._embed`` as one ``rng.sample`` per gadget and one ``randrange(2)`` per bit,
+
+    each gadget's map the complement of a set of its pre-sampled images.
+    """
+    gadgets = narrow.gadgets
+    width = len(gadgets[0][1])
+    if width != m + 1:
+        raise ValueError(f"witness width {width} != m+1 = {m + 1}")
+    if not 1 <= h_star <= m:
+        raise ValueError(f"h_star={h_star} outside [1, {m}]")
+    wide = 2 * m
+    count = len(gadgets)
+    free = [j for j in range(1, m + 1) if j != h_star]
+
+    images: list[list[int]] = [[]] * count
+    bits: list[list[int]] = [[]] * count
+    if free:
+        rng = as_seed(seed).rng()
+        images = [rng.sample(range(1, wide + 1), m - 1) for _ in range(count)]
+        flat = randrange_loop(rng, 2, (count - 1) * (m - 1))
+        bits = [flat[g * (m - 1) : (g + 1) * (m - 1)] for g in range(count - 1)]
+        bits.append([int(j > h_star) ^ (sum(flat[i :: m - 1]) & 1) for i, j in enumerate(free)])
+
+    maps, sigmas, xs = [], [], []
+    for (y, phi), image, bit in zip(gadgets, images, bits):
+        taken = set(image)
+        f = tuple(v for v in range(1, wide + 1) if v not in taken)
+        sigma = [0] * wide
+        x = [0] * wide
+        for j, v, b in zip(free, image, bit):
+            sigma[j - 1] = v
+            x[v - 1] = b
+        sigma[h_star - 1] = f[phi[0] - 1]
+        sigma[m:] = [f[phi[r] - 1] for r in range(1, m + 1)]
+        for r in range(m + 1):
+            x[f[r] - 1] = y[r]
+        maps.append(f)
+        sigmas.append(tuple(sigma))
+        xs.append(tuple(x))
+    if crossing_parity(zip(xs, sigmas), h_star) != crossing_parity(gadgets, 1):
+        raise RuntimeError("embedding lost the planted parity")
+
+    assembled = Witness.from_gadgets(narrow.form, xs, sigmas, t)
+    record = EmbeddingRecord(h_star, tuple(maps), assembled, narrow)
+    return (assembled.build() if build_graph else None), record
 
 
 def per_edge_expansion(g: GroupLayeredGraph) -> list[tuple[int, int]]:

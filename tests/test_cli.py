@@ -497,6 +497,27 @@ def test_config_value_that_does_not_coerce_names_file_line_and_key(tmp_path, cap
     assert "Traceback" not in err
 
 
+def test_config_key_the_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "wc.cfg"
+    cfg.write_text("sigma1_trials=-7\nepsilon=nan\n")
+    args = ["walk-cover", "--config", str(cfg), "--k", "4", "--walks", "10", "--trials", "1"]
+    assert run_cli(*args) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:1: sigma1_trials" in err and "walk-cover does not read" in err
+    assert "Traceback" not in err
+    cfg.write_text("epsilon=nan\n")
+    assert run_cli(*args) == 2
+    assert f"{cfg}:1: epsilon" in capsys.readouterr().err
+
+
+def test_config_key_the_subcommand_reads_still_runs(tmp_path):
+    cfg = tmp_path / "ps.cfg"
+    cfg.write_text("w=2\nseed=3\n")
+    out = tmp_path / "rows.csv"
+    assert run_cli("partition-stats", "--config", str(cfg), "--trials", "50", "--out", str(out)) == 0
+    assert read_csv(str(out))[1][1] == "w=2"
+
+
 def test_config_file_malformed_line(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("trials 30\n")

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -37,6 +38,7 @@ from ngc_lab.experiments import (
     walk_cover_suite,
 )
 from ngc_lab.gadgets import parity
+from ngc_lab.protocols import embed_dhx, empirical_table, tvd
 from ngc_lab.seeds import master_seed
 from ngc_lab.stats import binomial_check
 
@@ -219,6 +221,26 @@ def test_reduce_check_marginal_tvd_shrinks():
     tvd_row = [r for r in result.rows if r.metric == "marginal_tvd"][0]
     assert tvd_row.value < 0.02
     assert result.passed, result.failures
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_marginal_tvd_matches_witness_table_route(t):
+    # the same draws tallied as Witness objects over the enumerated support
+    seed = SEED.child("tvd-route", t)
+    rng = seed.rng()
+    witnesses = []
+    for _ in range(2_000):
+        _, narrow = sample_dhx(2, t, rng.getrandbits(63))
+        _, record = embed_dhx(narrow, 1, 1, rng.getrandbits(63), build_graph=False)
+        witnesses.append(record.witness)
+    gadgets = list(product(product((0, 1), repeat=2), [(1, 2), (2, 1)]))
+    support = [
+        Witness("block", tuple(x for x, _ in cell), tuple(sigma for _, sigma in cell))
+        for cell in product(gadgets, repeat=t)
+    ]
+    uniform = {cell: Fraction(1, len(support)) for cell in support}
+    want = tvd(empirical_table(witnesses, support=support), uniform)
+    assert experiments._embedding_marginal_tvd(t, 2_000, seed) == want
 
 
 def test_reduce_check_tvd_needs_unit_m():

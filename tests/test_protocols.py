@@ -21,6 +21,7 @@ from ngc_lab.distributions import (
     sample_hybrid,
     sample_ngc,
     sample_ngc_batched,
+    uniform_witness,
 )
 from ngc_lab.gadgets import parity
 from ngc_lab.partitions import ALICE, BOB, assign_batches, assign_uniform
@@ -48,7 +49,7 @@ from ngc_lab.protocols import (
 from ngc_lab.seeds import Seed, master_seed
 from ngc_lab.stats import binomial_check, chi_square_uniform
 from ngc_lab.streaming import CensusThetaDecision, stream_from_edges
-from oracles import canon, reference_relay, witness_parity
+from oracles import canon, reference_embed, reference_relay, witness_parity
 
 
 # --- embedding ---------------------------------------------------------------
@@ -156,6 +157,27 @@ def test_embed_marginal_matches_even_hybrid_mixture():
         samples.append((record.witness.X, record.witness.Sigma))
     distance = tvd(empirical_table(samples, support=support), exact)
     assert distance < 0.02, f"embedded marginal TVD {distance}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.sampled_from([None, 1, 2]),
+    st.integers(0, 2**63 - 1),
+    st.booleans(),
+)
+def test_embed_matches_reference_embed(m, t, s, key, build_graph):
+    # whole records (maps, wide witness, source) and graphs, at every target group
+    form = "block" if s is None else "segment"
+    narrow = uniform_witness(form, m + 1, s or 1, t, key)
+    for h_star in range(1, m + 1):
+        seed = master_seed(key).child("emb", h_star)
+        if s is None:
+            got = embed_dhx(narrow, h_star, m, seed, build_graph)
+        else:
+            got = embed_dhx_batched(narrow, h_star, m, s, t, seed, build_graph)
+        assert got == reference_embed(narrow, h_star, m, t, seed, build_graph)
 
 
 def test_embed_batched_claim_and_structure():

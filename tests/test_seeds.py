@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from unittest.mock import patch
 
@@ -11,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ngc_lab import seeds
-from ngc_lab.seeds import Seed, randrange_many, randrange_rows, replay_bytes, shuffle_order
+from ngc_lab.seeds import (
+    Seed,
+    randrange_many,
+    randrange_rows,
+    replay_bytes,
+    sample_range,
+    shuffle_order,
+)
 
 from oracles import randrange_loop
 
@@ -39,6 +47,39 @@ def test_randrange_many_empty_range_raises_like_randrange(n):
 def test_randrange_many_rejects_ranges_past_32_bits():
     with pytest.raises(ValueError):
         randrange_many(random.Random(1), 2**32, 3)
+
+
+# --- sample_range: Random.sample's pool branch, spelled out -----------------------
+
+
+def _takes_set_branch(n: int, k: int) -> bool:
+    """Whether ``Random.sample`` tracks a set of picks for k of n (its own rule)."""
+    setsize = 21 if k <= 5 else 21 + 4 ** math.ceil(math.log(k * 3, 4))
+    return n > setsize
+
+
+SAMPLE_SIZES = sorted(
+    {(n, k) for n in [*range(1, 10), 16, 64, 4680, 8192] for k in (0, 1, n // 2, n - 1, n)}
+)
+
+
+@pytest.mark.parametrize("n, k", SAMPLE_SIZES)
+def test_sample_range_matches_random_sample(n, k):
+    ours, stdlib = random.Random(n * 7919 + k), random.Random(n * 7919 + k)
+    if _takes_set_branch(n, k):
+        with pytest.raises(ValueError, match="set of picks"):
+            sample_range(ours, n, k)
+        assert ours.getstate() == stdlib.getstate()  # nothing drawn
+        return
+    assert sample_range(ours, n, k) == stdlib.sample(range(1, n + 1), k)
+    assert ours.getstate() == stdlib.getstate()
+    assert ours.getrandbits(64) == stdlib.getrandbits(64)
+
+
+@pytest.mark.parametrize("k", [4, -1])
+def test_sample_range_rejects_sizes_outside_zero_to_n(k):
+    with pytest.raises(ValueError, match="0 <= k <= n"):
+        sample_range(random.Random(1), 3, k)
 
 
 # --- randrange_rows: many generators' randrange draws in one pass ------------------
