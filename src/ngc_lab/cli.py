@@ -1,11 +1,15 @@
 """Command-line front end: instance generation, validation, and experiment runs.
 
-Every experiment subcommand resolves an ``ExperimentConfig`` (flags override a
-key=value config file, which overrides defaults), runs the matching suite from
-``experiments``, and writes CSV rows with the fixed column order (suite,
-params, metric, value, ci_low, ci_high, trials, seed).  The rows are written
+One table, ``EXPERIMENTS``, drives every experiment subcommand.  It lists each
+command, and each ``stream-run --check``, with the suite from ``experiments``
+it calls, its default ``--trials`` and its parameters.  The subparsers, the
+config-file keys and their types, the required-key check and the call are all
+read off it.  Values come from a key=value config file, overridden by flags;
+a key the selected command or check does not read is a usage error, and a
+missing default is the suite's own.  The CSV rows keep the fixed column order
+(suite, params, metric, value, ci_low, ci_high, trials, seed) and are written
 only once the suite has returned, so an interrupted run leaves no rows.  The
-same config always produces byte-identical output.
+same values always produce byte-identical output.
 
 Exit codes: 0 all checks passed, 1 a statistical check failed, 2 usage error,
 3 an internal invariant was violated.
@@ -15,7 +19,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from . import experiments as ex
 from .distributions import (
@@ -29,45 +34,113 @@ from .distributions import (
 from .instance_io import parse_instance, serialize_instance
 from .seeds import master_seed
 
-GEN_DEFAULT_TRIALS = {
-    "partition-stats": 10_000,
-    "reduce-check": 1_000,
-    "stream-run": 100,
-    "bias-scan": 10_000,
-    "stochastic-stats": 10_000,
-    "walk-cover": 100,
-}
+
+def int_list(value: str) -> tuple[int, ...]:
+    """Comma-separated integers; an empty list or an empty item is an error."""
+    return tuple(int(item) for item in value.split(","))
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything an experiment run depends on; equal configs give equal bytes."""
+class Param:
+    """One config key: its flag spelling, the type that reads its value, and whether it is needed.
 
-    suite: str
-    n: int | None = None
-    k: int | None = None
-    m: int | None = None
-    t: int | None = None
-    s: int | None = None
-    l: int | None = None
-    w: int | None = None
-    c: float | None = None
-    epsilon: float | None = None
-    W: int | None = None
-    r: int | None = None
-    log_a: int | None = None
-    bias_k: int | None = None
-    walks: int | None = None
-    trials: int | None = None
-    tvd_samples: int = 0
-    sigma1_trials: int | None = None
-    tail_blocks: int | None = None
-    order_trials: int = 10_000
-    budgets: tuple[int, ...] | None = None
-    check: str = "census"
-    method: str = "fast"
-    seed: int | None = None
-    out: str | None = None
+    The flag defaults to ``--key`` with ``-`` for ``_``.
+    """
+
+    key: str
+    type: Callable[[str], Any] = int
+    required: bool = True
+    flag: str = ""
+    help: str | None = None
+
+    @property
+    def option(self) -> str:
+        return self.flag or "--" + self.key.replace("_", "-")
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """A suite, its default ``--trials``, and its parameters in the order it takes them.
+
+    The required parameters go to the suite by position, then the trials; the
+    others by keyword and only when set, so the suite's own default holds.
+    """
+
+    suite: Callable[..., ex.SuiteResult]
+    trials: int
+    params: tuple[Param, ...]
+
+
+def _optional(key: str, help: str | None = None) -> Param:
+    return Param(key, required=False, help=help)
+
+
+# keys every experiment reads; the config path itself is a flag only
+COMMON = (
+    Param("seed", required=False),
+    Param("out", str, required=False, help="CSV destination (default stdout)"),
+    Param("trials", required=False),
+)
+_N, _K, _EPSILON = Param("n"), Param("k"), Param("epsilon", float)
+
+# command -> (help, checks); stream-run selects one check with --check (the
+# first by default), every other command has the one check None
+EXPERIMENTS: dict[str, tuple[str, dict[str | None, Experiment]]] = {
+    "partition-stats": ("ownership-pattern and activity statistics", {None: Experiment(
+        ex.partition_stats_suite, 10_000,
+        (Param("w"), _optional("tail_blocks"), _optional("sigma1_trials")),
+    )}),
+    "reduce-check": ("embedding forwarding claim and output law", {None: Experiment(
+        ex.reduce_check_suite, 1_000, (
+            Param("m"), Param("t"), _optional("tvd_samples"),
+            _optional("s", "segment-form grid rows"),
+        ),
+    )}),
+    "stream-run": ("streaming censuses, adapters, and detectors", {
+        "census": Experiment(ex.stream_run_suite, 100, (_N, _K)),
+        "adapter": Experiment(ex.adapter_suite, 100, (_N, _K, _optional("order_trials"))),
+        "relay": Experiment(
+            ex.l_player_suite, 100, (_N, _K, Param("s"), Param("t"), Param("l"))
+        ),
+        "combinatorial": Experiment(ex.combinatorial_suite, 100, (_N, _K)),
+        "mst": Experiment(
+            ex.mst_suite, 100, (_N, _K, Param("W", help="bridge weight for the MST check"))
+        ),
+        "estimator": Experiment(
+            ex.estimator_suite, 100, (_N, _EPSILON, Param("r", help="estimator seed-set budget"))
+        ),
+        "curve": Experiment(ex.estimator_budget_curve, 100, (
+            _N, _K, _EPSILON,
+            Param("budgets", int_list, help="comma-separated r values for the curve"),
+        )),
+        "bob-only": Experiment(ex.bob_only_suite, 100, (_N, _K)),
+    }),
+    "bias-scan": ("support bias against the spectral bound", {None: Experiment(
+        ex.bias_scan_suite, 10_000,
+        (Param("m"), Param("log_a", flag="--logA"), Param("bias_k", flag="--k")),
+    )}),
+    "stochastic-stats": ("sampling-model absence/cleanness floors", {None: Experiment(
+        ex.stochastic_stats_suite, 10_000, (Param("c", float), _optional("w")),
+    )}),
+    "walk-cover": ("walk-based cycle-length classification", {None: Experiment(
+        ex.walk_cover_suite, 100, (Param("k"), Param("walks"), _optional("m")),
+    )}),
+}
+
+
+def _command_params(command: str) -> dict[str, Param]:
+    """Every key a command's flags or config file can set, by key, in flag order."""
+    checks = EXPERIMENTS[command][1]
+    params = {p.key: p for p in COMMON}
+    if len(checks) > 1:
+        params["check"] = Param("check", str, required=False)
+    for entry in checks.values():
+        params.update((p.key, p) for p in entry.params if p.key not in params)
+    return params
+
+
+# a key has one type wherever it is read
+_KEYS = {key: p for command in EXPERIMENTS for key, p in _command_params(command).items()}
 
 
 def _load_config_file(path: str) -> dict[str, tuple[int, str]]:
@@ -85,47 +158,38 @@ def _load_config_file(path: str) -> dict[str, tuple[int, str]]:
     return values
 
 
-_INT_KEYS = {
-    "n", "k", "m", "t", "s", "l", "w", "W", "r", "log_a", "bias_k", "walks",
-    "trials", "tvd_samples", "sigma1_trials", "tail_blocks", "order_trials", "seed",
-}
-_FLOAT_KEYS = {"c", "epsilon"}
+def resolve_config(args: argparse.Namespace) -> tuple[str, Experiment, dict[str, Any]]:
+    """The selected check's name and entry, and its values: flags over the config file.
 
-
-def _coerce(key: str, value: str):
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key == "budgets":
-        return tuple(int(x) for x in value.split(",") if x)
-    return value
-
-
-def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge defaults < config file < explicit flags into one config.
-
-    A file key must name a config field that the subcommand has a flag for:
-    a key the subcommand does not read is an error, not silently dropped.
+    A key the selected command or check does not pass to its suite, from a
+    flag or from the file, is an error, not silently dropped.
     """
-    known = {f.name for f in fields(ExperimentConfig)}
-    merged: dict = {"suite": args.suite}
-    path = getattr(args, "config", None)
-    if path:
-        for key, (lineno, raw) in _load_config_file(path).items():
-            if key not in known or key == "suite":
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+    checks = EXPERIMENTS[args.command][1]
+    given: dict[str, tuple[str, Any]] = {}  # key -> (where it was set, value)
+    if args.config:
+        for key, (lineno, raw) in _load_config_file(args.config).items():
+            if key not in _KEYS:
+                raise ValueError(f"{args.config}:{lineno}: unknown config key {key!r}")
+            where = f"{args.config}:{lineno}: {key}"
             try:
-                merged[key] = _coerce(key, raw)
+                given[key] = (where, _KEYS[key].type(raw))
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {key}={raw!r}: {exc}") from None
-            if not hasattr(args, key):
-                raise ValueError(f"{path}:{lineno}: {key}: {args.suite} does not read this key")
-    for key in known:
-        flag = getattr(args, key, None)
-        if flag is not None and key != "suite":
-            merged[key] = flag
-    return ExperimentConfig(**merged)
+                raise ValueError(f"{where}={raw!r}: {exc}") from None
+    for key, param in _command_params(args.command).items():
+        if getattr(args, key) is not None:
+            given[key] = (param.option, getattr(args, key))
+    check = None
+    if len(checks) > 1:
+        where, check = given.pop("check", ("", next(iter(checks))))
+        if check not in checks:
+            raise ValueError(f"{where}: unknown check {check!r}")
+    name = args.command if check is None else f"{args.command} --check {check}"
+    entry = checks[check]
+    reads = {p.key for p in COMMON + entry.params}
+    for key, (where, _) in given.items():
+        if key not in reads:
+            raise ValueError(f"{where}: {name} does not read this key")
+    return name, entry, {key: value for key, (_, value) in given.items()}
 
 
 # --- CSV ---------------------------------------------------------------------------
@@ -150,16 +214,6 @@ def _report(result: ex.SuiteResult, out_path: str | None) -> int:
     for failure in result.failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 0 if result.passed else 1
-
-
-def _require(cfg: ExperimentConfig, parser: argparse.ArgumentParser, *names: str) -> None:
-    missing = [name for name in names if getattr(cfg, name) is None]
-    if missing:
-        parser.error(f"{cfg.suite} needs --{' --'.join(m.replace('_', '-') for m in missing)}")
-
-
-def _trials(cfg: ExperimentConfig) -> int:
-    return cfg.trials if cfg.trials is not None else GEN_DEFAULT_TRIALS[cfg.suite]
 
 
 # --- gen / validate ----------------------------------------------------------------
@@ -230,91 +284,6 @@ def cmd_validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     return 0
 
 
-# --- experiment dispatch -----------------------------------------------------------
-
-
-def _run_partition_stats(cfg, parser) -> ex.SuiteResult:
-    _require(cfg, parser, "w")
-    return ex.partition_stats_suite(
-        cfg.w,
-        _trials(cfg),
-        seed=cfg.seed,
-        tail_blocks=cfg.tail_blocks,
-        sigma1_trials=cfg.sigma1_trials,
-    )
-
-
-def _run_reduce_check(cfg, parser) -> ex.SuiteResult:
-    _require(cfg, parser, "m", "t")
-    return ex.reduce_check_suite(
-        cfg.m, cfg.t, _trials(cfg), seed=cfg.seed, tvd_samples=cfg.tvd_samples, s=cfg.s
-    )
-
-
-def _run_stream_run(cfg, parser) -> ex.SuiteResult:
-    if cfg.check == "census":
-        _require(cfg, parser, "n", "k")
-        return ex.stream_run_suite(cfg.n, cfg.k, _trials(cfg), seed=cfg.seed)
-    if cfg.check == "adapter":
-        _require(cfg, parser, "n", "k")
-        return ex.adapter_suite(
-            cfg.n, cfg.k, _trials(cfg), cfg.order_trials, seed=cfg.seed
-        )
-    if cfg.check == "relay":
-        _require(cfg, parser, "n", "k", "s", "t", "l")
-        return ex.l_player_suite(
-            cfg.n, cfg.k, cfg.s, cfg.t, cfg.l, _trials(cfg), seed=cfg.seed
-        )
-    if cfg.check == "combinatorial":
-        _require(cfg, parser, "n", "k")
-        return ex.combinatorial_suite(cfg.n, cfg.k, _trials(cfg), seed=cfg.seed)
-    if cfg.check == "mst":
-        _require(cfg, parser, "n", "k", "W")
-        return ex.mst_suite(cfg.n, cfg.k, cfg.W, _trials(cfg), seed=cfg.seed)
-    if cfg.check == "estimator":
-        _require(cfg, parser, "n", "epsilon", "r")
-        return ex.estimator_suite(cfg.n, cfg.epsilon, cfg.r, _trials(cfg), seed=cfg.seed)
-    if cfg.check == "curve":
-        _require(cfg, parser, "n", "k", "epsilon", "budgets")
-        return ex.estimator_budget_curve(
-            cfg.n, cfg.k, cfg.epsilon, cfg.budgets, _trials(cfg), seed=cfg.seed
-        )
-    if cfg.check == "bob-only":
-        _require(cfg, parser, "n", "k")
-        return ex.bob_only_suite(cfg.n, cfg.k, _trials(cfg), seed=cfg.seed)
-    parser.error(f"unknown --check {cfg.check!r}")
-    raise AssertionError  # parser.error raises SystemExit
-
-
-def _run_bias_scan(cfg, parser) -> ex.SuiteResult:
-    _require(cfg, parser, "m", "log_a", "bias_k")
-    return ex.bias_scan_suite(cfg.m, cfg.log_a, cfg.bias_k, _trials(cfg), seed=cfg.seed)
-
-
-def _run_stochastic_stats(cfg, parser) -> ex.SuiteResult:
-    _require(cfg, parser, "c")
-    w = cfg.w if cfg.w is not None else 16
-    return ex.stochastic_stats_suite(cfg.c, _trials(cfg), seed=cfg.seed, w=w)
-
-
-def _run_walk_cover(cfg, parser) -> ex.SuiteResult:
-    _require(cfg, parser, "k", "walks")
-    m = cfg.m if cfg.m is not None else 8
-    return ex.walk_cover_suite(
-        cfg.k, cfg.walks, _trials(cfg), seed=cfg.seed, m=m, method=cfg.method
-    )
-
-
-_SUITE_RUNNERS = {
-    "partition-stats": _run_partition_stats,
-    "reduce-check": _run_reduce_check,
-    "stream-run": _run_stream_run,
-    "bias-scan": _run_bias_scan,
-    "stochastic-stats": _run_stochastic_stats,
-    "walk-cover": _run_walk_cover,
-}
-
-
 # --- argument parsing --------------------------------------------------------------
 
 
@@ -340,55 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
     val = sub.add_parser("validate", help="re-parse an instance file and check its census")
     val.add_argument("path")
 
-    def add_experiment(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", default=None, help="key=value file; flags override it")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="CSV destination (default stdout)")
-        p.add_argument("--trials", type=int, default=None)
-        return p
-
-    p = add_experiment("partition-stats", "ownership-pattern and activity statistics")
-    p.add_argument("--w", type=int, default=None)
-    p.add_argument("--tail-blocks", dest="tail_blocks", type=int, default=None)
-    p.add_argument("--sigma1-trials", dest="sigma1_trials", type=int, default=None)
-
-    p = add_experiment("reduce-check", "embedding forwarding claim and output law")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--s", type=int, default=None, help="segment-form grid rows")
-    p.add_argument("--tvd-samples", dest="tvd_samples", type=int, default=None)
-
-    p = add_experiment("stream-run", "streaming censuses, adapters, and detectors")
-    p.add_argument("--check", default=None, choices=(
-        "census", "adapter", "relay", "combinatorial", "mst", "estimator", "curve", "bob-only",
-    ))
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--W", type=int, default=None, help="bridge weight for the MST check")
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--r", type=int, default=None, help="estimator seed-set budget")
-    p.add_argument("--budgets", type=lambda v: tuple(int(x) for x in v.split(",")),
-                   default=None, help="comma-separated r values for the curve")
-    p.add_argument("--order-trials", dest="order_trials", type=int, default=None)
-
-    p = add_experiment("bias-scan", "support bias against the spectral bound")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--logA", dest="log_a", type=int, default=None)
-    p.add_argument("--k", dest="bias_k", type=int, default=None)
-
-    p = add_experiment("stochastic-stats", "sampling-model absence/cleanness floors")
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--w", type=int, default=None)
-
-    p = add_experiment("walk-cover", "walk-based cycle-length classification")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--walks", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--method", default=None, choices=("fast", "objects"))
+    for command, (help_text, checks) in EXPERIMENTS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="key=value file; flags override it")
+        for param in _command_params(command).values():
+            if param.key == "check":
+                p.add_argument("--check", choices=tuple(checks))
+            else:
+                p.add_argument(param.option, dest=param.key, type=param.type, help=param.help)
 
     return parser
 
@@ -401,10 +329,17 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_gen(args, parser)
         if args.command == "validate":
             return cmd_validate(args, parser)
-        args.suite = args.command
-        cfg = resolve_config(args)
-        result = _SUITE_RUNNERS[cfg.suite](cfg, parser)
-        return _report(result, cfg.out)
+        name, entry, values = resolve_config(args)
+        missing = [p.option for p in entry.params if p.required and p.key not in values]
+        if missing:
+            parser.error(f"{name} needs {' '.join(missing)}")
+        result = entry.suite(
+            *(values[p.key] for p in entry.params if p.required),
+            values.get("trials", entry.trials),
+            seed=values.get("seed"),
+            **{p.key: values[p.key] for p in entry.params if not p.required and p.key in values},
+        )
+        return _report(result, values.get("out"))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

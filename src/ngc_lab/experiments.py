@@ -254,9 +254,17 @@ def _trial_batches(trials: int, per_trial: int) -> Iterator[range]:
     return (range(start, min(start + step, trials)) for start in range(0, trials, step))
 
 
+# the widest block the two width-driven suites take: their arrays grow with w,
+# and the exact capped activity probability about eightfold per doubling of w
+# (3 s at 2**14 on a 2-CPU machine)
+MAX_WIDTH = 1 << 14
+
+
 def _check_width_and_trials(w: int, trials: int) -> None:
     if w < 2 or w % 2:
         raise ValueError("need even w >= 2")
+    if w > MAX_WIDTH:
+        raise ValueError(f"w={w} is past the width ceiling {MAX_WIDTH}")
     _check_trials(trials=trials)
 
 
@@ -566,7 +574,7 @@ def adapter_suite(
     n: int,
     k: int,
     trials: int,
-    order_trials: int,
+    order_trials: int = 10_000,
     seed: Seed | int | None = None,
     order_edges: int = 5,
 ) -> SuiteResult:

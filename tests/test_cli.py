@@ -1,6 +1,7 @@
 """Front-end behavior: exit codes, CSV shape, config precedence, round trips."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import os
@@ -11,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import ngc_lab
-from ngc_lab import experiments, partitions
-from ngc_lab.cli import ExperimentConfig, main, resolve_config
+from ngc_lab import cli, experiments, partitions
+from ngc_lab.cli import build_parser, main, resolve_config
 from ngc_lab.distributions import mst_augment, sample_ngc, sample_ngc_batched
 from ngc_lab.experiments import CSV_COLUMNS
 from ngc_lab.instance_io import serialize_instance, write_instance
@@ -426,6 +427,43 @@ def test_stochastic_sample_size_ceiling_is_a_usage_error(tmp_path, capsys, monke
             "9501c84063a4c0658055eec0353d04c7887be439819d2eec7146ed12a6e8e891",
             id="walk-cover-fast",
         ),
+        # recorded before the flags, config keys and dispatch came from one table
+        pytest.param(
+            [
+                "stream-run", "--check", "estimator", "--n", "30", "--epsilon", "0.25",
+                "--r", "8", "--trials", "20",
+            ],
+            0,
+            "6123ac4025bee550a091b9e86e1248f8045f211399786fed385446003b9d9402",
+            id="stream-run-estimator",
+        ),
+        pytest.param(
+            [
+                "stream-run", "--check", "curve", "--n", "56", "--k", "7", "--epsilon", "0.25",
+                "--budgets", "2,8", "--trials", "5",
+            ],
+            0,
+            "9bd6e7cedc5ff7443ef9b8e2cf678b05043ae5bbe11d36987971eb93584ccf94",
+            id="stream-run-curve",
+        ),
+        pytest.param(
+            ["bias-scan", "--m", "24", "--logA", "8", "--k", "4", "--trials", "50"],
+            0,  # C(24, 4) > 2000 subsets: the sampled mode, which reads --trials
+            "f2f9272f256cd195fb9c6227f8fc1b17e1869a3af9aa6c9e94b32992a72e1292",
+            id="bias-scan-sampled",
+        ),
+        pytest.param(
+            ["walk-cover", "--k", "4", "--walks", "200", "--m", "2", "--trials", "20"],
+            0,
+            "9e1371946592a33c61e7acdd96361375f858b80ccb5f6d50e232b35edd5173c0",
+            id="walk-cover-m2",
+        ),
+        pytest.param(
+            ["stochastic-stats", "--c", "1", "--w", "4", "--trials", "200"],
+            0,
+            "53cb80ad97c9cbae5ca613b550c1140e0cada5bc6029351adeccffe2d84c93e7",
+            id="stochastic-stats-w4",
+        ),
     ],
 )
 def test_pinned_seed_csv_is_byte_identical(tmp_path, capsys, argv, exit_code, digest):
@@ -486,7 +524,9 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["sigma1_trials=abc", "epsilon=0.2.5", "budgets=2,x"])
+@pytest.mark.parametrize(
+    "line", ["sigma1_trials=abc", "epsilon=0.2.5", "budgets=2,x", "budgets=", "budgets=2,,8"]
+)
 def test_config_value_that_does_not_coerce_names_file_line_and_key(tmp_path, capsys, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"# a comment\nw=2\n{line}\n")
@@ -578,17 +618,111 @@ def test_rows_flushed_per_line(monkeypatch):
 
 def test_resolve_config_types(tmp_path):
     cfg_file = tmp_path / "c.cfg"
-    cfg_file.write_text("n=56\nepsilon=0.25\nbudgets=2,8,28\n")
+    cfg_file.write_text("check=curve\nn=56\nepsilon=0.25\nbudgets=2,8,28\n")
+    args = build_parser().parse_args(["stream-run", "--config", str(cfg_file), "--k", "7"])
+    name, entry, values = resolve_config(args)
+    assert name == "stream-run --check curve"
+    assert entry.suite is experiments.estimator_budget_curve
+    assert type(values["n"]) is int and values["n"] == 56
+    assert type(values["epsilon"]) is float and values["epsilon"] == 0.25
+    assert values["budgets"] == (2, 8, 28)
 
-    class Args:
-        suite = "stream-run"
-        config = str(cfg_file)
 
-    for f in ExperimentConfig.__dataclass_fields__:
-        if not hasattr(Args, f):
-            setattr(Args, f, None)
-    cfg = resolve_config(Args())
-    assert cfg.n == 56 and cfg.epsilon == 0.25 and cfg.budgets == (2, 8, 28)
+def test_stream_run_flag_the_check_does_not_read_is_a_usage_error(capsys):
+    argv = ["stream-run", "--n", "28", "--k", "7", "--trials", "2", "--seed", "1"]
+    for extra in (["--l", "3"], ["--W", "9"], ["--epsilon", "0.3"]):
+        assert run_cli(*argv, *extra) == 2
+        err = capsys.readouterr().err
+        expected = f"error: {extra[0]}: stream-run --check census does not read this key"
+        assert err.rstrip() == expected
+    assert run_cli(*argv, "--check", "relay", "--s", "1", "--t", "1", "--l", "2", "--W", "9") == 2
+    assert "--W: stream-run --check relay does not read" in capsys.readouterr().err
+
+
+def test_stream_run_config_key_the_check_does_not_read_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "l.cfg"
+    cfg.write_text("n=28\nk=7\nl=3\n")
+    assert run_cli("stream-run", "--config", str(cfg), "--trials", "2", "--seed", "1") == 2
+    err = capsys.readouterr().err
+    assert err.rstrip() == f"error: {cfg}:3: l: stream-run --check census does not read this key"
+
+
+def test_walk_cover_has_no_method_key(tmp_path, capsys):
+    cfg = tmp_path / "wc.cfg"
+    cfg.write_text("method=objects\n")
+    assert run_cli("walk-cover", "--config", str(cfg), "--k", "4", "--walks", "10") == 2
+    assert f"{cfg}:1: unknown config key 'method'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run_cli("walk-cover", "--k", "4", "--walks", "10", "--method", "objects")
+    assert exc.value.code == 2
+
+
+def _sample_value(param, i):
+    """A distinct flag value of the param's type for position i."""
+    return {int: str(i + 2), float: f"0.{i + 1}", str: "census", cli.int_list: f"{i + 2},3"}[
+        param.type
+    ]
+
+
+_ENTRIES = [
+    (command, check) for command, (_, checks) in cli.EXPERIMENTS.items() for check in checks
+]
+
+
+@pytest.mark.parametrize(
+    "command, check", _ENTRIES, ids=[f"{c}-{k}" if k else c for c, k in _ENTRIES]
+)
+def test_every_table_entry_checks_its_keys_before_any_draw(
+    tmp_path, capsys, monkeypatch, command, check
+):
+    calls = []
+
+    def suite(*args, **kwargs):
+        calls.append((args, kwargs))
+        return experiments.SuiteResult((), True)
+
+    checks = cli.EXPERIMENTS[command][1]
+    entry = checks[check]
+    monkeypatch.setitem(checks, check, dataclasses.replace(entry, suite=suite))
+
+    def run(*argv):
+        try:
+            code = main([command, *(["--check", check] if check else []), *argv])
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err
+
+    flags = {p.key: [p.option, _sample_value(p, i)] for i, p in enumerate(entry.params)}
+    values = {p.key: p.type(flags[p.key][1]) for p in entry.params}
+    required = [p.key for p in entry.params if p.required]
+    assert required
+    # every key given: the required values by position, then the default trials,
+    # the others by keyword
+    assert run(*(a for f in flags.values() for a in f)) == (0, "")
+    assert calls.pop() == (
+        tuple(values[key] for key in required) + (entry.trials,),
+        {"seed": None, **{k: v for k, v in values.items() if k not in required}},
+    )
+    given = [a for key in required for a in flags[key]]
+    for key in required:
+        code, err = run(*(a for k in required if k != key for a in flags[k]))
+        assert code == 2 and f"needs {flags[key][0]}" in err
+    reads = {p.key for p in cli.COMMON + entry.params} | ({"check"} if check else set())
+    foreign = sorted(set(cli._KEYS) - reads)
+    assert foreign
+    own_flags = cli._command_params(command)
+    cfg = tmp_path / "run.cfg"
+    for key in foreign:
+        value = _sample_value(cli._KEYS[key], 0)
+        cfg.write_text(f"{key}={value}\n")
+        code, err = run(*given, "--config", str(cfg))
+        assert code == 2 and f"{cfg}:1: {key}: " in err
+        if key in own_flags:
+            code, err = run(*given, own_flags[key].option, value)
+            assert code == 2 and f"{own_flags[key].option}: " in err
+    assert not calls
 
 
 def _load_toml(path):
@@ -638,6 +772,16 @@ def test_bias_scan_support_ceiling_exits_two(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "logA=5" in err and "Traceback" not in err
     assert run_cli(*args, "--logA", "4") == 0
+
+
+def test_width_ceiling_exits_two(monkeypatch, capsys, tmp_path):
+    # a small stand-in for the real ceiling, so the test never builds a wide block
+    monkeypatch.setattr(experiments, "MAX_WIDTH", 4)
+    out = str(tmp_path / "rows.csv")
+    for argv in (["partition-stats"], ["stochastic-stats", "--c", "1"]):
+        assert run_cli(*argv, "--trials", "2", "--w", "6", "--out", out) == 2
+        assert capsys.readouterr().err.rstrip() == "error: w=6 is past the width ceiling 4"
+        assert run_cli(*argv, "--trials", "2", "--w", "4", "--out", out) in (0, 1)
 
 
 def test_import_leaves_scipy_stats_unloaded():
