@@ -46,7 +46,7 @@ from .gadgets import (
     make_multi_segment,
     vertex_id,
 )
-from .seeds import Seed, as_seed, randrange_many, randrange_rows, sample_range
+from .seeds import KeyStreams, Seed, as_seed, randrange_many, randrange_rows, sample_range
 
 SIDE_A = 0
 SIDE_B = 1
@@ -435,18 +435,18 @@ def sample_ngc(n: int, k: int, seed: Seed | int | None = None) -> NgcInstance:
     return _hybrid(rng, m, None, (k - 1) // 3, 0 if theta else m)
 
 
-def sample_ngc_sigma1(rngs: Sequence[random.Random], w: int) -> np.ndarray:
-    """sigma^1(1) of the width-w block instance ``sample_ngc`` draws from each generator.
+def sample_ngc_sigma1(streams: KeyStreams, w: int) -> np.ndarray:
+    """sigma^1(1) of the width-w block instance ``sample_ngc`` draws from each stream.
 
     ``sample_ngc``'s stream opens with theta = ``randrange(2)``, then the
     first permutation, ``sample(range(1, w + 1), w)``.  In either of
     ``Random.sample``'s branches the first pick is ``randbelow(w)``, the
     attempts of ``randrange(w)``, and sigma^1(1) is one more than it.  So two
-    batched reads give the image for every generator, shape (len(rngs),),
-    without the rest of the instance; the generators stop right after it.
+    batched reads give the image for every stream, shape (len(streams),),
+    without the rest of the instance; the streams stop right after it.
     """
-    randrange_rows(rngs, 2, 1)  # theta
-    return randrange_rows(rngs, w, 1)[:, 0] + 1
+    randrange_rows(streams, 2, 1)  # theta
+    return randrange_rows(streams, w, 1)[:, 0] + 1
 
 
 def sample_hybrid(m: int, t: int, h: int, seed: Seed | int | None = None) -> NgcInstance:

@@ -34,12 +34,14 @@ route is not obvious from the code alone:
   against the uint8 and int8 simulators they replaced.
 
 The object trials of ``partition_stats_suite`` and ``stochastic_stats_suite``
-are not simulated: each trial draws from its own ``random.Random`` on its own
-seed path.  A batch of trials derives its generators together
-(``Seed.rngs``), reads their draws in one pass each (``sample_ngc_sigma1``,
-``partition_slots``, ``stochastic_picks``: row r is trial r's stream) and
-counts on arrays with a leading trials axis, so the rows equal those of the
-one-trial-at-a-time loop the tests keep as reference.
+are not simulated: each trial draws from its own ``random.Random`` stream on
+its own seed path.  A batch of trials derives its keys together
+(``Seed.keys``), holds their streams' words at once (``seeds.key_streams``,
+which replays MT19937 for a batch of hundreds of keys or more), reads its
+draws off them (``sample_ngc_sigma1``, ``partition_slots``,
+``stochastic_picks``: row r is trial r's stream) and counts on arrays with
+a leading trials axis, so the rows equal those of the one-trial-at-a-time
+loop the tests keep as reference.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ from .protocols import (
     streaming_as_l_protocol,
     streaming_as_protocol,
 )
-from .seeds import Seed, as_seed, replay_bytes
+from .seeds import Seed, as_seed, key_streams, replay_bytes, word_budget
 from .stats import binomial_check, chi_square_uniform, clopper_pearson
 from .streaming import (
     CensusThetaDecision,
@@ -220,24 +222,27 @@ def capped_activity_probability(w: int) -> Fraction:
     With w_c = max(1, floor(w/100)) and each index clean independently with
     probability 1/64, activity means the uniform image sigma(1) lands on one
     of the first w_c clean indices: Pr = E[min(|clean|, w_c)] / w.
+
+    With C ~ Binomial(w, 1/64), E[min(C, w_c)] = w_c - sum_{c < w_c} (w_c -
+    c) Pr[C = c], and 64^w Pr[C = c] = comb(w, c) 63^(w - c) is an integer,
+    each one the one before times (w - c) / ((c + 1) 63), exactly.  So the
+    sum runs in integers over the one denominator 64^w.
     """
     w_c = max(1, w // 100)
-    p = Fraction(1, 64)
-    # E[min(C, w_c)] = sum_{r=1..w_c} Pr[C >= r]; C ~ Binomial(w, 1/64)
-    tail = Fraction(0)
-    prob_lt = Fraction(0)  # Pr[C < r], accumulated
-    expect = Fraction(0)
-    for r in range(1, w_c + 1):
-        prob_lt += math.comb(w, r - 1) * p ** (r - 1) * (1 - p) ** (w - r + 1)
-        tail = 1 - prob_lt
-        expect += tail
-    return expect / w
+    term = 63**w  # 64^w Pr[C = c], from c = 0
+    short = 0  # 64^w (w_c - E[min(C, w_c)])
+    for c in range(w_c):
+        short += (w_c - c) * term
+        term = term * (w - c) // ((c + 1) * 63)
+    return Fraction(w_c * 64**w - short, w * 64**w)
 
 
-# array elements per batch of trials in the two object suites, and trials per
-# batch (one stdlib generator of about 2.9 kB each): bound their memory
-_BATCH_ELEMENTS = 1 << 18
-_BATCH_TRIALS = 256
+# array elements per batch of trials in the two object suites, which bounds
+# a batch's held stream words and count arrays, and trials per batch: a
+# partition batch's two keys a trial then make one replay pass of at most
+# 4096 keys (seeds._PASS_KEYS)
+_BATCH_ELEMENTS = 1 << 19
+_BATCH_TRIALS = 2048
 # clean indicators per chunk of sigma(1) draws (a chunk's indicators and images
 # interleave in the stream, so the chunk is part of the rows), and walks per
 # chunk of simulated walks
@@ -248,15 +253,15 @@ _WALK_CHUNK = 4_000_000
 def _trial_batches(trials: int, per_trial: int) -> Iterator[range]:
     """Consecutive runs of trial numbers, about _BATCH_ELEMENTS // per_trial long.
 
-    At most _BATCH_TRIALS long, so that few generators are alive at once.
+    At most _BATCH_TRIALS long, so that a batch's keys are one replay pass.
     """
     step = max(1, min(_BATCH_ELEMENTS // per_trial, _BATCH_TRIALS))
     return (range(start, min(start + step, trials)) for start in range(0, trials, step))
 
 
-# the widest block the two width-driven suites take: their arrays grow with w,
-# and the exact capped activity probability about eightfold per doubling of w
-# (3 s at 2**14 on a 2-CPU machine)
+# the widest block the two width-driven suites take: their arrays grow with w
+# (the exact capped activity probability takes about 0.01 s at 2**14 on a
+# 2-CPU machine, about fourfold per doubling of w)
 MAX_WIDTH = 1 << 14
 
 
@@ -274,18 +279,23 @@ def _partition_counts(w: int, trials: int, root: Seed) -> tuple[list[int], int, 
     Trial i draws a one-block instance of width w from ``object/i/inst`` and
     partition functions from ``object/i/F``.  Index 1's pattern and every
     index's cleanness read F's slots alone (``function_index_table``), so the
-    instance contributes only sigma(1).  A batch of trials reads sigma(1)
-    (``sample_ngc_sigma1``) and F's slots (``partition_slots``) off its
-    generators in one pass each, and counts on (trials, 6w) arrays.
+    instance contributes only sigma(1).  A batch of trials holds the
+    streams of its ``inst`` and ``F`` keys together (``seeds.key_streams``),
+    reads sigma(1) (``sample_ngc_sigma1``) and F's slots
+    (``partition_slots``) off them, and counts on (trials, 6w) arrays.
     """
     table = function_index_table(w, 1)
     w_c = max(1, w // 100)
     pattern_counts = np.zeros(64, dtype=np.int64)
     clean_hits = active_capped = active_uncapped = 0
     trial = root.child("object")
+    inst_words = word_budget(2, 1) + word_budget(w, 1)  # theta, then sigma(1)
     for batch in _trial_batches(trials, 6 * w):
-        sigma1 = sample_ngc_sigma1(trial.rngs(batch, "inst"), w) - 1
-        owners = partition_slots(trial.rngs(batch, "F"), w, 1)
+        inst, functions = key_streams(
+            (trial.keys(batch, "inst"), inst_words), (trial.keys(batch, "F"), word_budget(2, 6 * w))
+        )
+        sigma1 = sample_ngc_sigma1(inst, w) - 1
+        owners = partition_slots(functions, w, 1)
         clean, capped = clean_masks(owners, table, w_c)
         rows = np.arange(len(batch))
         clean_hits += int(np.count_nonzero(clean[:, 0, 0]))
@@ -780,7 +790,7 @@ def _stochastic_counts(c: float, trials: int, w: int, root: Seed) -> tuple[int, 
 
     The instance of width w comes from ``inst``; trial i draws both players'
     samples from ``draw/i`` (``stochastic_picks``, Alice's half first), a
-    batch of trials in one pass.  Absence is read at the probe edge (core
+    batch of trials' streams at once.  Absence is read at the probe edge (core
     edge 0), cleanness at index 1 of the block; the counting runs once per
     batch on (trials, 2, S) arrays of sampled core positions.
     """
@@ -793,8 +803,10 @@ def _stochastic_counts(c: float, trials: int, w: int, root: Seed) -> tuple[int, 
     table = inst.graph._index_table[:1, :1]
     absent = a_only = clean = 0
     draws = root.child("draw")
+    words = word_budget(len(ends), 2 * count)
     for batch in _trial_batches(trials, 2 * count + 2 * positions):
-        drawn = columns[stochastic_picks(draws.rngs(batch), len(ends), c)]
+        (streams,) = key_streams((draws.keys(batch), words))
+        drawn = columns[stochastic_picks(streams, len(ends), c)]
         counts = seen_counts(drawn, positions)
         seen_a, seen_b = counts[:, 0, probe] > 0, counts[:, 1, probe] > 0
         absent += int(np.count_nonzero(~seen_b))

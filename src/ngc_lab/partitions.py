@@ -18,10 +18,11 @@ clean index, and the batched analogues (active segments, good groups).
 
 Draws are made in bulk (``seeds.randrange_many``) but from the identical
 stream, value for value, as one ``randrange`` per edge or map slot.
-``partition_slots`` and ``stochastic_picks`` take a list of generators and
-read them all in one pass (``seeds.randrange_rows``), row r being generator
-r's draw; ``random_partition_functions`` and ``stochastic_assign`` are their
-one-row cases, so the batched suites and the object route share one law.  An
+``partition_slots`` and ``stochastic_picks`` take the word streams of a
+run of seed keys (``seeds.KeyStreams``) and read them all at once
+(``seeds.randrange_rows``), row r being key r's draw;
+``random_partition_functions`` and ``stochastic_assign`` are their one-row
+cases, so the batched suites and the object route share one law.  An
 owner map is an ``EdgeTable`` (sorted canonical edge keys plus one owner
 each), so a split is one vectorized lookup and a boolean index.  Clean
 events are read off owner arrays through a table of each index's six
@@ -33,8 +34,7 @@ functions ``function_index_table`` over F's slots.  ``clean_masks`` and
 from __future__ import annotations
 
 import math
-import random
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -44,7 +44,15 @@ import numpy as np
 
 from .distributions import EdgeTable, NgcInstance, as_edge_array
 from .gadgets import Edge
-from .seeds import Seed, as_seed, randrange_many, randrange_rows
+from .seeds import (
+    KeyStreams,
+    Seed,
+    as_seed,
+    key_streams,
+    randrange_many,
+    randrange_rows,
+    word_budget,
+)
 
 ALICE = 0  # alpha
 BOB = 1  # beta
@@ -76,20 +84,21 @@ class PartitionFunctions:
         return len(self.fL)
 
 
-def partition_slots(rngs: Sequence[random.Random], w: int, t: int) -> np.ndarray:
-    """Uniform partition functions' 6wt slots per generator, shape (len(rngs), 6wt), int8.
+def partition_slots(streams: KeyStreams, w: int, t: int) -> np.ndarray:
+    """Uniform partition functions' 6wt slots per stream, shape (len(streams), 6wt), int8.
 
     One ``randrange(2)`` per slot: all of fL's slots block by block, then
     fM's, then fR's, 2w each; ``function_index_table`` reads this layout.
     """
-    return randrange_rows(rngs, 2, 3 * t * 2 * w).astype(np.int8)
+    return randrange_rows(streams, 2, 3 * t * 2 * w).astype(np.int8)
 
 
 def random_partition_functions(
     w: int, t: int, seed: Seed | int | None = None
 ) -> PartitionFunctions:
     """Uniform maps, the one-row case of ``partition_slots``."""
-    bits = partition_slots([as_seed(seed).rng()], w, t)[0].tolist()
+    (streams,) = key_streams(([as_seed(seed).key()], word_budget(2, 6 * w * t)))
+    bits = partition_slots(streams, w, t)[0].tolist()
     maps = tuple(tuple(bits[i * 2 * w : (i + 1) * 2 * w]) for i in range(3 * t))
     return PartitionFunctions(maps[:t], maps[t : 2 * t], maps[2 * t :])
 
@@ -431,14 +440,14 @@ def sample_size(c: float, edge_count: int) -> int:
     return math.ceil(c * edge_count / 2)
 
 
-def stochastic_picks(rngs: Sequence[random.Random], edge_count: int, c: float) -> np.ndarray:
-    """Both players' samples as edge indices per generator: (len(rngs), 2, ceil(c|E|/2)).
+def stochastic_picks(streams: KeyStreams, edge_count: int, c: float) -> np.ndarray:
+    """Both players' samples as edge indices per stream: (len(streams), 2, ceil(c|E|/2)).
 
     One bulk draw of 2 * ceil(c|E|/2) ``randrange(|E|)`` values per
-    generator: Alice's sample is the first half, Bob's the second.
+    stream: Alice's sample is the first half, Bob's the second.
     """
     count = sample_size(c, edge_count)
-    return randrange_rows(rngs, edge_count, 2 * count).reshape(len(rngs), 2, count)
+    return randrange_rows(streams, edge_count, 2 * count).reshape(len(streams), 2, count)
 
 
 def stochastic_assign(
@@ -449,7 +458,9 @@ def stochastic_assign(
     The one-row case of ``stochastic_picks``.
     """
     ends = as_edge_array(edges)
-    picks = stochastic_picks([as_seed(seed).rng()], len(ends), c)[0]
+    words = word_budget(len(ends), 2 * sample_size(c, len(ends)))
+    (streams,) = key_streams(([as_seed(seed).key()], words))
+    picks = stochastic_picks(streams, len(ends), c)[0]
     alice, bob = (tuple(zip(ends[half, 0].tolist(), ends[half, 1].tolist())) for half in picks)
     return EdgeAssignment(mode="stochastic", players=2, samples=(alice, bob), c=c)
 

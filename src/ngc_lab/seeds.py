@@ -6,18 +6,24 @@ labels produces independent-looking streams.  Both a stdlib ``random.Random``
 and a numpy ``Generator`` are available off the same derivation, so scalar
 and vectorized code paths can share one seed discipline.
 
-Batched suites keep one ``random.Random`` per trial, on the trial's own path:
-``Seed.rngs`` derives a run of them, hashing the shared prefix once, and
-``randrange_rows`` reads every trial's ``randrange`` draws in one pass, row r
-being trial r's own stream.  ``sample_range`` spells out ``Random.sample``
-over a range of integers, word for word.  Three more helpers replay one
-generator's words in bulk: ``randrange_many`` (the one-row case) gives many
-``randrange`` draws from one ``getrandbits`` call; ``shuffle_order`` gives
-the permutation ``Random.shuffle`` would apply to a list of a given length,
-read off bulk ``getrandbits`` words, with the generator left where the
-shuffle would leave it; and ``replay_bytes`` gives ``Generator.integers(0,
-256, count, dtype=np.uint8)`` from one ``random_raw`` call, so a caller can
-read small power-of-two draws off the bytes directly.
+Batched suites keep one ``random.Random`` stream per trial, on the trial's
+own path: ``Seed.keys`` derives a run of their 128-bit keys, hashing the
+shared prefix once.  ``replay_words`` runs CPython's MT19937 seeding and
+output for every key at once, word for word what ``random.Random(key)``
+gives, and ``key_streams`` holds each key's first words (replayed, or read
+from stdlib generators when there are too few keys for the replay to pay).
+``randrange_rows`` reads every stream's ``randrange`` draws at once from a
+cursor per row, so successive reads go on along each stream, and a row
+that runs out of held words goes on in its own generator.  ``sample_range``
+spells out ``Random.sample`` over a range of integers, word for word.
+Three more helpers replay one generator's words in bulk:
+``randrange_many`` gives many ``randrange`` draws from one ``getrandbits``
+call; ``shuffle_order`` gives the permutation ``Random.shuffle`` would
+apply to a list of a given length, read off bulk ``getrandbits`` words,
+with the generator left where the shuffle would leave it; and
+``replay_bytes`` gives ``Generator.integers(0, 256, count, dtype=np.uint8)``
+from one ``random_raw`` call, so a caller can read small power-of-two draws
+off the bytes directly.
 """
 
 from __future__ import annotations
@@ -60,14 +66,18 @@ class Seed:
     def _digest(self) -> bytes:
         return self._hash().digest()
 
+    def key(self) -> int:
+        """The 128-bit seed of ``rng()``: the digest's first 16 bytes, little-endian."""
+        return _key(self._digest())
+
     def rng(self) -> random.Random:
         """Stdlib RNG for shuffles, permutations, and scalar draws."""
-        return _stdlib_rng(self._digest())
+        return random.Random(self.key())
 
-    def rngs(self, indices: Iterable[str | int], *suffix: str | int) -> list[random.Random]:
-        """``[self.child(i, *suffix).rng() for i in indices]``, hashing this path once.
+    def keys(self, indices: Iterable[str | int], *suffix: str | int) -> list[int]:
+        """``[self.child(i, *suffix).key() for i in indices]``, hashing this path once.
 
-        A run of trial generators: the hash of the shared prefix is copied per
+        A run of trial keys: the hash of the shared prefix is copied per
         trial and fed the same bytes the child's path would add.
         """
         prefix = self._hash()
@@ -76,7 +86,7 @@ class Seed:
         for i in indices:
             h = prefix.copy()
             h.update(b"/" + str(i).encode("utf-8") + tail)
-            out.append(_stdlib_rng(h.digest()))
+            out.append(_key(h.digest()))
         return out
 
     def generator(self) -> np.random.Generator:
@@ -84,8 +94,8 @@ class Seed:
         return np.random.default_rng(int.from_bytes(self._digest()[16:], "little"))
 
 
-def _stdlib_rng(digest: bytes) -> random.Random:
-    return random.Random(int.from_bytes(digest[:16], "little"))
+def _key(digest: bytes) -> int:
+    return int.from_bytes(digest[:16], "little")
 
 
 def master_seed(value: int | None = None) -> Seed:
@@ -195,44 +205,245 @@ def sample_range(rng: random.Random, n: int, k: int) -> list[int]:
     return out
 
 
-def randrange_rows(rngs: Sequence[random.Random], n: int, count: int) -> np.ndarray:
-    """Row r is ``randrange_many(rngs[r], n, count)``: shape (len(rngs), count), int64.
+# --- many generators at once: row r is the stream of random.Random(keys[r]) ---------
 
-    Each round draws from every short row exactly as many words as it still
-    misses, and accepts the words of all rows at once; a row's accepted values
-    keep their order, so each generator ends where its own ``randrange_many``
-    would.  Once fewer than 32 values are missing in all, the rest are drawn
-    word by word.  One row is ``randrange_many`` itself.
+_MT_N, _MT_M = 624, 397  # MT19937's state length and twist offset
+# keys per replay pass: the (624, keys) uint32 state is then 10 MB at most
+_PASS_KEYS = 4096
+# below this many keys a replay pass (about 1.7 ms fixed plus 1.4 us a key for
+# 72 words, numpy 2.4 on a 2-CPU machine) costs more than reading the words
+# from stdlib generators (about 5.4 us a key); the two meet near 450 keys
+_REPLAY_MIN = 512
+
+
+def _genrand(s: int) -> np.ndarray:
+    """The state ``init_genrand(s)`` leaves, where every ``init_by_array`` starts."""
+    mt = [s]
+    for i in range(1, _MT_N):
+        mt.append((1812433253 * (mt[-1] ^ (mt[-1] >> 30)) + i) & 0xFFFFFFFF)
+    return np.array(mt, dtype=np.uint32)
+
+
+_GENRAND_19650218 = _genrand(19650218)
+_ROW_INDEX = [np.uint32(i) for i in range(_MT_N)]
+
+
+def _seeded_states(keys: Sequence[int]) -> np.ndarray:
+    """Column d is the state ``random.Random(keys[d])`` is seeded to: shape (624, len(keys)).
+
+    CPython seeds an int key by ``init_by_array`` over its little-endian
+    32-bit words, as many as it needs (one for 0): 624 steps that mix in
+    word j plus j, j cycling over the key, then 623 that subtract the row
+    index, each step one row from the row before.  The steps are the same
+    for every key, so each runs on a row of all keys at once; with at most
+    four words, step s's addend repeats every 12 steps for any key length.
+    """
+    try:
+        data = b"".join(key.to_bytes(16, "little") for key in map(operator.index, keys))
+    except OverflowError:
+        raise ValueError("replay_words takes keys in [0, 2**128)") from None
+    words = np.frombuffer(data, dtype="<u4").reshape(-1, 4)
+    nonzero = words != 0
+    lengths = np.where(nonzero.any(axis=1), 4 - np.argmax(nonzero[:, ::-1], axis=1), 1)
+    j = np.arange(12).reshape(-1, 1) % lengths
+    addends = list(np.take_along_axis(words.T, j, axis=0) + j.astype(np.uint32))
+    mt = np.empty((_MT_N, len(words)), dtype=np.uint32)
+    mt[:] = _GENRAND_19650218.reshape(-1, 1)
+    rows = list(mt)  # row views, so that a step is five ufunc calls and nothing else
+    t = np.empty(len(words), dtype=np.uint32)
+    shr, xor, mul, add, sub = np.right_shift, np.bitwise_xor, np.multiply, np.add, np.subtract
+    shift, first, second = np.uint32(30), np.uint32(1664525), np.uint32(1566083941)
+    # mt[i] = (mt[i] ^ ((mt[i-1] ^ (mt[i-1] >> 30)) * factor)) +/- operand, as
+    # init_by_array writes it; past row 623 it copies mt[623] to mt[0] and goes on at 1
+    i = 1
+    for step in range(_MT_N):
+        prev, row = rows[i - 1], rows[i]
+        shr(prev, shift, t)
+        xor(t, prev, t)
+        mul(t, first, t)
+        add(xor(row, t, row), addends[step % 12], row)
+        i += 1
+        if i == _MT_N:
+            rows[0][:] = rows[-1]
+            i = 1
+    for _ in range(_MT_N - 1):
+        prev, row = rows[i - 1], rows[i]
+        shr(prev, shift, t)
+        xor(t, prev, t)
+        mul(t, second, t)
+        sub(xor(row, t, row), _ROW_INDEX[i], row)
+        i += 1
+        if i == _MT_N:
+            rows[0][:] = rows[-1]
+            i = 1
+    mt[0] = 0x80000000
+    return mt
+
+
+def _twist_rows(this: np.ndarray, following: np.ndarray, far: np.ndarray, out: np.ndarray) -> None:
+    """MT19937's twist of rows ``this`` into ``out``, which may be ``this``."""
+    y = this & 0x80000000
+    y |= following & 0x7FFFFFFF
+    np.right_shift(y, 1, out)
+    out ^= far
+    y &= 1
+    y *= np.uint32(0x9908B0DF)
+    out ^= y
+
+
+def _twist(mt: np.ndarray, rows: int) -> np.ndarray:
+    """One MT19937 twist of ``mt``'s first ``rows`` rows, in place; returns them.
+
+    Row k mixes rows k and k + 1 with row k + 397: before the twist for k <
+    227, and from k = 227 on row k - 227, already twisted; row 623 takes the
+    twisted row 0.  So the twist runs in blocks of 227 rows, each read whole
+    before it is written, and may stop early: the first 227 words need only
+    the seeded state.  Stopped early, ``mt`` is no state to twist again.
+    """
+    band = _MT_N - _MT_M
+    for lo in range(0, min(rows, _MT_N - 1), band):
+        hi = min(lo + band, rows, _MT_N - 1)
+        far = mt[lo + _MT_M : hi + _MT_M] if lo < band else mt[lo - band : hi - band]
+        _twist_rows(mt[lo:hi], mt[lo + 1 : hi + 1], far, mt[lo:hi])
+    if rows == _MT_N:
+        _twist_rows(mt[-1], mt[0], mt[_MT_M - 1], mt[-1])
+    return mt[:rows]
+
+
+def _temper(y: np.ndarray) -> np.ndarray:
+    """MT19937's output words from state words, in place."""
+    y ^= y >> 11
+    y ^= (y << 7) & 0x9D2C5680
+    y ^= (y << 15) & 0xEFC60000
+    y ^= y >> 18
+    return y
+
+
+def replay_words(keys: Sequence[int], count: int) -> np.ndarray:
+    """Row r is the first ``count`` ``getrandbits(32)`` words of ``random.Random(keys[r])``.
+
+    Shape (len(keys), count), uint32, for keys in [0, 2**128).  Every key is
+    seeded at once (``_seeded_states``), then each run of 624 words is one
+    twist and the tempering, on the whole state; the last run twists only
+    the rows it reads.  Keys go in passes of at most _PASS_KEYS.
+    """
+    count = operator.index(count)
+    out = np.empty((len(keys), max(count, 0)), dtype=np.uint32)
+    if count <= 0:
+        return out
+    for first in range(0, len(keys), _PASS_KEYS):
+        mt = _seeded_states(keys[first : first + _PASS_KEYS])
+        for start in range(0, count, _MT_N):
+            words = _twist(mt, min(_MT_N, count - start))
+            words = _temper(words.copy() if start + _MT_N < count else words)
+            out[first : first + _PASS_KEYS, start : start + len(words)] = words.T
+    return out
+
+
+class KeyStreams:
+    """The word streams of ``random.Random(key)`` for a run of keys, read from the start.
+
+    Row r holds the first ``words.shape[1]`` words of its stream, and
+    ``cursor[r]`` counts those read so far.  Reads past them go on in the
+    row's own generator, seeded from its key and moved past the held words
+    (``tail``), so however much is read, each row stays its key's stream.
+    """
+
+    def __init__(self, keys: Sequence[int], words: np.ndarray) -> None:
+        self.keys = list(keys)
+        self.words = words
+        self.cursor = np.zeros(len(self.keys), dtype=np.int64)
+        self._tails: dict[int, random.Random] = {}
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def tail(self, row: int) -> random.Random:
+        """Row ``row``'s generator, past the words held for it."""
+        rng = self._tails.get(row)
+        if rng is None:
+            rng = self._tails[row] = random.Random(self.keys[row])
+            rng.getrandbits(32 * self.words.shape[1])
+        return rng
+
+
+def key_streams(*groups: tuple[Sequence[int], int]) -> list[KeyStreams]:
+    """A ``KeyStreams`` per ``(keys, words)`` group, holding that many words a key.
+
+    Groups that hold _REPLAY_MIN keys or more between them are replayed
+    together, in one pass (``replay_words``, to the largest word count);
+    fewer keys read their words from stdlib generators.  The streams are the
+    same either way.
+    """
+    runs = [(list(keys), words) for keys, words in groups]
+    if sum(len(keys) for keys, _ in runs) < _REPLAY_MIN:
+        return [KeyStreams(keys, _stdlib_words(keys, words)) for keys, words in runs]
+    replayed = replay_words([key for keys, _ in runs for key in keys], max(w for _, w in runs))
+    out, first = [], 0
+    for keys, words in runs:
+        out.append(KeyStreams(keys, replayed[first : first + len(keys), :words]))
+        first += len(keys)
+    return out
+
+
+def _stdlib_words(keys: Sequence[int], count: int) -> np.ndarray:
+    data = b"".join(
+        random.Random(key).getrandbits(32 * count).to_bytes(4 * count, "little") for key in keys
+    )
+    return np.frombuffer(data, dtype="<u4").reshape(len(keys), count)
+
+
+def word_budget(n: int, count: int) -> int:
+    """Words to hold a stream for ``count`` ``randrange(n)`` draws.
+
+    An attempt is accepted with probability p = n / 2**n.bit_length() >=
+    1/2, so the draws take count words plus a negative binomial number of
+    rejections, of mean count (1 - p) / p and variance count (1 - p) / p**2.
+    The budget is the mean plus eight standard deviations and eight words:
+    a stream needs more (and reads on in its generator) well under once in
+    10**6.
+    """
+    if n <= 0 or count <= 0:
+        return 0  # nothing is drawn, or randrange_rows rejects n
+    p = n / (1 << n.bit_length())
+    return count + math.ceil(count * (1 - p) / p + 8 * math.sqrt(count * (1 - p)) / p) + 8
+
+
+def randrange_rows(streams: KeyStreams, n: int, count: int) -> np.ndarray:
+    """Row r is the next ``count`` ``randrange(n)`` draws of stream r: (len(streams), count), int64.
+
+    Row r equals ``randrange_many`` on stream r's generator, read as far as
+    the cursor.  Every row's held words are tried at once (``_randbelow``)
+    from its cursor on; the count-th accepted word moves the cursor past it.
+    A row whose held words run out draws the rest from its ``tail``.
     """
     n = operator.index(n)
-    out = np.zeros((len(rngs), max(count, 0)), dtype=np.int64)
+    out = np.empty((len(streams), max(count, 0)), dtype=np.int64)
     if count <= 0:
         return out
     _check_bound(n)
-    if len(rngs) == 1:
-        out[0] = randrange_many(rngs[0], n, count)
+    if not len(streams):
         return out
-    flat = out.reshape(-1)
-    filled = np.zeros(len(rngs), dtype=np.int64)
-    live = np.arange(len(rngs))  # rows still short, in order
-    while live.size:
-        missing = count - filled[live]
-        if missing.sum() < _ROUND_MIN:
-            for r, need in zip(live.tolist(), missing.tolist()):
-                out[r, count - need :] = _draw_singly(rngs[r], n, need, [])
-            break
-        words = b"".join(
-            rngs[r].getrandbits(32 * need).to_bytes(4 * need, "little")
-            for r, need in zip(live.tolist(), missing.tolist())
-        )
-        values, accepted = _randbelow(np.frombuffer(words, dtype="<u4"), n)
-        got = np.add.reduceat(accepted.astype(np.int64), np.cumsum(missing) - missing)
-        # the k-th value accepted this round goes to its row's fill, offset
-        # by k less the values accepted in the rows before it
-        base = live * count + filled[live] - (np.cumsum(got) - got)
-        flat[np.repeat(base, got) + np.arange(int(got.sum()))] = values[accepted]
-        filled[live] += got
-        live = live[filled[live] < count]
+    cursor, width = streams.cursor, streams.words.shape[1]
+    values, accepted = _randbelow(streams.words, n)
+    if cursor.any():
+        accepted &= np.arange(width) >= cursor[:, None]
+    values = values.ravel()
+    where = accepted.ravel().nonzero()[0]  # row by row: row r's run starts at first[r]
+    have = accepted.sum(axis=1)
+    first = have.cumsum() - have
+    full = have >= count
+    short = not full.all()
+    rows = full if short else slice(None)  # a slice costs less than a mask
+    picks = where[first[rows, None] + np.arange(count)]
+    out[rows] = values[picks]
+    cursor[rows] = picks[:, -1] % width + 1
+    if short:
+        for r in (~full).nonzero()[0].tolist():
+            held = int(have[r])
+            out[r, :held] = values[where[first[r] : first[r] + held]]
+            out[r, held:] = randrange_many(streams.tail(r), n, count - held)
+            cursor[r] = width
     return out
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import replace
+from fractions import Fraction
 from itertools import chain, combinations
 
 import numpy as np
@@ -56,9 +57,7 @@ from ngc_lab.partitions import (
     assign_by_functions,
     clean_indices_stochastic,
     index_ownership_pattern,
-    random_partition_functions,
     sample_counts,
-    stochastic_assign,
 )
 from ngc_lab.protocols import EmbeddingRecord
 from ngc_lab.seeds import as_seed
@@ -743,11 +742,28 @@ def reference_clean_indices_stochastic(instance, assignment):
 # --- claim suites: one object trial at a time -------------------------------------
 
 
+def reference_capped_activity_probability(w: int) -> Fraction:
+    """``experiments.capped_activity_probability`` as ``Fraction`` tail sums.
+
+    E[min(C, w_c)] = sum_{r=1..w_c} Pr[C >= r] with C ~ Binomial(w, 1/64),
+    each Pr[C < r] accumulated from the binomial terms as fractions.
+    """
+    w_c = max(1, w // 100)
+    p = Fraction(1, 64)
+    prob_lt = Fraction(0)
+    expect = Fraction(0)
+    for r in range(1, w_c + 1):
+        prob_lt += math.comb(w, r - 1) * p ** (r - 1) * (1 - p) ** (w - r + 1)
+        expect += 1 - prob_lt
+    return expect / w
+
+
 def reference_partition_counts(w: int, trials: int, root):
     """``partition_stats_suite``'s counts, one assignment and report per trial.
 
-    Each trial also splits the instance's non-block edges from ``split``,
-    which no count reads.
+    Every draw is a ``random.Random`` call on the trial's own generator,
+    never a replayed word.  Each trial also splits the instance's non-block
+    edges from ``split``, which no count reads.
     """
     n = 4 * 4 * (w // 2)
     pattern_counts = [0] * 64
@@ -755,7 +771,7 @@ def reference_partition_counts(w: int, trials: int, root):
     for i in range(trials):
         child = root.child("object", i)
         inst = sample_ngc(n, 4, child.child("inst"))
-        F = random_partition_functions(w, 1, child.child("F"))
+        F = reference_random_partition_functions(w, 1, child.child("F"))
         assignment = assign_by_functions(inst, F, child.child("split"))
         entry = active_blocks(inst, assignment).entries[0]
         clean_hits += 1 in entry.clean_uncapped
@@ -767,13 +783,16 @@ def reference_partition_counts(w: int, trials: int, root):
 
 
 def reference_stochastic_counts(c: float, trials: int, w: int, root):
-    """``stochastic_stats_suite``'s counts, one assignment and report per trial."""
+    """``stochastic_stats_suite``'s counts, one assignment and report per trial.
+
+    The samples are ``randrange`` calls on each trial's own ``random.Random``.
+    """
     inst = sample_ngc(4 * 4 * (w // 2), 4, root.child("inst"))
     edges = inst.all_edges()
     probe = canon(edges[0])[0]
     absent = a_only = clean = 0
     for i in range(trials):
-        assignment = stochastic_assign(edges, c, root.child("draw", i))
+        assignment = reference_stochastic_assign(edges, c, root.child("draw", i))
         seen_a, seen_b = (sample_counts(inst, assignment)[:, probe] > 0).tolist()
         absent += not seen_b
         a_only += seen_a and not seen_b

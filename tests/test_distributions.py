@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import warnings
 from itertools import permutations, product
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ngc_lab import seeds
 from ngc_lab.distributions import (
     Census,
     Witness,
@@ -29,7 +31,7 @@ from ngc_lab.distributions import (
 )
 from ngc_lab.gadgets import parity, to_edges, vertex_from_id, vertex_id
 from ngc_lab.instance_io import parse_instance, serialize_instance
-from ngc_lab.seeds import master_seed
+from ngc_lab.seeds import key_streams, master_seed, randrange_rows
 from ngc_lab.stats import binomial_check, chi_square_uniform
 from oracles import (
     canon,
@@ -218,14 +220,18 @@ def test_determinism():
 def test_sample_ngc_sigma1_reads_the_first_image(m, t, masters):
     k, w = 3 * t + 1, 2 * m
     roots = [master_seed(master).child("sigma1") for master in masters]
-    rngs = [root.rng() for root in roots]
-    got = sample_ngc_sigma1(rngs, w)
-    assert got.tolist() == [sample_ngc(4 * k * m, k, root).witness.Sigma[0][0] for root in roots]
-    for root, rng in zip(roots, rngs):  # theta's draw, then the first pick, and no more
-        loop = root.rng()
-        loop.randrange(2)
-        loop.randrange(w)
-        assert rng.getstate() == loop.getstate()
+    want = [sample_ngc(4 * k * m, k, root).witness.Sigma[0][0] for root in roots]
+    for replay_min in (1, seeds._REPLAY_MIN):  # replayed, and read from stdlib generators
+        with mock.patch.object(seeds, "_REPLAY_MIN", replay_min):
+            (streams,) = key_streams(([root.key() for root in roots], 3))
+        assert sample_ngc_sigma1(streams, w).tolist() == want
+        # theta's draw, then the first pick, and no more: the next read goes on from there
+        after = randrange_rows(streams, 2**32 - 1, 1)[:, 0]
+        for root, value in zip(roots, after.tolist()):
+            loop = root.rng()
+            loop.randrange(2)
+            loop.randrange(w)
+            assert value == loop.randrange(2**32 - 1)
 
 
 def test_hybrid_endpoints_match_theta_branches():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ngc_lab import experiments
+from ngc_lab import experiments, seeds
 from ngc_lab.distributions import (
     Witness,
     sample_dhx,
@@ -43,6 +43,7 @@ from ngc_lab.seeds import master_seed
 from ngc_lab.stats import binomial_check
 
 from oracles import (
+    reference_capped_activity_probability,
     reference_fast_walk_coverage,
     reference_partition_counts,
     reference_sigma1_rank_counts,
@@ -84,6 +85,11 @@ def test_capped_activity_probability_small_width():
     # w=2, w_c=1: active iff sigma(1) hits the first clean index;
     # E[min(C,1)] = Pr[C >= 1] = 1 - (63/64)^2
     assert capped_activity_probability(2) == Fraction(127, 8192)
+
+
+def test_capped_activity_probability_equals_the_fraction_tail_sums():
+    for w in [*range(2, 402, 2), 512, 1000, 2048, 4096, 8192]:
+        assert capped_activity_probability(w) == reference_capped_activity_probability(w), w
 
 
 def test_capped_activity_probability_binomial_cross_check():
@@ -170,9 +176,11 @@ BATCH_ELEMENTS = st.one_of(st.integers(1, 64), st.integers(1, 5000))
     BATCH_ELEMENTS,
 )
 def test_partition_counts_match_object_trials(w, trials, seed, batch_elements):
-    with mock.patch.object(experiments, "_BATCH_ELEMENTS", batch_elements):
-        got = experiments._partition_counts(w, trials, master_seed(seed))
-    assert got == reference_partition_counts(w, trials, master_seed(seed))
+    want = reference_partition_counts(w, trials, master_seed(seed))
+    for replay_min in (1, seeds._REPLAY_MIN):  # replayed, and read from stdlib generators
+        with mock.patch.object(seeds, "_REPLAY_MIN", replay_min):
+            with mock.patch.object(experiments, "_BATCH_ELEMENTS", batch_elements):
+                assert experiments._partition_counts(w, trials, master_seed(seed)) == want
 
 
 def test_partition_counts_match_object_trials_where_the_cap_binds():
@@ -335,9 +343,42 @@ def test_stochastic_stats_suite_floors():
     BATCH_ELEMENTS,
 )
 def test_stochastic_counts_match_object_trials(c, w, trials, seed, batch_elements):
-    with mock.patch.object(experiments, "_BATCH_ELEMENTS", batch_elements):
-        got = experiments._stochastic_counts(c, trials, w, master_seed(seed))
-    assert got == reference_stochastic_counts(c, trials, w, master_seed(seed))
+    want = reference_stochastic_counts(c, trials, w, master_seed(seed))
+    for replay_min in (1, seeds._REPLAY_MIN):  # replayed, and read from stdlib generators
+        with mock.patch.object(seeds, "_REPLAY_MIN", replay_min):
+            with mock.patch.object(experiments, "_BATCH_ELEMENTS", batch_elements):
+                assert experiments._stochastic_counts(c, trials, w, master_seed(seed)) == want
+
+
+@pytest.mark.parametrize("replay_min", [1, 10**9])
+def test_object_counts_read_on_past_a_one_word_budget(monkeypatch, replay_min):
+    # every stream holds one word: theta, sigma(1), F's slots and the samples
+    # all read on in the trials' own generators, each read after the last
+    monkeypatch.setattr(experiments, "word_budget", lambda n, count: 1)
+    monkeypatch.setattr(seeds, "_REPLAY_MIN", replay_min)
+    root = SEED.child("budget")
+    assert experiments._partition_counts(4, 30, root) == reference_partition_counts(4, 30, root)
+    want = reference_stochastic_counts(1.0, 30, 4, root)
+    assert experiments._stochastic_counts(1.0, 30, 4, root) == want
+
+
+def test_object_counts_replay_keys_shorter_than_four_words(monkeypatch):
+    # a key whose top word is 0 seeds init_by_array with fewer words; trial
+    # keys are 128-bit hashes, so the short ones are made here, for the
+    # suites and the references alike
+    key = seeds._key
+
+    def shorter(digest: bytes) -> int:
+        return key(digest) % 2 ** (32 * (1 + digest[0] % 4))
+
+    monkeypatch.setattr(seeds, "_key", shorter)
+    monkeypatch.setattr(seeds, "_REPLAY_MIN", 1)
+    root = SEED.child("short")
+    keys = root.child("object").keys(range(40), "F")
+    assert {key < 2**96 for key in keys} == {True, False}
+    assert experiments._partition_counts(2, 40, root) == reference_partition_counts(2, 40, root)
+    want = reference_stochastic_counts(1.0, 40, 4, root)
+    assert experiments._stochastic_counts(1.0, 40, 4, root) == want
 
 
 def test_stochastic_stats_rejects_bad_width_and_trials():

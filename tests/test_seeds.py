@@ -14,11 +14,14 @@ from hypothesis import strategies as st
 from ngc_lab import seeds
 from ngc_lab.seeds import (
     Seed,
+    key_streams,
     randrange_many,
     randrange_rows,
     replay_bytes,
+    replay_words,
     sample_range,
     shuffle_order,
+    word_budget,
 )
 
 from oracles import randrange_loop
@@ -82,7 +85,42 @@ def test_sample_range_rejects_sizes_outside_zero_to_n(k):
         sample_range(random.Random(1), 3, k)
 
 
-# --- randrange_rows: many generators' randrange draws in one pass ------------------
+# --- replay_words: many generators' words at once ------------------------------------
+
+# keys of one to four 32-bit words (the key length sets init_by_array's cycle)
+REPLAY_KEYS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96, 2**128 - 1]
+# one word, then either side of each twist block's end (227, 454, 624 rows)
+REPLAY_COUNTS = [0, 1, 227, 228, 624, 625, 1249]
+KEYS = st.one_of(*(st.integers(0, 2 ** (32 * n) - 1) for n in (1, 2, 3, 4)))
+
+
+def _assert_replayed(keys, count):
+    got = replay_words(keys, count)
+    assert got.dtype == np.uint32 and got.shape == (len(keys), count)
+    for key, row in zip(keys, got.tolist()):
+        rng = random.Random(key)
+        assert row == [rng.getrandbits(32) for _ in range(count)]
+
+
+@pytest.mark.parametrize("count", REPLAY_COUNTS)
+def test_replay_words_match_getrandbits(count):
+    _assert_replayed(REPLAY_KEYS, count)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(KEYS, max_size=9), st.sampled_from(REPLAY_COUNTS), st.sampled_from([2, 4096]))
+def test_replay_words_match_getrandbits_on_drawn_keys(keys, count, pass_keys):
+    with patch.object(seeds, "_PASS_KEYS", pass_keys):  # several passes, or one
+        _assert_replayed(keys, count)
+
+
+@pytest.mark.parametrize("key", [-1, 2**128])
+def test_replay_words_reject_keys_outside_128_bits(key):
+    with pytest.raises(ValueError, match="2\\*\\*128"):
+        replay_words([1, key], 3)
+
+
+# --- randrange_rows: every stream's randrange draws at once ------------------------
 
 ROW_BOUNDS = [1, 2, 3, 112, 2**31 - 1, 2**32 - 1]
 
@@ -91,19 +129,34 @@ ROW_BOUNDS = [1, 2, 3, 112, 2**31 - 1, 2**32 - 1]
 @given(
     st.sampled_from(ROW_BOUNDS),
     st.integers(0, 80),
-    st.lists(st.integers(0, 2**128 - 1), max_size=12),
-    st.sampled_from([1, 32, 10**9]),  # every round in numpy, the default, word by word
+    st.integers(0, 40),
+    st.lists(KEYS, max_size=12),
+    st.sampled_from([0, 1, 7, 300]),  # words held a stream: all, some or no draws read on
+    st.sampled_from([1, 10**9]),  # replayed, or read from stdlib generators
 )
-def test_randrange_rows_matches_randrange_many_per_row(n, count, keys, round_min):
-    rows = [random.Random(key) for key in keys]
-    singles = [random.Random(key) for key in keys]
-    loops = [random.Random(key) for key in keys]
-    with patch.object(seeds, "_ROUND_MIN", round_min):
-        got = randrange_rows(rows, n, count)
+def test_randrange_rows_matches_randrange_many_per_row(n, count, more, keys, words, replay_min):
+    with patch.object(seeds, "_REPLAY_MIN", replay_min):
+        (streams,) = key_streams((keys, words))
+    got = randrange_rows(streams, n, count)
+    then = randrange_rows(streams, 3, more)  # a second read goes on where the first stopped
     assert got.dtype == np.int64 and got.shape == (len(keys), count)
-    for row, single, loop, values in zip(rows, singles, loops, got.tolist()):
+    assert then.shape == (len(keys), more)
+    for key, values, rest in zip(keys, got.tolist(), then.tolist()):
+        single, loop = random.Random(key), random.Random(key)
         assert values == randrange_many(single, n, count) == randrange_loop(loop, n, count)
-        assert row.getstate() == single.getstate() == loop.getstate()
+        assert rest == randrange_many(single, 3, more) == randrange_loop(loop, 3, more)
+
+
+@pytest.mark.parametrize("replay_min", [1, 10**9])
+def test_key_streams_hold_each_group_its_own_words(replay_min):
+    groups = ([3, 2**100], 5), ([2**40], 40), ([], 9)
+    with patch.object(seeds, "_REPLAY_MIN", replay_min):
+        streams = key_streams(*groups)
+    assert [s.keys for s in streams] == [keys for keys, _ in groups]
+    assert [s.words.shape for s in streams] == [(2, 5), (1, 40), (0, 9)]
+    for s in streams:
+        for key, row in zip(s.keys, s.words.tolist()):
+            assert row == replay_words([key], len(row))[0].tolist()
 
 
 @pytest.mark.parametrize("n", [0, -3, 2**32, 2**40])
@@ -112,15 +165,23 @@ def test_randrange_rows_rejects_what_randrange_many_rejects(n):
         with pytest.raises(ValueError) as many_error:
             randrange_many(random.Random(1), n, count)
         with pytest.raises(ValueError) as rows_error:
-            randrange_rows([random.Random(1), random.Random(2)], n, count)
+            randrange_rows(key_streams(([1, 2], 8))[0], n, count)
         assert str(rows_error.value) == str(many_error.value)
         with pytest.raises(ValueError):
-            randrange_rows([], n, count)
+            randrange_rows(key_streams(([], 8))[0], n, count)
     # nothing is drawn, so nothing is checked, as with randrange_many
-    assert randrange_rows([random.Random(1)], n, 0).shape == (1, 0)
+    assert randrange_rows(key_streams(([1], 8))[0], n, 0).shape == (1, 0)
 
 
-# --- Seed.rngs: a run of trial generators off one hashed prefix ---------------------
+def test_word_budget_covers_the_mean_and_more():
+    for n in (1, 2, 3, 112, 2**31, 2**32 - 1):
+        p = n / 2 ** n.bit_length()
+        for count in (1, 12, 1000):
+            assert word_budget(n, count) >= count / p + 8
+        assert word_budget(n, 0) == 0
+
+
+# --- Seed.keys: a run of trial keys off one hashed prefix -------------------------
 
 LABELS = st.one_of(st.text(max_size=6), st.integers(-5, 10**6))
 
@@ -132,18 +193,18 @@ LABELS = st.one_of(st.text(max_size=6), st.integers(-5, 10**6))
     st.lists(LABELS, max_size=5),
     st.lists(LABELS, max_size=2),
 )
-def test_seed_rngs_match_the_chained_children(master, path, indices, suffix):
+def test_seed_keys_match_the_chained_children(master, path, indices, suffix):
     root = Seed(master, tuple(path))
-    got = root.rngs(indices, *suffix)
-    assert len(got) == len(indices)
-    for i, rng in zip(indices, got):
-        assert rng.getstate() == root.child(i, *suffix).rng().getstate()
+    got = root.keys(indices, *suffix)
+    assert got == [root.child(i, *suffix).key() for i in indices]
+    for i, key in zip(indices, got):
+        assert random.Random(key).getstate() == root.child(i, *suffix).rng().getstate()
 
 
-def test_seed_rngs_hash_non_ascii_labels_as_children_do():
+def test_seed_keys_hash_non_ascii_labels_as_children_do():
     root = Seed(17, ("σ", "Ω/x"))
-    (got,) = root.rngs(["ü"], "ünïcode", 3)
-    assert got.getstate() == root.child("ü", "ünïcode", 3).rng().getstate()
+    (got,) = root.keys(["ü"], "ünïcode", 3)
+    assert got == root.child("ü", "ünïcode", 3).key()
 
 
 # --- shuffle_order: Random.shuffle's permutation read off bulk words -----------------
