@@ -39,17 +39,17 @@ from .gadgets import (
     Edge,
     EdgeView,
     GroupLayeredGraph,
-    MatchingSpec,
     edge_rows,
-    identity_perm,
     make_multi_block,
     make_multi_segment,
+    matching_targets,
     vertex_id,
 )
 from .seeds import KeyStreams, Seed, as_seed, randrange_many, randrange_rows, sample_range
 
 SIDE_A = 0
 SIDE_B = 1
+_SIDES = np.array([SIDE_A, SIDE_B])
 
 
 def as_edge_array(edges: Iterable[Edge] | np.ndarray) -> np.ndarray:
@@ -224,9 +224,10 @@ class NgcInstance:
     The witness fixes the core (depth ``core_k``); depth k puts k - core_k
     identity layers in front of it.  theta is recorded only at the hybrid
     endpoints; W is the MST augmentation's bridge weight, None when the
-    instance is not augmented.  The sizes, the graph, the closers, the
-    augmentation edges, the weights and the batches are read off these four
-    fields, the graph on first use.
+    instance is not augmented.  The sizes, the core targets and index
+    table, the closers, the augmentation edges, the weights and the batches
+    are read off these four fields, each array on first use and with no
+    graph built.
     """
 
     k: int
@@ -266,11 +267,55 @@ class NgcInstance:
         return (2 * self.t + 1) * self.s + 1
 
     @cached_property
-    def graph(self) -> GroupLayeredGraph:
-        """k - core_k identity layers, then the witness's core."""
-        core, w = self.witness.build(), self.width
-        ident = MatchingSpec(identity_perm(w), (0,) * w)
-        return GroupLayeredGraph(w, (ident,) * (self.k - self.core_k) + core.matchings)
+    def _matchings(self) -> tuple[np.ndarray, np.ndarray]:
+        """(pi, cross) of the k - 1 matchings as (k - 1, w) arrays, pi 0-based.
+
+        Identity padding, then per row of gadgets (a block is a row of one)
+        the steps sigma^i (sigma^{i-1})^-1, each followed by x^i, then the
+        closer (sigma^t)^-1: a block reads sigma | x | sigma^-1.
+        """
+        w, pad, t = self.width, self.k - self.core_k, (1 if self.s is None else self.t)
+        sigma = np.array(self.witness.Sigma, dtype=np.int64).reshape(-1, w) - 1  # gadget by gadget
+        x = np.array(self.witness.X, dtype=np.int64).reshape(-1, t, w)
+        gadgets = np.arange(len(sigma)).reshape(-1, 1)
+        inverse = np.empty_like(sigma)
+        inverse[gadgets, sigma] = np.arange(w)
+        step = sigma
+        if t > 1:
+            step = sigma[gadgets, np.roll(inverse, 1, axis=0)]
+            step[::t] = sigma[::t]
+        pi = np.empty((pad + len(x) * (2 * t + 1), w), dtype=np.int64)
+        cross = np.zeros_like(pi)
+        pi[:pad] = np.arange(w)
+        core = pi[pad:].reshape(len(x), 2 * t + 1, w)
+        core[:, : 2 * t : 2] = step.reshape(x.shape)
+        core[:, 1 : 2 * t : 2] = np.arange(w)
+        core[:, -1] = inverse[t - 1 :: t]
+        cross[pad:].reshape(core.shape)[:, 1 : 2 * t : 2] = x
+        return pi, cross
+
+    @cached_property
+    def core_targets(self) -> np.ndarray:
+        """Upper ends of the 2w(k-1) core edges, read-only: core edge p runs from vertex p."""
+        targets = matching_targets(*self._matchings)
+        targets.flags.writeable = False
+        return targets
+
+    @cached_property
+    def index_table(self) -> np.ndarray:
+        """Each block index's six core edge positions, read-only (t, w, 6); block form only.
+
+        Row [i, j-1]: block i+1's a/b edges into its layer-2 group j (from
+        group sigma^-1(j)), of its middle matching, and out of layer-3 group j.
+        """
+        if self.s is not None:
+            raise ValueError("index_table needs a block-form instance")
+        w, pad = self.width, self.k - self.core_k
+        groups = self._matchings[0][pad:].reshape(-1, 3, w)[:, [2, 1, 1]]  # sigma^-1(j), j, j
+        sources = 2 * w * np.arange(pad, self.k - 1).reshape(-1, 3, 1) + 2 * groups
+        table = (sources.transpose(0, 2, 1)[..., None] + _SIDES).reshape(-1, w, 6)
+        table.flags.writeable = False
+        return table
 
     @cached_property
     def edge_array(self) -> np.ndarray:
@@ -278,7 +323,7 @@ class NgcInstance:
 
         One read-only (E, 2) int64 array, built once; core edge p leaves vertex p.
         """
-        parts = [edge_rows(self.graph), auxiliary_edges_for(self.k, self.m, self.width).array]
+        parts = [edge_rows(self.core_targets), auxiliary_edges_for(self.k, self.m, self.width).array]
         if self.W is not None:
             parts.append(augmentation_edges_for(self.k, self.m, self.width))
         edges = np.concatenate(parts)
@@ -292,7 +337,7 @@ class NgcInstance:
     @property
     def auxiliary_edges(self) -> EdgeView:
         """The closers: the rows of ``edge_array`` after the core."""
-        core = len(self.graph._targets)
+        core = len(self.core_targets)
         return self.all_edges()[core : core + 2 * self.m]
 
     @cached_property
@@ -359,12 +404,6 @@ def _perms(rng: random.Random, w: int, count: int) -> list[tuple[int, ...]]:
     return [tuple(sample_range(rng, w, w)) for _ in range(count)]
 
 
-def _bits(rng: random.Random, w: int, count: int) -> list[list[int]]:
-    """count uniform cross vectors, the same bits as one randrange(2) each."""
-    flat = randrange_many(rng, 2, count * w)
-    return [flat[i * w : (i + 1) * w] for i in range(count)]
-
-
 def uniform_witness(form: str, w: int, s: int, t: int, seed: Seed | int | None = None) -> Witness:
     """Fully unconditioned width-w witness: t blocks (s = 1) or an s x t segment grid.
 
@@ -400,11 +439,13 @@ def _hybrid(rng: random.Random, m: int, s: int | None, t: int, h: int) -> NgcIns
     count = t if s is None else s * t
     k = 3 * t + 1 if s is None else (2 * t + 1) * s + 1
     sigmas = _perms(rng, w, count)
-    xs = _bits(rng, w, count)
-    head = list(zip(xs[:-1], sigmas[:-1]))
-    last_x, last_sigma = xs[-1], sigmas[-1]
-    for j in range(1, m + 1):
-        last_x[last_sigma[j - 1] - 1] = int(j > h) ^ crossing_parity(head, j)
+    flat = randrange_many(rng, 2, count * w)
+    xs = [flat[i : i + w] for i in range(0, count * w, w)]
+    force = [0] * h + [1] * (m - h)  # group j's parity (j > h), less each earlier gadget's bit
+    for x, sigma in zip(xs[:-1], sigmas[:-1]):
+        force = [bit ^ x[image - 1] for bit, image in zip(force, sigma)]
+    for image, bit in zip(sigmas[-1], force):
+        xs[-1][image - 1] = bit
     xs = [tuple(x) for x in xs]
     witness = Witness.from_gadgets("block" if s is None else "segment", xs, sigmas, t)
     return NgcInstance(k, 0 if h == m else (1 if h == 0 else None), witness)

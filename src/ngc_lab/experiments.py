@@ -799,8 +799,8 @@ def _stochastic_counts(c: float, trials: int, w: int, root: Seed) -> tuple[int, 
     count = sample_size(c, len(ends))
     columns = core_columns(inst, ends)
     probe = columns[0]  # a core edge's column is its lower end
-    positions = len(inst.graph._targets)
-    table = inst.graph._index_table[:1, :1]
+    positions = len(inst.core_targets)
+    table = inst.index_table[:1, :1]
     absent = a_only = clean = 0
     draws = root.child("draw")
     words = word_budget(len(ends), 2 * count)

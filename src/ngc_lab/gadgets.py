@@ -17,7 +17,9 @@ Validation lives in two places: the public constructors (``MatchingSpec``,
 ``make_*_matching``, ``graph_of``, ``concat``) check every matching they get,
 and the witness builders (``make_multi_block``, ``make_multi_segment``) check
 each gadget's permutation, bits and width once, then emit all its matchings
-in one pass without re-checking them.
+in one pass without re-checking them.  Sampled instances build no graph:
+``NgcInstance.core_targets`` lays the same matchings out as arrays straight
+from the witness, and ``matching_targets`` is the one edge formula both use.
 
 Indices are 1-based to match the construction's arithmetic; the canonical
 integer vertex ids used in edge lists and files are 0-based.  Edge lists are
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +40,6 @@ Edge = tuple[int, int]
 
 SIDE_A = 0
 SIDE_B = 1
-_SIDES = np.array([SIDE_A, SIDE_B])
 
 
 def identity_perm(w: int) -> Perm:
@@ -148,43 +149,22 @@ class GroupLayeredGraph:
 
     @cached_property
     def _targets(self) -> np.ndarray:
-        """Upper ends of all 2w(d-1) edges, by broadcasting over (layer, group, side).
-
-        In that order edge p leaves vertex p, so the lower ends are 0, 1, 2, ...
-        """
-        w = self.width
+        """Upper ends of all 2w(d-1) edges (``matching_targets``); edge p leaves vertex p."""
         specs = np.array([(m.pi, m.cross) for m in self.matchings], dtype=np.int64)
-        pi, cross = specs.reshape(-1, 2, w, 1).transpose(1, 0, 2, 3)
-        first_target = 2 * w * np.arange(1, len(self.matchings) + 1).reshape(-1, 1, 1) - 2
-        return (first_target + 2 * pi + (_SIDES ^ cross)).ravel()
-
-    @cached_property
-    def _index_table(self) -> np.ndarray:
-        """Positions (lower ends) of each block index's six edges, shape (blocks, w, 6).
-
-        The graph is read as len(matchings) % 3 padding matchings, then blocks.
-        Row [i, j-1]: the a/b edges of block i+1 into layer-2 group j (leaving
-        group pi^-1(j)), of its middle matching, and out of layer-3 group j.
-        """
-        w = self.width
-        pad = len(self.matchings) % 3
-        into = self._targets.reshape(-1, 2 * w)[pad::3]
-        table = _index_offsets(w, len(into), pad).copy()
-        # sorted by target, a block's into-edges list 2 pi^-1(j) (+1) by group j
-        source = into.argsort()
-        source &= ~1
-        table[:, :, :2] += source.reshape(len(into), w, 2)
-        return table
+        pi, cross = specs.reshape(-1, 2, self.width).transpose(1, 0, 2)
+        return matching_targets(pi - 1, cross)
 
 
-@lru_cache(maxsize=64)
-def _index_offsets(w: int, blocks: int, pad: int) -> np.ndarray:
-    """``_index_table`` less the 2 pi^-1(j) of each into pair, which needs the graph."""
-    slot = 2 * np.arange(w).reshape(-1, 1) + _SIDES
-    one_block = np.concatenate([np.broadcast_to(_SIDES, (w, 2)), 2 * w + slot, 4 * w + slot], axis=1)
-    offsets = 2 * w * (pad + 3 * np.arange(blocks)).reshape(-1, 1, 1) + one_block
-    offsets.flags.writeable = False  # shared by every graph of this shape
-    return offsets
+def matching_targets(pi: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """Upper ends of the edges of stacked matchings, in (layer, group, side) order.
+
+    Row q of the (L, w) arrays is the matching out of layer q + 1: ``pi``
+    holds its 0-based group images, ``cross`` its bits.  Edge p leaves vertex p.
+    """
+    layers, w = pi.shape
+    side_a = 2 * pi + cross  # side a's target; side b's is the other vertex of its group
+    side_a += 2 * w * np.arange(1, layers + 1).reshape(-1, 1)
+    return np.stack([side_a, side_a ^ 1], axis=-1).ravel()
 
 
 def make_xor_matching(x: Sequence[int]) -> MatchingSpec:
@@ -362,15 +342,14 @@ class EdgeView(Sequence):
         return f"EdgeView({len(self)} edges)"
 
 
-def edge_rows(g: GroupLayeredGraph) -> np.ndarray:
-    """The 2w(d-1) edges as a fresh (E, 2) int64 array: row p is (p, target of p)."""
-    targets = g._targets
+def edge_rows(targets: np.ndarray) -> np.ndarray:
+    """Layered edges as a fresh (E, 2) int64 array: row p is (p, targets[p])."""
     return np.stack([np.arange(targets.size), targets], axis=1)
 
 
 def to_edges(g: GroupLayeredGraph) -> EdgeView:
     """The 2w(d-1) edges on canonical ids (u < v), ordered by layer, group, side."""
-    return EdgeView(edge_rows(g))
+    return EdgeView(edge_rows(g._targets))
 
 
 def check_layered_degrees(g: GroupLayeredGraph) -> None:

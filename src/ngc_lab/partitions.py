@@ -16,18 +16,19 @@ On top sit the structural events the lower-bound argument tracks: an index is
 *active* when the permutation routes the tracked group 1 onto a (capped)
 clean index, and the batched analogues (active segments, good groups).
 
-Draws are made in bulk (``seeds.randrange_many``) but from the identical
-stream, value for value, as one ``randrange`` per edge or map slot.
-``partition_slots`` and ``stochastic_picks`` take the word streams of a
-run of seed keys (``seeds.KeyStreams``) and read them all at once
-(``seeds.randrange_rows``), row r being key r's draw;
-``random_partition_functions`` and ``stochastic_assign`` are their one-row
-cases, so the batched suites and the object route share one law.  An
-owner map is an ``EdgeTable`` (sorted canonical edge keys plus one owner
-each), so a split is one vectorized lookup and a boolean index.  Clean
-events are read off owner arrays through a table of each index's six
-positions: the graph's cached table of edge positions, or under partition
-functions ``function_index_table`` over F's slots.  ``clean_masks`` and
+Draws are made in bulk (``seeds.randrange_array`` and its list view
+``randrange_many``) but from the identical stream, value for value, as one
+``randrange`` per edge or map slot.  ``partition_slots`` and
+``stochastic_picks`` take the word streams of a run of seed keys
+(``seeds.KeyStreams``) and read them all at once (``seeds.randrange_rows``),
+row r being key r's draw; ``random_partition_functions`` and
+``stochastic_assign`` make the same draws on one seed's own generator, so
+the batched suites and the object route share one law.  An owner map is an
+``EdgeTable`` (sorted canonical edge keys plus one owner each), so a split
+is one vectorized lookup and a boolean index.  Clean events are read off
+owner arrays through a table of each index's six positions: the instance's
+``index_table`` of core edge positions, or under partition functions
+``function_index_table`` over F's slots.  ``clean_masks`` and
 ``seen_counts`` accept leading axes, so one call counts a batch of trials.
 """
 
@@ -44,15 +45,7 @@ import numpy as np
 
 from .distributions import EdgeTable, NgcInstance, as_edge_array
 from .gadgets import Edge
-from .seeds import (
-    KeyStreams,
-    Seed,
-    as_seed,
-    key_streams,
-    randrange_many,
-    randrange_rows,
-    word_budget,
-)
+from .seeds import KeyStreams, Seed, as_seed, randrange_array, randrange_many, randrange_rows
 
 ALICE = 0  # alpha
 BOB = 1  # beta
@@ -96,9 +89,8 @@ def partition_slots(streams: KeyStreams, w: int, t: int) -> np.ndarray:
 def random_partition_functions(
     w: int, t: int, seed: Seed | int | None = None
 ) -> PartitionFunctions:
-    """Uniform maps, the one-row case of ``partition_slots``."""
-    (streams,) = key_streams(([as_seed(seed).key()], word_budget(2, 6 * w * t)))
-    bits = partition_slots(streams, w, t)[0].tolist()
+    """Uniform maps: the slots ``partition_slots`` reads, drawn on the seed's own generator."""
+    bits = randrange_many(as_seed(seed).rng(), 2, 6 * w * t)
     maps = tuple(tuple(bits[i * 2 * w : (i + 1) * 2 * w]) for i in range(3 * t))
     return PartitionFunctions(maps[:t], maps[t : 2 * t], maps[2 * t :])
 
@@ -154,7 +146,7 @@ def assign_uniform(
     if players < 2:
         raise ValueError("need at least two players")
     ends = as_edge_array(edges)
-    draws = randrange_many(as_seed(seed).rng(), players, len(ends))
+    draws = randrange_array(as_seed(seed).rng(), players, len(ends))
     mode = "two_player" if players == 2 else "l_player"
     return EdgeAssignment(mode=mode, players=players, owner=EdgeTable.from_edges(ends, draws))
 
@@ -175,7 +167,7 @@ def index_edges(
     _require_block(instance, "index_edges")
     if not (1 <= block <= instance.t and 1 <= j <= instance.width):
         raise ValueError(f"no index j={j} in block {block} (t={instance.t}, w={instance.width})")
-    rows = instance.edge_array[instance.graph._index_table[block - 1, j - 1]]
+    rows = instance.edge_array[instance.index_table[block - 1, j - 1]]
     e = tuple(map(tuple, rows.tolist()))
     return e[0:2], e[2:4], e[4:6]
 
@@ -198,7 +190,7 @@ def assign_by_functions(
     w = instance.width
     if F.fL and len(F.fL[0]) != 2 * w:
         raise ValueError("F domain size differs from 2w")
-    targets = instance.graph._targets
+    targets = instance.core_targets
     pad_edges = 2 * w * (instance.k - instance.core_k)
     loose = len(instance.edge_array) - len(targets)
     draws = randrange_many(as_seed(seed).rng(), 2, pad_edges + loose)
@@ -284,7 +276,7 @@ def _clean_report(instance: NgcInstance, owners: np.ndarray, w_c_raw: int) -> Cl
     flagged in the report.
     """
     w_c = max(1, w_c_raw)
-    clean, capped = clean_masks(owners, instance.graph._index_table, w_c)
+    clean, capped = clean_masks(owners, instance.index_table, w_c)
     entries = [
         BlockCleanEntry(block, _indices(head), _indices(every), w_c, cap_floored=w_c_raw < 1)
         for block, (every, head) in enumerate(zip(clean, capped), start=1)
@@ -317,7 +309,7 @@ def clean_indices(
         assignment = F_or_assignment
         if assignment.mode != "two_player":
             raise ValueError("clean_indices needs a two-player assignment")
-    core = instance.edge_array[: len(instance.graph._targets)]
+    core = instance.edge_array[: len(instance.core_targets)]
     return _clean_report(instance, assignment._table.lookup(core), instance.width // 100)
 
 
@@ -397,12 +389,12 @@ def active_segments(
         raise ValueError(f"player count l={l} not divisible by segment count s={s}")
     w = instance.width
     window = l // s
-    graph = instance.graph
+    targets = instance.core_targets
     # batch b = (q-1)w + (g-1) holds matching q's pair leaving group g; beta
     # reads the pair leaving each group, alpha the pair entering it
-    leaving = np.array(assignment.batch_owners[: len(graph.matchings) * w]).reshape(-1, w)
+    leaving = np.array(assignment.batch_owners[: len(targets) // 2]).reshape(-1, w)
     entering = np.empty_like(leaving)
-    np.put_along_axis(entering, graph._targets[::2].reshape(-1, w) % (2 * w) // 2, leaving, axis=1)
+    np.put_along_axis(entering, targets[::2].reshape(-1, w) % (2 * w) // 2, leaving, axis=1)
     q_in = ((2 * t + 1) * np.arange(s).reshape(-1, 1) + 2 * np.arange(t)).ravel()
     alpha = entering[q_in].reshape(s, t, w)
     beta = leaving[q_in + 1].reshape(s, t, w)
@@ -455,12 +447,11 @@ def stochastic_assign(
 ) -> EdgeAssignment:
     """Each player an iid sample (with repetition) of ceil(c*|E|/2) edges.
 
-    The one-row case of ``stochastic_picks``.
+    The draws ``stochastic_picks`` reads, on the seed's own generator.
     """
     ends = as_edge_array(edges)
-    words = word_budget(len(ends), 2 * sample_size(c, len(ends)))
-    (streams,) = key_streams(([as_seed(seed).key()], words))
-    picks = stochastic_picks(streams, len(ends), c)[0]
+    count = sample_size(c, len(ends))
+    picks = randrange_array(as_seed(seed).rng(), len(ends), 2 * count).reshape(2, count)
     alice, bob = (tuple(zip(ends[half, 0].tolist(), ends[half, 1].tolist())) for half in picks)
     return EdgeAssignment(mode="stochastic", players=2, samples=(alice, bob), c=c)
 
@@ -472,7 +463,7 @@ def core_columns(instance: NgcInstance, ends: np.ndarray) -> np.ndarray:
     end, in either orientation; auxiliary and augmentation edges get -1.
     """
     low, high = ends.min(axis=1), ends.max(axis=1)
-    targets = instance.graph._targets
+    targets = instance.core_targets
     core = (low < len(targets)) & (targets[np.minimum(low, len(targets) - 1)] == high)
     return np.where(core, low, -1)
 
@@ -501,7 +492,7 @@ def sample_counts(instance: NgcInstance, assignment: EdgeAssignment) -> np.ndarr
         raise ValueError("expected a stochastic assignment")
     columns = core_columns(instance, assignment._sample_ends)
     alice = len(assignment.samples[0])
-    positions = len(instance.graph._targets)
+    positions = len(instance.core_targets)
     return np.stack([seen_counts(half, positions) for half in (columns[:alice], columns[alice:])])
 
 

@@ -17,8 +17,9 @@ cursor per row, so successive reads go on along each stream, and a row
 that runs out of held words goes on in its own generator.  ``sample_range``
 spells out ``Random.sample`` over a range of integers, word for word.
 Three more helpers replay one generator's words in bulk:
-``randrange_many`` gives many ``randrange`` draws from one ``getrandbits``
-call; ``shuffle_order`` gives the permutation ``Random.shuffle`` would
+``randrange_array`` gives many ``randrange`` draws as an array from one
+``getrandbits`` call a round (``randrange_many`` is its list view);
+``shuffle_order`` gives the permutation ``Random.shuffle`` would
 apply to a list of a given length, read off bulk ``getrandbits`` words,
 with the generator left where the shuffle would leave it; and
 ``replay_bytes`` gives ``Generator.integers(0, 256, count, dtype=np.uint8)``
@@ -154,26 +155,38 @@ def _draw_singly(rng: random.Random, n: int, count: int, out: list[int]) -> list
     return out
 
 
-def randrange_many(rng: random.Random, n: int, count: int) -> list[int]:
-    """``[rng.randrange(n) for _ in range(count)]``, drawn in bulk from the same stream.
+def randrange_array(rng: random.Random, n: int, count: int) -> np.ndarray:
+    """``[rng.randrange(n) for _ in range(count)]`` as an int64 array, drawn in bulk.
 
-    ``getrandbits(32 * need)`` returns ``need`` words least significant first,
-    the words ``need`` calls of ``getrandbits(32)`` would return.  Each numpy
-    round draws exactly as many words as values are missing and accepts them
-    at once (``_randbelow``), so the generator ends where the loop would; under
-    32 missing values a round costs more than it saves, and the rest are
-    drawn word by word.
+    ``getrandbits(32 * need)`` returns the words ``need`` calls of
+    ``getrandbits(32)`` would, least significant first.  Each round draws as
+    many words as values are missing and accepts them at once (``_randbelow``),
+    so the generator ends where the loop would; under 32 missing values a
+    round costs more than it saves, and the rest are drawn word by word.
     """
+    if count < _ROUND_MIN:
+        return np.array(randrange_many(rng, n, count), dtype=np.int64)
     n = operator.index(n)
-    if count <= 0:
-        return []
-    if not 0 < n < 2**32:
+    _check_bound(n)
+    out = np.empty(count, dtype=np.int64)
+    done = 0
+    while count - done >= _ROUND_MIN:
+        values, accepted = _randbelow(_words(rng, count - done), n)
+        values = values[accepted]
+        out[done : done + len(values)] = values
+        done += len(values)
+    out[done:] = _draw_singly(rng, n, count - done, [])
+    return out
+
+
+def randrange_many(rng: random.Random, n: int, count: int) -> list[int]:
+    """``randrange_array`` as a list; under 32 values, drawn word by word with no array."""
+    if count >= _ROUND_MIN:
+        return randrange_array(rng, n, count).tolist()
+    n = operator.index(n)
+    if count > 0:
         _check_bound(n)
-    out: list[int] = []
-    while count - len(out) >= _ROUND_MIN:
-        values, accepted = _randbelow(_words(rng, count - len(out)), n)
-        out += values[accepted].tolist()
-    return _draw_singly(rng, n, count, out)
+    return _draw_singly(rng, n, count, [])
 
 
 def sample_range(rng: random.Random, n: int, k: int) -> list[int]:
@@ -412,7 +425,7 @@ def word_budget(n: int, count: int) -> int:
 def randrange_rows(streams: KeyStreams, n: int, count: int) -> np.ndarray:
     """Row r is the next ``count`` ``randrange(n)`` draws of stream r: (len(streams), count), int64.
 
-    Row r equals ``randrange_many`` on stream r's generator, read as far as
+    Row r equals ``randrange_array`` on stream r's generator, read as far as
     the cursor.  Every row's held words are tried at once (``_randbelow``)
     from its cursor on; the count-th accepted word moves the cursor past it.
     A row whose held words run out draws the rest from its ``tail``.
@@ -442,7 +455,7 @@ def randrange_rows(streams: KeyStreams, n: int, count: int) -> np.ndarray:
         for r in (~full).nonzero()[0].tolist():
             held = int(have[r])
             out[r, :held] = values[where[first[r] : first[r] + held]]
-            out[r, held:] = randrange_many(streams.tail(r), n, count - held)
+            out[r, held:] = randrange_array(streams.tail(r), n, count - held)
             cursor[r] = width
     return out
 

@@ -7,7 +7,7 @@ samples with repetition).  A stream's events are an ``EventView``: the
 ordered edges as one (E, 2) array (plus a weight array when the graph is
 weighted), read as ((u, v), w) tuples only on demand.  The orders are index
 arrays into the edge array, drawn with ``seeds.shuffle_order`` and
-``seeds.randrange_many`` from exactly the words ``Random.shuffle`` and
+``seeds.randrange_array`` from exactly the words ``Random.shuffle`` and
 ``randrange`` would use.
 
 Algorithms follow an explicit-state contract —
@@ -43,7 +43,7 @@ from .distributions import (
     keys_to_edges,
 )
 from .gadgets import Edge
-from .seeds import Seed, as_seed, randrange_many, shuffle_order
+from .seeds import Seed, as_seed, randrange_array, randrange_many, shuffle_order
 
 Event = tuple[Edge, int | None]
 
@@ -130,7 +130,7 @@ def batch_order(rng, count: int) -> np.ndarray:
     shuffling two items is one ``randbelow(2)``, which swaps them on 0.
     """
     batches = shuffle_order(rng, count)
-    keep = np.array(randrange_many(rng, 2, count), dtype=np.int64)
+    keep = randrange_array(rng, 2, count)
     return (2 * batches[:, None] + np.stack([1 - keep, keep], axis=1)).ravel()
 
 
@@ -162,7 +162,7 @@ def stream_from_edges(
     elif mode == "stochastic":
         if c is None or c < 0:
             raise ValueError("stochastic mode needs c >= 0")
-        order = np.array(randrange_many(rng, len(ends), math.ceil(c * len(ends))), dtype=np.int64)
+        order = randrange_array(rng, len(ends), math.ceil(c * len(ends)))
     else:
         raise ValueError(f"unknown stream mode {mode!r}")
     weight = None if weights is None else np.asarray(weights, dtype=np.int64)

@@ -37,8 +37,10 @@ from ngc_lab.distributions import (
 )
 from ngc_lab.gadgets import (
     GroupLayeredGraph,
+    MatchingSpec,
     concat,
     graph_of,
+    identity_perm,
     invert_perm,
     make_perm_matching,
     make_perm_xor,
@@ -619,6 +621,34 @@ def reference_assign_batches(instance, l: int, seed):
     return EdgeAssignment(mode="l_player", players=l, owner=owner, batch_owners=batch_owners)
 
 
+def instance_graph(instance: NgcInstance) -> GroupLayeredGraph:
+    """The object graph an instance stands for: k - core_k identity layers, then the witness's core."""
+    w = instance.width
+    ident = MatchingSpec(identity_perm(w), (0,) * w)
+    return GroupLayeredGraph(w, (ident,) * (instance.k - instance.core_k) + instance.witness.build().matchings)
+
+
+def reference_index_table(instance) -> np.ndarray:
+    """Each block index's six core edge positions, looked up in the object graph's edge list.
+
+    Index j of block i enters its layer-2 vertices (group j, a then b), leaves
+    them through the middle matching, and leaves the layer-3 vertices of
+    group j.
+    """
+    w, pad = instance.width, instance.k - instance.core_k
+    edges = list(to_edges(instance_graph(instance)))
+    entering = {v: p for p, (_, v) in enumerate(edges)}
+    leaving = {u: p for p, (u, _) in enumerate(edges)}
+    table = np.empty((instance.t, w, 6), dtype=np.int64)
+    for block in range(instance.t):
+        layer2 = pad + 3 * block + 2
+        for j in range(1, w + 1):
+            for side in (SIDE_A, SIDE_B):
+                middle, out = vertex_id(layer2, j, side, w), vertex_id(layer2 + 1, j, side, w)
+                table[block, j - 1, side :: 2] = entering[middle], leaving[middle], leaving[out]
+    return table
+
+
 def _block_matchings(instance, block: int) -> tuple[int, int, int]:
     """1-based matching indices of block's L, M, R matchings, padding-aware."""
     base = instance.k - instance.core_k + 3 * (block - 1)
@@ -632,9 +662,10 @@ def _edge_of(core, w: int, q: int, src_group: int, side: int):
 
 def reference_index_edges(instance, block: int, j: int):
     w = instance.width
-    core = to_edges(instance.graph)
+    graph = instance_graph(instance)
+    core = to_edges(graph)
     qL, qM, qR = _block_matchings(instance, block)
-    src = invert_perm(instance.graph.matchings[qL - 1].pi)[j - 1]
+    src = invert_perm(graph.matchings[qL - 1].pi)[j - 1]
     into = (_edge_of(core, w, qL, src, 0), _edge_of(core, w, qL, src, 1))
     mid = (_edge_of(core, w, qM, j, 0), _edge_of(core, w, qM, j, 1))
     out = (_edge_of(core, w, qR, j, 0), _edge_of(core, w, qR, j, 1))
@@ -645,9 +676,10 @@ def reference_assign_by_functions(instance, F, seed):
     w = instance.width
     rng = as_seed(seed).rng()
     owner = {}
-    core = to_edges(instance.graph)
+    graph = instance_graph(instance)
+    core = to_edges(graph)
     pad = instance.k - instance.core_k
-    for q, m in enumerate(instance.graph.matchings, start=1):
+    for q, m in enumerate(graph.matchings, start=1):
         for src in range(1, w + 1):
             tgt = m.pi[src - 1]
             flip = m.cross[src - 1]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import warnings
 from itertools import permutations, product
 from unittest import mock
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ngc_lab import seeds
+from ngc_lab import gadgets, seeds
 from ngc_lab.distributions import (
     Census,
     Witness,
@@ -31,16 +32,27 @@ from ngc_lab.distributions import (
 )
 from ngc_lab.gadgets import parity, to_edges, vertex_from_id, vertex_id
 from ngc_lab.instance_io import parse_instance, serialize_instance
+from ngc_lab.partitions import (
+    active_segments,
+    assign_batches,
+    assign_by_functions,
+    assign_uniform,
+    clean_indices,
+    random_partition_functions,
+)
+from ngc_lab.protocols import FullForwardCensusProtocol, run_protocol
 from ngc_lab.seeds import key_streams, master_seed, randrange_rows
 from ngc_lab.stats import binomial_check, chi_square_uniform
 from oracles import (
     canon,
     component_census,
+    instance_graph,
     per_edge_expansion,
     reference_blocks_conditioned,
     reference_dhx,
     reference_auxiliary_edges,
     reference_dhx_segment,
+    reference_index_table,
     reference_instance_parts,
     reference_mst_augment,
     reference_segments_conditioned,
@@ -184,9 +196,9 @@ def test_all_edges_is_a_read_only_view():
     with pytest.raises(ValueError):
         first.array[0] = (-1, -1)
     assert inst.all_edges() == first == expected
-    core = to_edges(inst.graph)
-    with pytest.raises(ValueError):
-        core.array[:] = 0
+    for array in (inst.core_targets, inst.index_table):
+        with pytest.raises(ValueError):
+            array[:] = 0
     assert inst.all_edges() == expected
 
 
@@ -373,7 +385,7 @@ def test_pad_to_8_and_9():
         padded = pad_to_k(core, target)
         assert padded.k == target
         assert padded.n == 2 * padded.width * target
-        assert padded.graph.depth == target
+        assert len(padded.core_targets) == 2 * padded.width * (target - 1)
         assert padded.theta == core.theta
         census = validate_instance(padded)
         if padded.theta == 0:
@@ -443,6 +455,8 @@ def derived_instances(draw):
 def test_derived_parts_match_the_eager_build(inst):
     want = reference_instance_parts(inst)
     all_edges, batches, weights = want.pop("all_edges"), want.pop("batches"), want.pop("weights")
+    graph = want.pop("graph")
+    assert instance_graph(inst) == graph
     assert inst.all_edges() == all_edges
     assert {name: getattr(inst, name) for name in want} == want
     # the batches are rows 2i and 2i + 1 of batched_edges, every row but the augmentation's
@@ -455,7 +469,51 @@ def test_derived_parts_match_the_eager_build(inst):
         assert inst.edge_weights is None
     else:
         assert inst.edge_weights.tolist() == [weights[canon(e)] for e in all_edges]
-    assert inst.graph.depth == inst.k
+    assert graph.depth == inst.k
+
+
+@settings(max_examples=80, deadline=None)
+@given(derived_instances())
+def test_core_arrays_match_the_object_graph(inst):
+    core = to_edges(instance_graph(inst))
+    assert inst.core_targets.dtype == np.int64 and not inst.core_targets.flags.writeable
+    assert inst.core_targets.tolist() == [v for _, v in core]
+    assert inst.edge_array[: len(core)].tolist() == [list(e) for e in core]
+    if inst.form == "segment":
+        with pytest.raises(ValueError, match="block-form"):
+            inst.index_table
+    else:
+        assert not inst.index_table.flags.writeable
+        assert np.array_equal(inst.index_table, reference_index_table(inst))
+
+
+def test_instance_path_builds_no_graph(monkeypatch):
+    builders = (gadgets.make_multi_block, gadgets.make_multi_segment)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a gadget graph was built")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("ngc_lab")]:
+        for name, value in list(vars(module).items()):
+            if any(value is builder for builder in builders):
+                monkeypatch.setattr(module, name, refuse)
+    inst = sample_ngc(112, 7, SEED.child("guard"))
+    with pytest.raises(AssertionError, match="graph was built"):
+        inst.witness.build()  # the guard is live
+    batched = sample_ngc_batched(88, 11, 2, 2, SEED.child("guard", "batched"))
+    padded = mst_augment(pad_to_k(sample_ngc(112, 7, SEED.child("guard", "pad")), 9), 5)
+    for instance in (inst, batched, padded):
+        assert len(instance.edge_array) == len(instance.core_targets) + 2 * instance.m + (
+            0 if instance.W is None else 4 * instance.m
+        )
+        parse_instance(serialize_instance(instance, reveal=True))
+    assignment = assign_uniform(inst.all_edges(), 2, SEED.child("guard", "A"))
+    F = random_partition_functions(inst.width, inst.t, SEED.child("guard", "F"))
+    assign_by_functions(padded, F, SEED.child("guard", "B"))
+    clean_indices(inst, F, SEED.child("guard", "C"))
+    active_segments(batched, assign_batches(batched, 4, SEED.child("guard", "D")))
+    result = run_protocol(FullForwardCensusProtocol(inst.n, inst.k), inst, assignment, seed=1)
+    assert result.output == inst.theta
 
 
 @settings(max_examples=60, deadline=None)
@@ -465,7 +523,7 @@ def test_edge_views_match_the_list_routes(inst):
     views = {
         "all_edges": inst.all_edges(),
         "auxiliary_edges": inst.auxiliary_edges,
-        "core": to_edges(inst.graph),
+        "core": inst.all_edges()[: len(inst.core_targets)],
         "extra_edges": inst.extra_edges,
         "parsed": parse_instance(serialize_instance(inst)).edges,
     }
@@ -473,7 +531,7 @@ def test_edge_views_match_the_list_routes(inst):
         "all_edges": want["all_edges"],
         "extra_edges": want["extra_edges"],
         "auxiliary_edges": list(reference_auxiliary_edges(inst.k, inst.m, inst.width)),
-        "core": per_edge_expansion(inst.graph),
+        "core": per_edge_expansion(want["graph"]),
         "parsed": want["all_edges"],
     }
     items = [e for view in views.values() for e in view]
@@ -605,7 +663,7 @@ def test_property_hybrid_parities(data):
     h = data.draw(st.integers(0, m))
     i = data.draw(st.integers(0, 10_000))
     inst = sample_hybrid(m, t, h, SEED.child("prop", m, t, h, i))
-    g = inst.graph
+    g = instance_graph(inst)
     for j in range(1, m + 1):
         assert parity(g, j) == (0 if j <= h else 1)
 
@@ -620,7 +678,7 @@ def test_property_batched_theta(data):
     k = (2 * t + 1) * s + 1
     inst = sample_ngc_batched(4 * k * m, k, s, t, SEED.child("pbat", m, s, t, i))
     for j in range(1, m + 1):
-        assert parity(inst.graph, j) == inst.theta
+        assert parity(instance_graph(inst), j) == inst.theta
 
 
 # --- differential: the shared draws replay the per-gadget reference samplers ---

@@ -458,7 +458,9 @@ def test_suites_that_read_only_the_witness_build_no_graph(monkeypatch):
     assert walk_cover_suite(4, 100, 5, seed=SEED.child("lazy"), method="fast").rows
     assert builds == []
     sample_ngc(56, 7, SEED.child("lazy")).all_edges()
-    assert len(builds) == 1  # the counter sees the build an edge list needs
+    assert builds == []  # an instance's edges come straight from its witness too
+    sample_dhx(2, 1, SEED.child("lazy"))
+    assert len(builds) == 1  # the counter sees the build sample_dhx makes
 
 
 def test_walk_cover_rejects_unknown_method():

@@ -31,6 +31,7 @@ from ngc_lab.gadgets import (
     vertex_id,
 )
 from oracles import (
+    instance_graph,
     per_edge_expansion,
     reference_multi_block,
     reference_multi_segment,
@@ -336,7 +337,7 @@ def witness_graph(draw):
         return make_multi_segment(X, Sigma)
     m, t = draw(st.integers(1, 3)), draw(st.integers(1, 2))
     inst = sample_hybrid(m, t, draw(st.integers(0, m)), draw(st.integers(0, 2**32)))
-    return pad_to_k(inst, inst.k + draw(st.integers(0, 2))).graph
+    return instance_graph(pad_to_k(inst, inst.k + draw(st.integers(0, 2))))
 
 
 @settings(max_examples=80, deadline=None)
@@ -378,7 +379,7 @@ def built_and_reference(draw):
         ident = MatchingSpec(identity_perm(w), (0,) * w)
         want = reference_build(inst.witness)
         want = GroupLayeredGraph(w, (ident,) * pad + want.matchings)
-        return pad_to_k(inst, inst.k + pad).graph, want
+        return instance_graph(pad_to_k(inst, inst.k + pad)), want
     w = draw(st.integers(1, 9))
     perm = st.permutations(list(range(1, w + 1)))
     bits = st.lists(st.integers(0, 1), min_size=w, max_size=w)

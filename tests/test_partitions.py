@@ -51,6 +51,7 @@ from ngc_lab.stats import binomial_check, chi_square_uniform
 
 from oracles import (
     canon,
+    instance_graph,
     reference_active_blocks,
     reference_assign_batches,
     reference_assign_by_functions,
@@ -94,7 +95,7 @@ def test_all_alpha_functions_give_alice_every_block_edge():
     inst = sample_ngc(28, 7, SEED.child("aa"))
     F = constant_partition_functions(inst.width, inst.t, ALICE)
     assignment = assign_by_functions(inst, F, SEED.child("aa-leftover"))
-    core = set(map(canon, to_edges(inst.graph)))
+    core = set(map(canon, to_edges(instance_graph(inst))))
     for e in core:
         assert assignment.owner_of(e) == ALICE
 
@@ -139,7 +140,7 @@ def test_function_route_matches_direct_reads():
 def test_random_functions_look_iid_uniform():
     # Obs-4.1-style: per-edge marginal plus the 64-cell joint of one index
     inst = sample_ngc(28, 7, SEED.child("obs"))
-    probe = canon(to_edges(inst.graph)[5])
+    probe = canon(to_edges(instance_graph(inst))[5])
     trials = 20_000
     alice = 0
     cells = Counter()
@@ -283,6 +284,7 @@ def brute_segment_reports(inst, assignment, l):
     w, s, t = inst.width, inst.s, inst.t
     window = l // s
     owners = assignment.batch_owners
+    graph = instance_graph(inst)
     out = []
     for i in range(1, s + 1):
         lo, hi = window * (i - 1) + 1, window * i
@@ -290,7 +292,7 @@ def brute_segment_reports(inst, assignment, l):
         for a in range(1, t + 1):
             q_in = (2 * t + 1) * (i - 1) + 2 * a - 1
             q_out = q_in + 1
-            pi_inv = invert_perm(inst.graph.matchings[q_in - 1].pi)
+            pi_inv = invert_perm(graph.matchings[q_in - 1].pi)
             for j in range(1, w + 1):
                 b_out = owners[(q_out - 1) * w + (j - 1)]
                 b_in = owners[(q_in - 1) * w + (pi_inv[j - 1] - 1)]
@@ -347,10 +349,10 @@ def test_group_activation_probability():
     window = l // s
     trials = 20_000
     hits = 0
+    pi_inv = invert_perm(instance_graph(inst).matchings[0].pi)
     for i in range(trials):
         assignment = assign_batches(inst, l, SEED.child("gapA", i))
         owners = assignment.batch_owners
-        pi_inv = invert_perm(inst.graph.matchings[0].pi)
         b_out = owners[(2 - 1) * w + 0]
         b_in = owners[(1 - 1) * w + (pi_inv[0] - 1)]
         hits += 1 <= b_out < b_in <= window
@@ -553,9 +555,9 @@ def test_batched_stochastic_clean_matches_each_assignment(inst, trials, rnd):
         for player, sample in enumerate(a.samples):
             if sample:
                 columns[i, player, : len(sample)] = core_columns(inst, np.array(sample))
-    counts = seen_counts(columns, len(inst.graph._targets))
+    counts = seen_counts(columns, len(inst.core_targets))
     w_c = max(1, inst.width // 2)  # the stochastic cap at c = 0
-    clean, capped = clean_masks(stochastic_owners(counts), inst.graph._index_table, w_c)
+    clean, capped = clean_masks(stochastic_owners(counts), inst.index_table, w_c)
     for i, a in enumerate(plans):
         assert (counts[i] == sample_counts(inst, a)).all()
         want = reference_clean_indices_stochastic(inst, a)

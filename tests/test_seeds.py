@@ -15,6 +15,7 @@ from ngc_lab import seeds
 from ngc_lab.seeds import (
     Seed,
     key_streams,
+    randrange_array,
     randrange_many,
     randrange_rows,
     replay_bytes,
@@ -50,6 +51,28 @@ def test_randrange_many_empty_range_raises_like_randrange(n):
 def test_randrange_many_rejects_ranges_past_32_bits():
     with pytest.raises(ValueError):
         randrange_many(random.Random(1), 2**32, 3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 2**31 + 1, 2**32 - 1])
+@settings(max_examples=20, deadline=None)
+@given(extra=st.integers(0, 200), seed=st.integers(0, 2**64))
+def test_randrange_array_matches_randrange_loop(n, extra, seed):
+    for count in (0, 1, 31, 32, 33, extra):
+        loop, bulk = random.Random(seed), random.Random(seed)
+        values = randrange_array(bulk, n, count)
+        assert values.dtype == np.int64 and values.shape == (count,)
+        assert values.tolist() == randrange_loop(loop, n, count)
+        assert bulk.getstate() == loop.getstate()
+
+
+@pytest.mark.parametrize("n", [0, -3, 2**32])
+def test_randrange_array_rejects_what_randrange_many_rejects(n):
+    with pytest.raises(ValueError) as many_error:
+        randrange_many(random.Random(1), n, 40)
+    with pytest.raises(ValueError) as array_error:
+        randrange_array(random.Random(1), n, 40)
+    assert str(array_error.value) == str(many_error.value)
+    assert randrange_array(random.Random(1), n, 0).shape == (0,)
 
 
 # --- sample_range: Random.sample's pool branch, spelled out -----------------------
