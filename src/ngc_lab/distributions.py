@@ -613,7 +613,8 @@ def component_pass(
     ends = as_edge_array(edges)
     flat = ends.ravel()
     if flat.size and (flat.min() < 0 or flat.max() >= n_vertices):
-        raise ValueError(f"edge endpoint outside the vertex range [0, {n_vertices})")
+        bad = flat[(flat < 0) | (flat >= n_vertices)][0]
+        raise ValueError(f"edge endpoint {bad} outside the vertex range [0, {n_vertices})")
     u, v = ends[:, 0], ends[:, 1]
     adjacency = coo_matrix((np.ones(u.size), (u, v)), shape=(n_vertices, n_vertices))
     components, label = connected_components(adjacency, directed=False)

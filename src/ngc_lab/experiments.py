@@ -694,9 +694,8 @@ def estimator_suite(
     root = as_seed(seed)
     suite = "estimator"
     params = _params(n=vertices, epsilon=epsilon, r=r)
-    edges = []
-    for i in range(0, vertices, 3):
-        edges += [(i, i + 1), (i + 1, i + 2), (i, i + 2)]
+    corners = np.arange(0, vertices, 3)[:, None, None]
+    edges = (corners + np.array([[0, 1], [1, 2], [0, 2]])).reshape(-1, 2)
     truth = vertices // 3
     ok = 0
     for i in range(trials):

@@ -23,6 +23,7 @@ are built from.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -38,6 +39,7 @@ from .distributions import (
     as_edge_array,
     canon_keys,
     census_of_edges,
+    component_pass,
     distinct_edges,
     distinct_keys,
     keys_to_edges,
@@ -330,15 +332,27 @@ def cc_estimate(
     cap: int | None = None,
     seed: Seed | int | None = None,
 ) -> CcEstimateResult:
-    """Estimate component count as (n/r) * sum over clean seeds of 1/|S|.
+    """Estimate component count as (n/r) * sum over clean seeds of 1/|C|.
 
-    Each of r seed vertices (sampled with replacement) grows a set greedily:
-    an arriving edge with exactly one endpoint inside is absorbed while the
-    set is below cap.  A second pass over the same replayable stream marks a
-    seed dirty if any edge still crosses its boundary — that catches both
-    cap overflow and growth missed due to arrival order.  Clean seeds hold
-    exactly their component.  State is accounted as r*cap vertex ids.  The
-    seeds are r ``randrange(n)`` values drawn in bulk, which needs n < 2**32.
+    The truncated-exploration estimator (Chazelle, Rubinfeld and Trevisan,
+    2005).  Each of r seed vertices (sampled with replacement) grows a set
+    greedily over the stream: an arriving edge with exactly one endpoint
+    inside is absorbed while the set is below cap, and the seed is dirty if,
+    after the stream, any edge still crosses the set's boundary.  So a seed
+    is clean exactly when its component C has at most cap vertices and the
+    time-respecting reach from the seed covers C.  The reach is what greedy
+    absorption reaches along edges taken in stream order; the cap never
+    binds on it while |C| <= cap.  A clean seed's set is C, and a seed in a
+    larger component is dirty.
+
+    That criterion is computed from one ``component_pass`` and, once per
+    distinct seed vertex in a component of at most cap vertices, an
+    earliest-arrival relaxation over that component's edges in stream order:
+    at most cap - 1 rounds over at most cap * E (source, edge) pairs.  The
+    1/|C| terms are added left to right in seed order.  State is accounted as
+    r*cap vertex ids.  The seeds are r ``randrange(n)`` values drawn in bulk,
+    which needs n < 2**32.  A cap that is not an int >= 1, and stream ids
+    outside [0, n), raise ValueError.
     """
     if not 0 < epsilon < 1:
         raise ValueError("need 0 < epsilon < 1")
@@ -346,40 +360,24 @@ def cc_estimate(
         raise ValueError(f"need r >= 1, got r={r}")
     if cap is None:
         cap = math.ceil(2 / epsilon)
+    elif isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
+        raise ValueError(f"need an int cap >= 1, got cap={cap!r}")
+    cap = int(cap)
     rng = as_seed(seed).rng()
     n = stream.n
-    seeds = randrange_many(rng, n, r)
-    members: list[set[int]] = [{v} for v in seeds]
-    by_vertex: dict[int, list[int]] = {}
-    for i, v in enumerate(seeds):
-        by_vertex.setdefault(v, []).append(i)
-    pairs = event_edges(stream.events).tolist()
-
-    for u, v in pairs:
-        touching = set(by_vertex.get(u, ())) | set(by_vertex.get(v, ()))
-        for i in touching:
-            s = members[i]
-            has_u, has_v = u in s, v in s
-            if has_u == has_v:  # internal edge or stale map entry
-                continue
-            if len(s) >= cap:
-                continue  # leave for the boundary pass to flag
-            newcomer = v if has_u else u
-            s.add(newcomer)
-            by_vertex.setdefault(newcomer, []).append(i)
-
-    dirty = [False] * r
-    for u, v in pairs:
-        for i in set(by_vertex.get(u, ())) | set(by_vertex.get(v, ())):
-            if (u in members[i]) != (v in members[i]):
-                dirty[i] = True
-
-    clean_total = 0.0
-    clean_count = 0
-    for i in range(r):
-        if not dirty[i] and len(members[i]) <= cap:
-            clean_total += 1.0 / len(members[i])
-            clean_count += 1
+    seeds = np.array(randrange_many(rng, n, r), dtype=np.int64)
+    ends = event_edges(stream.events)
+    label, size, *_ = component_pass(n, ends)
+    seed_size = size[label[seeds]]
+    small = seed_size <= cap
+    sources, source_of = np.unique(seeds[small], return_inverse=True)
+    clean = small.copy()
+    clean[small] = _reach_covers_component(ends, label, size, sources)[source_of]
+    # cumsum adds left to right, as the per-seed ``+=`` does; sum() and
+    # np.sum() would round differently (compensated from Python 3.12; pairwise)
+    terms = 1.0 / seed_size[clean]
+    clean_total = float(np.cumsum(terms)[-1]) if terms.size else 0.0
+    clean_count = int(terms.size)
     estimate = (n / r) * clean_total
     return CcEstimateResult(
         estimate=estimate,
@@ -389,6 +387,58 @@ def cc_estimate(
         dirty_seeds=r - clean_count,
         state_bits=r * cap * max(1, (n - 1).bit_length()),
     )
+
+
+def _reach_covers_component(
+    ends: np.ndarray, label: np.ndarray, size: np.ndarray, sources: np.ndarray
+) -> np.ndarray:
+    """Whether the time-respecting reach from each source covers its component.
+
+    A source arrives at position -1; another vertex arrives at the first
+    stream position p whose edge joins it to a vertex that arrived before p,
+    which is where greedy absorption takes it in.  Relaxing every (source,
+    edge) pair of the source's component at once finds the arrivals of one
+    more hop of a time-respecting path each round.  Such a path never
+    revisits a vertex, so |C| - 1 rounds reach the fixpoint.
+    """
+    if not sources.size:
+        return np.zeros(0, dtype=bool)
+    comp = label[sources]
+    # each vertex's rank inside its component, 0..|C| - 1
+    comp_start = np.cumsum(size) - size
+    by_comp = np.argsort(label)
+    rank = np.empty_like(label)
+    rank[by_comp] = np.arange(len(label)) - comp_start[label[by_comp]]
+    # the edges other than self-loops, grouped by component
+    u, v = ends[:, 0], ends[:, 1]
+    pos = np.flatnonzero(u != v)
+    pos = pos[np.argsort(label[u[pos]])]
+    edge_count = np.bincount(label[u[pos]], minlength=len(size))
+    edge_start = np.cumsum(edge_count) - edge_count
+    # (source, edge) pairs, as flat slots source * width + rank
+    count = edge_count[comp]
+    first = np.cumsum(count) - count
+    pair_source = np.repeat(np.arange(sources.size), count)
+    pair_pos = pos[np.repeat(edge_start[comp] - first, count) + np.arange(count.sum())]
+    width = int(size[comp].max())
+    pu = pair_source * width + rank[u[pair_pos]]
+    pv = pair_source * width + rank[v[pair_pos]]
+    never = len(ends)
+    arrival = np.full(sources.size * width, never, dtype=np.int64)
+    arrival[np.arange(sources.size) * width + rank[sources]] = -1
+    for _ in range(width - 1):
+        from_u = arrival[pu] < pair_pos
+        from_v = arrival[pv] < pair_pos
+        relaxed = arrival.copy()
+        np.minimum.at(
+            relaxed,
+            np.concatenate([pv[from_u], pu[from_v]]),
+            np.concatenate([pair_pos[from_u], pair_pos[from_v]]),
+        )
+        if np.array_equal(relaxed, arrival):
+            break
+        arrival = relaxed
+    return (arrival.reshape(-1, width) < never).sum(axis=1) == size[comp]
 
 
 # --- exact oracles on degree-<=2 graphs ------------------------------------------

@@ -12,7 +12,8 @@ routes the shared code replaced (a validated concat chain per gadget, one
 set per embedded gadget, one owner lookup per edge, one
 assignment and clean report per suite trial, the uint8 and int8 simulators
 that byte replay replaced, one record loop step per line, event tuples
-shuffled in place, set-valued census states relayed batch by batch),
+shuffled in place, set-valued census states relayed batch by batch, the
+component estimator's two per-edge passes over set-valued seed states),
 so the new routes can be checked draw for draw and byte for byte against
 them.
 """
@@ -62,8 +63,8 @@ from ngc_lab.partitions import (
     sample_counts,
 )
 from ngc_lab.protocols import EmbeddingRecord
-from ngc_lab.seeds import as_seed
-from ngc_lab.streaming import theta_from_components
+from ngc_lab.seeds import as_seed, randrange_many
+from ngc_lab.streaming import CcEstimateResult, event_edges, theta_from_components
 
 
 def canon(edge: tuple[int, int]) -> tuple[int, int]:
@@ -948,3 +949,63 @@ def reference_relay(instance, assignment, l: int, seed):
             hop_bits.append(8 * (4 + 8 * len(state)))  # u32 count, then u32 pairs
     paths, cycles = component_census(instance.n, sorted(state))
     return theta_from_components(instance.n, instance.k, len(paths) + len(cycles)), tuple(hop_bits)
+
+
+# --- component estimator: two passes with a set per seed --------------------------
+
+
+def reference_cc_estimate(stream, epsilon: float, r: int, cap=None, seed=None) -> CcEstimateResult:
+    """``cc_estimate`` as a greedy absorption pass, then a boundary pass, per edge.
+
+    Each seed's set absorbs an arriving edge with exactly one endpoint inside
+    while below cap; a seed is dirty if any edge still crosses its boundary.
+    """
+    if not 0 < epsilon < 1:
+        raise ValueError("need 0 < epsilon < 1")
+    if r < 1:
+        raise ValueError(f"need r >= 1, got r={r}")
+    if cap is None:
+        cap = math.ceil(2 / epsilon)
+    rng = as_seed(seed).rng()
+    n = stream.n
+    seeds = randrange_many(rng, n, r)
+    members: list[set[int]] = [{v} for v in seeds]
+    by_vertex: dict[int, list[int]] = {}
+    for i, v in enumerate(seeds):
+        by_vertex.setdefault(v, []).append(i)
+    pairs = event_edges(stream.events).tolist()
+
+    for u, v in pairs:
+        touching = set(by_vertex.get(u, ())) | set(by_vertex.get(v, ()))
+        for i in touching:
+            s = members[i]
+            has_u, has_v = u in s, v in s
+            if has_u == has_v:  # internal edge or stale map entry
+                continue
+            if len(s) >= cap:
+                continue  # leave for the boundary pass to flag
+            newcomer = v if has_u else u
+            s.add(newcomer)
+            by_vertex.setdefault(newcomer, []).append(i)
+
+    dirty = [False] * r
+    for u, v in pairs:
+        for i in set(by_vertex.get(u, ())) | set(by_vertex.get(v, ())):
+            if (u in members[i]) != (v in members[i]):
+                dirty[i] = True
+
+    clean_total = 0.0
+    clean_count = 0
+    for i in range(r):
+        if not dirty[i] and len(members[i]) <= cap:
+            clean_total += 1.0 / len(members[i])
+            clean_count += 1
+    estimate = (n / r) * clean_total
+    return CcEstimateResult(
+        estimate=estimate,
+        r=r,
+        cap=cap,
+        clean_seeds=clean_count,
+        dirty_seeds=r - clean_count,
+        state_bits=r * cap * max(1, (n - 1).bit_length()),
+    )

@@ -26,6 +26,7 @@ from ngc_lab.stats import binomial_check, chi_square_expected, chi_square_unifor
 from ngc_lab.streaming import (
     CensusThetaDecision,
     EventView,
+    Stream,
     UnionFindCensusAlgorithm,
     WalkSample,
     batch_order,
@@ -49,6 +50,7 @@ from oracles import (
     canon,
     component_census,
     randrange_loop,
+    reference_cc_estimate,
     reference_instance_parts,
     reference_stream_events,
     scipy_mst_weight,
@@ -444,6 +446,89 @@ def test_cc_estimate_bounds_and_validation():
     for bad in (0, -3):
         with pytest.raises(ValueError, match=f"need r >= 1, got r={bad}"):
             cc_estimate(stream, epsilon=0.5, r=bad, seed=0)
+
+
+@st.composite
+def cc_inputs(draw):
+    """A stream over connected pieces, with self-loops, parallel edges and isolated vertices.
+
+    With even odds it holds components of exactly cap and cap + 1 vertices.
+    """
+    epsilon = draw(st.floats(0.02, 0.9))
+    cap = draw(st.none() | st.integers(1, 8))
+    limit = math.ceil(2 / epsilon) if cap is None else cap
+    sizes = draw(st.lists(st.integers(1, 6), max_size=6))
+    if draw(st.booleans()):
+        sizes += [limit, limit + 1]
+    n = max(1, sum(sizes) + draw(st.integers(0, 3)))
+    rnd = draw(st.randoms(use_true_random=False))
+    label = list(range(n))
+    rnd.shuffle(label)
+    edges, start = [], 0
+    for size in sizes:
+        # a random spanning tree, then chords, self-loops and parallel edges
+        pieces = [(start + i, start + rnd.randrange(i)) for i in range(1, size)]
+        pieces += [(start + rnd.randrange(size), start + rnd.randrange(size))
+                   for _ in range(rnd.randrange(size + 1))]
+        pieces += rnd.sample(pieces, rnd.randrange(len(pieces) + 1))
+        edges += [(label[a], label[b]) if rnd.random() < 0.5 else (label[b], label[a])
+                  for a, b in pieces]
+        start += size
+    rnd.shuffle(edges)
+    mode = draw(st.sampled_from(["given", "uniform_random", "batched_random", "stochastic"]))
+    if mode == "batched_random" and len(edges) % 2:
+        edges.append(edges[0])
+    weights = np.array([rnd.randrange(100) for _ in edges]) if draw(st.booleans()) else None
+    stream = stream_from_edges(n, edges, mode, seed=draw(st.integers(0, 2**32)),
+                               c=draw(st.floats(0, 3)), weights=weights)
+    if draw(st.booleans()):
+        stream = Stream(n=n, events=tuple(stream.events), order_mode=mode)
+    return stream, epsilon, draw(st.integers(1, 400)), cap, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cc_inputs())
+def test_cc_estimate_matches_the_two_pass_loop(case):
+    stream, epsilon, r, cap, seed = case
+    got = cc_estimate(stream, epsilon, r, cap=cap, seed=seed)
+    want = reference_cc_estimate(stream, epsilon, r, cap=cap, seed=seed)
+    assert got == want  # every field, the estimate by float ==
+
+
+def test_cc_estimate_adds_its_terms_left_to_right():
+    # cliques of 1 to 7 vertices: every seed is clean at cap 8, with term
+    # 1/|C|; at this seed the rounding of the sum depends on its order
+    sizes = [1, 2, 3, 5, 6, 7]
+    starts = np.cumsum([0] + sizes)
+    n = int(starts[-1])
+    edges = [(int(a) + i, int(a) + j) for a, size in zip(starts, sizes)
+             for i in range(size) for j in range(i + 1, size)]
+    component = np.repeat(sizes, sizes)
+    r, seed = 60, Seed(1, ("cc", "seeds"))
+    terms = [1.0 / int(component[v]) for v in randrange_loop(seed.rng(), n, r)]
+    left_to_right = 0.0
+    for term in terms:
+        left_to_right += term
+    assert left_to_right != math.fsum(terms)
+    assert left_to_right != float(np.sum(terms))
+    stream = stream_from_edges(n, edges, "uniform_random", seed=2)
+    result = cc_estimate(stream, epsilon=0.25, r=r, seed=seed)
+    assert result.clean_seeds == r
+    assert result.estimate == reference_cc_estimate(stream, 0.25, r, seed=seed).estimate
+    assert result.estimate == (n / r) * left_to_right
+    assert result.estimate != (n / r) * math.fsum(terms)
+
+
+def test_cc_estimate_rejects_a_bad_cap_and_ids_outside_the_vertex_range():
+    stream = stream_from_edges(6, [(0, 1), (1, 2)], "given", seed=0)
+    for bad in (0, -2, 2.5, True, "3"):
+        with pytest.raises(ValueError, match=f"need an int cap >= 1, got cap={bad!r}"):
+            cc_estimate(stream, epsilon=0.5, r=4, cap=bad, seed=0)
+    assert cc_estimate(stream, epsilon=0.5, r=4, cap=np.int64(3), seed=0).cap == 3
+    for edges, bad in (([(0, 6)], 6), ([(1, 2), (-1, 3)], -1)):
+        stream = stream_from_edges(6, edges, "given", seed=0)
+        with pytest.raises(ValueError, match=rf"edge endpoint {bad} outside the vertex range \[0, 6\)"):
+            cc_estimate(stream, epsilon=0.5, r=4, seed=0)
 
 
 def test_cc_estimate_state_accounting():
