@@ -3,9 +3,13 @@
 Each suite draws everything from one master seed, computes its statistics, and
 returns ``Row`` records in the fixed column order used by the command-line
 front end (suite, params, metric, value, ci_low, ci_high, trials, seed).
-Pass/fail policy lives here: the tolerances (3-sigma binomial bands,
-chi-square p > 1e-3 floors, success-rate floors) are applied once, so the CLI
-and the test suite agree on what counts as a statistical failure.
+Pass/fail policy lives here, in ``_Verdicts``: a suite hands each statistic
+to one kind of check, which writes its row and, when the row fails, its
+failure message, so the CLI and the test suite agree on what counts as a
+failure.  The kinds are ``exact`` (every trial passes), ``near`` (within 3
+sigma of an exact probability), ``floor`` (at least a probability floor less a
+one-sided 3-sigma allowance), ``least`` (a plain success-rate floor, 2/3 or
+0.6) and ``uniform`` (a chi-square p-value above ``P_FLOOR``).
 
 Two suites carry a vectorized fast path whose equivalence to the object-level
 route is not obvious from the code alone:
@@ -28,10 +32,9 @@ route is not obvious from the code alone:
   step is the top bit of one generator byte (exactly
   ``integers(0, 2, dtype=np.int8)``); a walk's steps pack into byte codes,
   and a 256-entry table of each code's net, lowest and highest position folds
-  them into the walk's range.  The object-level route (``method="objects"``)
-  runs the same statistic with real walks and real certificates; the test
-  suite cross-checks the two routes, and checks both replays draw for draw
-  against the uint8 and int8 simulators they replaced.
+  them into the walk's range.  The test suite cross-checks the simulation
+  against real walks and real certificates, and checks both replays draw for
+  draw against the uint8 and int8 simulators they replaced.
 
 The object trials of ``partition_stats_suite`` and ``stochastic_stats_suite``
 are not simulated: each trial draws from its own ``random.Random`` stream on
@@ -59,7 +62,6 @@ from .distributions import (
     NgcInstance,
     census_law,
     census_of_edges,
-    component_pass,
     mst_augment,
     pad_to_k,
     sample_ngc,
@@ -94,17 +96,14 @@ from .stats import binomial_check, chi_square_uniform, clopper_pearson
 from .streaming import (
     CensusThetaDecision,
     UnionFindCensusAlgorithm,
-    build_adjacency,
     cc_estimate,
     census_matching_size,
     census_mis_size,
-    detect_cycle_length_from_walks,
     exact_census,
     make_stream,
     matching_size_exact,
     mis_size_exact,
     mst_weight_exact,
-    random_walk,
     stream_from_edges,
     theta_from_components,
 )
@@ -157,8 +156,61 @@ def _params(**kv) -> str:
     return ";".join(f"{k}={v}" for k, v in kv.items() if v is not None)
 
 
-def _finish(rows: list[Row], failures: list[str]) -> SuiteResult:
-    return SuiteResult(tuple(rows), not failures, tuple(failures))
+class _Verdicts:
+    """One suite's rows and failures, each row judged by one kind of check.
+
+    Every row carries the suite's name, ``params`` (reassigned before rows
+    that report other parameters) and the master seed.  A check adds its row,
+    then its ``failure`` message if the row fails; a rate's row carries its
+    Clopper-Pearson interval, except under ``exact``.
+    """
+
+    def __init__(self, suite: str, params: str, root: Seed) -> None:
+        self.suite, self.params, self.seed = suite, params, root.master
+        self.rows: list[Row] = []
+        self.failures: list[str] = []
+
+    def row(self, metric: str, value, trials: int, ci=(None, None)) -> None:
+        self.rows.append(Row(self.suite, self.params, metric, value, *ci, trials, self.seed))
+
+    def fail(self, failure: str) -> None:
+        self.failures.append(failure)
+
+    def exact(self, metric: str, ok: int, trials: int, failure: str) -> None:
+        """Every trial must pass; ``{misses}`` in ``failure`` counts those that did not."""
+        self.row(metric, ok / trials, trials)
+        if ok != trials:
+            self.fail(failure.format(misses=trials - ok))
+
+    def near(self, metric: str, count: int, trials: int, p: float, failure: str) -> None:
+        """The rate must lie within 3 sigma of the exact probability ``p``."""
+        self.row(metric, count / trials, trials, clopper_pearson(count, trials))
+        if not binomial_check(count, trials, p).within(3):
+            self.fail(failure)
+
+    def floor(self, metric: str, count: int, trials: int, floor: float, failure: str) -> None:
+        """The rate must reach ``floor`` less a one-sided 3-sigma allowance."""
+        self.row(metric, count / trials, trials, clopper_pearson(count, trials))
+        if not binomial_check(count, trials, floor).at_least(floor):
+            self.fail(failure)
+
+    def least(
+        self, metric: str, ok: int, trials: int, floor: float, failure: str, interval: bool = True
+    ) -> None:
+        """The success rate must be at least ``floor``, with no allowance."""
+        ci = clopper_pearson(ok, trials) if interval else (None, None)
+        self.row(metric, ok / trials, trials, ci)
+        if ok / trials < floor:
+            self.fail(failure)
+
+    def uniform(self, metric: str, p: float, trials: int, failure: str) -> None:
+        """The chi-square p-value must exceed ``P_FLOOR``; a nan one (too few counts) passes."""
+        self.row(metric, p, trials)
+        if p <= P_FLOOR:
+            self.fail(failure)
+
+    def result(self) -> SuiteResult:
+        return SuiteResult(tuple(self.rows), not self.failures, tuple(self.failures))
 
 
 def _check_trials(**budgets: int) -> None:
@@ -204,13 +256,9 @@ def census_suite(
         law = expected_census(inst)
         assert law is not None
         ok += validate_instance(inst) == law
-    suite = "census"
-    params = _params(n=n, k=k, pad=pad)
-    rows = [
-        Row(suite, params, "census_exact", ok / trials, None, None, trials, root.master)
-    ]
-    failures = [] if ok == trials else [f"census law violated in {trials - ok} draws"]
-    return _finish(rows, failures)
+    verdicts = _Verdicts("census", _params(n=n, k=k, pad=pad), root)
+    verdicts.exact("census_exact", ok, trials, "census law violated in {misses} draws")
+    return verdicts.result()
 
 
 # --- partition statistics ---------------------------------------------------------
@@ -338,46 +386,27 @@ def partition_stats_suite(
     if sigma1_trials is not None:
         _check_trials(sigma1_trials=sigma1_trials)
     root = as_seed(seed)
-    suite = "partition-stats"
-    params = _params(w=w)
-    rows: list[Row] = []
-    failures: list[str] = []
+    verdicts = _Verdicts("partition-stats", _params(w=w), root)
 
     pattern_counts, clean_hits, active_capped, active_uncapped = _partition_counts(w, trials, root)
 
     obs_p = chi_square_uniform(pattern_counts)
-    rows.append(Row(suite, params, "ownership_pvalue", obs_p, None, None, trials, root.master))
-    if obs_p <= P_FLOOR:
-        failures.append(f"ownership pattern chi-square p={obs_p:.2e}")
-
-    lo, hi = clopper_pearson(clean_hits, trials)
-    rows.append(Row(suite, params, "clean_prob", clean_hits / trials, lo, hi, trials, root.master))
-    if not binomial_check(clean_hits, trials, CLEAN_P).within(3):
-        failures.append("Pr[index clean] outside 3 sigma of 1/64")
-
-    cap_p = float(capped_activity_probability(w))
-    lo, hi = clopper_pearson(active_capped, trials)
-    rows.append(
-        Row(suite, params, "active_prob", active_capped / trials, lo, hi, trials, root.master)
+    verdicts.uniform("ownership_pvalue", obs_p, trials, f"ownership pattern chi-square p={obs_p:.2e}")
+    verdicts.near("clean_prob", clean_hits, trials, CLEAN_P, "Pr[index clean] outside 3 sigma of 1/64")
+    verdicts.near(
+        "active_prob",
+        active_capped,
+        trials,
+        float(capped_activity_probability(w)),
+        "Pr[block active] outside 3 sigma of its cap-aware value",
     )
-    if not binomial_check(active_capped, trials, cap_p).within(3):
-        failures.append("Pr[block active] outside 3 sigma of its cap-aware value")
-
-    lo, hi = clopper_pearson(active_uncapped, trials)
-    rows.append(
-        Row(
-            suite,
-            params,
-            "active_prob_uncapped",
-            active_uncapped / trials,
-            lo,
-            hi,
-            trials,
-            root.master,
-        )
+    verdicts.near(
+        "active_prob_uncapped",
+        active_uncapped,
+        trials,
+        CLEAN_P,
+        "uncapped Pr[block active] outside 3 sigma of 1/64",
     )
-    if not binomial_check(active_uncapped, trials, CLEAN_P).within(3):
-        failures.append("uncapped Pr[block active] outside 3 sigma of 1/64")
 
     w_c = max(1, w // 100)
     if w_c >= 2:
@@ -386,34 +415,20 @@ def partition_stats_suite(
         conditioned = int(sum(counts))
         # the chi-square needs a sane expected count per capped slot
         p = chi_square_uniform(counts) if conditioned >= 10 * w_c else float("nan")
-        rows.append(
-            Row(suite, params, "sigma1_uniform_pvalue", p, None, None, conditioned, root.master)
+        verdicts.uniform(
+            "sigma1_uniform_pvalue", p, conditioned, f"conditional sigma(1) chi-square p={p:.2e}"
         )
-        if p <= P_FLOOR:
-            failures.append(f"conditional sigma(1) chi-square p={p:.2e}")
 
     if tail_blocks is not None:
         if tail_blocks < 1 or tail_trials < 1:
             raise ValueError("the tail row needs tail_blocks >= 1 and tail_trials >= 1")
         hits = _active_count_tail(w, tail_blocks, tail_trials, root.child("tail"))
-        floor = 1 - 1 / w**2
-        lo, hi = clopper_pearson(hits, tail_trials)
-        rows.append(
-            Row(
-                suite,
-                _params(w=w, blocks=tail_blocks),
-                "tail_prob",
-                hits / tail_trials,
-                lo,
-                hi,
-                tail_trials,
-                root.master,
-            )
+        verdicts.params = _params(w=w, blocks=tail_blocks)
+        verdicts.floor(
+            "tail_prob", hits, tail_trials, 1 - 1 / w**2, "active-count tail frequency below 1 - 1/w^2"
         )
-        if not binomial_check(hits, tail_trials, floor).at_least(floor):
-            failures.append("active-count tail frequency below 1 - 1/w^2")
 
-    return _finish(rows, failures)
+    return verdicts.result()
 
 
 def _sigma1_rank_counts(w: int, w_c: int, trials: int, seed: Seed) -> list[int]:
@@ -484,10 +499,7 @@ def reduce_check_suite(
         raise ValueError(f"the marginal TVD row needs t <= 4, got t={t}")
     root = as_seed(seed)
     rng = root.child("claim").rng()
-    suite = "reduce-check"
-    params = _params(m=m, t=t, s=s)
-    rows: list[Row] = []
-    failures: list[str] = []
+    verdicts = _Verdicts("reduce-check", _params(m=m, t=t, s=s), root)
 
     ok = 0
     for _ in range(trials):
@@ -501,21 +513,17 @@ def reduce_check_suite(
                 narrow, h_star, m, s, t, rng.getrandbits(63), build_graph=False
             )
         ok += record.witness.parity(h_star) == narrow.parity(1)
-    rows.append(
-        Row(suite, params, "claim_holds", f"{ok}/{trials}", None, None, trials, root.master)
-    )
+    verdicts.row("claim_holds", f"{ok}/{trials}", trials)
     if ok != trials:
-        failures.append(f"forwarding claim failed in {trials - ok} runs")
+        verdicts.fail(f"forwarding claim failed in {trials - ok} runs")
 
     if tvd_samples > 0:
         dist = _embedding_marginal_tvd(t, tvd_samples, root.child("tvd"))
-        rows.append(
-            Row(suite, params, "marginal_tvd", dist, None, None, tvd_samples, root.master)
-        )
+        verdicts.row("marginal_tvd", dist, tvd_samples)
         if dist >= 0.02:
-            failures.append(f"embedding output TVD {dist:.4f} >= 0.02")
+            verdicts.fail(f"embedding output TVD {dist:.4f} >= 0.02")
 
-    return _finish(rows, failures)
+    return verdicts.result()
 
 
 def _embedding_marginal_tvd(t: int, samples: int, seed: Seed) -> float:
@@ -551,8 +559,6 @@ def stream_run_suite(
     """Exact census recovery and the count-based theta decision over streams."""
     _check_trials(trials=trials)
     root = as_seed(seed)
-    suite = "stream-run"
-    params = _params(n=n, k=k, mode=mode)
     census_ok = 0
     decision_ok = 0
     for i in range(trials):
@@ -566,18 +572,15 @@ def stream_run_suite(
         decision = CensusThetaDecision(n, k)
         state = decision.run(decision.init(), stream.events)
         decision_ok += decision.finalize(state) == inst.theta
-    rows = [
-        Row(suite, params, "census_exact", census_ok / trials, None, None, trials, root.master),
-        Row(
-            suite, params, "decision_correct", decision_ok / trials, None, None, trials, root.master
-        ),
-    ]
-    failures = []
-    if census_ok != trials:
-        failures.append(f"streamed census wrong in {trials - census_ok} runs")
-    if decision_ok != trials:
-        failures.append(f"count decision wrong in {trials - decision_ok} runs")
-    return _finish(rows, failures)
+    verdicts = _Verdicts("stream-run", _params(n=n, k=k, mode=mode), root)
+    verdicts.exact("census_exact", census_ok, trials, "streamed census wrong in {misses} runs")
+    verdicts.exact("decision_correct", decision_ok, trials, "count decision wrong in {misses} runs")
+    return verdicts.result()
+
+
+# the most edges whose arrival order adapter_suite tallies: it holds a count
+# for each of their order_edges! interleavings (40,320 at 8)
+MAX_ORDER_EDGES = 8
 
 
 def adapter_suite(
@@ -596,10 +599,10 @@ def adapter_suite(
     set is uniform over all |E|! interleavings (chi-square).
     """
     _check_trials(trials=trials, order_trials=order_trials)
+    if not 2 <= order_edges <= MAX_ORDER_EDGES:
+        raise ValueError(f"need 2 <= order_edges <= {MAX_ORDER_EDGES}, got order_edges={order_edges}")
     root = as_seed(seed)
-    suite = "adapter"
-    params = _params(n=n, k=k, edges=order_edges)
-    failures: list[str] = []
+    verdicts = _Verdicts("adapter", _params(n=n, k=k, edges=order_edges), root)
 
     match = 0
     for i in range(trials):
@@ -609,11 +612,7 @@ def adapter_suite(
         adapter = streaming_as_protocol(UnionFindCensusAlgorithm(n))
         streamed = _run_adapter(adapter, inst.edge_array, assignment, child.child("run"))
         match += streamed == census_of_edges(n, inst.edge_array)
-    rows = [
-        Row(suite, params, "adapter_match", match / trials, None, None, trials, root.master)
-    ]
-    if match != trials:
-        failures.append(f"adapter census differed in {trials - match} runs")
+    verdicts.exact("adapter_match", match, trials, "adapter census differed in {misses} runs")
 
     edges = [(2 * i, 2 * i + 1) for i in range(order_edges)]
     adapter = streaming_as_protocol(OrderProbe())
@@ -626,12 +625,8 @@ def adapter_suite(
         cell = perm_ids.setdefault(tuple(order), len(perm_ids))
         counts[cell] += 1
     p = chi_square_uniform(counts)
-    rows.append(
-        Row(suite, params, "order_uniform_pvalue", p, None, None, order_trials, root.master)
-    )
-    if p <= P_FLOOR:
-        failures.append(f"induced-order chi-square p={p:.2e}")
-    return _finish(rows, failures)
+    verdicts.uniform("order_uniform_pvalue", p, order_trials, f"induced-order chi-square p={p:.2e}")
+    return verdicts.result()
 
 
 def _run_adapter(adapter, edges, assignment, seed):
@@ -654,8 +649,6 @@ def l_player_suite(
     """Relay the census state through l players holding batched edge shares."""
     _check_trials(trials=trials)
     root = as_seed(seed)
-    suite = "l-player"
-    params = _params(n=n, k=k, s=s, t=t, l=l)
     ok = 0
     hop_ok = 0
     for i in range(trials):
@@ -666,16 +659,10 @@ def l_player_suite(
         result = protocol.run(inst, assignment, seed=child.child("run"))
         ok += result.output == inst.theta
         hop_ok += len(result.hop_bits) == l - 1
-    rows = [
-        Row(suite, params, "relay_correct", ok / trials, None, None, trials, root.master),
-        Row(suite, params, "relay_hops", hop_ok / trials, None, None, trials, root.master),
-    ]
-    failures = []
-    if ok != trials:
-        failures.append(f"relay decision wrong in {trials - ok} runs")
-    if hop_ok != trials:
-        failures.append("relay hop count != l-1")
-    return _finish(rows, failures)
+    verdicts = _Verdicts("l-player", _params(n=n, k=k, s=s, t=t, l=l), root)
+    verdicts.exact("relay_correct", ok, trials, "relay decision wrong in {misses} runs")
+    verdicts.exact("relay_hops", hop_ok, trials, "relay hop count != l-1")
+    return verdicts.result()
 
 
 def estimator_suite(
@@ -692,8 +679,6 @@ def estimator_suite(
     if vertices % 3:
         raise ValueError("vertices must be a multiple of 3")
     root = as_seed(seed)
-    suite = "estimator"
-    params = _params(n=vertices, epsilon=epsilon, r=r)
     corners = np.arange(0, vertices, 3)[:, None, None]
     edges = (corners + np.array([[0, 1], [1, 2], [0, 2]])).reshape(-1, 2)
     truth = vertices // 3
@@ -703,12 +688,9 @@ def estimator_suite(
         stream = stream_from_edges(vertices, edges, "uniform_random", seed=child.child("order"))
         result = cc_estimate(stream, epsilon, r, seed=child.child("seeds"))
         ok += abs(result.estimate - truth) <= epsilon * vertices
-    lo, hi = clopper_pearson(ok, trials)
-    rows = [Row(suite, params, "estimate_within", ok / trials, lo, hi, trials, root.master)]
-    failures = []
-    if ok / trials < 2 / 3:
-        failures.append(f"estimator success {ok}/{trials} below 2/3")
-    return _finish(rows, failures)
+    verdicts = _Verdicts("estimator", _params(n=vertices, epsilon=epsilon, r=r), root)
+    verdicts.least("estimate_within", ok, trials, 2 / 3, f"estimator success {ok}/{trials} below 2/3")
+    return verdicts.result()
 
 
 def estimator_budget_curve(
@@ -728,8 +710,7 @@ def estimator_budget_curve(
     """
     _check_trials(trials=trials)
     root = as_seed(seed)
-    suite = "estimator-curve"
-    rows: list[Row] = []
+    verdicts = _Verdicts("estimator-curve", "", root)
     for r in r_values:
         correct = 0
         for i in range(trials):
@@ -740,22 +721,11 @@ def estimator_budget_curve(
             guess = theta_from_components(n, k, est)
             correct += guess == inst.theta
         lo, hi = clopper_pearson(correct, trials)
-        rows.append(
-            Row(
-                suite,
-                _params(n=n, k=k, epsilon=epsilon, r=r),
-                "advantage",
-                2 * correct / trials - 1,
-                2 * lo - 1,
-                2 * hi - 1,
-                trials,
-                root.master,
-            )
-        )
-    rows.append(
-        Row(suite, _params(n=n, k=k), "exact_census_advantage", 1.0, None, None, trials, root.master)
-    )
-    return _finish(rows, [])
+        verdicts.params = _params(n=n, k=k, epsilon=epsilon, r=r)
+        verdicts.row("advantage", 2 * correct / trials - 1, trials, (2 * lo - 1, 2 * hi - 1))
+    verdicts.params = _params(n=n, k=k)
+    verdicts.row("exact_census_advantage", 1.0, trials)
+    return verdicts.result()
 
 
 def bob_only_suite(
@@ -764,8 +734,6 @@ def bob_only_suite(
     """Zero-communication detection: Bob alone looks for a surviving long cycle."""
     _check_trials(trials=trials)
     root = as_seed(seed)
-    suite = "bob-only"
-    params = _params(n=n, k=k)
     ok = 0
     for i in range(trials):
         child = root.child("bob", i)
@@ -773,12 +741,11 @@ def bob_only_suite(
         assignment = assign_uniform(inst.edge_array, 2, child.child("assign"))
         result = run_protocol(BobOnlyCycleDetector(n, k), inst, assignment, seed=child.child("run"))
         ok += result.output == inst.theta
-    lo, hi = clopper_pearson(ok, trials)
-    rows = [Row(suite, params, "success_rate", ok / trials, lo, hi, trials, root.master)]
-    failures = []
-    if ok / trials < 0.6:
-        failures.append(f"one-sided detector success {ok}/{trials} below 0.6")
-    return _finish(rows, failures)
+    verdicts = _Verdicts("bob-only", _params(n=n, k=k), root)
+    verdicts.least(
+        "success_rate", ok, trials, 0.6, f"one-sided detector success {ok}/{trials} below 0.6"
+    )
+    return verdicts.result()
 
 
 # --- stochastic model -------------------------------------------------------------
@@ -832,21 +799,17 @@ def stochastic_stats_suite(
     if not 0 < c < math.inf:
         raise ValueError(f"the bounds need a finite c > 0, got c={c}")
     root = as_seed(seed)
-    suite = "stochastic-stats"
-    params = _params(c=c, w=w)
+    verdicts = _Verdicts("stochastic-stats", _params(c=c, w=w), root)
     absent, a_only, clean = _stochastic_counts(c, trials, w, root)
-    rows: list[Row] = []
-    failures: list[str] = []
     for metric, count, floor in (
         ("absent_prob", absent, math.exp(-c)),
         ("alice_only_prob", a_only, math.exp(-1.5 * c)),
         ("clean_prob", clean, math.exp(-9 * c)),
     ):
-        lo, hi = clopper_pearson(count, trials)
-        rows.append(Row(suite, params, metric, count / trials, lo, hi, trials, root.master))
-        if not binomial_check(count, trials, floor).at_least(floor):
-            failures.append(f"{metric} {count / trials:.3e} below floor {floor:.3e}")
-    return _finish(rows, failures)
+        verdicts.floor(
+            metric, count, trials, floor, f"{metric} {count / trials:.3e} below floor {floor:.3e}"
+        )
+    return verdicts.result()
 
 
 # --- walk-based detection ---------------------------------------------------------
@@ -858,7 +821,6 @@ def walk_cover_suite(
     trials: int,
     seed: Seed | int | None = None,
     m: int = 8,
-    method: str = "fast",
 ) -> SuiteResult:
     """Classify theta from length-2k random walks and measure cycle coverage.
 
@@ -869,17 +831,14 @@ def walk_cover_suite(
     coverage frequency of cycle-started walks on theta=1 instances, checked
     against the 4^{-k} floor.
 
-    ``method="fast"`` simulates cycle-started walks as +/-1 increment
-    sequences (exactly the walk law on a cycle; see the module docstring);
-    ``method="objects"`` runs real walks on the edge lists — ruinously slower,
-    meant for cross-checking at small budgets.
+    Cycle-started walks are simulated as +/-1 increment sequences, exactly the
+    walk law on a cycle (see the module docstring).
     """
     _check_trials(trials=trials, walks=walks)
-    if method not in ("fast", "objects"):
-        raise ValueError(f"unknown method {method!r}")
     root = as_seed(seed)
-    suite = "walk-cover"
-    params = _params(k=k, walks=walks, m=m, method=method)
+    # the rows still name the simulated route, so that their bytes are those
+    # recorded while a real-walk route could be selected
+    verdicts = _Verdicts("walk-cover", _params(k=k, walks=walks, m=m, method="fast"), root)
     n = 4 * k * m
     correct = 0
     cyc_walks = 0
@@ -888,30 +847,17 @@ def walk_cover_suite(
         child = root.child("walks", i)
         inst = sample_ngc(n, k, child.child("inst"))
         length = k if inst.theta == 0 else 2 * k
-        if method == "fast":
-            on_cycle, hits = _fast_walk_coverage(walks, length, 2 * k, child.child("sim"))
-            guessed = length if hits else None
-        else:
-            on_cycle, hits, guessed = _object_walk_coverage(inst, walks, child.child("sim"))
+        on_cycle, hits = _fast_walk_coverage(walks, length, 2 * k, child.child("sim"))
         if inst.theta == 1:
             cyc_walks += on_cycle
             cyc_hits += hits
-        correct += guessed == length
-    rows = [
-        Row(suite, params, "classify_correct", correct / trials, None, None, trials, root.master)
-    ]
-    failures = []
-    if correct / trials < 2 / 3:
-        failures.append(f"walk classification {correct}/{trials} below 2/3")
+        correct += hits > 0  # a covering walk certifies the instance's own cycle length
+    failure = f"walk classification {correct}/{trials} below 2/3"
+    verdicts.least("classify_correct", correct, trials, 2 / 3, failure, interval=False)
     if cyc_walks:
-        floor = 4.0 ** (-k)
-        lo, hi = clopper_pearson(cyc_hits, cyc_walks)
-        rows.append(
-            Row(suite, params, "coverage_rate", cyc_hits / cyc_walks, lo, hi, cyc_walks, root.master)
-        )
-        if not binomial_check(cyc_hits, cyc_walks, floor).at_least(floor):
-            failures.append(f"cycle coverage {cyc_hits / cyc_walks:.2e} below 4^-k floor")
-    return _finish(rows, failures)
+        failure = f"cycle coverage {cyc_hits / cyc_walks:.2e} below 4^-k floor"
+        verdicts.floor("coverage_rate", cyc_hits, cyc_walks, 4.0 ** (-k), failure)
+    return verdicts.result()
 
 
 def _byte_walk_table(steps: int) -> np.ndarray:
@@ -958,28 +904,6 @@ def _fast_walk_coverage(walks: int, length: int, steps: int, seed: Seed) -> tupl
     return on_cycle, hits
 
 
-def _object_walk_coverage(
-    inst: NgcInstance, walks: int, seed: Seed
-) -> tuple[int, int, int | None]:
-    """(cycle-started walks, covering walks, certified length) with real walks."""
-    edges = inst.all_edges()
-    adjacency = build_adjacency(inst.n, edges)
-    label, _, _, cycle, _ = component_pass(inst.n, edges)
-    rng = seed.rng()
-    samples = []
-    on_cycle = 0
-    for _ in range(walks):
-        start = rng.randrange(inst.n)
-        on_cycle += bool(cycle[label[start]])
-        samples.append(
-            random_walk(edges, start, 2 * inst.k, seed=rng.getrandbits(63), adjacency=adjacency)
-        )
-    detection = detect_cycle_length_from_walks(samples, edges, inst.n, inst.k)
-    hits = detection.k_certificates + detection.two_k_certificates
-    guessed = {"k_cycles": inst.k, "2k_cycles": 2 * inst.k}.get(detection.classification)
-    return on_cycle, hits, guessed
-
-
 # --- bias scan --------------------------------------------------------------------
 
 # the largest support bias-scan draws is 2**MAX_LOG_A members, each held as a
@@ -1005,8 +929,6 @@ def bias_scan_suite(
     if log_a > MAX_LOG_A:
         raise ValueError(f"logA={log_a} asks for a support past 2**{MAX_LOG_A} members")
     root = as_seed(seed)
-    suite = "bias-scan"
-    params = _params(m=m, logA=log_a, k=k)
     rng = root.child("support").rng()
     members = frozenset(rng.sample(range(2**m), 2**log_a))
     support = SupportSet(m, members)
@@ -1020,15 +942,13 @@ def bias_scan_suite(
         used = trials
     rhs = kkl_rhs(m, len(support), k)
     ratio = value / rhs if rhs > 0 else float("inf")
-    rows = [
-        Row(suite, params, "mean_bias_sq", value, None, None, used, root.master),
-        Row(suite, params, "spectral_rhs", rhs, None, None, used, root.master),
-        Row(suite, params, "ratio", ratio, None, None, used, root.master),
-    ]
-    failures = []
+    verdicts = _Verdicts("bias-scan", _params(m=m, logA=log_a, k=k), root)
+    verdicts.row("mean_bias_sq", value, used)
+    verdicts.row("spectral_rhs", rhs, used)
+    verdicts.row("ratio", ratio, used)
     if not math.isfinite(ratio):
-        failures.append("bias ratio is not finite (rhs vanished)")
-    return _finish(rows, failures)
+        verdicts.fail("bias ratio is not finite (rhs vanished)")
+    return verdicts.result()
 
 
 # --- combinatorial sizes ----------------------------------------------------------
@@ -1049,8 +969,6 @@ def combinatorial_suite(
     """
     _check_trials(trials=trials)
     root = as_seed(seed)
-    suite = "combinatorial"
-    params = _params(n=n, k=k)
     laws = {theta: census_law(k, n // (4 * k), theta) for theta in (0, 1)}
     match_ok = 0
     mis_ok = 0
@@ -1060,16 +978,10 @@ def combinatorial_suite(
         law = laws[inst.theta]
         match_ok += matching_size_exact(n, edges) == census_matching_size(law)
         mis_ok += mis_size_exact(n, edges) == census_mis_size(law)
-    rows = [
-        Row(suite, params, "matching_exact", match_ok / trials, None, None, trials, root.master),
-        Row(suite, params, "mis_exact", mis_ok / trials, None, None, trials, root.master),
-    ]
-    failures = []
-    if match_ok != trials:
-        failures.append(f"matching size off the law in {trials - match_ok} runs")
-    if mis_ok != trials:
-        failures.append(f"independent-set size off the law in {trials - mis_ok} runs")
-    return _finish(rows, failures)
+    verdicts = _Verdicts("combinatorial", _params(n=n, k=k), root)
+    verdicts.exact("matching_exact", match_ok, trials, "matching size off the law in {misses} runs")
+    verdicts.exact("mis_exact", mis_ok, trials, "independent-set size off the law in {misses} runs")
+    return verdicts.result()
 
 
 # --- MST / weighted checks --------------------------------------------------------
@@ -1085,8 +997,6 @@ def mst_suite(
     """Weighted-augmentation separation: MST weight n-1 vs >= n-m+W(m-1)."""
     _check_trials(trials=trials)
     root = as_seed(seed)
-    suite = "mst"
-    params = _params(n=n, k=k, W=weight)
     ok = 0
     for i in range(trials):
         child = root.child("mst", i)
@@ -1098,6 +1008,6 @@ def mst_suite(
             ok += result.spanning and result.weight == n - 1
         else:
             ok += result.spanning and result.weight >= n - m + weight * (m - 1)
-    rows = [Row(suite, params, "mst_separates", ok / trials, None, None, trials, root.master)]
-    failures = [] if ok == trials else [f"MST separation failed in {trials - ok} runs"]
-    return _finish(rows, failures)
+    verdicts = _Verdicts("mst", _params(n=n, k=k, W=weight), root)
+    verdicts.exact("mst_separates", ok, trials, "MST separation failed in {misses} runs")
+    return verdicts.result()

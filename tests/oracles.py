@@ -9,11 +9,12 @@ The exceptions are the gadget, witness, partition, claim-suite and file
 layers at the end: there the references are the per-gadget and object-level
 routes the shared code replaced (a validated concat chain per gadget, one
 ``randrange`` per cross bit, edge or map slot, one ``Random.sample`` and one
-set per embedded gadget, one owner lookup per edge, one
-assignment and clean report per suite trial, the uint8 and int8 simulators
-that byte replay replaced, one record loop step per line, event tuples
-shuffled in place, set-valued census states relayed batch by batch, the
-component estimator's two per-edge passes over set-valued seed states),
+set per embedded gadget, one owner lookup per edge, one assignment and
+clean report per suite trial, the uint8 and int8 simulators that byte replay
+replaced, real walks with real cycle certificates, one record loop step per
+line, event tuples shuffled in place, set-valued census states relayed batch
+by batch, the component estimator's two per-edge passes over set-valued seed
+states),
 so the new routes can be checked draw for draw and byte for byte against
 them.
 """
@@ -33,6 +34,7 @@ from ngc_lab.distributions import (
     SIDE_B,
     NgcInstance,
     Witness,
+    component_pass,
     crossing_parity,
     sample_ngc,
 )
@@ -64,7 +66,13 @@ from ngc_lab.partitions import (
 )
 from ngc_lab.protocols import EmbeddingRecord
 from ngc_lab.seeds import as_seed, randrange_many
-from ngc_lab.streaming import CcEstimateResult, event_edges, theta_from_components
+from ngc_lab.streaming import (
+    CcEstimateResult,
+    detect_cycle_length_from_walks,
+    event_edges,
+    random_walk,
+    theta_from_components,
+)
 
 
 def canon(edge: tuple[int, int]) -> tuple[int, int]:
@@ -870,6 +878,46 @@ def reference_fast_walk_coverage(walks: int, length: int, steps: int, seed, chun
         hits += int(np.count_nonzero(hi - lo + 1 >= length))
         remaining -= size
     return on_cycle, hits
+
+
+def _object_walk_coverage(inst: NgcInstance, walks: int, seed) -> tuple[int, int, int | None]:
+    """(cycle-started walks, covering walks, certified length) with real walks."""
+    edges = inst.all_edges()
+    adjacency = build_adjacency(inst.n, edges)
+    label, _, _, cycle, _ = component_pass(inst.n, edges)
+    rng = seed.rng()
+    samples = []
+    on_cycle = 0
+    for _ in range(walks):
+        start = rng.randrange(inst.n)
+        on_cycle += bool(cycle[label[start]])
+        samples.append(
+            random_walk(edges, start, 2 * inst.k, seed=rng.getrandbits(63), adjacency=adjacency)
+        )
+    detection = detect_cycle_length_from_walks(samples, edges, inst.n, inst.k)
+    hits = detection.k_certificates + detection.two_k_certificates
+    guessed = {"k_cycles": inst.k, "2k_cycles": 2 * inst.k}.get(detection.classification)
+    return on_cycle, hits, guessed
+
+
+def reference_walk_cover(k: int, walks: int, trials: int, seed, m: int) -> tuple[int, int, int]:
+    """``walk_cover_suite``'s counts with real walks on the edge lists and real certificates.
+
+    Returns (instances classified correctly, cycle-started walks on theta=1
+    instances, covering walks among them), each instance drawn from the
+    suite's seed path.
+    """
+    root = as_seed(seed)
+    correct = cyc_walks = cyc_hits = 0
+    for i in range(trials):
+        child = root.child("walks", i)
+        inst = sample_ngc(4 * k * m, k, child.child("inst"))
+        on_cycle, hits, guessed = _object_walk_coverage(inst, walks, child.child("sim"))
+        if inst.theta == 1:
+            cyc_walks += on_cycle
+            cyc_hits += hits
+        correct += guessed == (k if inst.theta == 0 else 2 * k)
+    return correct, cyc_walks, cyc_hits
 
 
 # --- file layer: one line at a time ------------------------------------------------

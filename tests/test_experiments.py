@@ -19,6 +19,8 @@ from ngc_lab.distributions import (
     validate_instance,
 )
 from ngc_lab.experiments import (
+    MAX_ORDER_EDGES,
+    P_FLOOR,
     Row,
     adapter_suite,
     bias_scan_suite,
@@ -48,6 +50,7 @@ from oracles import (
     reference_partition_counts,
     reference_sigma1_rank_counts,
     reference_stochastic_counts,
+    reference_walk_cover,
 )
 
 SEED = master_seed(20_250_815)
@@ -59,6 +62,25 @@ SEED = master_seed(20_250_815)
 def test_row_record_formatting():
     row = Row("s", "a=1", "m", 0.5, None, 1.25, 100, 7)
     assert row.as_record() == ("s", "a=1", "m", "0.5", "", "1.25", "100", "7")
+
+
+def test_verdicts_fail_at_their_boundaries():
+    verdicts = experiments._Verdicts("s", "a=1", seeds.as_seed(7))
+    verdicts.uniform("at_floor", P_FLOOR, 10, "p at the floor")
+    verdicts.uniform("above_floor", math.nextafter(P_FLOOR, 1), 10, "p above the floor")
+    verdicts.uniform("too_few_counts", float("nan"), 3, "nan p")
+    verdicts.least("two_thirds", 2, 3, 2 / 3, "2/3 exactly")
+    verdicts.least("two_thirds_of_300", 200, 300, 2 / 3, "200/300")
+    verdicts.least("just_below", 199, 300, 2 / 3, "199/300 below 2/3")
+    verdicts.exact("all", 10, 10, "all in {misses} runs")
+    verdicts.exact("all_but_one", 9, 10, "all but one in {misses} runs")
+    assert verdicts.failures == ["p at the floor", "199/300 below 2/3", "all but one in 1 runs"]
+    result = verdicts.result()
+    assert not result.passed and result.failures == tuple(verdicts.failures)
+    assert [(row.metric, row.value) for row in result.rows[-2:]] == [
+        ("all", 1.0), ("all_but_one", 0.9)
+    ]
+    assert {(row.suite, row.params, row.seed) for row in result.rows} == {("s", "a=1", 7)}
 
 
 def test_expected_census_matches_validation():
@@ -76,6 +98,26 @@ def test_census_suite_exact_and_padded():
     assert census_suite(104, 13, 10, seed=SEED.child("c2")).passed
     result = census_suite(56, 7, 10, seed=SEED.child("c3"), pad=9)
     assert result.passed and result.rows[0].value == 1.0
+
+
+def test_census_suite_rows_at_a_pinned_seed(monkeypatch):
+    # census_suite has no command-line entry, so no CSV digest pins its rows
+    assert census_suite(56, 7, 10, seed=5, pad=9).rows[0].as_record() == (
+        "census", "n=56;k=7;pad=9", "census_exact", "1.0", "", "", "10", "5"
+    )
+    assert census_suite(28, 7, 10, seed=5).rows[0].as_record() == (
+        "census", "n=28;k=7", "census_exact", "1.0", "", "", "10", "5"
+    )
+    draws = iter(range(10))
+    validate = experiments.validate_instance
+    monkeypatch.setattr(
+        experiments, "validate_instance", lambda inst: None if next(draws) == 3 else validate(inst)
+    )
+    result = census_suite(28, 7, 10, seed=5)
+    assert result.rows[0].as_record() == (
+        "census", "n=28;k=7", "census_exact", "0.9", "", "", "10", "5"
+    )
+    assert not result.passed and result.failures == ("census law violated in 1 draws",)
 
 
 # --- partition statistics ----------------------------------------------------------
@@ -273,6 +315,20 @@ def test_adapter_suite_match_and_order():
     assert by_metric["order_uniform_pvalue"].value > 1e-3
 
 
+def test_adapter_suite_bounds_its_order_edges_before_any_draw(monkeypatch):
+    assert MAX_ORDER_EDGES == 8
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew an instance before checking order_edges")
+
+    monkeypatch.setattr(experiments, "sample_ngc", no_draw)
+    monkeypatch.setattr(experiments, "MAX_ORDER_EDGES", 3)
+    for edges in (4, 1, 0):
+        with pytest.raises(ValueError) as err:
+            adapter_suite(28, 7, 5, 100, seed=1, order_edges=edges)
+        assert str(err.value) == f"need 2 <= order_edges <= 3, got order_edges={edges}"
+
+
 def test_l_player_suite_relays_census():
     result = l_player_suite(120, 15, 2, 3, 4, 50, seed=SEED.child("lp"))
     assert result.passed
@@ -439,15 +495,17 @@ def test_byte_fold_table_counts_6_of_256_covering_walks_at_k4():
 
 
 def test_walk_cover_dual_route_agreement():
-    fast = walk_cover_suite(4, 4000, 12, seed=SEED.child("dr"), m=2, method="fast")
-    objects = walk_cover_suite(4, 4000, 12, seed=SEED.child("dr"), m=2, method="objects")
-    assert fast.passed and objects.passed
+    fast = walk_cover_suite(4, 4000, 12, seed=SEED.child("dr"), m=2)
+    correct, cyc_walks, cyc_hits = reference_walk_cover(4, 4000, 12, SEED.child("dr"), m=2)
+    # the real-walk route passes the suite's own checks: classification at
+    # least 2/3 and coverage at least the 4^-k floor
+    assert fast.passed and correct / 12 >= 2 / 3
+    assert binomial_check(cyc_hits, cyc_walks, 4.0**-4).at_least(4.0**-4)
     rate_f = [r for r in fast.rows if r.metric == "coverage_rate"][0]
-    rate_o = [r for r in objects.rows if r.metric == "coverage_rate"][0]
     # same law measured two ways; each is a binomial rate around 6/256
-    spread = 4 * math.sqrt(2 * (6 / 256) / min(rate_f.trials, rate_o.trials))
-    assert abs(rate_f.value - rate_o.value) < spread
-    assert fast.rows[0].value == 1.0 and objects.rows[0].value == 1.0
+    spread = 4 * math.sqrt(2 * (6 / 256) / min(rate_f.trials, cyc_walks))
+    assert abs(rate_f.value - cyc_hits / cyc_walks) < spread
+    assert fast.rows[0].value == 1.0 and correct == 12
 
 
 def test_suites_that_read_only_the_witness_build_no_graph(monkeypatch):
@@ -455,17 +513,12 @@ def test_suites_that_read_only_the_witness_build_no_graph(monkeypatch):
     build = Witness.build
     monkeypatch.setattr(Witness, "build", lambda witness: builds.append(witness) or build(witness))
     assert partition_stats_suite(2, 50, seed=SEED.child("lazy")).rows
-    assert walk_cover_suite(4, 100, 5, seed=SEED.child("lazy"), method="fast").rows
+    assert walk_cover_suite(4, 100, 5, seed=SEED.child("lazy")).rows
     assert builds == []
     sample_ngc(56, 7, SEED.child("lazy")).all_edges()
     assert builds == []  # an instance's edges come straight from its witness too
     sample_dhx(2, 1, SEED.child("lazy"))
     assert len(builds) == 1  # the counter sees the build sample_dhx makes
-
-
-def test_walk_cover_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        walk_cover_suite(4, 100, 1, seed=1, method="psychic")
 
 
 # --- bias scan ---------------------------------------------------------------------
