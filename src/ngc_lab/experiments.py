@@ -9,7 +9,8 @@ failure message, so the CLI and the test suite agree on what counts as a
 failure.  The kinds are ``exact`` (every trial passes), ``near`` (within 3
 sigma of an exact probability), ``floor`` (at least a probability floor less a
 one-sided 3-sigma allowance), ``least`` (a plain success-rate floor, 2/3 or
-0.6) and ``uniform`` (a chi-square p-value above ``P_FLOOR``).
+0.6) and ``uniform`` (a chi-square p-value above ``P_FLOOR``; a nan one, from
+too few counts to judge, fails).
 
 Two suites carry a vectorized fast path whose equivalence to the object-level
 route is not obvious from the code alone:
@@ -204,9 +205,9 @@ class _Verdicts:
             self.fail(failure)
 
     def uniform(self, metric: str, p: float, trials: int, failure: str) -> None:
-        """The chi-square p-value must exceed ``P_FLOOR``; a nan one (too few counts) passes."""
+        """The chi-square p-value must exceed ``P_FLOOR``; a nan one (too few counts) fails."""
         self.row(metric, p, trials)
-        if p <= P_FLOOR:
+        if not p > P_FLOOR:
             self.fail(failure)
 
     def result(self) -> SuiteResult:
@@ -377,6 +378,7 @@ def partition_stats_suite(
     bind), the image sigma(1) is uniform over the w_c capped slots; its trial
     budget defaults to ``trials`` and can be raised separately with
     ``sigma1_trials`` (the conditioning leaves roughly one draw in a hundred).
+    With fewer than 10 * w_c conditioned draws the row reads nan and fails.
 
     With ``tail_blocks`` set, adds the active-count tail row: out of that many
     independent blocks at this width, the number of active ones is at least
@@ -414,10 +416,16 @@ def partition_stats_suite(
         counts = _sigma1_rank_counts(w, w_c, budget, root.child("sigma1"))
         conditioned = int(sum(counts))
         # the chi-square needs a sane expected count per capped slot
-        p = chi_square_uniform(counts) if conditioned >= 10 * w_c else float("nan")
-        verdicts.uniform(
-            "sigma1_uniform_pvalue", p, conditioned, f"conditional sigma(1) chi-square p={p:.2e}"
-        )
+        if conditioned >= 10 * w_c:
+            p = chi_square_uniform(counts)
+            failure = f"conditional sigma(1) chi-square p={p:.2e}"
+        else:
+            p = float("nan")
+            failure = (
+                f"conditional sigma(1) uniformity not judged: {conditioned} conditioned draws, "
+                f"need {10 * w_c}; raise sigma1_trials"
+            )
+        verdicts.uniform("sigma1_uniform_pvalue", p, conditioned, failure)
 
     if tail_blocks is not None:
         if tail_blocks < 1 or tail_trials < 1:

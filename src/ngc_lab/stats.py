@@ -3,8 +3,16 @@
 Policy: empirical frequencies are judged by exact binomial three-sigma windows
 or by chi-square goodness of fit (p > 0.001); confidence intervals are
 Clopper-Pearson.  Chernoff bounds appear only when sizing trial counts up
-front, never as a pass/fail rule.  ``scipy.stats`` is imported on first use:
-it is most of what importing the package would otherwise cost.
+front, never as a pass/fail rule.
+
+The p-values and intervals call the ``scipy.special`` kernels that
+``scipy.stats`` reaches, without its per-call wrapper cost: ``chdtrc`` (the
+chi-square survival function) over Pearson's statistic, computed in
+``scipy.stats.chisquare``'s arithmetic order, and ``betaincinv`` (Boost's
+``ibeta_inv``, as in ``beta.ppf``) for the Clopper-Pearson endpoints.  So the
+values equal the ``scipy.stats`` ones bit for bit (``tests/test_stats.py``).
+``scipy.special`` is imported on first use; nothing here imports
+``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -57,9 +65,7 @@ def chi_square_uniform(counts: list[int] | np.ndarray) -> float:
     arr = np.asarray(counts, dtype=float)
     if arr.ndim != 1 or len(arr) < 2:
         raise ValueError("need at least two cells")
-    from scipy import stats as sps
-
-    return float(sps.chisquare(arr).pvalue)
+    return _pearson_pvalue(arr, arr.mean(keepdims=True))
 
 
 def chi_square_expected(counts, expected) -> float:
@@ -67,19 +73,35 @@ def chi_square_expected(counts, expected) -> float:
     obs = np.asarray(counts, dtype=float)
     exp = np.asarray(expected, dtype=float)
     exp = exp * obs.sum() / exp.sum()
-    from scipy import stats as sps
+    # scipy.stats.chisquare's check that the totals agree after the rescale
+    rtol = np.finfo(float).eps ** 0.5
+    with np.errstate(invalid="ignore"):
+        obs_sum, exp_sum = obs.sum(), exp.sum()
+        if abs(obs_sum - exp_sum) / np.minimum(obs_sum, exp_sum) > rtol:
+            raise ValueError(
+                f"observed total {obs_sum:.17g} and expected total {exp_sum:.17g} differ "
+                f"by more than a relative {rtol:.3g}"
+            )
+    return _pearson_pvalue(obs, exp)
 
-    return float(sps.chisquare(obs, exp).pvalue)
+
+def _pearson_pvalue(obs: np.ndarray, exp: np.ndarray) -> float:
+    """Upper chi-square tail of Pearson's statistic, in ``scipy.stats.chisquare``'s arithmetic."""
+    from scipy import special
+
+    return float(special.chdtrc(len(obs) - 1, np.sum((obs - exp) ** 2 / exp)))
 
 
 def clopper_pearson(successes: int, trials: int, alpha: float = 0.05) -> tuple[float, float]:
     """Exact binomial CI endpoints via the beta quantiles."""
     if trials <= 0 or not 0 <= successes <= trials:
         raise ValueError("need 0 <= successes <= trials, trials > 0")
-    from scipy import stats as sps
+    from scipy import special
 
-    lo = 0.0 if successes == 0 else float(sps.beta.ppf(alpha / 2, successes, trials - successes + 1))
+    lo = 0.0 if successes == 0 else float(
+        special.betaincinv(successes, trials - successes + 1, alpha / 2)
+    )
     hi = 1.0 if successes == trials else float(
-        sps.beta.ppf(1 - alpha / 2, successes + 1, trials - successes)
+        special.betaincinv(successes + 1, trials - successes, 1 - alpha / 2)
     )
     return lo, hi

@@ -74,7 +74,9 @@ def test_verdicts_fail_at_their_boundaries():
     verdicts.least("just_below", 199, 300, 2 / 3, "199/300 below 2/3")
     verdicts.exact("all", 10, 10, "all in {misses} runs")
     verdicts.exact("all_but_one", 9, 10, "all but one in {misses} runs")
-    assert verdicts.failures == ["p at the floor", "199/300 below 2/3", "all but one in 1 runs"]
+    assert verdicts.failures == [
+        "p at the floor", "nan p", "199/300 below 2/3", "all but one in 1 runs"
+    ]
     result = verdicts.result()
     assert not result.passed and result.failures == tuple(verdicts.failures)
     assert [(row.metric, row.value) for row in result.rows[-2:]] == [
@@ -169,6 +171,18 @@ def test_partition_stats_suite_sigma1_row_at_large_width():
     assert "sigma1_uniform_pvalue" in by_metric
     assert by_metric["sigma1_uniform_pvalue"].value > 1e-3
     assert by_metric["sigma1_uniform_pvalue"].trials > 500  # conditioned draws
+
+
+def test_partition_stats_sigma1_row_fails_with_too_few_conditioned_draws():
+    # w_c = 5 at w = 512, so the row needs 50 conditioned draws; 200 trials give 1
+    result = partition_stats_suite(512, 200, seed=5)
+    row = {row.metric: row for row in result.rows}["sigma1_uniform_pvalue"]
+    assert math.isnan(row.value) and row.trials == 1
+    assert not result.passed
+    assert result.failures == (
+        "conditional sigma(1) uniformity not judged: 1 conditioned draws, need 50; "
+        "raise sigma1_trials",
+    )
 
 
 @pytest.mark.parametrize(
