@@ -20,11 +20,6 @@ from .seeds import Seed, as_seed
 
 MAX_WORD_BITS = 24
 
-# Default message-budget-to-input-bits ratio used by the experiment harness
-# when scanning message-class tails; exposed as a knob, with no optimality or
-# correctness claim attached to this particular value.
-DEFAULT_BUDGET_RATIO = 1 / (32 * math.e)
-
 
 @dataclass(frozen=True)
 class SupportSet:

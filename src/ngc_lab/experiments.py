@@ -74,6 +74,7 @@ from .distributions import (
 from .partitions import (
     assign_batches,
     assign_uniform,
+    clean_cap,
     clean_masks,
     core_columns,
     function_index_table,
@@ -277,7 +278,7 @@ def capped_activity_probability(w: int) -> Fraction:
     each one the one before times (w - c) / ((c + 1) 63), exactly.  So the
     sum runs in integers over the one denominator 64^w.
     """
-    w_c = max(1, w // 100)
+    w_c = clean_cap(w)
     term = 63**w  # 64^w Pr[C = c], from c = 0
     short = 0  # 64^w (w_c - E[min(C, w_c)])
     for c in range(w_c):
@@ -334,7 +335,7 @@ def _partition_counts(w: int, trials: int, root: Seed) -> tuple[list[int], int, 
     (``partition_slots``) off them, and counts on (trials, 6w) arrays.
     """
     table = function_index_table(w, 1)
-    w_c = max(1, w // 100)
+    w_c = clean_cap(w)
     pattern_counts = np.zeros(64, dtype=np.int64)
     clean_hits = active_capped = active_uncapped = 0
     trial = root.child("object")
@@ -375,10 +376,10 @@ def partition_stats_suite(
 
     When floor(w/100) >= 2 a vectorized row checks that, conditioned on the
     block being active (and on the clean set being large enough for the cap to
-    bind), the image sigma(1) is uniform over the w_c capped slots; its trial
-    budget defaults to ``trials`` and can be raised separately with
-    ``sigma1_trials`` (the conditioning leaves roughly one draw in a hundred).
-    With fewer than 10 * w_c conditioned draws the row reads nan and fails.
+    bind), the image sigma(1) is uniform over the w_c capped slots.  Its trial
+    budget, ``sigma1_trials``, defaults to max(trials, 4000 * w_c): 2.5 times
+    the 10 * w_c conditioned draws the row needs at the worst rate, one draw
+    in 157 at w = 298.  With fewer than 10 * w_c the row reads nan and fails.
 
     With ``tail_blocks`` set, adds the active-count tail row: out of that many
     independent blocks at this width, the number of active ones is at least
@@ -410,9 +411,9 @@ def partition_stats_suite(
         "uncapped Pr[block active] outside 3 sigma of 1/64",
     )
 
-    w_c = max(1, w // 100)
+    w_c = clean_cap(w)
     if w_c >= 2:
-        budget = sigma1_trials if sigma1_trials is not None else trials
+        budget = sigma1_trials if sigma1_trials is not None else max(trials, 4000 * w_c)
         counts = _sigma1_rank_counts(w, w_c, budget, root.child("sigma1"))
         conditioned = int(sum(counts))
         # the chi-square needs a sane expected count per capped slot

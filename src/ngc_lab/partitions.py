@@ -27,8 +27,8 @@ the batched suites and the object route share one law.  An owner map is an
 ``EdgeTable`` (sorted canonical edge keys plus one owner each), so a split
 is one vectorized lookup and a boolean index.  Clean events are read off
 owner arrays through a table of each index's six positions: the instance's
-``index_table`` of core edge positions, or under partition functions
-``function_index_table`` over F's slots.  ``clean_masks`` and
+``index_table`` of core edge positions, or ``function_index_table`` over F's
+slots, which ``clean_indices`` reads owning no edge.  ``clean_masks`` and
 ``seen_counts`` accept leading axes, so one call counts a batch of trials.
 """
 
@@ -172,6 +172,14 @@ def index_edges(
     return e[0:2], e[2:4], e[4:6]
 
 
+def _require_functions(instance: NgcInstance, F: PartitionFunctions, what: str) -> None:
+    _require_block(instance, what)
+    if F.t != instance.t:
+        raise ValueError(f"F covers {F.t} blocks, instance has {instance.t}")
+    if F.fL and len(F.fL[0]) != 2 * instance.width:
+        raise ValueError("F domain size differs from 2w")
+
+
 def assign_by_functions(
     instance: NgcInstance,
     F: PartitionFunctions,
@@ -184,12 +192,8 @@ def assign_by_functions(
     to fR_i(v).  Padding edges, then auxiliary and augmentation edges, take
     one uniform draw each, in edge order.
     """
-    _require_block(instance, "assign_by_functions")
-    if F.t != instance.t:
-        raise ValueError(f"F covers {F.t} blocks, instance has {instance.t}")
+    _require_functions(instance, F, "assign_by_functions")
     w = instance.width
-    if F.fL and len(F.fL[0]) != 2 * w:
-        raise ValueError("F domain size differs from 2w")
     targets = instance.core_targets
     pad_edges = 2 * w * (instance.k - instance.core_k)
     loose = len(instance.edge_array) - len(targets)
@@ -268,19 +272,26 @@ class CleanReport:
         return len(self.active_list)
 
 
-def _clean_report(instance: NgcInstance, owners: np.ndarray, w_c_raw: int) -> CleanReport:
-    """Per block, the indices whose six edge owners read CLEAN_PATTERN.
+def clean_cap(w: int) -> int:
+    """The two-player cap on a block's clean set, w_c = max(1, floor(w/100)), floored below 100."""
+    return max(1, w // 100)
 
-    ``owners`` holds one entry per core edge position.  Clean sets are capped
-    to max(1, w_c_raw), lexicographically-first; the floor substitution is
-    flagged in the report.
+
+def _clean_report(
+    owners: np.ndarray, table: np.ndarray, w_c: int, cap_floored: bool, sigma1: list | None = None
+) -> CleanReport:
+    """Per block, the indices whose six owners (``clean_masks``) read CLEAN_PATTERN.
+
+    Clean sets are capped to w_c, lexicographically-first.  Given sigma^i(1)
+    per block, an entry also says if it lands in the capped and full sets.
     """
-    w_c = max(1, w_c_raw)
-    clean, capped = clean_masks(owners, instance.index_table, w_c)
-    entries = [
-        BlockCleanEntry(block, _indices(head), _indices(every), w_c, cap_floored=w_c_raw < 1)
-        for block, (every, head) in enumerate(zip(clean, capped), start=1)
-    ]
+    clean, capped = clean_masks(owners, table, w_c)
+    entries = []
+    for block, (every, head) in enumerate(zip(clean, capped), start=1):
+        kept, found = _indices(head), _indices(every)
+        image = None if sigma1 is None else sigma1[block - 1]
+        activity = () if image is None else (image, image in kept, image in found)
+        entries.append(BlockCleanEntry(block, kept, found, w_c, cap_floored, *activity))
     return CleanReport(tuple(entries))
 
 
@@ -289,52 +300,44 @@ def _indices(mask: np.ndarray) -> tuple[int, ...]:
     return tuple((mask.nonzero()[0] + 1).tolist())
 
 
+def _two_player_inputs(
+    instance: NgcInstance, split: PartitionFunctions | EdgeAssignment, what: str
+) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """``_clean_report``'s (owners, table, w_c, cap_floored); F is read as its slots."""
+    w = instance.width
+    if isinstance(split, PartitionFunctions):
+        _require_functions(instance, split, what)
+        owners, table = np.ravel(split.fL + split.fM + split.fR), function_index_table(w, instance.t)
+    else:
+        _require_block(instance, what)
+        if split.mode != "two_player":
+            raise ValueError(f"{what} needs a two-player assignment")
+        owners = split._table.lookup(instance.edge_array[: len(instance.core_targets)])
+        table = instance.index_table
+    return owners, table, clean_cap(w), w < 100
+
+
 def clean_indices(
-    instance: NgcInstance,
-    F_or_assignment: PartitionFunctions | EdgeAssignment,
-    seed: Seed | int | None = None,
+    instance: NgcInstance, F_or_assignment: PartitionFunctions | EdgeAssignment
 ) -> CleanReport:
     """Per block, the indices whose six edges split Bob/Alice/Bob.
 
-    Accepts partition functions directly (ownership read off the maps) or an
-    existing two-player assignment (ownership read off the edges); the seed is
-    only used when functions are given, to split non-block edges.  Clean sets
-    are capped to w_c = max(1, floor(w/100)), lexicographically-first; the
-    floor substitution is flagged in the report.
+    Accepts partition functions (ownership read off the maps) or a two-player
+    assignment (read off the edges).  Clean sets are capped to ``clean_cap(w)``,
+    lexicographically-first; the floor substitution is flagged in the report.
     """
-    _require_block(instance, "clean_indices")
-    if isinstance(F_or_assignment, PartitionFunctions):
-        assignment = assign_by_functions(instance, F_or_assignment, seed)
-    else:
-        assignment = F_or_assignment
-        if assignment.mode != "two_player":
-            raise ValueError("clean_indices needs a two-player assignment")
-    core = instance.edge_array[: len(instance.core_targets)]
-    return _clean_report(instance, assignment._table.lookup(core), instance.width // 100)
+    return _clean_report(*_two_player_inputs(instance, F_or_assignment, "clean_indices"))
 
 
 def active_blocks(
-    instance: NgcInstance,
-    F_or_assignment: PartitionFunctions | EdgeAssignment,
-    seed: Seed | int | None = None,
+    instance: NgcInstance, F_or_assignment: PartitionFunctions | EdgeAssignment
 ) -> CleanReport:
     """Clean report extended with activity: block i is active iff sigma^i(1)
-
     lands in its capped clean set (membership in the uncapped set is reported
     alongside, since the cap is a desk-scale artifact).
     """
-    if instance.witness.form != "block":
-        raise ValueError("active_blocks needs a block-form witness")
-    entries = []
-    for e in clean_indices(instance, F_or_assignment, seed).entries:
-        sigma1 = instance.witness.Sigma[e.block - 1][0]
-        entries.append(
-            BlockCleanEntry(
-                e.block, e.clean, e.clean_uncapped, e.w_c, e.cap_floored,
-                sigma1, sigma1 in e.clean, sigma1 in e.clean_uncapped,
-            )
-        )
-    return CleanReport(tuple(entries))
+    inputs = _two_player_inputs(instance, F_or_assignment, "active_blocks")
+    return _clean_report(*inputs, [sigma[0] for sigma in instance.witness.Sigma])
 
 
 def assign_batches(
@@ -517,4 +520,4 @@ def clean_indices_stochastic(
     _require_block(instance, "clean_indices_stochastic")
     owners = stochastic_owners(sample_counts(instance, assignment))
     w_c_raw = int(instance.width / (2 * math.exp(9 * assignment.c)))
-    return _clean_report(instance, owners, w_c_raw)
+    return _clean_report(owners, instance.index_table, max(1, w_c_raw), w_c_raw < 1)

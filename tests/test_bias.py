@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -11,7 +10,6 @@ from itertools import combinations
 import pytest
 
 from ngc_lab.bias import (
-    DEFAULT_BUDGET_RATIO,
     SupportSet,
     bias,
     good_message_analysis,
@@ -275,7 +273,3 @@ def test_good_messages_validation():
         good_message_analysis(lambda x: x, n_bits=4, budget=-1)
     with pytest.raises(ValueError):
         good_message_analysis(lambda x: x, n_bits=8, budget=2)  # 256 messages > 4
-
-
-def test_default_budget_ratio_documented_value():
-    assert math.isclose(DEFAULT_BUDGET_RATIO, 1 / (32 * math.e))

@@ -510,7 +510,7 @@ def test_instance_path_builds_no_graph(monkeypatch):
     assignment = assign_uniform(inst.all_edges(), 2, SEED.child("guard", "A"))
     F = random_partition_functions(inst.width, inst.t, SEED.child("guard", "F"))
     assign_by_functions(padded, F, SEED.child("guard", "B"))
-    clean_indices(inst, F, SEED.child("guard", "C"))
+    clean_indices(inst, F)
     active_segments(batched, assign_batches(batched, 4, SEED.child("guard", "D")))
     result = run_protocol(FullForwardCensusProtocol(inst.n, inst.k), inst, assignment, seed=1)
     assert result.output == inst.theta

@@ -175,7 +175,7 @@ def test_partition_stats_suite_sigma1_row_at_large_width():
 
 def test_partition_stats_sigma1_row_fails_with_too_few_conditioned_draws():
     # w_c = 5 at w = 512, so the row needs 50 conditioned draws; 200 trials give 1
-    result = partition_stats_suite(512, 200, seed=5)
+    result = partition_stats_suite(512, 200, seed=5, sigma1_trials=200)
     row = {row.metric: row for row in result.rows}["sigma1_uniform_pvalue"]
     assert math.isnan(row.value) and row.trials == 1
     assert not result.passed
@@ -183,6 +183,15 @@ def test_partition_stats_sigma1_row_fails_with_too_few_conditioned_draws():
         "conditional sigma(1) uniformity not judged: 1 conditioned draws, need 50; "
         "raise sigma1_trials",
     )
+
+
+@pytest.mark.parametrize("w", [298, 1024])
+def test_partition_stats_default_sigma1_budget_judges_the_row(w):
+    # w = 298 conditions the fewest draws, one in 157; 20 trials alone give none
+    result = partition_stats_suite(w, 20, seed=SEED.child("budget", w))
+    row = {row.metric: row for row in result.rows}["sigma1_uniform_pvalue"]
+    assert row.trials >= 10 * (w // 100)
+    assert row.value > 1e-3
 
 
 @pytest.mark.parametrize(

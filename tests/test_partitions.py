@@ -158,16 +158,19 @@ def test_random_functions_look_iid_uniform():
 
 
 def test_all_clean_functions_cap_to_wc():
-    inst = sample_ngc(32, 4, SEED.child("clean"))
-    w = inst.width
-    beta = tuple(tuple(BOB for _ in range(2 * w)) for _ in range(inst.t))
-    alpha = tuple(tuple(ALICE for _ in range(2 * w)) for _ in range(inst.t))
-    F = PartitionFunctions(beta, alpha, beta)
-    report = clean_indices(inst, F, SEED.child("cleanA"))
-    entry = report.entries[0]
-    assert entry.clean_uncapped == tuple(range(1, w + 1))
-    assert entry.w_c == 1 and entry.cap_floored  # floor(4/100) -> substituted 1
-    assert entry.clean == (1,)
+    # w = 4: floor(4/100) -> substituted 1; w = 100 and 200 keep 1 and 2 unfloored
+    for n, w_c, floored in ((32, 1, True), (800, 1, False), (1600, 2, False)):
+        inst = sample_ngc(n, 4, SEED.child("clean", n))
+        w = inst.width
+        beta = tuple(tuple(BOB for _ in range(2 * w)) for _ in range(inst.t))
+        alpha = tuple(tuple(ALICE for _ in range(2 * w)) for _ in range(inst.t))
+        F = PartitionFunctions(beta, alpha, beta)
+        entry = clean_indices(inst, F).entries[0]
+        assert entry.clean_uncapped == tuple(range(1, w + 1))
+        assert (entry.w_c, entry.cap_floored) == (w_c, floored)
+        assert entry.clean == tuple(range(1, w_c + 1))
+        active = active_blocks(inst, F).entries[0]
+        assert active.active == (active.sigma1 <= w_c) and active.active_uncapped
 
 
 def test_clean_probability_one_in_64():
@@ -194,9 +197,36 @@ def test_clean_function_route_equals_assignment_route():
     inst = sample_ngc(32, 4, SEED.child("routes"))
     for i in range(50):
         F = random_partition_functions(inst.width, inst.t, SEED.child("rF", i))
-        via_f = clean_indices(inst, F, SEED.child("rA", i))
+        via_f = clean_indices(inst, F)
         via_a = clean_indices(inst, assign_by_functions(inst, F, SEED.child("rA", i)))
         assert via_f == via_a
+
+
+def test_malformed_partition_functions_are_rejected():
+    inst = sample_ngc(56, 7, SEED.child("badF"))
+    w, t = inst.width, inst.t
+    wrong_t = random_partition_functions(w, t + 1, SEED.child("badF", "t"))
+    wrong_w = random_partition_functions(w + 2, t, SEED.child("badF", "w"))
+    cases = (wrong_t, f"F covers {t + 1} blocks, instance has {t}"), (wrong_w, "F domain size differs")
+    for F, message in cases:
+        for route in (clean_indices, active_blocks, assign_by_functions):
+            with pytest.raises(ValueError, match=message):
+                route(inst, F)
+
+
+def test_function_route_owns_no_edges(monkeypatch):
+    inst = mst_augment(pad_to_k(sample_ngc(56, 7, SEED.child("noedges")), 9), 5)
+    F = random_partition_functions(inst.width, inst.t, SEED.child("noedgesF"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the function route built an edge table")
+
+    monkeypatch.setattr(partitions, "assign_by_functions", refuse)
+    monkeypatch.setattr(EdgeTable, "from_edges", refuse)
+    clean, active = clean_indices(inst, F), active_blocks(inst, F)
+    monkeypatch.undo()
+    assert clean == reference_clean_indices(inst, F)
+    assert active == reference_active_blocks(inst, F)
 
 
 # --- active blocks --------------------------------------------------------------
@@ -206,7 +236,7 @@ def test_active_blocks_definition():
     inst = sample_ngc(32, 4, SEED.child("act"))
     for i in range(100):
         F = random_partition_functions(inst.width, inst.t, SEED.child("actF", i))
-        report = active_blocks(inst, F, SEED.child("actA", i))
+        report = active_blocks(inst, F)
         for entry in report.entries:
             sigma1 = inst.witness.Sigma[entry.block - 1][0]
             assert entry.sigma1 == sigma1
@@ -221,7 +251,7 @@ def test_uncapped_activity_frequency():
     for i in range(trials):
         inst = sample_ngc(16, 4, SEED.child("freq", i))
         F = random_partition_functions(inst.width, inst.t, SEED.child("freqF", i))
-        report = active_blocks(inst, F, SEED.child("freqA", i))
+        report = active_blocks(inst, F)
         hits += report.entries[0].active_uncapped
     assert binomial_check(hits, trials, 1 / 64).within(3.0)
 
@@ -233,7 +263,7 @@ def test_x_coordinates_uniform_given_activity():
     for i in range(20_000):
         inst = sample_ngc(28, 7, SEED.child("obs47", i))
         F = random_partition_functions(inst.width, inst.t, SEED.child("o47F", i))
-        report = active_blocks(inst, F, SEED.child("o47A", i))
+        report = active_blocks(inst, F)
         if not report.entries[0].active:
             continue
         actives += 1
@@ -477,7 +507,7 @@ def test_partition_references_cover_width_two_and_two_blocks():
     inst = pad_to_k(sample_ngc(4 * 7, 7, SEED.child("corner")), 9)
     assert (inst.width, inst.t, inst.k - inst.core_k) == (2, 2, 2)
     F = random_partition_functions(2, 2, SEED.child("cornerF"))
-    assert clean_indices(inst, F, 1) == reference_clean_indices(inst, F, 1)
+    assert clean_indices(inst, F) == reference_clean_indices(inst, F, 1)
 
 
 @settings(max_examples=120, deadline=None)
@@ -489,8 +519,11 @@ def test_function_routes_match_references(inst, seed):
     want = reference_assign_by_functions(inst, F, seed + 1)
     assert dict(got.owner.items()) == want.owner
     assert list(got.owner) == sorted(want.owner)
-    assert clean_indices(inst, F, seed + 1) == reference_clean_indices(inst, F, seed + 1)
+    assert clean_indices(inst, F) == reference_clean_indices(inst, F, seed + 1)
     assert active_blocks(inst, got) == reference_active_blocks(inst, want)
+    via_f = active_blocks(inst, F)
+    assert via_f == reference_active_blocks(inst, F, seed)
+    assert via_f == active_blocks(inst, assign_by_functions(inst, F, seed))
     for block in range(1, inst.t + 1):
         for j in range(1, inst.width + 1):
             assert index_edges(inst, block, j) == reference_index_edges(inst, block, j)
