@@ -65,7 +65,7 @@ def main(argv: list[str] | None = None) -> int:
 
     sink = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
-        writer = csv.writer(sink)
+        writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for result in results:
             for row in result.rows:

@@ -36,6 +36,8 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .gadgets import (
+    SIDE_A,
+    SIDE_B,
     Edge,
     EdgeView,
     GroupLayeredGraph,
@@ -47,8 +49,6 @@ from .gadgets import (
 )
 from .seeds import KeyStreams, Seed, as_seed, randrange_many, randrange_rows, sample_range
 
-SIDE_A = 0
-SIDE_B = 1
 _SIDES = np.array([SIDE_A, SIDE_B])
 
 

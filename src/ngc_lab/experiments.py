@@ -59,8 +59,6 @@ import numpy as np
 
 from .bias import SupportSet, kkl_rhs, mean_bias_sq
 from .distributions import (
-    Census,
-    NgcInstance,
     census_law,
     census_of_edges,
     mst_augment,
@@ -86,12 +84,12 @@ from .partitions import (
 )
 from .protocols import (
     BobOnlyCycleDetector,
+    LPlayerStreamingProtocol,
     OrderProbe,
+    StreamingProtocol,
     embed_dhx,
     embed_dhx_batched,
     run_protocol,
-    streaming_as_l_protocol,
-    streaming_as_protocol,
 )
 from .seeds import Seed, as_seed, key_streams, replay_bytes, word_budget
 from .stats import binomial_check, chi_square_uniform, clopper_pearson
@@ -193,7 +191,7 @@ class _Verdicts:
     def floor(self, metric: str, count: int, trials: int, floor: float, failure: str) -> None:
         """The rate must reach ``floor`` less a one-sided 3-sigma allowance."""
         self.row(metric, count / trials, trials, clopper_pearson(count, trials))
-        if not binomial_check(count, trials, floor).at_least(floor):
+        if not binomial_check(count, trials, floor).at_least():
             self.fail(failure)
 
     def least(
@@ -225,16 +223,6 @@ def _check_trials(**budgets: int) -> None:
 # --- structural census ------------------------------------------------------------
 
 
-def expected_census(instance: NgcInstance) -> Census | None:
-    """The exact component law (``census_law``) of a theta-conditioned instance, or None.
-
-    Applies to plain/padded instances (core + closers, unit weights).
-    """
-    if instance.theta is None or instance.W is not None:
-        return None
-    return census_law(instance.k, instance.m, instance.theta)
-
-
 def census_suite(
     n: int,
     k: int,
@@ -255,9 +243,7 @@ def census_suite(
         inst = sample_ngc(n, k, root.child("census", i))
         if pad is not None:
             inst = pad_to_k(inst, pad)
-        law = expected_census(inst)
-        assert law is not None
-        ok += validate_instance(inst) == law
+        ok += validate_instance(inst) == census_law(inst.k, inst.m, inst.theta)
     verdicts = _Verdicts("census", _params(n=n, k=k, pad=pad), root)
     verdicts.exact("census_exact", ok, trials, "census law violated in {misses} draws")
     return verdicts.result()
@@ -362,7 +348,6 @@ def partition_stats_suite(
     trials: int,
     seed: Seed | int | None = None,
     tail_blocks: int | None = None,
-    tail_trials: int = 2000,
     sigma1_trials: int | None = None,
 ) -> SuiteResult:
     """Ownership-pattern and activity statistics for the two-player split.
@@ -383,11 +368,13 @@ def partition_stats_suite(
 
     With ``tail_blocks`` set, adds the active-count tail row: out of that many
     independent blocks at this width, the number of active ones is at least
-    ln(w) with frequency at least 1 - 1/w^2.
+    ln(w) with frequency at least 1 - 1/w^2, over 2000 draws of the count.
     """
     _check_width_and_trials(w, trials)
     if sigma1_trials is not None:
         _check_trials(sigma1_trials=sigma1_trials)
+    if tail_blocks is not None:
+        _check_trials(tail_blocks=tail_blocks)
     root = as_seed(seed)
     verdicts = _Verdicts("partition-stats", _params(w=w), root)
 
@@ -429,12 +416,10 @@ def partition_stats_suite(
         verdicts.uniform("sigma1_uniform_pvalue", p, conditioned, failure)
 
     if tail_blocks is not None:
-        if tail_blocks < 1 or tail_trials < 1:
-            raise ValueError("the tail row needs tail_blocks >= 1 and tail_trials >= 1")
-        hits = _active_count_tail(w, tail_blocks, tail_trials, root.child("tail"))
+        hits = _active_count_tail(w, tail_blocks, _TAIL_DRAWS, root.child("tail"))
         verdicts.params = _params(w=w, blocks=tail_blocks)
         verdicts.floor(
-            "tail_prob", hits, tail_trials, 1 - 1 / w**2, "active-count tail frequency below 1 - 1/w^2"
+            "tail_prob", hits, _TAIL_DRAWS, 1 - 1 / w**2, "active-count tail frequency below 1 - 1/w^2"
         )
 
     return verdicts.result()
@@ -466,6 +451,10 @@ def _sigma1_rank_counts(w: int, w_c: int, trials: int, seed: Seed) -> list[int]:
         rank = np.count_nonzero(mask & (np.arange(w) < sigma1[:, None]), axis=1)
         counts += np.bincount(rank[rank < w_c], minlength=w_c)
     return counts.tolist()
+
+
+# draws of the active-block count behind the tail row
+_TAIL_DRAWS = 2000
 
 
 def _active_count_tail(w: int, blocks: int, trials: int, seed: Seed) -> int:
@@ -563,9 +552,8 @@ def stream_run_suite(
     k: int,
     trials: int,
     seed: Seed | int | None = None,
-    mode: str = "uniform_random",
 ) -> SuiteResult:
-    """Exact census recovery and the count-based theta decision over streams."""
+    """Exact census recovery and the count-based theta decision over uniform streams."""
     _check_trials(trials=trials)
     root = as_seed(seed)
     census_ok = 0
@@ -573,23 +561,21 @@ def stream_run_suite(
     for i in range(trials):
         child = root.child("run", i)
         inst = sample_ngc(n, k, child.child("inst"))
-        stream = make_stream(inst, mode, seed=child.child("order"))
+        stream = make_stream(inst, "uniform_random", seed=child.child("order"))
         census = exact_census(n, stream)
-        law = expected_census(inst)
-        assert law is not None
-        census_ok += census == law
+        census_ok += census == census_law(inst.k, inst.m, inst.theta)
         decision = CensusThetaDecision(n, k)
         state = decision.run(decision.init(), stream.events)
         decision_ok += decision.finalize(state) == inst.theta
-    verdicts = _Verdicts("stream-run", _params(n=n, k=k, mode=mode), root)
+    verdicts = _Verdicts("stream-run", _params(n=n, k=k, mode="uniform_random"), root)
     verdicts.exact("census_exact", census_ok, trials, "streamed census wrong in {misses} runs")
     verdicts.exact("decision_correct", decision_ok, trials, "count decision wrong in {misses} runs")
     return verdicts.result()
 
 
-# the most edges whose arrival order adapter_suite tallies: it holds a count
-# for each of their order_edges! interleavings (40,320 at 8)
-MAX_ORDER_EDGES = 8
+# the edges whose arrival order adapter_suite tallies, one count for each of
+# their 5! = 120 interleavings
+_ORDER_EDGES = 5
 
 
 def adapter_suite(
@@ -598,35 +584,32 @@ def adapter_suite(
     trials: int,
     order_trials: int = 10_000,
     seed: Seed | int | None = None,
-    order_edges: int = 5,
 ) -> SuiteResult:
     """Streaming-to-protocol adapter checks.
 
     Row 1: the two-player adapter's output census equals the whole-graph
     census on every instance (exact).  Row 2: under a uniform split with both
-    players shuffling their halves, the induced arrival order of a small edge
-    set is uniform over all |E|! interleavings (chi-square).
+    players shuffling their halves, the induced arrival order of five edges
+    is uniform over all 5! interleavings (chi-square).
     """
     _check_trials(trials=trials, order_trials=order_trials)
-    if not 2 <= order_edges <= MAX_ORDER_EDGES:
-        raise ValueError(f"need 2 <= order_edges <= {MAX_ORDER_EDGES}, got order_edges={order_edges}")
     root = as_seed(seed)
-    verdicts = _Verdicts("adapter", _params(n=n, k=k, edges=order_edges), root)
+    verdicts = _Verdicts("adapter", _params(n=n, k=k, edges=_ORDER_EDGES), root)
 
     match = 0
     for i in range(trials):
         child = root.child("match", i)
         inst = sample_ngc(n, k, child.child("inst"))
         assignment = assign_uniform(inst.edge_array, 2, child.child("assign"))
-        adapter = streaming_as_protocol(UnionFindCensusAlgorithm(n))
+        adapter = StreamingProtocol(UnionFindCensusAlgorithm(n))
         streamed = _run_adapter(adapter, inst.edge_array, assignment, child.child("run"))
         match += streamed == census_of_edges(n, inst.edge_array)
     verdicts.exact("adapter_match", match, trials, "adapter census differed in {misses} runs")
 
-    edges = [(2 * i, 2 * i + 1) for i in range(order_edges)]
-    adapter = streaming_as_protocol(OrderProbe())
+    edges = [(2 * i, 2 * i + 1) for i in range(_ORDER_EDGES)]
+    adapter = StreamingProtocol(OrderProbe())
     perm_ids: dict[tuple, int] = {}
-    counts = [0] * math.factorial(order_edges)
+    counts = [0] * math.factorial(_ORDER_EDGES)
     probe_rng = root.child("order").rng()
     for _ in range(order_trials):
         assignment = assign_uniform(edges, 2, probe_rng.getrandbits(63))
@@ -664,7 +647,7 @@ def l_player_suite(
         child = root.child("relay", i)
         inst = sample_ngc_batched(n, k, s, t, child.child("inst"))
         assignment = assign_batches(inst, l, child.child("assign"))
-        protocol = streaming_as_l_protocol(CensusThetaDecision(n, k), l)
+        protocol = LPlayerStreamingProtocol(CensusThetaDecision(n, k), l)
         result = protocol.run(inst, assignment, seed=child.child("run"))
         ok += result.output == inst.theta
         hop_ok += len(result.hop_bits) == l - 1

@@ -37,29 +37,6 @@ from .gadgets import EdgeView, _check_bits, _check_perm
 
 MAGIC = "ngc-lab v1"
 
-_UNSET = object()
-
-
-class _Derived:
-    """A dataclass field that, unless given, is computed on first read and kept."""
-
-    def __init__(self, derive) -> None:
-        self.derive = derive
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.slot = f"_{name}"
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return _UNSET  # the field's default
-        value = obj.__dict__[self.slot]
-        if value is _UNSET:
-            value = obj.__dict__[self.slot] = self.derive(obj)
-        return value
-
-    def __set__(self, obj, value) -> None:
-        obj.__dict__[self.slot] = value
-
 
 def _batch_order(batch_ids: np.ndarray) -> np.ndarray:
     """The records that carry a batch id, by id, and in file order within an id."""
@@ -80,9 +57,8 @@ class ParsedInstance:
     The edge records are held as arrays in file order: ``edge_array`` (E, 2)
     int64, each record's ``w=`` in ``edge_weights`` and its ``b=`` in
     ``edge_batches`` ((E,) int64, -1 where a record has no ``b=``), either
-    one None when no record carries that annotation.  ``edges``, an
-    ``EdgeView`` of ``edge_array``, is read off it on first use, unless
-    given.
+    one None when no record carries that annotation.  The parser sets
+    ``edges`` to an ``EdgeView`` of ``edge_array``, a view with no copy.
     """
 
     n: int
@@ -98,7 +74,7 @@ class ParsedInstance:
     edge_array: np.ndarray
     edge_weights: np.ndarray | None
     edge_batches: np.ndarray | None
-    edges: EdgeView = _Derived(lambda parsed: EdgeView(parsed.edge_array))
+    edges: EdgeView
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParsedInstance):
@@ -415,6 +391,7 @@ def _parse_records(records: Iterable[tuple[int, str]]) -> ParsedInstance:
         edge_array=edge_array,
         edge_weights=edge_weights,
         edge_batches=edge_batches,
+        edges=EdgeView(edge_array),
     )
 
 

@@ -351,10 +351,6 @@ class StreamingProtocol(OneWayProtocol):
         return alg.finalize(state)
 
 
-def streaming_as_protocol(algorithm: StreamingAlgorithm) -> StreamingProtocol:
-    return StreamingProtocol(algorithm)
-
-
 @dataclass(frozen=True)
 class LProtocolResult:
     output: int
@@ -413,12 +409,6 @@ class LPlayerStreamingProtocol:
                 state = alg.deserialize(blob)
         output = alg.finalize(state)
         return LProtocolResult(output=output, hop_bits=tuple(hop_bits))
-
-
-def streaming_as_l_protocol(
-    algorithm: StreamingAlgorithm, l: int
-) -> LPlayerStreamingProtocol:
-    return LPlayerStreamingProtocol(algorithm, l)
 
 
 # --- distribution distance ---------------------------------------------------------

@@ -104,7 +104,7 @@ def master_seed(value: int | None = None) -> Seed:
     if value is None:
         env = os.environ.get(ENV_SEED_VAR)
         value = int(env) if env else _DEFAULT_MASTER
-    return Seed(value & (2**64 - 1))
+    return Seed(value)
 
 
 def as_seed(seed: "Seed | int | None" = None, *labels: str | int) -> Seed:

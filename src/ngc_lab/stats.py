@@ -46,10 +46,9 @@ class BinomialCheck:
     def within(self, n_sigmas: float = 3.0) -> bool:
         return self.deviation_sigmas <= n_sigmas
 
-    def at_least(self, floor_p: float, n_sigmas: float = 3.0) -> bool:
-        """One-sided: observed rate >= floor_p minus an n-sigma allowance."""
-        slack = n_sigmas * math.sqrt(floor_p * (1 - floor_p) / self.trials)
-        return self.observed_p >= floor_p - slack
+    def at_least(self, n_sigmas: float = 3.0) -> bool:
+        """One-sided: observed rate >= expected_p minus an n-sigma allowance."""
+        return self.observed_p >= self.expected_p - n_sigmas * self.sigma
 
 
 def binomial_check(count: int, trials: int, expected_p: float) -> BinomialCheck:

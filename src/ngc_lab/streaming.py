@@ -23,7 +23,6 @@ are built from.
 from __future__ import annotations
 
 import math
-import numbers
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -45,7 +44,7 @@ from .distributions import (
     keys_to_edges,
 )
 from .gadgets import Edge
-from .seeds import Seed, as_seed, randrange_array, randrange_many, shuffle_order
+from .seeds import Seed, as_seed, randrange_array, shuffle_order
 
 Event = tuple[Edge, int | None]
 
@@ -308,8 +307,7 @@ class CensusThetaDecision(UnionFindCensusAlgorithm):
         self.k = k
 
     def finalize(self, state: np.ndarray) -> int:
-        census = census_of_edges(self.n, keys_to_edges(state))
-        return theta_from_components(self.n, self.k, census.components)
+        return theta_from_components(self.n, self.k, super().finalize(state).components)
 
 
 # --- truncated-exploration connected components estimator -----------------------
@@ -329,7 +327,6 @@ def cc_estimate(
     stream: Stream,
     epsilon: float,
     r: int,
-    cap: int | None = None,
     seed: Seed | int | None = None,
 ) -> CcEstimateResult:
     """Estimate component count as (n/r) * sum over clean seeds of 1/|C|.
@@ -337,13 +334,14 @@ def cc_estimate(
     The truncated-exploration estimator (Chazelle, Rubinfeld and Trevisan,
     2005).  Each of r seed vertices (sampled with replacement) grows a set
     greedily over the stream: an arriving edge with exactly one endpoint
-    inside is absorbed while the set is below cap, and the seed is dirty if,
-    after the stream, any edge still crosses the set's boundary.  So a seed
-    is clean exactly when its component C has at most cap vertices and the
-    time-respecting reach from the seed covers C.  The reach is what greedy
-    absorption reaches along edges taken in stream order; the cap never
-    binds on it while |C| <= cap.  A clean seed's set is C, and a seed in a
-    larger component is dirty.
+    inside is absorbed while the set is below the cap, ceil(2/epsilon)
+    vertices, and the seed is dirty if, after the stream, any edge still
+    crosses the set's boundary.  So a seed is clean exactly when its
+    component C has at most cap vertices and the time-respecting reach from
+    the seed covers C.  The reach is what greedy absorption reaches along
+    edges taken in stream order; the cap never binds on it while
+    |C| <= cap.  A clean seed's set is C, and a seed in a larger component
+    is dirty.
 
     That criterion is computed from one ``component_pass`` and, once per
     distinct seed vertex in a component of at most cap vertices, an
@@ -351,21 +349,16 @@ def cc_estimate(
     at most cap - 1 rounds over at most cap * E (source, edge) pairs.  The
     1/|C| terms are added left to right in seed order.  State is accounted as
     r*cap vertex ids.  The seeds are r ``randrange(n)`` values drawn in bulk,
-    which needs n < 2**32.  A cap that is not an int >= 1, and stream ids
-    outside [0, n), raise ValueError.
+    which needs n < 2**32.  Stream ids outside [0, n) raise ValueError.
     """
     if not 0 < epsilon < 1:
         raise ValueError("need 0 < epsilon < 1")
     if r < 1:
         raise ValueError(f"need r >= 1, got r={r}")
-    if cap is None:
-        cap = math.ceil(2 / epsilon)
-    elif isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
-        raise ValueError(f"need an int cap >= 1, got cap={cap!r}")
-    cap = int(cap)
+    cap = math.ceil(2 / epsilon)
     rng = as_seed(seed).rng()
     n = stream.n
-    seeds = np.array(randrange_many(rng, n, r), dtype=np.int64)
+    seeds = randrange_array(rng, n, r)
     ends = event_edges(stream.events)
     label, size, *_ = component_pass(n, ends)
     seed_size = size[label[seeds]]

@@ -30,8 +30,6 @@ from itertools import chain, combinations
 import numpy as np
 
 from ngc_lab.distributions import (
-    SIDE_A,
-    SIDE_B,
     NgcInstance,
     Witness,
     component_pass,
@@ -39,6 +37,8 @@ from ngc_lab.distributions import (
     sample_ngc,
 )
 from ngc_lab.gadgets import (
+    SIDE_A,
+    SIDE_B,
     GroupLayeredGraph,
     MatchingSpec,
     concat,
@@ -1002,7 +1002,7 @@ def reference_relay(instance, assignment, l: int, seed):
 # --- component estimator: two passes with a set per seed --------------------------
 
 
-def reference_cc_estimate(stream, epsilon: float, r: int, cap=None, seed=None) -> CcEstimateResult:
+def reference_cc_estimate(stream, epsilon: float, r: int, seed=None) -> CcEstimateResult:
     """``cc_estimate`` as a greedy absorption pass, then a boundary pass, per edge.
 
     Each seed's set absorbs an arriving edge with exactly one endpoint inside
@@ -1012,8 +1012,7 @@ def reference_cc_estimate(stream, epsilon: float, r: int, cap=None, seed=None) -
         raise ValueError("need 0 < epsilon < 1")
     if r < 1:
         raise ValueError(f"need r >= 1, got r={r}")
-    if cap is None:
-        cap = math.ceil(2 / epsilon)
+    cap = math.ceil(2 / epsilon)
     rng = as_seed(seed).rng()
     n = stream.n
     seeds = randrange_many(rng, n, r)

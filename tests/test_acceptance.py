@@ -153,7 +153,7 @@ def test_c06_clean_active_rates_and_first_slot_uniformity(
 
 
 def test_c07_adapter_census_exact_and_order_uniform() -> None:
-    res = adapter_suite(28, 7, 1000, 24_000, seed=107, order_edges=5)
+    res = adapter_suite(28, 7, 1000, 24_000, seed=107)
     assert res.passed, res.failures
     rows = by_metric(res)
     assert rows["adapter_match"].value == 1.0
@@ -210,7 +210,7 @@ def test_c11_stochastic_sampling_floors_at_c1() -> None:
     clean = rows["clean_prob"]
     for row, floor in ((absent, math.exp(-1.0)), (clean, math.exp(-9.0))):
         check = binomial_check(count_of(row), row.trials, floor)
-        assert check.at_least(floor), f"{row.metric}={row.value:.3e} under {floor:.3e}"
+        assert check.at_least(), f"{row.metric}={row.value:.3e} under {floor:.3e}"
     print(
         f"PASS c11: unseen-edge rate {absent.value:.4f} >= e^-1 and "
         f"clean rate {clean.value:.6f} >= e^-9, one-sided 3 sigma, 10^5 trials"
@@ -228,7 +228,7 @@ def test_c12_walk_classifier_and_coverage_floor() -> None:
     coverage = rows["coverage_rate"]
     floor = 4.0**-4
     check = binomial_check(count_of(coverage), coverage.trials, floor)
-    assert check.at_least(floor), f"coverage {coverage.value:.3e} under 4^-4 floor"
+    assert check.at_least(), f"coverage {coverage.value:.3e} under 4^-4 floor"
     print(
         f"PASS c12: cycle-length classification {count_of(classify)}/100 with "
         f"{walks} walks each; coverage rate {coverage.value:.5f} >= 2^-8 floor"

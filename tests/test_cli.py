@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import hashlib
+import inspect
 import io
 import os
 import subprocess
@@ -611,6 +612,19 @@ def test_env_seed_fills_seed_column(tmp_path, monkeypatch):
     assert read_csv(str(out))[1][7] == "31337"
 
 
+@pytest.mark.parametrize("flag, env", [("-1", None), (str(2**64), None), (None, "-1")])
+def test_seed_outside_64_bits_is_a_usage_error(tmp_path, capsys, monkeypatch, flag, env):
+    if env is None:
+        monkeypatch.delenv("NGC_LAB_SEED", raising=False)
+    else:
+        monkeypatch.setenv("NGC_LAB_SEED", env)
+    out = tmp_path / "rows.csv"
+    argv = ["stream-run", "--check", "census", "--n", "28", "--k", "7", "--trials", "2"]
+    assert run_cli(*argv, *(["--seed", flag] if flag else []), "--out", str(out)) == 2
+    assert capsys.readouterr().err.rstrip() == "error: master seed must fit in 64 bits"
+    assert not out.exists()
+
+
 def test_rows_flushed_per_line(monkeypatch):
     flushes = []
 
@@ -672,6 +686,20 @@ def test_walk_cover_has_no_method_key(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("walk-cover", "--k", "4", "--walks", "10", "--method", "objects")
     assert exc.value.code == 2
+
+
+def test_every_defaulted_suite_parameter_is_a_table_key():
+    # a suite option the command line cannot set is an option only tests use
+    unset = [
+        (command, check, name)
+        for command, (_, checks) in cli.EXPERIMENTS.items()
+        for check, entry in checks.items()
+        for name, param in inspect.signature(entry.suite).parameters.items()
+        if param.default is not inspect.Parameter.empty
+        and name != "seed"
+        and name not in {p.key for p in entry.params}
+    ]
+    assert unset == []
 
 
 def _sample_value(param, i):

@@ -30,8 +30,10 @@ from ngc_lab.protocols import (
     BudgetExceededError,
     ConstantProtocol,
     FullForwardCensusProtocol,
+    LPlayerStreamingProtocol,
     OneWayProtocol,
     OrderProbe,
+    StreamingProtocol,
     TraceParityProtocol,
     advantage_from_tvd,
     embed_dhx,
@@ -41,8 +43,6 @@ from ngc_lab.protocols import (
     pack_edges,
     pair_advantage,
     run_protocol,
-    streaming_as_l_protocol,
-    streaming_as_protocol,
     tvd,
     unpack_edges,
 )
@@ -345,7 +345,7 @@ def test_adapter_matches_whole_graph_census_decision():
         inst = sample_ngc(56, 7, seed=master_seed(i).child("i"))
         assignment = assign_uniform(inst.all_edges(), 2, seed=master_seed(i).child("a"))
         algorithm = CensusThetaDecision(inst.n, inst.k)
-        protocol = streaming_as_protocol(algorithm)
+        protocol = StreamingProtocol(algorithm)
         result = run_protocol(protocol, inst, assignment, seed=master_seed(i).child("s"))
         assert result.output == inst.theta
         # message length equals the algorithm's own state accounting
@@ -355,7 +355,7 @@ def test_adapter_matches_whole_graph_census_decision():
 
 def test_adapter_induced_order_uniform_at_four_edges():
     edges = [(0, 1), (2, 3), (4, 5), (6, 7)]
-    adapter = streaming_as_protocol(OrderProbe())
+    adapter = StreamingProtocol(OrderProbe())
     counts: Counter[tuple] = Counter()
     trials = 24_000
     for i in range(trials):
@@ -376,7 +376,7 @@ def test_l_player_relay_matches_census():
         for i in range(15):
             inst = sample_ngc_batched(n=64, k=4, s=1, t=1, seed=i)
             assignment = assign_batches(inst, l, seed=i + 50)
-            relay = streaming_as_l_protocol(CensusThetaDecision(inst.n, inst.k), l)
+            relay = LPlayerStreamingProtocol(CensusThetaDecision(inst.n, inst.k), l)
             result = relay.run(inst, assignment, seed=i + 99)
             assert result.output == inst.theta
             assert len(result.hop_bits) == l - 1
@@ -388,7 +388,7 @@ def test_l_player_relay_matches_census():
 def test_l_player_relay_matches_the_set_state_reference(seed, l):
     inst = sample_ngc_batched(n=120, k=15, s=2, t=3, seed=seed)
     assignment = assign_batches(inst, l, seed=seed + 1)
-    relay = streaming_as_l_protocol(CensusThetaDecision(inst.n, inst.k), l)
+    relay = LPlayerStreamingProtocol(CensusThetaDecision(inst.n, inst.k), l)
     result = relay.run(inst, assignment, seed=seed + 2)
     assert (result.output, result.hop_bits) == reference_relay(inst, assignment, l, seed + 2)
 
@@ -398,7 +398,7 @@ def test_streaming_adapter_orders_are_the_list_shuffles(monkeypatch):
     monkeypatch.setattr(seeds, "_SHUFFLE_BULK_MIN", 300)
     edges = [(2 * i, 2 * i + 1) for i in range(600)]
     shared = master_seed(5).child("adapter")
-    adapter = streaming_as_protocol(OrderProbe())
+    adapter = StreamingProtocol(OrderProbe())
     order = adapter.bob(adapter.alice(edges[:350], shared), np.array(edges[350:]), shared)
     want_a, want_b = edges[:350], edges[350:]
     shared.child("alice-shuffle").rng().shuffle(want_a)
@@ -434,13 +434,13 @@ def test_large_instance_chain_hands_census_sized_edge_arrays(monkeypatch):
 
 def test_l_player_relay_validation():
     inst = sample_ngc_batched(n=64, k=4, s=1, t=1, seed=0)
-    relay = streaming_as_l_protocol(CensusThetaDecision(inst.n, inst.k), 4)
+    relay = LPlayerStreamingProtocol(CensusThetaDecision(inst.n, inst.k), 4)
     with pytest.raises(ValueError):
         relay.run(inst, assign_uniform(inst.all_edges(), 2, seed=1), seed=2)
     with pytest.raises(ValueError):
         relay.run(inst, assign_batches(inst, 2, seed=3), seed=4)  # player mismatch
     with pytest.raises(ValueError):
-        streaming_as_l_protocol(CensusThetaDecision(64, 4), 0)
+        LPlayerStreamingProtocol(CensusThetaDecision(64, 4), 0)
 
 
 # --- total variation distance ------------------------------------------------------
