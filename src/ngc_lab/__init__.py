@@ -7,15 +7,14 @@ probabilistic claims behind the construction.
 
 The curated surface below covers the instance samplers, edge-partition
 models, streaming algorithms, protocol adapters, and the experiment suites
-driven by the ``ngc-lab`` command line tool.  Everything else stays
-importable from its home module (``ngc_lab.gadgets``, ``ngc_lab.stats``,
+driven by the ``ngc-lab`` command line tool.  The helpers they are built
+from live in their home modules (``ngc_lab.gadgets``, ``ngc_lab.stats``,
 ...).
 """
 
 from .bias import (
     SupportSet,
     bias,
-    good_message_analysis,
     kkl_rhs,
     mean_bias_sq,
     product_bias_check,
@@ -53,7 +52,7 @@ from .experiments import (
     stream_run_suite,
     walk_cover_suite,
 )
-from .instance_io import parse_instance, read_instance, serialize_instance, write_instance
+from .instance_io import parse_instance, serialize_instance
 from .partitions import (
     EdgeAssignment,
     active_blocks,
@@ -73,22 +72,18 @@ from .protocols import (
     StreamingProtocol,
     embed_dhx,
     embed_dhx_batched,
-    hybrid_scan,
     run_protocol,
-    tvd,
 )
 from .seeds import Seed, as_seed, master_seed
 from .streaming import (
     CensusThetaDecision,
     UnionFindCensusAlgorithm,
     cc_estimate,
-    detect_cycle_length_from_walks,
     exact_census,
     make_stream,
     matching_size_exact,
     mis_size_exact,
     mst_weight_exact,
-    random_walk,
     stream_from_edges,
 )
 
@@ -123,14 +118,11 @@ __all__ = [
     "clean_indices",
     "clean_indices_stochastic",
     "combinatorial_suite",
-    "detect_cycle_length_from_walks",
     "embed_dhx",
     "embed_dhx_batched",
     "estimator_budget_curve",
     "estimator_suite",
     "exact_census",
-    "good_message_analysis",
-    "hybrid_scan",
     "index_ownership_pattern",
     "kkl_rhs",
     "l_player_suite",
@@ -147,8 +139,6 @@ __all__ = [
     "partition_stats_suite",
     "product_bias_check",
     "random_partition_functions",
-    "random_walk",
-    "read_instance",
     "reduce_check_suite",
     "run_protocol",
     "sample_dhx",
@@ -161,10 +151,8 @@ __all__ = [
     "stochastic_stats_suite",
     "stream_from_edges",
     "stream_run_suite",
-    "tvd",
     "uniform_witness",
     "valid_subset_prob",
     "validate_instance",
     "walk_cover_suite",
-    "write_instance",
 ]

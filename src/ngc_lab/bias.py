@@ -1,10 +1,9 @@
-"""Exact Boolean bias arithmetic and message-class accounting.
+"""Exact Boolean bias arithmetic.
 
 Everything here is small-universe and exact: supports are explicit sets of
-short bit strings, biases are rationals from integer counting, and protocol
-message classes are built by literally running the sender on every input.
-Sampling appears only as an alternative estimator for subset averages, so
-sampled and exact answers can be cross-checked against each other.
+short bit strings, and biases are rationals from integer counting.  Sampling
+appears only as an alternative estimator for subset averages, so sampled and
+exact answers can be cross-checked against each other.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable
+from typing import Iterable
 
 from itertools import combinations
 
@@ -153,71 +152,3 @@ def valid_subset_prob(w_c: int, t_a: int) -> Fraction:
     if t_a * max(1, w_c.bit_length()) > VALID_SUBSET_BITS_GUARD:
         raise ValueError("combinatorial values beyond the overflow guard")
     return Fraction(w_c**t_a, math.comb(w_c * t_a, t_a))
-
-
-@dataclass(frozen=True)
-class GoodMessageReport:
-    """Message-class partition of an enumerable sender.
-
-    A class is "good" when its preimage holds at least 2^(N-4c) inputs; with
-    at most 2^c distinct messages the small classes can carry less than
-    2^(-3c) of the input mass in total — this report carries the exact split.
-    """
-
-    n_bits: int
-    budget: int
-    class_sizes: dict[Hashable, int]
-    good_threshold: Fraction
-    good_fraction: Fraction
-    small_class_mass: Fraction
-    small_class_bound: Fraction
-    conditional_success: dict[Hashable, Fraction] | None
-
-    @property
-    def bound_holds(self) -> bool:
-        return self.small_class_mass < self.small_class_bound
-
-
-def good_message_analysis(
-    sender: Callable[[int], Hashable],
-    n_bits: int,
-    budget: int,
-    predicate: Callable[[int], bool] | None = None,
-) -> GoodMessageReport:
-    """Run the sender on every n_bits-input and partition by message.
-
-    `budget` is the message length in bits: more than 2^budget distinct
-    messages is a contract violation.  `predicate`, when given, scores each
-    input and the report carries per-message conditional success rates.
-    """
-    if not 1 <= n_bits <= MAX_WORD_BITS:
-        raise ValueError(f"n_bits must be in [1, {MAX_WORD_BITS}]")
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    total = 2**n_bits
-    sizes: dict[Hashable, int] = {}
-    wins: dict[Hashable, int] = {}
-    for x in range(total):
-        msg = sender(x)
-        sizes[msg] = sizes.get(msg, 0) + 1
-        if predicate is not None:
-            wins[msg] = wins.get(msg, 0) + int(predicate(x))
-    if len(sizes) > 2**budget:
-        raise ValueError(
-            f"sender used {len(sizes)} distinct messages, over the 2^{budget} budget"
-        )
-    threshold = Fraction(2) ** (n_bits - 4 * budget)
-    good = sum(size for size in sizes.values() if size >= threshold)
-    conditional = None
-    if predicate is not None:
-        conditional = {msg: Fraction(wins[msg], sizes[msg]) for msg in sizes}
-    return GoodMessageReport(
-        n_bits=n_bits,
-        budget=budget,
-        class_sizes=sizes,
-        good_threshold=threshold,
-        good_fraction=Fraction(good, total),
-        small_class_mass=Fraction(total - good, total),
-        small_class_bound=Fraction(2) ** (-3 * budget),
-        conditional_success=conditional,
-    )

@@ -77,23 +77,8 @@ def _check_gadget(x: Sequence[int], sigma: Sequence[int], w: int) -> tuple[Perm,
     return perm, bits
 
 
-@dataclass(frozen=True)
-class VertexRef:
-    """A vertex named by (layer, group, side); all 1-based except side."""
-
-    layer: int
-    group: int
-    side: int  # SIDE_A or SIDE_B
-
-
 def vertex_id(layer: int, group: int, side: int, width: int) -> int:
     return (layer - 1) * 2 * width + 2 * (group - 1) + side
-
-
-def vertex_from_id(vid: int, width: int) -> VertexRef:
-    layer, rest = divmod(vid, 2 * width)
-    group, side = divmod(rest, 2)
-    return VertexRef(layer + 1, group + 1, side)
 
 
 @dataclass(frozen=True)
@@ -350,16 +335,3 @@ def edge_rows(targets: np.ndarray) -> np.ndarray:
 def to_edges(g: GroupLayeredGraph) -> EdgeView:
     """The 2w(d-1) edges on canonical ids (u < v), ordered by layer, group, side."""
     return EdgeView(edge_rows(g._targets))
-
-
-def check_layered_degrees(g: GroupLayeredGraph) -> None:
-    """Assert the defining degree profile: 1 on boundary layers, 2 inside."""
-    degree = np.bincount(to_edges(g).array.ravel(), minlength=g.n_vertices)
-    layer = np.arange(g.n_vertices) // (2 * g.width) + 1
-    want = np.where((layer == 1) | (layer == g.depth), 1, 2)
-    wrong = np.flatnonzero(degree != want)
-    if wrong.size:
-        vid = int(wrong[0])
-        raise AssertionError(
-            f"vertex {vid} (layer {layer[vid]}) has degree {degree[vid]}, wanted {want[vid]}"
-        )

@@ -393,13 +393,3 @@ def _parse_records(records: Iterable[tuple[int, str]]) -> ParsedInstance:
         edge_batches=edge_batches,
         edges=EdgeView(edge_array),
     )
-
-
-def write_instance(path: str, instance: NgcInstance, reveal: bool = False) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_instance(instance, reveal=reveal))
-
-
-def read_instance(path: str) -> ParsedInstance:
-    with open(path, encoding="utf-8") as fh:
-        return parse_instance(fh.read())

@@ -95,11 +95,6 @@ def random_partition_functions(
     return PartitionFunctions(maps[:t], maps[t : 2 * t], maps[2 * t :])
 
 
-def constant_partition_functions(w: int, t: int, value: int) -> PartitionFunctions:
-    maps = tuple(tuple(value for _ in range(2 * w)) for _ in range(t))
-    return PartitionFunctions(maps, maps, maps)
-
-
 @dataclass(frozen=True)
 class EdgeAssignment:
     """Edge ownership under one of the division models.

@@ -1,34 +1,23 @@
-"""One-way protocols, the witness-space embedding, and distinguishing metrics.
+"""One-way protocols and the witness-space embedding.
 
 The centrepiece is the embedding that turns a crossing-parity query on a
 width-(m+1) gadget stack into a full-width hard instance whose group h* carries
 exactly that parity, while every other group's parity is pinned to the hybrid
 interpolation targets.  Around it: a two-player one-way protocol harness with
-exact bit accounting, adapters that lift any serializable streaming algorithm
-to a (sequential, multi-player) protocol, total-variation utilities, and the
-hybrid advantage scan.
+exact bit accounting, and adapters that lift any serializable streaming
+algorithm to a (sequential, multi-player) protocol.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterable
 
 import numpy as np
 
-from .distributions import (
-    NgcInstance,
-    Witness,
-    as_edge_array,
-    census_of_edges,
-    crossing_parity,
-    sample_hybrid,
-)
+from .distributions import NgcInstance, Witness, as_edge_array, census_of_edges, crossing_parity
 from .gadgets import Edge, GroupLayeredGraph
-from .partitions import EdgeAssignment, assign_uniform
+from .partitions import EdgeAssignment
 from .seeds import Seed, as_seed, randrange_many, sample_range, shuffle_order
-from .stats import clopper_pearson
 from .streaming import (
     EventView,
     StreamingAlgorithm,
@@ -210,21 +199,6 @@ def run_protocol(
     return ProtocolResult(output=output, message_bits=bits)
 
 
-class ConstantProtocol(OneWayProtocol):
-    """Ignores the input; useful as the no-information baseline."""
-
-    message_budget = 0
-
-    def __init__(self, bit: int) -> None:
-        self.bit = bit
-
-    def alice(self, edges: np.ndarray, shared: Seed) -> bytes:
-        return b""
-
-    def bob(self, message: bytes, edges: np.ndarray, shared: Seed) -> int:
-        return self.bit
-
-
 class FullForwardCensusProtocol(OneWayProtocol):
     """Alice forwards her edges verbatim; Bob runs the exact census decision.
 
@@ -266,38 +240,6 @@ class BobOnlyCycleDetector(OneWayProtocol):
     def bob(self, message: bytes, edges: np.ndarray, shared: Seed) -> int:
         census = census_of_edges(self.n, edges)
         return 1 if census.count_cycles(2 * self.k) > 0 else 0
-
-
-class TraceParityProtocol(OneWayProtocol):
-    """Alice forwards everything; Bob traces one group's crossing parity.
-
-    Reads the parity of group `group` exactly, so it distinguishes the two
-    hybrids adjacent at that group perfectly — the information-theoretic
-    ceiling the communication-bounded protocols are compared against.
-    """
-
-    def __init__(self, width: int, depth: int, group: int) -> None:
-        self.width = width
-        self.depth = depth
-        self.group = group
-
-    def alice(self, edges: np.ndarray, shared: Seed) -> bytes:
-        return pack_edges(edges)
-
-    def bob(self, message: bytes, edges: np.ndarray, shared: Seed) -> int:
-        seen = np.concatenate([unpack_edges(message), as_edge_array(edges)])
-        neighbours: dict[int, list[int]] = {}
-        for u, v in seen.tolist():
-            neighbours.setdefault(u, []).append(v)
-            neighbours.setdefault(v, []).append(u)
-        span = 2 * self.width
-        current = 2 * (self.group - 1)  # layer 1, side a
-        for layer in range(1, self.depth):
-            nxt = [v for v in neighbours.get(current, ()) if v // span == layer]
-            if len(nxt) != 1:
-                raise ValueError("edge set does not trace a layered path")
-            current = nxt[0]
-        return current % 2
 
 
 # --- streaming adapters -----------------------------------------------------------
@@ -409,136 +351,3 @@ class LPlayerStreamingProtocol:
                 state = alg.deserialize(blob)
         output = alg.finalize(state)
         return LProtocolResult(output=output, hop_bits=tuple(hop_bits))
-
-
-# --- distribution distance ---------------------------------------------------------
-
-
-Distribution = dict
-
-
-def _check_table(p: Distribution) -> None:
-    total = sum(p.values())
-    if abs(float(total) - 1.0) > 1e-12:
-        raise ValueError(f"probabilities sum to {float(total)}, not 1")
-
-
-def tvd(p: Distribution, q: Distribution) -> float:
-    """Total variation distance 1/2 sum |p - q|; requires identical supports."""
-    if set(p) != set(q):
-        missing = set(p) ^ set(q)
-        raise ValueError(f"support mismatch on {len(missing)} points")
-    _check_table(p)
-    _check_table(q)
-    return float(sum(abs(Fraction(p[k]) - Fraction(q[k])) for k in p)) / 2
-
-
-def advantage_from_tvd(distance: float) -> float:
-    """Best achievable success probability distinguishing two laws: 1/2 + tvd/2."""
-    return 0.5 + distance / 2
-
-
-def empirical_table(samples: Iterable, support: Iterable | None = None) -> Distribution:
-    """Frequency table with exact rational weights; optionally zero-filled."""
-    counts: dict = {}
-    total = 0
-    for sample in samples:
-        counts[sample] = counts.get(sample, 0) + 1
-        total += 1
-    if total == 0:
-        raise ValueError("no samples")
-    table = {key: Fraction(c, total) for key, c in counts.items()}
-    if support is not None:
-        support = set(support)
-        stray = set(table) - support
-        if stray:
-            raise ValueError(f"{len(stray)} samples outside the declared support")
-        for key in support - set(table):
-            table[key] = Fraction(0)
-    return table
-
-
-# --- hybrid advantage scan -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AdvantageCell:
-    h: int
-    trials: int
-    successes: int
-    advantage: float
-    ci_low: float
-    ci_high: float
-
-
-@dataclass(frozen=True)
-class HybridScanReport:
-    cells: tuple[AdvantageCell, ...]
-
-    @property
-    def best_h(self) -> int:
-        return max(self.cells, key=lambda c: c.advantage).h
-
-
-def pair_advantage(
-    protocol: OneWayProtocol,
-    m: int,
-    t: int,
-    h_one: int,
-    h_zero: int,
-    trials: int,
-    seed: Seed | int | None = None,
-    h_label: int = 0,
-) -> AdvantageCell:
-    """Advantage of the protocol's own output bit at telling two hybrids apart.
-
-    Each trial draws a fair source bit b, samples the hybrid h_one (if b=1) or
-    h_zero (if b=0), splits it uniformly, and scores output == b.  Advantage
-    is 2*Pr[correct] - 1 with a Clopper-Pearson 95% interval; this lower-bounds
-    the maximum-likelihood distinguishing advantage.
-    """
-    root = as_seed(seed)
-    successes = 0
-    for trial in range(trials):
-        branch = root.child("trial", trial)
-        rng = branch.child("coin").rng()
-        b = rng.randrange(2)
-        instance = sample_hybrid(m, t, h_one if b else h_zero, seed=branch.child("draw"))
-        assignment = assign_uniform(instance.edge_array, 2, seed=branch.child("split"))
-        result = run_protocol(protocol, instance, assignment, seed=branch.child("run"))
-        successes += int(result.output == b)
-    lo, hi = clopper_pearson(successes, trials)
-    return AdvantageCell(
-        h=h_label,
-        trials=trials,
-        successes=successes,
-        advantage=2 * successes / trials - 1,
-        ci_low=2 * lo - 1,
-        ci_high=2 * hi - 1,
-    )
-
-
-def hybrid_scan(
-    protocol: OneWayProtocol | Callable[[int], OneWayProtocol],
-    m: int,
-    t: int,
-    trials: int,
-    seed: Seed | int | None = None,
-) -> HybridScanReport:
-    """Per-step advantage profile over the hybrid chain.
-
-    Step h tests hybrid h-1 (group h parity 1) against hybrid h (parity 0);
-    summed over h the advantages telescope: they cannot all be small if the
-    end-to-end pair is easy to tell apart.  `protocol` is either one protocol
-    used at every step or a callable h -> protocol for step-aware probes.
-    """
-    root = as_seed(seed)
-    cells = []
-    for h in range(1, m + 1):
-        probe = protocol(h) if callable(protocol) else protocol
-        cells.append(
-            pair_advantage(
-                probe, m, t, h - 1, h, trials, seed=root.child("h", h), h_label=h
-            )
-        )
-    return HybridScanReport(tuple(cells))

@@ -52,7 +52,7 @@ class Seed:
 
     def __post_init__(self) -> None:
         if not 0 <= self.master < 2**64:
-            raise ValueError("master seed must fit in 64 bits")
+            raise ValueError(f"master seed must fit in 64 bits, got {self.master!r}")
 
     def child(self, *labels: str | int) -> "Seed":
         return Seed(self.master, self.path + tuple(str(l) for l in labels))
@@ -101,10 +101,17 @@ def _key(digest: bytes) -> int:
 
 def master_seed(value: int | None = None) -> Seed:
     """Build a root Seed: explicit value, else $NGC_LAB_SEED, else a fixed default."""
-    if value is None:
-        env = os.environ.get(ENV_SEED_VAR)
-        value = int(env) if env else _DEFAULT_MASTER
-    return Seed(value)
+    if value is not None:
+        return Seed(value)
+    env = os.environ.get(ENV_SEED_VAR)
+    if not env:
+        return Seed(_DEFAULT_MASTER)
+    try:
+        return Seed(int(env))
+    except ValueError:
+        raise ValueError(
+            f"{ENV_SEED_VAR} must be an integer that fits in 64 bits, got {env!r}"
+        ) from None
 
 
 def as_seed(seed: "Seed | int | None" = None, *labels: str | int) -> Seed:

@@ -16,8 +16,7 @@ the state across a cut; serialized size is the honest message cost.
 
 The reference algorithms are exact oracles on the degree-<=2 instance family
 (census, matching, independent set, MST) plus the truncated-exploration
-connected-components estimator and random-walk utilities the distinguishers
-are built from.
+connected-components estimator.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import math
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import repeat
 from typing import Iterable
 
@@ -502,121 +500,3 @@ def mst_weight_exact(weighted_edges: list[tuple[int, int, int]], n: int) -> MstR
             weight += w
             merged += 1
     return MstResult(weight=weight, components=n - merged)
-
-
-# --- random walks -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WalkSample:
-    vertices: tuple[int, ...]
-
-    @property
-    def start(self) -> int:
-        return self.vertices[0]
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
-
-
-def build_adjacency(n: int, edges: list[Edge]) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
-
-
-def random_walk(
-    edges: list[Edge],
-    start: int,
-    steps: int,
-    seed: Seed | int | None = None,
-    n: int | None = None,
-    adjacency: list[list[int]] | None = None,
-) -> WalkSample:
-    """Uniform-neighbor walk; pass a prebuilt adjacency when doing many walks."""
-    if adjacency is None:
-        if n is None:
-            n = 1 + max(max(u, v) for u, v in edges)
-        adjacency = build_adjacency(n, edges)
-    if not adjacency[start]:
-        raise ValueError(f"start vertex {start} is isolated")
-    rng = as_seed(seed).rng()
-    path = [start]
-    cur = start
-    for _ in range(steps):
-        nbrs = adjacency[cur]
-        cur = nbrs[rng.randrange(len(nbrs))]
-        path.append(cur)
-    return WalkSample(tuple(path))
-
-
-def walk_distribution_exact(
-    edges: list[Edge], start: int, steps: int, n: int | None = None
-) -> dict[tuple[int, ...], Fraction]:
-    """Exact walk law by enumeration (guarded to <= 2^20 walks)."""
-    if n is None:
-        n = 1 + max(max(u, v) for u, v in edges)
-    adjacency = build_adjacency(n, edges)
-    if not adjacency[start]:
-        raise ValueError(f"start vertex {start} is isolated")
-    max_deg = max(len(a) for a in adjacency)
-    if max_deg**steps > 2**20:
-        raise ValueError("enumeration guard exceeded (max_degree^steps > 2^20)")
-    table: dict[tuple[int, ...], Fraction] = {(start,): Fraction(1)}
-    for _ in range(steps):
-        nxt: dict[tuple[int, ...], Fraction] = {}
-        for walk, p in table.items():
-            nbrs = adjacency[walk[-1]]
-            share = p / len(nbrs)
-            for v in nbrs:
-                nxt[walk + (v,)] = nxt.get(walk + (v,), Fraction(0)) + share
-        table = nxt
-    return table
-
-
-@dataclass(frozen=True)
-class WalkDetection:
-    k_certificates: int
-    two_k_certificates: int
-    other_certificates: int
-    classification: str  # "k_cycles" | "2k_cycles" | "unknown"
-
-
-def detect_cycle_length_from_walks(
-    walks: list[WalkSample], edges: list[Edge], n: int, k: int
-) -> WalkDetection:
-    """Certify complete cycles from walk footprints.
-
-    A walk certifies a cycle when every visited vertex has degree 2 and both
-    its neighbors were visited too: the visited set is then exactly one whole
-    cycle component, of length |visited|.  Walks that touch a path can never
-    certify (a path endpoint fails the degree test, an interior frontier
-    vertex fails the both-neighbors test).
-    """
-    adjacency = build_adjacency(n, edges)
-    counts = {"k": 0, "2k": 0, "other": 0}
-    for walk in walks:
-        visited = set(walk.vertices)
-        certified = all(
-            len(adjacency[v]) == 2 and all(u in visited for u in adjacency[v])
-            for v in visited
-        )
-        if not certified:
-            continue
-        size = len(visited)
-        if size == k:
-            counts["k"] += 1
-        elif size == 2 * k:
-            counts["2k"] += 1
-        else:
-            counts["other"] += 1
-    if counts["k"]:
-        classification = "k_cycles"
-    elif counts["2k"]:
-        classification = "2k_cycles"
-    else:
-        classification = "unknown"
-    return WalkDetection(counts["k"], counts["2k"], counts["other"], classification)

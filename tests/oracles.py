@@ -16,16 +16,19 @@ line, event tuples shuffled in place, set-valued census states relayed batch
 by batch, the component estimator's two per-edge passes over set-valued seed
 states),
 so the new routes can be checked draw for draw and byte for byte against
-them.
+them.  The exact rational distance tables (``tvd``, ``empirical_table``)
+and the walk toolkit behind ``reference_walk_cover`` are references of this
+kind with no counterpart left in the package.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, combinations
+from typing import Iterable
 
 import numpy as np
 
@@ -39,6 +42,7 @@ from ngc_lab.distributions import (
 from ngc_lab.gadgets import (
     SIDE_A,
     SIDE_B,
+    Edge,
     GroupLayeredGraph,
     MatchingSpec,
     concat,
@@ -65,14 +69,8 @@ from ngc_lab.partitions import (
     sample_counts,
 )
 from ngc_lab.protocols import EmbeddingRecord
-from ngc_lab.seeds import as_seed, randrange_many
-from ngc_lab.streaming import (
-    CcEstimateResult,
-    detect_cycle_length_from_walks,
-    event_edges,
-    random_walk,
-    theta_from_components,
-)
+from ngc_lab.seeds import Seed, as_seed, randrange_many
+from ngc_lab.streaming import CcEstimateResult, event_edges, theta_from_components
 
 
 def canon(edge: tuple[int, int]) -> tuple[int, int]:
@@ -306,6 +304,21 @@ def side_of(vid: int) -> int:
     return vid % 2
 
 
+@dataclass(frozen=True)
+class VertexRef:
+    """A vertex named by (layer, group, side); all 1-based except side."""
+
+    layer: int
+    group: int
+    side: int  # SIDE_A or SIDE_B
+
+
+def vertex_from_id(vid: int, width: int) -> VertexRef:
+    layer, rest = divmod(vid, 2 * width)
+    group, side = divmod(rest, 2)
+    return VertexRef(layer + 1, group + 1, side)
+
+
 def traced_group_and_parity(
     width: int,
     depth: int,
@@ -376,6 +389,19 @@ def reference_multi_segment(X, Sigma) -> GroupLayeredGraph:
     for xs, sigmas in zip(X[1:], Sigma[1:]):
         g = concat(g, reference_segment(xs, sigmas))
     return g
+
+
+def check_layered_degrees(g: GroupLayeredGraph) -> None:
+    """Assert the defining degree profile: 1 on boundary layers, 2 inside."""
+    degree = np.bincount(to_edges(g).array.ravel(), minlength=g.n_vertices)
+    layer = np.arange(g.n_vertices) // (2 * g.width) + 1
+    want = np.where((layer == 1) | (layer == g.depth), 1, 2)
+    wrong = np.flatnonzero(degree != want)
+    if wrong.size:
+        vid = int(wrong[0])
+        raise AssertionError(
+            f"vertex {vid} (layer {layer[vid]}) has degree {degree[vid]}, wanted {want[vid]}"
+        )
 
 
 # --- witness layer: the per-gadget samplers ---------------------------------------
@@ -596,6 +622,48 @@ def reference_instance_parts(instance) -> dict:
     }
 
 
+# --- distribution distance: exact rational tables ---------------------------------
+
+
+Distribution = dict
+
+
+def _check_table(p: Distribution) -> None:
+    total = sum(p.values())
+    if abs(float(total) - 1.0) > 1e-12:
+        raise ValueError(f"probabilities sum to {float(total)}, not 1")
+
+
+def tvd(p: Distribution, q: Distribution) -> float:
+    """Total variation distance 1/2 sum |p - q|; requires identical supports."""
+    if set(p) != set(q):
+        missing = set(p) ^ set(q)
+        raise ValueError(f"support mismatch on {len(missing)} points")
+    _check_table(p)
+    _check_table(q)
+    return float(sum(abs(Fraction(p[k]) - Fraction(q[k])) for k in p)) / 2
+
+
+def empirical_table(samples: Iterable, support: Iterable | None = None) -> Distribution:
+    """Frequency table with exact rational weights; optionally zero-filled."""
+    counts: dict = {}
+    total = 0
+    for sample in samples:
+        counts[sample] = counts.get(sample, 0) + 1
+        total += 1
+    if total == 0:
+        raise ValueError("no samples")
+    table = {key: Fraction(c, total) for key, c in counts.items()}
+    if support is not None:
+        support = set(support)
+        stray = set(table) - support
+        if stray:
+            raise ValueError(f"{len(stray)} samples outside the declared support")
+        for key in support - set(table):
+            table[key] = Fraction(0)
+    return table
+
+
 # --- partition layer: the per-element routes --------------------------------------
 
 
@@ -778,6 +846,116 @@ def reference_clean_indices_stochastic(instance, assignment):
         )
 
     return _reference_report(instance, is_clean, int(instance.width / (2 * math.exp(9 * assignment.c))))
+
+
+# --- walk layer: real walks and cycle certificates --------------------------------
+
+
+@dataclass(frozen=True)
+class WalkSample:
+    vertices: tuple[int, ...]
+
+    @property
+    def start(self) -> int:
+        return self.vertices[0]
+
+    @property
+    def length(self) -> int:
+        return len(self.vertices) - 1
+
+
+def random_walk(
+    edges: list[Edge],
+    start: int,
+    steps: int,
+    seed: Seed | int | None = None,
+    n: int | None = None,
+    adjacency: list[list[int]] | None = None,
+) -> WalkSample:
+    """Uniform-neighbor walk; pass a prebuilt adjacency when doing many walks."""
+    if adjacency is None:
+        if n is None:
+            n = 1 + max(max(u, v) for u, v in edges)
+        adjacency = build_adjacency(n, edges)
+    if not adjacency[start]:
+        raise ValueError(f"start vertex {start} is isolated")
+    rng = as_seed(seed).rng()
+    path = [start]
+    cur = start
+    for _ in range(steps):
+        nbrs = adjacency[cur]
+        cur = nbrs[rng.randrange(len(nbrs))]
+        path.append(cur)
+    return WalkSample(tuple(path))
+
+
+def walk_distribution_exact(
+    edges: list[Edge], start: int, steps: int, n: int | None = None
+) -> dict[tuple[int, ...], Fraction]:
+    """Exact walk law by enumeration (guarded to <= 2^20 walks)."""
+    if n is None:
+        n = 1 + max(max(u, v) for u, v in edges)
+    adjacency = build_adjacency(n, edges)
+    if not adjacency[start]:
+        raise ValueError(f"start vertex {start} is isolated")
+    max_deg = max(len(a) for a in adjacency)
+    if max_deg**steps > 2**20:
+        raise ValueError("enumeration guard exceeded (max_degree^steps > 2^20)")
+    table: dict[tuple[int, ...], Fraction] = {(start,): Fraction(1)}
+    for _ in range(steps):
+        nxt: dict[tuple[int, ...], Fraction] = {}
+        for walk, p in table.items():
+            nbrs = adjacency[walk[-1]]
+            share = p / len(nbrs)
+            for v in nbrs:
+                nxt[walk + (v,)] = nxt.get(walk + (v,), Fraction(0)) + share
+        table = nxt
+    return table
+
+
+@dataclass(frozen=True)
+class WalkDetection:
+    k_certificates: int
+    two_k_certificates: int
+    other_certificates: int
+    classification: str  # "k_cycles" | "2k_cycles" | "unknown"
+
+
+def detect_cycle_length_from_walks(
+    walks: list[WalkSample], edges: list[Edge], n: int, k: int
+) -> WalkDetection:
+    """Certify complete cycles from walk footprints.
+
+    A walk certifies a cycle when every visited vertex has degree 2 and both
+    its neighbors were visited too: the visited set is then exactly one whole
+    cycle component, of length |visited|.  Walks that touch a path can never
+    certify (a path endpoint fails the degree test, an interior frontier
+    vertex fails the both-neighbors test).
+    """
+    adjacency = build_adjacency(n, edges)
+    counts = {"k": 0, "2k": 0, "other": 0}
+    for walk in walks:
+        visited = set(walk.vertices)
+        certified = all(
+            len(adjacency[v]) == 2 and all(u in visited for u in adjacency[v])
+            for v in visited
+        )
+        if not certified:
+            continue
+        size = len(visited)
+        if size == k:
+            counts["k"] += 1
+        elif size == 2 * k:
+            counts["2k"] += 1
+        else:
+            counts["other"] += 1
+    if counts["k"]:
+        classification = "k_cycles"
+    elif counts["2k"]:
+        classification = "2k_cycles"
+    else:
+        classification = "unknown"
+    return WalkDetection(counts["k"], counts["2k"], counts["other"], classification)
 
 
 # --- claim suites: one object trial at a time -------------------------------------

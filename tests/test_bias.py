@@ -1,8 +1,7 @@
-"""Exact bias arithmetic, subset averages, and message-class partitions."""
+"""Exact bias arithmetic and subset averages."""
 
 from __future__ import annotations
 
-import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -12,7 +11,6 @@ import pytest
 from ngc_lab.bias import (
     SupportSet,
     bias,
-    good_message_analysis,
     kkl_rhs,
     mean_bias_sq,
     product_bias_check,
@@ -209,67 +207,3 @@ def test_valid_subset_prob_matches_monte_carlo():
         hits += int(all(c == 1 for c in counts))
     check = binomial_check(hits, trials, float(p))
     assert check.within(3), f"valid-subset frequency off: {check}"
-
-
-def test_good_messages_constant_sender():
-    report = good_message_analysis(lambda x: "always", n_bits=10, budget=0)
-    assert report.class_sizes == {"always": 1024}
-    assert report.good_fraction == 1
-    assert report.small_class_mass == 0
-    assert report.bound_holds
-
-
-def test_good_messages_identity_sender():
-    report = good_message_analysis(lambda x: x, n_bits=10, budget=10)
-    assert len(report.class_sizes) == 1024
-    assert set(report.class_sizes.values()) == {1}
-    assert report.good_threshold < 1  # 2^(10-40)
-    assert report.good_fraction == 1
-    assert report.small_class_mass == 0 < report.small_class_bound
-    assert report.bound_holds
-
-
-def test_good_messages_skewed_sender_small_mass():
-    # three singleton classes under the 2^(16-12)=16 threshold
-    def sender(x: int) -> int:
-        return x if x < 3 else 7
-
-    report = good_message_analysis(sender, n_bits=16, budget=3)
-    assert report.good_threshold == 16
-    assert report.small_class_mass == Fraction(3, 2**16)
-    assert report.small_class_bound == Fraction(1, 512)
-    assert report.bound_holds
-    assert report.good_fraction == 1 - Fraction(3, 2**16)
-
-
-def test_good_messages_random_hash_sender():
-    budget = 3
-
-    def sender(x: int) -> int:
-        digest = hashlib.sha256(x.to_bytes(3, "big")).digest()
-        return digest[0] % (2**budget)
-
-    report = good_message_analysis(sender, n_bits=16, budget=budget)
-    assert len(report.class_sizes) <= 2**budget
-    assert report.small_class_mass < report.small_class_bound
-
-
-def test_good_messages_conditional_success():
-    report = good_message_analysis(
-        lambda x: x & 1,
-        n_bits=4,
-        budget=1,
-        predicate=lambda x: (x >> 1) & 1 == 0,
-    )
-    assert report.conditional_success == {0: Fraction(1, 2), 1: Fraction(1, 2)}
-
-
-def test_good_messages_validation():
-    with pytest.raises(ValueError):
-        good_message_analysis(lambda x: x, n_bits=0, budget=1)
-    with pytest.raises(ValueError):
-        good_message_analysis(lambda x: x, n_bits=25, budget=1)
-    with pytest.raises(ValueError):
-        good_message_analysis(lambda x: x, n_bits=4, budget=-1)
-    with pytest.raises(ValueError):
-        good_message_analysis(lambda x: x, n_bits=8, budget=2)  # 256 messages > 4

@@ -19,7 +19,7 @@ from ngc_lab import cli, experiments, partitions
 from ngc_lab.cli import build_parser, main, resolve_config
 from ngc_lab.distributions import mst_augment, sample_ngc, sample_ngc_batched
 from ngc_lab.experiments import CSV_COLUMNS
-from ngc_lab.instance_io import serialize_instance, write_instance
+from ngc_lab.instance_io import serialize_instance
 
 
 def run_cli(*argv):
@@ -204,7 +204,7 @@ def _batch_split(_lines):
 )
 def test_validate_malformed_file_is_a_usage_error(tmp_path, capsys, mangle):
     path = tmp_path / "inst.txt"
-    write_instance(str(path), sample_ngc(28, 7, 5), reveal=True)
+    path.write_text(serialize_instance(sample_ngc(28, 7, 5), reveal=True), encoding="utf-8")
     path.write_text("\n".join(mangle(path.read_text().splitlines())) + "\n")
     assert run_cli("validate", str(path)) == 2
     err = capsys.readouterr().err
@@ -215,7 +215,7 @@ def test_validate_malformed_file_is_a_usage_error(tmp_path, capsys, mangle):
 def test_validate_weighted_file_census_only(tmp_path, capsys):
     inst = mst_augment(sample_ngc(56, 7, 11), 5)
     path = tmp_path / "weighted.txt"
-    write_instance(str(path), inst, reveal=True)
+    path.write_text(serialize_instance(inst, reveal=True), encoding="utf-8")
     assert run_cli("validate", str(path)) == 0
     assert capsys.readouterr().out.startswith("cycles")
 
@@ -612,16 +612,20 @@ def test_env_seed_fills_seed_column(tmp_path, monkeypatch):
     assert read_csv(str(out))[1][7] == "31337"
 
 
-@pytest.mark.parametrize("flag, env", [("-1", None), (str(2**64), None), (None, "-1")])
+@pytest.mark.parametrize(
+    "flag, env", [("-1", None), (str(2**64), None), (None, "-1"), (None, "abc")]
+)
 def test_seed_outside_64_bits_is_a_usage_error(tmp_path, capsys, monkeypatch, flag, env):
     if env is None:
         monkeypatch.delenv("NGC_LAB_SEED", raising=False)
+        want = f"error: master seed must fit in 64 bits, got {flag}"
     else:
         monkeypatch.setenv("NGC_LAB_SEED", env)
+        want = f"error: NGC_LAB_SEED must be an integer that fits in 64 bits, got '{env}'"
     out = tmp_path / "rows.csv"
     argv = ["stream-run", "--check", "census", "--n", "28", "--k", "7", "--trials", "2"]
     assert run_cli(*argv, *(["--seed", flag] if flag else []), "--out", str(out)) == 2
-    assert capsys.readouterr().err.rstrip() == "error: master seed must fit in 64 bits"
+    assert capsys.readouterr().err.rstrip() == want
     assert not out.exists()
 
 

@@ -30,7 +30,7 @@ from ngc_lab.distributions import (
     sample_ngc_sigma1,
     validate_instance,
 )
-from ngc_lab.gadgets import parity, to_edges, vertex_from_id, vertex_id
+from ngc_lab.gadgets import parity, to_edges, vertex_id
 from ngc_lab.instance_io import parse_instance, serialize_instance
 from ngc_lab.partitions import (
     active_segments,
@@ -57,6 +57,7 @@ from oracles import (
     reference_mst_augment,
     reference_segments_conditioned,
     union_find_census,
+    vertex_from_id,
     witness_parity,
 )
 
@@ -272,6 +273,23 @@ def test_hybrid_free_groups_are_unbiased():
         inst = sample_hybrid(m, t, 1, SEED.child("free", i))
         ones += witness_parity(inst.witness, m + 1)
     assert binomial_check(ones, trials, 0.5).within(3.0)
+
+
+def test_hybrid_census_steps_one_component_per_group():
+    # group j <= h has parity 0 and closes into two k-cycles, group j > h has
+    # parity 1 and one 2k-cycle, and every group's closers leave two paths
+    for m, t in product(range(1, 5), (1, 2)):
+        for h in range(m + 1):
+            draws = [sample_hybrid(m, t, h, SEED.child("census", m, t, h))]
+            draws += [
+                sample_hybrid_batched(m, s, t, h, SEED.child("census", m, s, t, h)) for s in (1, 2)
+            ]
+            for inst in draws:
+                k = inst.k
+                census = census_of_edges(inst.n, inst.edge_array)
+                assert census.cycles == {c: n for c, n in ((k, 2 * h), (2 * k, m - h)) if n}
+                assert census.paths == {k - 1: 2 * m}
+                assert census.components == 3 * m + h
 
 
 def test_hybrid_rejects_bad_h():

@@ -39,17 +39,19 @@ from ngc_lab.experiments import (
     walk_cover_suite,
 )
 from ngc_lab.gadgets import parity
-from ngc_lab.protocols import embed_dhx, empirical_table, tvd
+from ngc_lab.protocols import embed_dhx
 from ngc_lab.seeds import master_seed
 from ngc_lab.stats import binomial_check
 
 from oracles import (
+    empirical_table,
     reference_capped_activity_probability,
     reference_fast_walk_coverage,
     reference_partition_counts,
     reference_sigma1_rank_counts,
     reference_stochastic_counts,
     reference_walk_cover,
+    tvd,
 )
 
 SEED = master_seed(20_250_815)
@@ -456,6 +458,42 @@ def test_stochastic_stats_rejects_bad_width_and_trials():
 def test_stochastic_stats_requires_positive_rate():
     with pytest.raises(ValueError):
         stochastic_stats_suite(0.0, 10, seed=1)
+
+
+# --- batching constants ------------------------------------------------------------
+
+
+def _knob_rows():
+    root = SEED.child("knobs")
+    return [
+        partition_stats_suite(2, 600, seed=root).rows,
+        partition_stats_suite(64, 200, seed=root).rows,
+        stochastic_stats_suite(1.0, 300, seed=root).rows,
+        walk_cover_suite(4, 2048, 4, seed=root).rows,
+    ]
+
+
+@pytest.mark.parametrize(
+    "module, name, value",
+    [
+        (experiments, "_BATCH_TRIALS", 7),
+        (experiments, "_BATCH_ELEMENTS", 1000),
+        (experiments, "_WALK_CHUNK", 999),
+        (seeds, "_PASS_KEYS", 5),
+        (seeds, "_REPLAY_MIN", 1),
+        (seeds, "_ROUND_MIN", 1),
+    ],
+)
+def test_batching_constants_only_set_speed(module, name, value):
+    """Each batching constant, set far from its default, leaves every row unchanged.
+
+    ``experiments._SIGMA1_CHUNK`` is not one of them: a chunk's clean
+    indicators and sigma(1) images interleave in the stream, so the chunk size
+    is part of the rows' law (at 5000 it changes the w=256 rows).
+    """
+    want = _knob_rows()
+    with mock.patch.object(module, name, value):
+        assert _knob_rows() == want
 
 
 # --- walk coverage -----------------------------------------------------------------

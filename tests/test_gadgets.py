@@ -12,7 +12,6 @@ from ngc_lab.gadgets import (
     EdgeView,
     GroupLayeredGraph,
     MatchingSpec,
-    check_layered_degrees,
     concat,
     graph_of,
     group_map,
@@ -27,15 +26,16 @@ from ngc_lab.gadgets import (
     make_xor_matching,
     parity,
     to_edges,
-    vertex_from_id,
     vertex_id,
 )
 from oracles import (
+    check_layered_degrees,
     instance_graph,
     per_edge_expansion,
     reference_multi_block,
     reference_multi_segment,
     traced_group_and_parity,
+    vertex_from_id,
 )
 
 

@@ -20,13 +20,7 @@ from ngc_lab.distributions import (
     sample_ngc,
     sample_ngc_batched,
 )
-from ngc_lab.instance_io import (
-    MAGIC,
-    parse_instance,
-    read_instance,
-    serialize_instance,
-    write_instance,
-)
+from ngc_lab.instance_io import MAGIC, parse_instance, serialize_instance
 
 from oracles import parse_instance_by_lines, reference_edge_records
 
@@ -162,13 +156,13 @@ def test_byte_stability():
 def test_file_round_trip(tmp_path):
     inst = mst_augment(sample_ngc(56, 7, seed=9), W=3)
     path = tmp_path / "instance.ngc"
-    write_instance(str(path), inst, reveal=True)
-    parsed = read_instance(str(path))
+    path.write_text(serialize_instance(inst, reveal=True), encoding="utf-8")
+    parsed = parse_instance(path.read_text(encoding="utf-8"))
     assert parsed.edges == inst.all_edges()
     assert parsed.witness == inst.witness
     # re-serializing a second time writes identical bytes
     first = path.read_text()
-    write_instance(str(path), inst, reveal=True)
+    path.write_text(serialize_instance(inst, reveal=True), encoding="utf-8")
     assert path.read_text() == first
 
 

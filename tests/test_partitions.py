@@ -35,7 +35,6 @@ from ngc_lab.partitions import (
     clean_indices,
     clean_indices_stochastic,
     clean_masks,
-    constant_partition_functions,
     core_columns,
     function_index_table,
     index_edges,
@@ -93,7 +92,8 @@ def test_assign_uniform_rejects_one_player():
 
 def test_all_alpha_functions_give_alice_every_block_edge():
     inst = sample_ngc(28, 7, SEED.child("aa"))
-    F = constant_partition_functions(inst.width, inst.t, ALICE)
+    maps = ((ALICE,) * (2 * inst.width),) * inst.t
+    F = PartitionFunctions(maps, maps, maps)
     assignment = assign_by_functions(inst, F, SEED.child("aa-leftover"))
     core = set(map(canon, to_edges(instance_graph(inst))))
     for e in core:

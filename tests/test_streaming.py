@@ -28,32 +28,32 @@ from ngc_lab.streaming import (
     EventView,
     Stream,
     UnionFindCensusAlgorithm,
-    WalkSample,
     batch_order,
     cc_estimate,
-    detect_cycle_length_from_walks,
     exact_census,
     make_stream,
     matching_size_exact,
     mis_size_exact,
     mst_weight_exact,
     pack_edges,
-    random_walk,
     stream_from_edges,
     theta_from_components,
-    walk_distribution_exact,
 )
 
 from oracles import (
+    WalkSample,
     brute_max_independent_set,
     brute_max_matching,
     canon,
     component_census,
+    detect_cycle_length_from_walks,
+    random_walk,
     randrange_loop,
     reference_cc_estimate,
     reference_instance_parts,
     reference_stream_events,
     scipy_mst_weight,
+    walk_distribution_exact,
 )
 
 TRIANGLE = [(0, 1), (1, 2), (0, 2)]
@@ -629,7 +629,7 @@ def test_mst_random_cross_check():
         assert mst_weight_exact(weighted, n).weight == scipy_mst_weight(n, weighted)
 
 
-# --- random walks ----------------------------------------------------------------
+# --- random walks: the walk toolkit in oracles ----------------------------------
 
 
 def test_random_walk_respects_adjacency():
