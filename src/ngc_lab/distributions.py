@@ -600,6 +600,19 @@ def _tally(lengths: np.ndarray) -> dict[int, int]:
     return dict(zip(keys.tolist(), counts.tolist()))
 
 
+def _adjacency(
+    n_vertices: int, edges: Iterable[Edge] | np.ndarray
+) -> tuple[np.ndarray, coo_matrix]:
+    """The (E, 2) edge array and its n x n adjacency; ids outside [0, n) raise ValueError."""
+    ends = as_edge_array(edges)
+    flat = ends.ravel()
+    if flat.size and (flat.min() < 0 or flat.max() >= n_vertices):
+        bad = flat[(flat < 0) | (flat >= n_vertices)][0]
+        raise ValueError(f"edge endpoint {bad} outside the vertex range [0, {n_vertices})")
+    u, v = ends[:, 0], ends[:, 1]
+    return ends, coo_matrix((np.ones(u.size), (u, v)), shape=(n_vertices, n_vertices))
+
+
 def component_pass(
     n_vertices: int, edges: Iterable[Edge] | np.ndarray
 ) -> tuple[np.ndarray, ...]:
@@ -610,20 +623,24 @@ def component_pass(
     degrees 2 and #edges == #vertices), then each vertex's degree.  Ids
     outside [0, n) raise ValueError.
     """
-    ends = as_edge_array(edges)
-    flat = ends.ravel()
-    if flat.size and (flat.min() < 0 or flat.max() >= n_vertices):
-        bad = flat[(flat < 0) | (flat >= n_vertices)][0]
-        raise ValueError(f"edge endpoint {bad} outside the vertex range [0, {n_vertices})")
-    u, v = ends[:, 0], ends[:, 1]
-    adjacency = coo_matrix((np.ones(u.size), (u, v)), shape=(n_vertices, n_vertices))
+    ends, adjacency = _adjacency(n_vertices, edges)
     components, label = connected_components(adjacency, directed=False)
-    degree = np.bincount(flat, minlength=n_vertices)
+    degree = np.bincount(ends.ravel(), minlength=n_vertices)
     size = np.bincount(label, minlength=components)
-    nedges = np.bincount(label[u], minlength=components)
+    nedges = np.bincount(label[ends[:, 0]], minlength=components)
     irregular = np.bincount(label, weights=degree != 2, minlength=components)
     cycle = (irregular == 0) & (nedges == size)
     return label, size, nedges, cycle, degree
+
+
+def component_count(n_vertices: int, edges: Iterable[Edge] | np.ndarray) -> int:
+    """The number of connected components of a multigraph on vertices 0..n-1.
+
+    ``census_of_edges(n_vertices, edges).components``, without the labels and
+    per-component counts; ids outside [0, n) raise ValueError.
+    """
+    _, adjacency = _adjacency(n_vertices, edges)
+    return int(connected_components(adjacency, directed=False, return_labels=False))
 
 
 def census_of_edges(n_vertices: int, edges: Iterable[Edge] | np.ndarray) -> Census:

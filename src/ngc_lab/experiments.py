@@ -45,7 +45,9 @@ which replays MT19937 for a batch of hundreds of keys or more), reads its
 draws off them (``sample_ngc_sigma1``, ``partition_slots``,
 ``stochastic_picks``: row r is trial r's stream) and counts on arrays with
 a leading trials axis, so the rows equal those of the one-trial-at-a-time
-loop the tests keep as reference.
+loop the tests keep as reference.  ``adapter_suite``'s order trials are read
+the same way: owner bits, then each player's shuffle
+(``seeds.randbelow_descending_rows``), every trial of a batch at once.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ from .distributions import (
     validate_instance,
 )
 from .partitions import (
+    ALICE,
     assign_batches,
     assign_uniform,
     clean_cap,
@@ -85,13 +88,22 @@ from .partitions import (
 from .protocols import (
     BobOnlyCycleDetector,
     LPlayerStreamingProtocol,
-    OrderProbe,
     StreamingProtocol,
     embed_dhx,
     embed_dhx_batched,
     run_protocol,
 )
-from .seeds import Seed, as_seed, key_streams, replay_bytes, word_budget
+from .seeds import (
+    Seed,
+    as_seed,
+    descending_budget,
+    key_streams,
+    master_keys,
+    randbelow_descending_rows,
+    randrange_rows,
+    replay_bytes,
+    word_budget,
+)
 from .stats import binomial_check, chi_square_uniform, clopper_pearson
 from .streaming import (
     CensusThetaDecision,
@@ -606,19 +618,60 @@ def adapter_suite(
         match += streamed == census_of_edges(n, inst.edge_array)
     verdicts.exact("adapter_match", match, trials, "adapter census differed in {misses} runs")
 
-    edges = [(2 * i, 2 * i + 1) for i in range(_ORDER_EDGES)]
-    adapter = StreamingProtocol(OrderProbe())
-    perm_ids: dict[tuple, int] = {}
-    counts = [0] * math.factorial(_ORDER_EDGES)
-    probe_rng = root.child("order").rng()
-    for _ in range(order_trials):
-        assignment = assign_uniform(edges, 2, probe_rng.getrandbits(63))
-        order = _run_adapter(adapter, edges, assignment, probe_rng.getrandbits(63))
-        cell = perm_ids.setdefault(tuple(order), len(perm_ids))
-        counts[cell] += 1
+    counts = _order_counts(order_trials, root.child("order"))
     p = chi_square_uniform(counts)
     verdicts.uniform("order_uniform_pvalue", p, order_trials, f"induced-order chi-square p={p:.2e}")
     return verdicts.result()
+
+
+def _order_counts(order_trials: int, root: Seed) -> list[int]:
+    """The 5! cell counts of the adapter's induced arrival order, in first-seen cell order.
+
+    Order trial t draws two ``getrandbits(63)`` seeds from ``root``'s
+    generator, a then b.  Edge i of the five is Alice's when draw i of
+    ``assign_uniform`` on a, ``randrange(2)``, is 0.  Alice streams her edges
+    (in edge order) shuffled on b's ``alice-shuffle`` child, then Bob his on
+    ``bob-shuffle``: the ``StreamingProtocol`` run's order.  A batch of trials
+    reads the owner bits off the a keys' streams (``randrange_rows``), then
+    each player's shuffle off the b keys' (``randbelow_descending_rows``),
+    grouped by the player's edge count, and tallies each order as a base-5
+    code.  Cells are numbered in the order the trials first reach them, so
+    the chi-square sums them in the order one trial at a time would.
+    """
+    edges = _ORDER_EDGES
+    rng = root.rng()
+    assign_words = word_budget(2, edges)
+    per_trial = assign_words + 2 * descending_budget(edges, edges - 1)
+    cells: dict[int, int] = {}  # order code -> cell, numbered as first reached
+    counts = [0] * math.factorial(edges)
+    place = edges ** np.arange(edges - 1, -1, -1)
+    for batch in _trial_batches(order_trials, per_trial):
+        draws = [rng.getrandbits(63) for _ in range(2 * len(batch))]
+        shared = draws[1::2]
+        (assign,) = key_streams((master_keys(draws[0::2]), assign_words))
+        owner = randrange_rows(assign, 2, edges)
+        order = np.argsort(owner, axis=1, kind="stable")  # Alice's edges, then Bob's
+        alice = np.count_nonzero(owner == ALICE, axis=1)
+        shuffles = []  # (trials, first column, edge count) of each side and shuffle size
+        groups = []  # their (keys, words)
+        for label, held in (("alice-shuffle", alice), ("bob-shuffle", edges - alice)):
+            for size in range(2, edges + 1):
+                rows = np.flatnonzero(held == size)
+                shuffles.append((rows, 0 if label == "alice-shuffle" else edges - size, size))
+                keys = master_keys([shared[r] for r in rows.tolist()], label)
+                groups.append((keys, descending_budget(size, size - 1)))
+        for (rows, column, size), streams in zip(shuffles, key_streams(*groups)):
+            part = order[rows, column : column + size]
+            at = np.arange(rows.size)
+            for step, j in enumerate(randbelow_descending_rows(streams, size, size - 1).T):
+                i = size - 1 - step
+                part[at, i], part[at, j] = part[at, j], part[at, i]
+            order[rows, column : column + size] = part
+        codes, first, hits = np.unique(order @ place, return_index=True, return_counts=True)
+        seen = np.argsort(first)
+        for code, hit in zip(codes[seen].tolist(), hits[seen].tolist()):
+            counts[cells.setdefault(code, len(cells))] += hit
+    return counts
 
 
 def _run_adapter(adapter, edges, assignment, seed):

@@ -14,8 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import NgcInstance, Witness, as_edge_array, census_of_edges, crossing_parity
-from .gadgets import Edge, GroupLayeredGraph
+from .distributions import (
+    NgcInstance,
+    Witness,
+    as_edge_array,
+    census_of_edges,
+    component_count,
+    crossing_parity,
+)
+from .gadgets import GroupLayeredGraph
 from .partitions import EdgeAssignment
 from .seeds import Seed, as_seed, randrange_many, sample_range, shuffle_order
 from .streaming import (
@@ -200,7 +207,7 @@ def run_protocol(
 
 
 class FullForwardCensusProtocol(OneWayProtocol):
-    """Alice forwards her edges verbatim; Bob runs the exact census decision.
+    """Alice forwards her edges verbatim; Bob decides from the exact component count.
 
     Message cost is the whole of E_A — the trivial upper bound the
     communication-bounded regime is measured against.
@@ -215,8 +222,7 @@ class FullForwardCensusProtocol(OneWayProtocol):
 
     def bob(self, message: bytes, edges: np.ndarray, shared: Seed) -> int:
         seen = np.concatenate([unpack_edges(message), as_edge_array(edges)])
-        census = census_of_edges(self.n, seen)
-        return theta_from_components(self.n, self.k, census.components)
+        return theta_from_components(self.n, self.k, component_count(self.n, seen))
 
 
 class BobOnlyCycleDetector(OneWayProtocol):
@@ -243,25 +249,6 @@ class BobOnlyCycleDetector(OneWayProtocol):
 
 
 # --- streaming adapters -----------------------------------------------------------
-
-
-class OrderProbe(StreamingAlgorithm):
-    """Records arrival order; instrument for verifying stream/adapter laws."""
-
-    def init(self) -> tuple[Edge, ...]:
-        return ()
-
-    def process(self, state, event):
-        return state + (event[0],)
-
-    def serialize(self, state) -> bytes:
-        return pack_edges(state)
-
-    def deserialize(self, blob: bytes):
-        return tuple(map(tuple, unpack_edges(blob).tolist()))
-
-    def finalize(self, state):
-        return state
 
 
 class StreamingProtocol(OneWayProtocol):

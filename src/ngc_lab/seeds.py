@@ -8,23 +8,27 @@ and vectorized code paths can share one seed discipline.
 
 Batched suites keep one ``random.Random`` stream per trial, on the trial's
 own path: ``Seed.keys`` derives a run of their 128-bit keys, hashing the
-shared prefix once.  ``replay_words`` runs CPython's MT19937 seeding and
-output for every key at once, word for word what ``random.Random(key)``
-gives, and ``key_streams`` holds each key's first words (replayed, or read
-from stdlib generators when there are too few keys for the replay to pay).
-``randrange_rows`` reads every stream's ``randrange`` draws at once from a
-cursor per row, so successive reads go on along each stream, and a row
-that runs out of held words goes on in its own generator.  ``sample_range``
-spells out ``Random.sample`` over a range of integers, word for word.
-Three more helpers replay one generator's words in bulk:
+shared prefix once, and ``master_keys`` the keys of a run of int seeds.
+``replay_words`` runs CPython's MT19937 seeding and output for every key at
+once, word for word what ``random.Random(key)`` gives, and ``key_streams``
+holds each key's first words (replayed, or read from stdlib generators when
+there are too few keys for the replay to pay).  ``randrange_rows`` reads
+every stream's ``randrange`` draws at once from a cursor per row, so
+successive reads go on along each stream, and a row that runs out of held
+words goes on in its own generator; ``randbelow_descending_rows`` reads
+``randbelow(top)``, ``randbelow(top - 1)``, ... the same way, the draws of
+a shuffle or of ``Random.sample``'s pool walk.  ``sample_range`` spells out
+``Random.sample`` over a range of integers, word for word.
+Three more helpers replay one generator's words:
 ``randrange_array`` gives many ``randrange`` draws as an array from one
 ``getrandbits`` call a round (``randrange_many`` is its list view);
-``shuffle_order`` gives the permutation ``Random.shuffle`` would
-apply to a list of a given length, read off bulk ``getrandbits`` words,
-with the generator left where the shuffle would leave it; and
-``replay_bytes`` gives ``Generator.integers(0, 256, count, dtype=np.uint8)``
-from one ``random_raw`` call, so a caller can read small power-of-two draws
-off the bytes directly.
+``shuffle_order`` gives the permutation ``Random.shuffle`` would apply to a
+list of a given length, with the generator left where the shuffle would
+leave it (a spelled-out loop for short lists, bulk ``getrandbits`` words
+for long ones); and ``replay_bytes`` gives
+``Generator.integers(0, 256, count, dtype=np.uint8)`` from one
+``random_raw`` call, so a caller can read small power-of-two draws off the
+bytes directly.
 """
 
 from __future__ import annotations
@@ -114,6 +118,16 @@ def master_seed(value: int | None = None) -> Seed:
         ) from None
 
 
+def master_keys(values: Iterable[int], *labels: str | int) -> list[int]:
+    """``[Seed(v).child(*labels).key() for v in values]``, hashed without building the seeds."""
+    tail = b"".join(b"/" + str(label).encode("utf-8") for label in labels)
+    sha256 = hashlib.sha256
+    try:
+        return [_key(sha256(v.to_bytes(8, "little") + tail).digest()) for v in values]
+    except OverflowError:
+        raise ValueError("master seeds must fit in 64 bits") from None
+
+
 def as_seed(seed: "Seed | int | None" = None, *labels: str | int) -> Seed:
     """Coerce an int/None to a Seed (ints taken literally), optionally descending."""
     base = seed if isinstance(seed, Seed) else master_seed(seed)
@@ -159,6 +173,19 @@ def _draw_singly(rng: random.Random, n: int, count: int, out: list[int]) -> list
         value = rng.getrandbits(bits)
         if value < n:
             out.append(value)
+    return out
+
+
+def _descending_singly(rng: random.Random, top: int, steps: int) -> list[int]:
+    """``randbelow(top)``, ``randbelow(top - 1)``, ... ``steps`` draws, word by word."""
+    getrandbits = rng.getrandbits
+    out = []
+    for bound in range(top, top - steps, -1):
+        bits = bound.bit_length()
+        j = getrandbits(bits)
+        while j >= bound:
+            j = getrandbits(bits)
+        out.append(j)
     return out
 
 
@@ -467,9 +494,65 @@ def randrange_rows(streams: KeyStreams, n: int, count: int) -> np.ndarray:
     return out
 
 
-# below this length (about where the two cost the same, numpy 2.4) the list
-# shuffle is cheaper than the bulk replay's per-band set-up
-_SHUFFLE_BULK_MIN = 8192
+def descending_budget(top: int, steps: int) -> int:
+    """Words to hold a stream for ``randbelow(top)``, ``randbelow(top - 1)``, ... ``steps`` draws.
+
+    Draw b is accepted with probability p = b / 2**b.bit_length() >= 1/2,
+    so it takes a geometric number of words, of mean 1 / p and variance
+    (1 - p) / p**2.  The budget is the summed mean plus eight standard
+    deviations and eight words, as in ``word_budget``.
+    """
+    accept = [b / (1 << b.bit_length()) for b in range(top, top - steps, -1)]
+    mean = sum(1 / p for p in accept)
+    variance = sum((1 - p) / p**2 for p in accept)
+    return math.ceil(mean + 8 * math.sqrt(variance)) + 8 if accept else 0
+
+
+def randbelow_descending_rows(streams: KeyStreams, top: int, steps: int) -> np.ndarray:
+    """Row r is stream r's next ``randbelow(top)``, ``randbelow(top - 1)``, ... ``steps`` draws.
+
+    Shape (len(streams), steps), int64.  ``Random.shuffle`` of L items reads
+    these with top = L and L - 1 steps, swapping item L - 1 - s with the
+    item at draw s, and ``sample_range(rng, n, k)`` with top = n and k steps.
+    Each step tries every row's held words at once from its cursor
+    (``_randbelow``): the first accepted word is the row's draw and moves the
+    cursor past it.  A row whose held words run out draws the rest from its
+    ``tail``.
+    """
+    top, steps = operator.index(top), operator.index(steps)
+    if not 0 <= steps <= top:
+        raise ValueError(f"need 0 <= steps <= top, got top={top} steps={steps}")
+    out = np.empty((len(streams), steps), dtype=np.int64)
+    if not steps:
+        return out
+    _check_bound(top)
+    cursor, words = streams.cursor, streams.words
+    width = words.shape[1]
+    live = np.arange(len(streams) if width else 0)  # rows still reading held words
+    ran_out = [] if width else [(r, 0) for r in range(len(streams))]  # (row, step)
+    for step in range(steps):
+        if not live.size:
+            break
+        values, accepted = _randbelow(words, top - step)
+        accepted &= np.arange(width) >= cursor[live, None]
+        first = accepted.argmax(axis=1)
+        found = accepted[np.arange(live.size), first]
+        if not found.all():  # every held word from the cursor on was rejected
+            ran_out += [(r, step) for r in live[~found].tolist()]
+            live, words, values, first = live[found], words[found], values[found], first[found]
+        out[live, step] = values[np.arange(live.size), first]
+        cursor[live] = first + 1
+    for r, step in ran_out:
+        out[r, step:] = _descending_singly(streams.tail(r), top - step, steps - step)
+        cursor[r] = width
+    return out
+
+
+# below this length the spelled-out loop is cheaper than the bulk replay's
+# per-band set-up: timed alternately in one process (Python 3.11, numpy 2.4,
+# a shared 2-CPU machine), the two cost the same at 20,000 items (about
+# 2.7 ms), the loop 3% less at 18,000 and the replay 5% less at 22,000
+_SHUFFLE_BULK_MIN = 20000
 
 
 def shuffle_order(rng: random.Random, length: int) -> np.ndarray:
@@ -479,39 +562,75 @@ def shuffle_order(rng: random.Random, length: int) -> np.ndarray:
     and leaves ``rng`` in the same state.  The shuffle swaps ``x[i]`` with
     ``x[j]`` for i = length-1 down to 1, j = ``randbelow(i + 1)``; each attempt
     at j is the top ``(i + 1).bit_length()`` bits of one 32-bit word, retried
-    while >= i + 1.  Within one bit-length band the bound falls by one per
-    accepted word, so which words are accepted is the fixpoint of "accept
-    iff below the bound less the words accepted before"; the iteration
-    settles a longer prefix each round.  Each round of words is as many as
-    there are steps left, so no word past the shuffle's last is drawn.  The
-    swaps are then applied at once (``_apply_swaps``).  Short lists are
-    shuffled directly.
+    while >= i + 1.  Short lists are shuffled by that loop spelled out, as
+    ``sample_range`` does.  Longer ones read their words in bulk, a bit-length
+    band at a time (``_band_draws``), each round of words as many as there
+    are steps left, so no word past the shuffle's last is drawn; the swaps
+    are then applied at once (``_apply_swaps``).
     """
     length = operator.index(length)
     if length < _SHUFFLE_BULK_MIN:
-        order = list(range(length))
-        rng.shuffle(order)
-        return np.array(order, dtype=np.int64)
-    if length >= 2**31:  # sort keys j * length + i must fit in int64
+        return np.array(_shuffle_singly(rng, length), dtype=np.int64)
+    if length >= 2**31:  # sort keys j << 31 | i must fit in int64
         raise ValueError(f"shuffle_order needs length < 2**31, got {length}")
     j = np.zeros(length, dtype=np.int64)
     bound = length  # step i = bound - 1 draws below bound
     words = np.empty(0, dtype=np.uint32)
     while bound >= 2:
         if not words.size:
-            need = bound - 1
-            words = _words(rng, need)
-        k = bound.bit_length()
-        steps = bound - (1 << (k - 1)) + 1  # bounds bound .. 2**(k-1) share k
-        # a band accepts at least half its draws, so this window mostly ends
-        # it; a band that runs past it takes another pass
-        draws = (words[: 2 * steps + 32] >> (32 - k)).astype(np.int64)
-        taken = np.flatnonzero(_accepted(draws, bound))[:steps]
-        used = int(taken[-1]) + 1 if taken.size == steps else draws.size
-        j[bound - taken.size : bound] = draws[taken[::-1]]
-        bound -= taken.size
+            words = _words(rng, bound - 1)
+        draws, used = _band_draws(words, bound)
+        j[bound - draws.size : bound] = draws[::-1]
+        bound -= draws.size
         words = words[used:]
     return _apply_swaps(j)
+
+
+def _shuffle_singly(rng: random.Random, length: int) -> list[int]:
+    """``rng.shuffle`` of ``list(range(length))``, one bit-length band at a time."""
+    order = list(range(length))
+    getrandbits = rng.getrandbits
+    top = length  # sizes top .. low take attempts of the same bit length
+    while top >= 2:
+        bits = top.bit_length()
+        low = max(1 << (bits - 1), 2)
+        for i in range(top - 1, low - 2, -1):
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            order[i], order[j] = order[j], order[i]
+        top = low - 1
+    return order
+
+
+def _band_draws(words: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
+    """``randbelow(bound)``, ``randbelow(bound - 1)``, ... off ``words``, in one bit length.
+
+    Returns the draws and the number of words they take.  Within the band of
+    bit length k the bound falls by one per accepted word, so word t is
+    accepted iff its top k bits are below the bound less the words accepted
+    before it.  A draw below 2**(k-1), the band's last bound, is always
+    accepted, and one at or above its first bound never is; only the draws
+    between need the fixpoint (``_accepted``), with the sure ones before each
+    counted in.  The window is twice the band's steps: a band accepts at
+    least half its draws, so the window mostly ends it, and a band that runs
+    past it (or past ``words``) is taken up in the next call.
+    """
+    k = bound.bit_length()
+    half = 1 << (k - 1)
+    steps = bound - half + 1  # bounds bound .. 2**(k-1) share k
+    draws = (words[: 2 * steps + 32] >> (32 - k)).astype(np.int32)
+    below = np.flatnonzero(draws < bound)
+    candidates = draws[below]
+    accepted = np.ones(below.size, dtype=bool)
+    ambiguous = np.flatnonzero(candidates >= half)
+    if ambiguous.size:
+        # ambiguous draw a comes after ambiguous[a] - a sure ones
+        sure = ambiguous - np.arange(ambiguous.size)
+        accepted[ambiguous] = _accepted(candidates[ambiguous] + sure, bound)
+    taken = below[np.flatnonzero(accepted)[:steps]]
+    used = int(taken[-1]) + 1 if taken.size == steps else draws.size
+    return draws[taken], used
 
 
 def _accepted(draws: np.ndarray, bound: int) -> np.ndarray:
@@ -525,7 +644,7 @@ def _accepted(draws: np.ndarray, bound: int) -> np.ndarray:
     start = taken = 0  # draws[:start] are final, `taken` of them accepted
     while True:
         tail = accepted[start:]
-        before = np.cumsum(tail)
+        before = np.cumsum(tail, dtype=np.int32)  # (int32 sums run faster than int64)
         before -= tail
         fresh = draws[start:] < bound - taken - before
         changed = np.flatnonzero(fresh != tail)
@@ -550,23 +669,24 @@ def _apply_swaps(j: np.ndarray) -> np.ndarray:
     itself starts a chain no later swap reads.)
     """
     size = j.size
-    index = np.arange(size)
-    key = np.sort(j * size + index)  # by target, then by swap
-    swap, target = key % size, key // size
-    same = target[1:] == target[:-1]
-    later = np.full(size, -1)  # the next swap writing to the same target
-    later[swap[:-1][same]] = swap[1:][same]
-    head = np.ones(size, dtype=bool)
-    head[1:] = ~same
-    first = np.full(size, -1)  # the smallest swap writing to each slot
-    first[target[head]] = swap[head]
-    source = np.where(first >= 0, first, index)
+    shift = max(size - 1, 1).bit_length()
+    kind = np.uint32 if 2 * shift <= 32 else np.int64  # the smallest sort key that fits
+    key = np.sort(j.astype(kind) << shift | np.arange(size, dtype=kind))  # by target, then by swap
+    swap = (key & ((1 << shift) - 1)).astype(np.int64)
+    target = (key >> shift).astype(np.int64)
+    new = np.ones(size, dtype=bool)  # the first (smallest) swap writing to its target
+    np.not_equal(target[1:], target[:-1], out=new[1:])
+    head, repeat = np.flatnonzero(new), np.flatnonzero(~new)
+    source = np.arange(size)
+    source[target[head]] = swap[head]
     while True:
         hop = source[source]
         if np.array_equal(hop, source):
             break
         source = hop
-    return np.where(later >= 0, source[later], j)
+    out = j.copy()
+    out[swap[repeat - 1]] = source[swap[repeat]]
+    return out
 
 
 def replay_bytes(gen: np.random.Generator, count: int) -> np.ndarray:

@@ -36,6 +36,7 @@ from .distributions import (
     as_edge_array,
     canon_keys,
     census_of_edges,
+    component_count,
     component_pass,
     distinct_edges,
     distinct_keys,
@@ -145,8 +146,8 @@ def stream_from_edges(
 
     mode: "given" | "uniform_random" | "batched_random" | "stochastic";
     batched_random pairs rows 2i and 2i + 1 into batch i; stochastic emits
-    ceil(c*|E|) iid samples with repetition.  ``weights`` gives each row's
-    weight, aligned with ``edges``.
+    ceil(c*|E|) iid samples with repetition, for a finite c >= 0.  ``weights``
+    gives each row's weight, aligned with ``edges``.
     """
     ends = as_edge_array(edges)
     rng = as_seed(seed).rng()
@@ -159,8 +160,8 @@ def stream_from_edges(
             raise ValueError(f"batched_random pairs edges two by two, got {len(ends)} edges")
         order = batch_order(rng, len(ends) // 2)
     elif mode == "stochastic":
-        if c is None or c < 0:
-            raise ValueError("stochastic mode needs c >= 0")
+        if c is None or not 0 <= c < math.inf:
+            raise ValueError(f"stochastic mode needs a finite c >= 0, got c={c!r}")
         order = randrange_array(rng, len(ends), math.ceil(c * len(ends)))
     else:
         raise ValueError(f"unknown stream mode {mode!r}")
@@ -298,14 +299,18 @@ class UnionFindCensusAlgorithm(StreamingAlgorithm):
 
 
 class CensusThetaDecision(UnionFindCensusAlgorithm):
-    """Census decision rule (``theta_from_components``) on the exact census."""
+    """Census decision rule (``theta_from_components``) on the exact component count.
+
+    The state is the census algorithm's distinct edge set; the decision reads
+    only its number of components (``component_count``), not the census.
+    """
 
     def __init__(self, n: int, k: int) -> None:
         super().__init__(n)
         self.k = k
 
     def finalize(self, state: np.ndarray) -> int:
-        return theta_from_components(self.n, self.k, super().finalize(state).components)
+        return theta_from_components(self.n, self.k, component_count(self.n, keys_to_edges(state)))
 
 
 # --- truncated-exploration connected components estimator -----------------------

@@ -10,7 +10,8 @@ layers at the end: there the references are the per-gadget and object-level
 routes the shared code replaced (a validated concat chain per gadget, one
 ``randrange`` per cross bit, edge or map slot, one ``Random.sample`` and one
 set per embedded gadget, one owner lookup per edge, one assignment and
-clean report per suite trial, the uint8 and int8 simulators that byte replay
+clean report per suite trial, one adapter run with an ``OrderProbe`` per
+order trial, the uint8 and int8 simulators that byte replay
 replaced, real walks with real cycle certificates, one record loop step per
 line, event tuples shuffled in place, set-valued census states relayed batch
 by batch, the component estimator's two per-edge passes over set-valued seed
@@ -64,13 +65,19 @@ from ngc_lab.partitions import (
     PartitionFunctions,
     active_blocks,
     assign_by_functions,
+    assign_uniform,
     clean_indices_stochastic,
     index_ownership_pattern,
     sample_counts,
 )
-from ngc_lab.protocols import EmbeddingRecord
+from ngc_lab.protocols import EmbeddingRecord, StreamingProtocol, pack_edges, unpack_edges
 from ngc_lab.seeds import Seed, as_seed, randrange_many
-from ngc_lab.streaming import CcEstimateResult, event_edges, theta_from_components
+from ngc_lab.streaming import (
+    CcEstimateResult,
+    StreamingAlgorithm,
+    event_edges,
+    theta_from_components,
+)
 
 
 def canon(edge: tuple[int, int]) -> tuple[int, int]:
@@ -999,6 +1006,45 @@ def reference_partition_counts(w: int, trials: int, root):
         pat = index_ownership_pattern(inst, assignment, 1, 1)
         pattern_counts[sum(b << i for i, b in enumerate(pat))] += 1
     return pattern_counts, clean_hits, active_capped, active_uncapped
+
+
+class OrderProbe(StreamingAlgorithm):
+    """Records arrival order; instrument for verifying stream/adapter laws."""
+
+    def init(self) -> tuple[Edge, ...]:
+        return ()
+
+    def process(self, state, event):
+        return state + (event[0],)
+
+    def serialize(self, state) -> bytes:
+        return pack_edges(state)
+
+    def deserialize(self, blob: bytes):
+        return tuple(map(tuple, unpack_edges(blob).tolist()))
+
+    def finalize(self, state):
+        return state
+
+
+def reference_order_counts(order_trials: int, root) -> list[int]:
+    """``adapter_suite``'s order cell counts, one assignment and adapter run per trial.
+
+    Cells are numbered in the order the trials first reach them.
+    """
+    edges = [(2 * i, 2 * i + 1) for i in range(5)]
+    adapter = StreamingProtocol(OrderProbe())
+    perm_ids: dict[tuple, int] = {}
+    counts = [0] * math.factorial(len(edges))
+    probe_rng = root.rng()
+    for _ in range(order_trials):
+        assignment = assign_uniform(edges, 2, probe_rng.getrandbits(63))
+        shared = as_seed(probe_rng.getrandbits(63))
+        edges_a, edges_b = assignment.split(edges)
+        order = adapter.bob(adapter.alice(edges_a, shared), edges_b, shared)
+        cell = perm_ids.setdefault(tuple(order), len(perm_ids))
+        counts[cell] += 1
+    return counts
 
 
 def reference_stochastic_counts(c: float, trials: int, w: int, root):

@@ -19,6 +19,7 @@ from ngc_lab.distributions import (
     as_edge_array,
     auxiliary_edges_for,
     census_of_edges,
+    component_count,
     mst_augment,
     pad_to_k,
     sample_dhx,
@@ -183,6 +184,27 @@ def test_census_rejects_ids_outside_the_vertex_range():
         with pytest.raises(ValueError, match="vertex range"):
             census_of_edges(4, edges)
     assert census_of_edges(0, []) == Census()
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraph())
+def test_component_count_is_the_census_component_count(graph):
+    n, edges = graph
+    count = component_count(n, edges)
+    assert type(count) is int
+    assert count == census_of_edges(n, edges).components == union_find_census(n, edges)[2]
+    assert component_count(n, as_edge_array(edges)) == count
+
+
+def test_component_count_rejects_what_the_census_rejects():
+    for edges in ([(0, 4)], [(-1, 2)], [(1, 2), (3, -4)]):
+        with pytest.raises(ValueError) as census_error:
+            census_of_edges(4, edges)
+        with pytest.raises(ValueError) as count_error:
+            component_count(4, edges)
+        assert str(count_error.value) == str(census_error.value)
+    assert component_count(0, []) == 0
+    assert component_count(3, []) == 3
 
 
 def test_all_edges_is_a_read_only_view():

@@ -47,6 +47,7 @@ from oracles import (
     empirical_table,
     reference_capped_activity_probability,
     reference_fast_walk_coverage,
+    reference_order_counts,
     reference_partition_counts,
     reference_sigma1_rank_counts,
     reference_stochastic_counts,
@@ -335,6 +336,32 @@ def test_adapter_suite_match_and_order():
     by_metric = {row.metric: row for row in result.rows}
     assert by_metric["adapter_match"].value == 1.0
     assert by_metric["order_uniform_pvalue"].value > 1e-3
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 150), st.integers(0, 2**32), BATCH_ELEMENTS)
+def test_order_counts_match_the_per_trial_adapter_loop(trials, seed, batch_elements):
+    root = master_seed(seed).child("order")
+    want = reference_order_counts(trials, root)
+    with mock.patch.object(experiments, "_BATCH_ELEMENTS", batch_elements):
+        assert experiments._order_counts(trials, root) == want
+
+
+def test_order_counts_match_the_per_trial_adapter_loop_on_replayed_streams():
+    # one batch of 2,000 trials: the owner and shuffle keys are replayed
+    root = SEED.child("order")
+    assert experiments._order_counts(2_000, root) == reference_order_counts(2_000, root)
+
+
+@pytest.mark.parametrize("replay_min", [1, 10**9])
+def test_order_counts_read_on_past_a_one_word_budget(monkeypatch, replay_min):
+    # every stream holds one word: the owner bits and both shuffles read on in
+    # the trials' own generators
+    monkeypatch.setattr(experiments, "word_budget", lambda n, count: 1)
+    monkeypatch.setattr(experiments, "descending_budget", lambda top, steps: 1)
+    monkeypatch.setattr(seeds, "_REPLAY_MIN", replay_min)
+    root = SEED.child("order-budget")
+    assert experiments._order_counts(200, root) == reference_order_counts(200, root)
 
 
 def test_l_player_suite_relays_census():

@@ -30,7 +30,6 @@ from ngc_lab.protocols import (
     FullForwardCensusProtocol,
     LPlayerStreamingProtocol,
     OneWayProtocol,
-    OrderProbe,
     StreamingProtocol,
     embed_dhx,
     embed_dhx_batched,
@@ -41,7 +40,15 @@ from ngc_lab.protocols import (
 from ngc_lab.seeds import master_seed
 from ngc_lab.stats import binomial_check, chi_square_uniform
 from ngc_lab.streaming import CensusThetaDecision, stream_from_edges
-from oracles import canon, empirical_table, reference_embed, reference_relay, tvd, witness_parity
+from oracles import (
+    OrderProbe,
+    canon,
+    empirical_table,
+    reference_embed,
+    reference_relay,
+    tvd,
+    witness_parity,
+)
 
 
 # --- embedding ---------------------------------------------------------------
@@ -380,16 +387,21 @@ def test_streaming_adapter_orders_are_the_list_shuffles(monkeypatch):
 
 
 def test_large_instance_chain_hands_census_sized_edge_arrays(monkeypatch):
-    # the large-instance chain: stream and decide, then split and run the protocol
+    # the large-instance chain: stream and decide, then split and run the protocol;
+    # each decision reads a census or a bare component count
     calls = []
-    original = distributions.census_of_edges
 
-    def recording(n, edges):
-        calls.append(edges)
-        return original(n, edges)
+    def recording(original):
+        def record(n, edges):
+            calls.append(edges)
+            return original(n, edges)
 
-    for module in (distributions, streaming, protocols):
-        monkeypatch.setattr(module, "census_of_edges", recording)
+        return record
+
+    for name in ("census_of_edges", "component_count"):
+        wrapped = recording(getattr(distributions, name))
+        for module in (distributions, streaming, protocols):
+            monkeypatch.setattr(module, name, wrapped)
     n, k = 280, 7
     inst = sample_ngc(n, k, 11)
     edges = inst.all_edges()

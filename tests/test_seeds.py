@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from ngc_lab import seeds
 from ngc_lab.seeds import (
     Seed,
+    descending_budget,
     key_streams,
+    randbelow_descending_rows,
     randrange_array,
     randrange_many,
     randrange_rows,
@@ -196,6 +198,75 @@ def test_randrange_rows_rejects_what_randrange_many_rejects(n):
     assert randrange_rows(key_streams(([1], 8))[0], n, 0).shape == (1, 0)
 
 
+# --- randbelow_descending_rows: shuffles and pool walks, every stream at once --------
+
+
+def _swapped(length: int, draws: list[int]) -> list[int]:
+    """``list(range(length))`` after ``Random.shuffle``'s swaps at these draws."""
+    items = list(range(length))
+    for step, j in enumerate(draws):
+        i = length - 1 - step
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
+def _pool_walk(n: int, draws: list[int]) -> list[int]:
+    """``Random.sample``'s picks from ``range(1, n + 1)`` at these pool draws."""
+    pool, picks = list(range(1, n + 1)), []
+    for step, j in enumerate(draws):
+        picks.append(pool[j])
+        pool[j] = pool[n - 1 - step]
+    return picks
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(0, 40),
+    st.lists(KEYS, max_size=10),
+    st.sampled_from([None, 0, 1, 6]),  # words held a stream: the budget, or too few
+    st.sampled_from([1, 10**9]),  # replayed, or read from stdlib generators
+    st.integers(0, 3),  # randrange(3) draws read before, so cursors start apart
+)
+def test_randbelow_descending_rows_read_shuffles_and_samples(top, keys, words, replay_min, lead):
+    for steps, walk in ((max(top - 1, 0), "shuffle"), (top, "sample")):
+        held = descending_budget(top, steps) + 2 * lead if words is None else words
+        with patch.object(seeds, "_REPLAY_MIN", replay_min):
+            (streams,) = key_streams((keys, held))
+        randrange_rows(streams, 3, lead)
+        got = randbelow_descending_rows(streams, top, steps)
+        then = randrange_rows(streams, 7, 3)  # a later read goes on where this one stopped
+        assert got.dtype == np.int64 and got.shape == (len(keys), steps)
+        for key, draws, rest in zip(keys, got.tolist(), then.tolist()):
+            rng = random.Random(key)
+            randrange_many(rng, 3, lead)
+            if walk == "shuffle":
+                items = list(range(top))
+                rng.shuffle(items)
+                assert _swapped(top, draws) == items
+            else:
+                assert _pool_walk(top, draws) == sample_range(rng, top, top)
+            assert rest == randrange_many(rng, 7, 3)
+
+
+def test_randbelow_descending_rows_validation():
+    (streams,) = key_streams(([1, 2], 8))
+    for top, steps in ((3, 4), (3, -1), (-1, 0)):
+        with pytest.raises(ValueError, match="steps <= top"):
+            randbelow_descending_rows(streams, top, steps)
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        randbelow_descending_rows(streams, 2**32, 1)
+    assert randbelow_descending_rows(streams, 2**40, 0).shape == (2, 0)
+    assert randbelow_descending_rows(key_streams(([], 8))[0], 5, 4).shape == (0, 4)
+    assert streams.cursor.tolist() == [0, 0]
+
+
+def test_descending_budget_covers_the_mean_and_more():
+    assert descending_budget(0, 0) == descending_budget(40, 0) == 0
+    for top in (2, 5, 40, 1000):
+        mean = sum((1 << b.bit_length()) / b for b in range(2, top + 1))
+        assert descending_budget(top, top - 1) >= mean + 8
+
+
 def test_word_budget_covers_the_mean_and_more():
     for n in (1, 2, 3, 112, 2**31, 2**32 - 1):
         p = n / 2 ** n.bit_length()
@@ -233,30 +304,36 @@ def test_seed_keys_hash_non_ascii_labels_as_children_do():
 # --- shuffle_order: Random.shuffle's permutation read off bulk words -----------------
 
 
+# the bulk replay at every length, the default split, the spelled-out loop at every length
+SHUFFLE_THRESHOLDS = (0, seeds._SHUFFLE_BULK_MIN, 2**62)
+
+
 def _assert_shuffle_replayed(length: int, seed: int) -> None:
-    loop, bulk = random.Random(seed), random.Random(seed)
+    loop = random.Random(seed)
     items = list(range(length))
     loop.shuffle(items)
-    order = shuffle_order(bulk, length)
-    assert order.dtype == np.int64 and order.tolist() == items
-    assert bulk.getstate() == loop.getstate()
-    assert bulk.getrandbits(64) == loop.getrandbits(64)
+    state = loop.getstate()
+    after = loop.getrandbits(64)
+    for threshold in SHUFFLE_THRESHOLDS:
+        bulk = random.Random(seed)
+        with patch.object(seeds, "_SHUFFLE_BULK_MIN", threshold):
+            order = shuffle_order(bulk, length)
+        assert order.dtype == np.int64 and order.tolist() == items, threshold
+        assert bulk.getstate() == state
+        assert bulk.getrandbits(64) == after
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 5000), st.integers(0, 2**64 - 1))
 def test_shuffle_order_matches_shuffle(length, seed):
     _assert_shuffle_replayed(length, seed)
-    with patch.object(seeds, "_SHUFFLE_BULK_MIN", 0):  # the bulk replay at every length
-        _assert_shuffle_replayed(length, seed)
 
 
 BAND_EDGES = sorted({e + d for b in range(1, 17) for e in [2**b] for d in (-1, 0, 1)})
 
 
 @pytest.mark.parametrize("length", BAND_EDGES + [57344, 60840])
-def test_shuffle_order_matches_shuffle_at_band_edges_and_instance_sizes(monkeypatch, length):
-    monkeypatch.setattr(seeds, "_SHUFFLE_BULK_MIN", 0)
+def test_shuffle_order_matches_shuffle_at_band_edges_and_instance_sizes(length):
     for seed in range(3):
         _assert_shuffle_replayed(length, seed * 7919 + length)
 

@@ -135,6 +135,12 @@ def test_stochastic_event_count_exact():
         make_stream(inst, "stochastic", seed=0)
 
 
+@pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan, -1, -0.5])
+def test_stochastic_mode_rejects_a_c_that_is_not_finite_and_nonnegative(c):
+    with pytest.raises(ValueError, match="finite c >= 0"):
+        stream_from_edges(4, [(0, 1), (1, 2)], "stochastic", seed=1, c=c)
+
+
 @pytest.mark.parametrize("size", [0, 1, 7, 300])
 @pytest.mark.parametrize("c", [0, 0.5, 1, 2.5])
 def test_stochastic_draws_match_the_per_event_loop(monkeypatch, c, size):
