@@ -41,6 +41,7 @@ from .gadgets import (
     Edge,
     EdgeView,
     GroupLayeredGraph,
+    _check_group,
     edge_rows,
     make_multi_block,
     make_multi_segment,
@@ -184,13 +185,17 @@ class Witness:
     def from_gadgets(cls, form: str, xs: Sequence, sigmas: Sequence, t: int) -> "Witness":
         """Assemble from row-major lists of cross vectors and permutations, t per row."""
         if form == "block":
-            return cls(form, tuple(xs), tuple(sigmas))
-        rows = range(0, len(xs), t)
-        return cls(
-            form,
-            tuple(tuple(xs[i : i + t]) for i in rows),
-            tuple(tuple(sigmas[i : i + t]) for i in rows),
-        )
+            X, Sigma = tuple(xs), tuple(sigmas)
+        elif form == "segment":
+            rows = range(0, len(xs), t)
+            X = tuple(tuple(xs[i : i + t]) for i in rows)
+            Sigma = tuple(tuple(sigmas[i : i + t]) for i in rows)
+        else:
+            return cls(form, tuple(xs), tuple(sigmas))  # raises: __post_init__ checks the form
+        witness = object.__new__(cls)  # the form is the one field __init__ would check
+        fields = witness.__dict__
+        fields["form"], fields["X"], fields["Sigma"] = form, X, Sigma
+        return witness
 
     @property
     def gadgets(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -200,8 +205,10 @@ class Witness:
         return [g for row in zip(self.X, self.Sigma) for g in zip(*row)]
 
     def parity(self, group: int) -> int:
-        """Crossing parity XOR_i x^i_{sigma^i(group)} of one start group."""
-        return crossing_parity(self.gadgets, group)
+        """Crossing parity XOR_i x^i_{sigma^i(group)} of one start group 1..w."""
+        gadgets = self.gadgets
+        _check_group(group, len(gadgets[0][1]) if gadgets else 0)
+        return crossing_parity(gadgets, group)
 
     def build(self) -> GroupLayeredGraph:
         if self.form == "block":
@@ -418,8 +425,7 @@ def uniform_witness(form: str, w: int, s: int, t: int, seed: Seed | int | None =
         raise ValueError(f"a block witness has s = 1, got s={s}")
     rng = as_seed(seed).rng()
     count = s * t
-    flat = randrange_many(rng, 2, count * w)
-    xs = [tuple(flat[i : i + w]) for i in range(0, count * w, w)]
+    xs = list(zip(*[iter(randrange_many(rng, 2, count * w))] * w))  # runs of w bits
     return Witness.from_gadgets(form, xs, _perms(rng, w, count), t)
 
 

@@ -16,10 +16,12 @@ strands stay parallel (0) or swap sides (1).
 Validation lives in two places: the public constructors (``MatchingSpec``,
 ``make_*_matching``, ``graph_of``, ``concat``) check every matching they get,
 and the witness builders (``make_multi_block``, ``make_multi_segment``) check
-each gadget's permutation, bits and width once, then emit all its matchings
-in one pass without re-checking them.  Sampled instances build no graph:
-``NgcInstance.core_targets`` lays the same matchings out as arrays straight
-from the witness, and ``matching_targets`` is the one edge formula both use.
+each gadget's bits and width once, and its permutation in the pass that
+inverts it (``invert_perm``, the one permutation test), then make all its
+matchings with ``_built``, skipping the constructors.  Sampled instances
+build no graph: ``NgcInstance.core_targets`` lays the same matchings out as
+arrays straight from the witness, and ``matching_targets`` is the one edge
+formula both use.
 
 Indices are 1-based to match the construction's arithmetic; the canonical
 integer vertex ids used in edge lists and files are 0-based.  Edge lists are
@@ -46,18 +48,15 @@ def identity_perm(w: int) -> Perm:
     return tuple(range(1, w + 1))
 
 
-def invert_perm(perm: Perm) -> Perm:
-    inv = [0] * len(perm)
+def invert_perm(perm: Sequence[int]) -> Perm:
+    """The inverse of a permutation of 1..w, checked in the same pass (ValueError if not one)."""
+    w = len(perm)
+    inv = [0] * w
     for j, image in enumerate(perm, start=1):
+        if not 0 < image <= w or inv[image - 1]:
+            raise ValueError(f"not a permutation of 1..{w}: {perm!r}")
         inv[image - 1] = j
     return tuple(inv)
-
-
-def _check_perm(perm: Sequence[int]) -> Perm:
-    w = len(perm)
-    if sorted(perm) != list(range(1, w + 1)):
-        raise ValueError(f"not a permutation of 1..{w}: {perm!r}")
-    return tuple(perm)
 
 
 def _check_bits(bits: Sequence[int]) -> Bits:
@@ -67,14 +66,14 @@ def _check_bits(bits: Sequence[int]) -> Bits:
     return out
 
 
-def _check_gadget(x: Sequence[int], sigma: Sequence[int], w: int) -> tuple[Perm, Bits]:
-    """One gadget's (permutation, cross bits), checked against each other and width w."""
-    perm, bits = _check_perm(sigma), _check_bits(x)
+def _check_gadget(x: Sequence[int], sigma: Sequence[int], w: int) -> tuple[Perm, Bits, Perm]:
+    """One gadget's (permutation, cross bits, inverse), checked against each other and width w."""
+    perm, bits = tuple(sigma), _check_bits(x)
     if len(perm) != len(bits):
         raise ValueError("x and sigma lengths differ")
     if len(perm) != w:
         raise ValueError(f"width mismatch: {w} vs {len(perm)}")
-    return perm, bits
+    return perm, bits, invert_perm(perm)
 
 
 def vertex_id(layer: int, group: int, side: int, width: int) -> int:
@@ -88,14 +87,14 @@ class MatchingSpec:
     Group j's two vertices both map into group pi(j); cross[j-1] == 0 keeps
     a->a, b->b, cross[j-1] == 1 swaps a->b, b->a.  Constructing one checks
     it.  The witness builders below instead check each gadget once and make
-    the specs it implies with ``_spec``, which skips the check.
+    the specs it implies with ``_built``, which skips the check.
     """
 
     pi: Perm
     cross: Bits
 
     def __post_init__(self) -> None:
-        _check_perm(self.pi)
+        invert_perm(self.pi)
         _check_bits(self.cross)
         if len(self.pi) != len(self.cross):
             raise ValueError("pi and cross lengths differ")
@@ -103,15 +102,6 @@ class MatchingSpec:
     @property
     def width(self) -> int:
         return len(self.pi)
-
-
-def _spec(pi: Perm, cross: Bits) -> MatchingSpec:
-    """A MatchingSpec from a checked permutation and cross tuple of equal length."""
-    spec = object.__new__(MatchingSpec)
-    fields = spec.__dict__  # item stores: cheaper than update() on a build's hot path
-    fields["pi"] = pi
-    fields["cross"] = cross
-    return spec
 
 
 @dataclass(frozen=True)
@@ -177,12 +167,20 @@ def concat(g1: GroupLayeredGraph, g2: GroupLayeredGraph) -> GroupLayeredGraph:
     return GroupLayeredGraph(g1.width, g1.matchings + g2.matchings)
 
 
-def _built(w: int, matchings: list[MatchingSpec]) -> GroupLayeredGraph:
-    """A graph over specs a builder made at width w, without re-checking them."""
-    graph = object.__new__(GroupLayeredGraph)
+def _built(w: int, matchings: list[tuple[Perm, Bits]]) -> GroupLayeredGraph:
+    """A graph over the (pi, cross) pairs a builder made at width w, without re-checking them."""
+    new = object.__new__
+    specs = []
+    for pi, cross in matchings:
+        spec = new(MatchingSpec)
+        fields = spec.__dict__  # item stores: cheaper than update() on a build's hot path
+        fields["pi"] = pi
+        fields["cross"] = cross
+        specs.append(spec)
+    graph = new(GroupLayeredGraph)
     fields = graph.__dict__
     fields["width"] = w
-    fields["matchings"] = tuple(matchings)
+    fields["matchings"] = tuple(specs)
     return graph
 
 
@@ -203,11 +201,11 @@ def make_multi_block(
         raise ValueError("need equally many cross vectors and permutations, t >= 1")
     w = len(Sigma[0])
     ident, zeros = identity_perm(w), (0,) * w
-    specs = []
+    pairs = []
     for x, sigma in zip(X, Sigma):
-        perm, bits = _check_gadget(x, sigma, w)
-        specs += (_spec(perm, zeros), _spec(ident, bits), _spec(invert_perm(perm), zeros))
-    return _built(w, specs)
+        perm, bits, inverse = _check_gadget(x, sigma, w)
+        pairs += ((perm, zeros), (ident, bits), (inverse, zeros))
+    return _built(w, pairs)
 
 
 def make_perm_xor(sigma: Sequence[int], x: Sequence[int]) -> GroupLayeredGraph:
@@ -243,22 +241,27 @@ def make_multi_segment(
         raise ValueError("need t >= 1 gadgets per segment")
     w = len(Sigma[0][0])
     ident, zeros = identity_perm(w), (0,) * w
-    specs = []
+    pairs = []
     for xs, sigmas in zip(X, Sigma):
         prev_inv = None  # (sigma^{i-1})^-1 once gadget i-1 of the row is laid down
         for x, sigma in zip(xs, sigmas):
-            perm, bits = _check_gadget(x, sigma, w)
+            perm, bits, inverse = _check_gadget(x, sigma, w)
             step = perm if prev_inv is None else tuple(perm[g - 1] for g in prev_inv)
-            specs += (_spec(step, zeros), _spec(ident, bits))
-            prev_inv = invert_perm(perm)
-        specs.append(_spec(prev_inv, zeros))
-    return _built(w, specs)
+            pairs += ((step, zeros), (ident, bits))
+            prev_inv = inverse
+        pairs.append((prev_inv, zeros))
+    return _built(w, pairs)
+
+
+def _check_group(j: int, width: int) -> None:
+    """ValueError unless j names one of the groups 1..width."""
+    if not 1 <= j <= width:
+        raise ValueError(f"group index {j} out of range 1..{width}")
 
 
 def group_map(g: GroupLayeredGraph, j: int) -> int:
     """Last-layer group reachable from first-layer group j."""
-    if not 1 <= j <= g.width:
-        raise ValueError(f"group index {j} out of range 1..{g.width}")
+    _check_group(j, g.width)
     for m in g.matchings:
         j = m.pi[j - 1]
     return j
@@ -270,8 +273,7 @@ def parity(g: GroupLayeredGraph, j: int) -> int:
     0 means a^1_j leads to the a-side vertex of group_map(g, j) in the last
     layer (and b to b); 1 means the sides swap.
     """
-    if not 1 <= j <= g.width:
-        raise ValueError(f"group index {j} out of range 1..{g.width}")
+    _check_group(j, g.width)
     bit = 0
     for m in g.matchings:
         bit ^= m.cross[j - 1]

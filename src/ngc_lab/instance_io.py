@@ -33,7 +33,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .distributions import NgcInstance, Witness
-from .gadgets import EdgeView, _check_bits, _check_perm
+from .gadgets import EdgeView, _check_bits, invert_perm
 
 MAGIC = "ngc-lab v1"
 
@@ -302,7 +302,8 @@ def _parse_records(records: Iterable[tuple[int, str]]) -> ParsedInstance:
                     if tag == "x":
                         row = x_lines[key] = _check_bits([int(c) for c in tokens[1 + key_len]])
                     else:
-                        row = p_lines[key] = _check_perm([int(c) for c in tokens[1 + key_len :]])
+                        row = p_lines[key] = tuple(int(c) for c in tokens[1 + key_len :])
+                        invert_perm(row)  # raises unless the row is a permutation
                     witness_line.setdefault(key, lineno)
                     if len(row) != sizes["w"]:
                         raise ValueError(f"witness line has width {len(row)}, expected w={sizes['w']}")

@@ -11,6 +11,7 @@ algorithm to a (sequential, multi-player) protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,6 +54,13 @@ class EmbeddingRecord:
     source: Witness
 
 
+@lru_cache(maxsize=256)
+def _layout(m: int, h_star: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Groups [m] \\ {h_star}, the slots of narrow groups 1..m+1 (h_star's, then m+1..2m), 1..2m."""
+    free = tuple(j for j in range(1, m + 1) if j != h_star)
+    return free, (h_star - 1, *range(m, 2 * m)), tuple(range(1, 2 * m + 1))
+
+
 def _embed(
     narrow: Witness,
     h_star: int,
@@ -66,19 +74,16 @@ def _embed(
     Pre-samples the columns of groups [m] \\ {h_star} (uniform distinct images,
     bit parities forced to 0 below h_star and 1 above via the last gadget),
     then maps the narrow witness onto the remaining m+1 indices per gadget.
+    Every gadget's x and sigma must have width m+1, checked in that pass.
     """
-    gadgets = narrow.gadgets
-    width = len(gadgets[0][1])
-    if width != m + 1:
-        raise ValueError(f"witness width {width} != m+1 = {m + 1}")
     if not 1 <= h_star <= m:
         raise ValueError(f"h_star={h_star} outside [1, {m}]")
-    wide = 2 * m
+    gadgets = narrow.gadgets
     count = len(gadgets)
-    free = [j for j in range(1, m + 1) if j != h_star]
-    # sigma slot of narrow group r + 1: h_star first, then groups m+1 .. 2m
-    slots = [h_star - 1, *range(m, wide)]
-    everything = tuple(range(1, wide + 1))
+    if not count:
+        raise ValueError("the witness has no gadgets")
+    wide = 2 * m
+    free, slots, everything = _layout(m, h_star)
 
     # images[g][i] is gadget g's pre-sampled image of group free[i] and
     # bits[g][i] the cross bit there; the last gadget's bits force the parities
@@ -94,6 +99,8 @@ def _embed(
 
     maps, sigmas, xs = [], [], []
     for (y, phi), image, bit in zip(gadgets, images, bits):
+        if len(y) != m + 1 or len(phi) != m + 1:
+            raise ValueError(f"gadget {len(maps)} of the witness is not of width m+1 = {m + 1}")
         sigma = [0] * wide
         x = [0] * wide
         f = everything
@@ -113,7 +120,10 @@ def _embed(
         raise RuntimeError("embedding lost the planted parity")
 
     assembled = Witness.from_gadgets(narrow.form, xs, sigmas, t)
-    record = EmbeddingRecord(h_star, tuple(maps), assembled, narrow)
+    record = object.__new__(EmbeddingRecord)  # no checks to skip: this saves __init__'s cost
+    fields = record.__dict__
+    fields["h_star"], fields["maps"] = h_star, tuple(maps)
+    fields["witness"], fields["source"] = assembled, narrow
     return (assembled.build() if build_graph else None), record
 
 

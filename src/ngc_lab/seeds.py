@@ -1,10 +1,12 @@
 """Reproducible randomness: a master seed plus a path of string labels.
 
-Every sampler in the package takes a ``Seed``.  Two calls with the same
-(master, path) produce identical output; deriving children with distinct
-labels produces independent-looking streams.  Both a stdlib ``random.Random``
-and a numpy ``Generator`` are available off the same derivation, so scalar
-and vectorized code paths can share one seed discipline.
+Every sampler in the package takes a ``Seed``; an int is taken as the
+master of an empty path (``as_seed``).  Two calls with the same (master,
+path) produce identical output; deriving children with distinct labels
+produces independent-looking streams.  The derivation is one sha256 over the
+master's 8 little-endian bytes and "/" + label per label: ``rng()`` is
+``random.Random(key())``, the key being the digest's first 16 bytes read
+little-endian, and ``generator()`` seeds numpy off the last 16.
 
 Batched suites keep one ``random.Random`` stream per trial, on the trial's
 own path: ``Seed.keys`` derives a run of their 128-bit keys, hashing the
@@ -68,12 +70,9 @@ class Seed:
             h.update(b"/" + label.encode("utf-8"))
         return h
 
-    def _digest(self) -> bytes:
-        return self._hash().digest()
-
     def key(self) -> int:
         """The 128-bit seed of ``rng()``: the digest's first 16 bytes, little-endian."""
-        return _key(self._digest())
+        return _key(self._hash().digest())
 
     def rng(self) -> random.Random:
         """Stdlib RNG for shuffles, permutations, and scalar draws."""
@@ -96,7 +95,7 @@ class Seed:
 
     def generator(self) -> np.random.Generator:
         """Numpy RNG for vectorized draws (independent of .rng())."""
-        return np.random.default_rng(int.from_bytes(self._digest()[16:], "little"))
+        return np.random.default_rng(int.from_bytes(self._hash().digest()[16:], "little"))
 
 
 def _key(digest: bytes) -> int:
@@ -168,11 +167,12 @@ def _draw_singly(rng: random.Random, n: int, count: int, out: list[int]) -> list
     ``_randbelow`` one attempt at a time, spelled out: a call per word would
     double the cost of the small draws that end here.
     """
-    bits = n.bit_length()
-    while len(out) < count:
-        value = rng.getrandbits(bits)
-        if value < n:
-            out.append(value)
+    bits, getrandbits = n.bit_length(), rng.getrandbits
+    for _ in range(count - len(out)):
+        value = getrandbits(bits)
+        while value >= n:
+            value = getrandbits(bits)
+        out.append(value)
     return out
 
 

@@ -9,7 +9,8 @@ The exceptions are the gadget, witness, partition, claim-suite and file
 layers at the end: there the references are the per-gadget and object-level
 routes the shared code replaced (a validated concat chain per gadget, one
 ``randrange`` per cross bit, edge or map slot, one ``Random.sample`` and one
-set per embedded gadget, one owner lookup per edge, one assignment and
+set per embedded gadget, the embedding core filled slot by slot with the
+dataclass constructors, one owner lookup per edge, one assignment and
 clean report per suite trial, one adapter run with an ``OrderProbe`` per
 order trial, the uint8 and int8 simulators that byte replay
 replaced, real walks with real cycle certificates, one record loop step per
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, combinations
@@ -71,7 +73,7 @@ from ngc_lab.partitions import (
     sample_counts,
 )
 from ngc_lab.protocols import EmbeddingRecord, StreamingProtocol, pack_edges, unpack_edges
-from ngc_lab.seeds import Seed, as_seed, randrange_many
+from ngc_lab.seeds import Seed, as_seed, randrange_many, sample_range
 from ngc_lab.streaming import (
     CcEstimateResult,
     StreamingAlgorithm,
@@ -532,6 +534,90 @@ def reference_embed(narrow: Witness, h_star: int, m: int, t: int, seed, build_gr
     assembled = Witness.from_gadgets(narrow.form, xs, sigmas, t)
     record = EmbeddingRecord(h_star, tuple(maps), assembled, narrow)
     return (assembled.build() if build_graph else None), record
+
+
+# The embedding core filled slot by slot, with EmbeddingRecord's constructor
+# and the width read off gadget 0: the reference for ``protocols._embed``'s
+# records and the generator state it leaves, on witnesses of width m + 1.
+def slotwise_embed(
+    narrow: Witness,
+    h_star: int,
+    m: int,
+    t: int,
+    seed: Seed | int | None,
+    build_graph: bool,
+) -> tuple[GroupLayeredGraph | None, EmbeddingRecord]:
+    """Shared embedding core over the narrow witness's row-major gadgets.
+
+    Pre-samples the columns of groups [m] \\ {h_star} (uniform distinct images,
+    bit parities forced to 0 below h_star and 1 above via the last gadget),
+    then maps the narrow witness onto the remaining m+1 indices per gadget.
+    """
+    gadgets = narrow.gadgets
+    width = len(gadgets[0][1])
+    if width != m + 1:
+        raise ValueError(f"witness width {width} != m+1 = {m + 1}")
+    if not 1 <= h_star <= m:
+        raise ValueError(f"h_star={h_star} outside [1, {m}]")
+    wide = 2 * m
+    count = len(gadgets)
+    free = [j for j in range(1, m + 1) if j != h_star]
+    # sigma slot of narrow group r + 1: h_star first, then groups m+1 .. 2m
+    slots = [h_star - 1, *range(m, wide)]
+    everything = tuple(range(1, wide + 1))
+
+    # images[g][i] is gadget g's pre-sampled image of group free[i] and
+    # bits[g][i] the cross bit there; the last gadget's bits force the parities
+    images: list[list[int]] = [[]] * count
+    bits: list[list[int]] = [[]] * count
+    if free:  # at m=1 nothing is pre-sampled, so no generator is derived
+        rng = as_seed(seed).rng()
+        images = [sample_range(rng, wide, m - 1) for _ in range(count)]
+        flat = randrange_many(rng, 2, (count - 1) * (m - 1))
+        bits = [flat[g * (m - 1) : (g + 1) * (m - 1)] for g in range(count - 1)]
+        bits.append([int(j > h_star) ^ (sum(flat[i :: m - 1]) & 1) for i, j in enumerate(free)])
+        columns = set(everything)
+
+    maps, sigmas, xs = [], [], []
+    for (y, phi), image, bit in zip(gadgets, images, bits):
+        sigma = [0] * wide
+        x = [0] * wide
+        f = everything
+        if image:
+            f = tuple(sorted(columns.difference(image)))
+            for j, v, b in zip(free, image, bit):
+                sigma[j - 1] = v
+                x[v - 1] = b
+        for slot, r in zip(slots, phi):
+            sigma[slot] = f[r - 1]
+        for v, b in zip(f, y):
+            x[v - 1] = b
+        maps.append(f)
+        sigmas.append(tuple(sigma))
+        xs.append(tuple(x))
+    if crossing_parity(zip(xs, sigmas), h_star) != crossing_parity(gadgets, 1):
+        raise RuntimeError("embedding lost the planted parity")
+
+    assembled = Witness.from_gadgets(narrow.form, xs, sigmas, t)
+    record = EmbeddingRecord(h_star, tuple(maps), assembled, narrow)
+    return (assembled.build() if build_graph else None), record
+
+
+@contextmanager
+def generators_made():
+    """Collect every generator ``Seed.rng`` returns inside the block, in order."""
+    made = []
+    rng = Seed.rng
+
+    def recording(seed):
+        made.append(rng(seed))
+        return made[-1]
+
+    Seed.rng = recording
+    try:
+        yield made
+    finally:
+        Seed.rng = rng
 
 
 def per_edge_expansion(g: GroupLayeredGraph) -> list[tuple[int, int]]:

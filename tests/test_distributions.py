@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import sys
 import warnings
 from itertools import permutations, product
@@ -29,6 +30,7 @@ from ngc_lab.distributions import (
     sample_ngc,
     sample_ngc_batched,
     sample_ngc_sigma1,
+    uniform_witness,
     validate_instance,
 )
 from ngc_lab.gadgets import parity, to_edges, vertex_id
@@ -42,11 +44,12 @@ from ngc_lab.partitions import (
     random_partition_functions,
 )
 from ngc_lab.protocols import FullForwardCensusProtocol, run_protocol
-from ngc_lab.seeds import key_streams, master_seed, randrange_rows
+from ngc_lab.seeds import Seed, key_streams, master_seed, randrange_rows
 from ngc_lab.stats import binomial_check, chi_square_uniform
 from oracles import (
     canon,
     component_census,
+    generators_made,
     instance_graph,
     per_edge_expansion,
     reference_blocks_conditioned,
@@ -370,6 +373,48 @@ def test_dhx_segment_roundtrip():
     g, w = sample_dhx_segment(3, 2, 2, SEED.child("dhxseg"))
     assert w.form == "segment"
     assert to_edges(w.build()) == to_edges(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["block", "segment"]),
+    st.integers(1, 6),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(0, 2**64 - 1),
+)
+def test_uniform_witness_matches_stdlib_draws(form, w, s, t, v):
+    # one randrange(2) per cross bit, then one sample per permutation, on the
+    # generator Seed(v).rng() seeds; the witness, its repr and hash, and where
+    # the generator ends all agree
+    s = 1 if form == "block" else s
+    rng = random.Random(Seed(v).key())
+    xs = [tuple(rng.randrange(2) for _ in range(w)) for _ in range(s * t)]
+    sigmas = [tuple(rng.sample(range(1, w + 1), w)) for _ in range(s * t)]
+    if form == "block":
+        want = Witness(form, tuple(xs), tuple(sigmas))
+    else:
+        rows = range(0, s * t, t)
+        X, Sigma = (tuple(tuple(v[i : i + t]) for i in rows) for v in (xs, sigmas))
+        want = Witness(form, X, Sigma)
+    with generators_made() as made:
+        got = uniform_witness(form, w, s, t, v)
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    assert [g.getstate() for g in made] == [rng.getstate()]
+
+
+@pytest.mark.parametrize("group", [0, -1, 4, 10])
+@pytest.mark.parametrize("form, s", [("block", 1), ("segment", 2)])
+def test_witness_parity_rejects_groups_that_do_not_exist(form, s, group):
+    witness = uniform_witness(form, 3, s, 2, 5)
+    message = rf"group index {group} out of range 1\.\.3"
+    with pytest.raises(ValueError, match=message):
+        witness.parity(group)
+    with pytest.raises(ValueError, match=message):
+        parity(witness.build(), group)  # the graph query's own check and message
+    assert [witness.parity(j) for j in (1, 2, 3)] == [witness_parity(witness, j) for j in (1, 2, 3)]
+    with pytest.raises(ValueError, match=r"out of range 1\.\.0"):
+        Witness(form, (), ()).parity(1)
 
 
 # --- conditional sampling is exactly uniform on its support --------------------

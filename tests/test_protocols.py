@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import struct
 from collections import Counter
@@ -44,8 +45,10 @@ from oracles import (
     OrderProbe,
     canon,
     empirical_table,
+    generators_made,
     reference_embed,
     reference_relay,
+    slotwise_embed,
     tvd,
     witness_parity,
 )
@@ -167,16 +170,80 @@ def test_embed_marginal_matches_even_hybrid_mixture():
     st.booleans(),
 )
 def test_embed_matches_reference_embed(m, t, s, key, build_graph):
-    # whole records (maps, wide witness, source) and graphs, at every target group
+    # whole records (maps, wide witness, source), graphs and the state of every
+    # generator derived, at every target group, against both references
     form = "block" if s is None else "segment"
     narrow = uniform_witness(form, m + 1, s or 1, t, key)
+
+    def embed(h_star, seed):
+        if s is None:
+            return embed_dhx(narrow, h_star, m, seed, build_graph)
+        return embed_dhx_batched(narrow, h_star, m, s, t, seed, build_graph)
+
     for h_star in range(1, m + 1):
         seed = master_seed(key).child("emb", h_star)
-        if s is None:
-            got = embed_dhx(narrow, h_star, m, seed, build_graph)
-        else:
-            got = embed_dhx_batched(narrow, h_star, m, s, t, seed, build_graph)
-        assert got == reference_embed(narrow, h_star, m, t, seed, build_graph)
+        runs = []
+        for route in (embed, reference_embed, slotwise_embed):
+            args = (h_star, seed) if route is embed else (narrow, h_star, m, t, seed, build_graph)
+            with generators_made() as made:
+                out = route(*args)
+            runs.append((out, [g.getstate() for g in made]))
+        assert runs[0] == runs[1] == runs[2]
+        assert len(runs[0][1]) == (m > 1)  # at m=1 nothing is drawn
+
+
+def rebuilt(obj):
+    """obj with every dataclass in it made again by its constructor."""
+    if dataclasses.is_dataclass(obj):
+        return type(obj)(**{f.name: rebuilt(getattr(obj, f.name)) for f in dataclasses.fields(obj)})
+    if isinstance(obj, tuple):
+        return tuple(rebuilt(v) for v in obj)
+    return obj
+
+
+@pytest.mark.parametrize("m, s, t", [(1, None, 2), (3, None, 3), (2, 2, 2), (1, 1, 1)])
+def test_objects_built_without_init_equal_their_constructed_twins(m, s, t):
+    # witnesses (from_gadgets), graphs and specs (the one-pass builders) and
+    # embedding records are made without __init__; each equals, hashes and
+    # prints as the object its constructor makes from the same fields
+    form = "block" if s is None else "segment"
+    graph, narrow = sample_dhx(m + 1, t, 3) if s is None else sample_dhx_segment(m + 1, s, t, 3)
+    if s is None:
+        wide, record = embed_dhx(narrow, m, m, 4)
+    else:
+        wide, record = embed_dhx_batched(narrow, m, m, s, t, 4)
+    objects = [narrow, graph, *graph.matchings, record, record.witness, wide, *wide.matchings]
+    for obj in objects:
+        twin = rebuilt(obj)
+        assert twin == obj and hash(twin) == hash(obj) and repr(twin) == repr(obj)
+        assert vars(twin) == vars(obj)
+    assert record.witness.form == form
+
+
+@pytest.mark.parametrize(
+    "X, Sigma",
+    [
+        (((0, 1, 0), (0, 1)), ((1, 2, 3), (2, 1))),  # gadget 1 has width 2
+        (((0, 1, 0), (0, 1, 1)), ((1, 2, 3), (2, 1))),  # gadget 1's sigma alone
+        (((0, 1, 0), (0, 1)), ((1, 2, 3), (2, 1, 3))),  # gadget 1's x alone
+        (((0, 1), (1, 1)), ((2, 1), (1, 2))),  # every gadget
+    ],
+)
+def test_embed_rejects_gadgets_not_of_width_m_plus_1(X, Sigma):
+    # m = 2 needs width 3 in every gadget, not only in gadget 0
+    with pytest.raises(ValueError, match="gadget [01] of the witness is not of width m"):
+        embed_dhx(Witness("block", X, Sigma), 1, 2, 7, build_graph=False)
+    with pytest.raises(ValueError, match="gadget [01] of the witness is not of width m"):
+        embed_dhx_batched(Witness("segment", (X,), (Sigma,)), 1, 2, 1, 2, 7, build_graph=False)
+
+
+def test_embed_rejects_a_witness_without_gadgets():
+    with pytest.raises(ValueError, match="no gadgets"):
+        embed_dhx(Witness("block", (), ()), 1, 2)
+    with pytest.raises(ValueError, match="no gadgets"):
+        embed_dhx_batched(Witness("segment", (), ()), 1, 2, 0, 2)
+    with pytest.raises(ValueError, match="no gadgets"):
+        embed_dhx_batched(Witness("segment", ((),), ((),)), 1, 2, 1, 0)
 
 
 def test_embed_batched_claim_and_structure():
