@@ -20,9 +20,8 @@ route is not obvious from the code alone:
   directly (each index is clean with probability exactly 1/64, independently
   across indices, and the image is an independent uniform group id).  The
   object-level route verifies those three facts at small width.  The
-  indicators are ``byte < 4`` of the generator's own bytes
-  (``seeds.replay_bytes``, exactly ``integers(0, 64, dtype=np.uint8) == 0``),
-  and only the draws whose image is clean, about one in 64, are ranked.
+  indicators are bytes of the generator's own words, replayed in blocks
+  (``_sigma1_rank_counts``).
 
 * ``walk_cover_suite`` simulates walks started on a cycle as +/-1 increment
   sequences: on an L-cycle every vertex has exactly two neighbours, so the
@@ -30,12 +29,10 @@ route is not obvious from the code alone:
   cycle iff the running range of the increments reaches L-1.  Walks started on
   path components never produce a cycle certificate (their endpoints have
   degree one), so only the cycle-started half of the budget matters.  Each
-  step is the top bit of one generator byte (exactly
-  ``integers(0, 2, dtype=np.int8)``); a walk's steps pack into byte codes,
-  and a 256-entry table of each code's net, lowest and highest position folds
-  them into the walk's range.  The test suite cross-checks the simulation
-  against real walks and real certificates, and checks both replays draw for
-  draw against the uint8 and int8 simulators they replaced.
+  step is the top bit of one generator byte, and a table folds a walk's
+  steps eight at a time (``_fast_walk_coverage``).  The test suite checks
+  the simulation against real walks and real certificates, and both replays
+  draw for draw against the uint8 and int8 simulators they replaced.
 
 The object trials of ``partition_stats_suite`` and ``stochastic_stats_suite``
 are not simulated: each trial draws from its own ``random.Random`` stream on
@@ -52,6 +49,7 @@ the same way: owner bits, then each player's shuffle
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -102,6 +100,7 @@ from .seeds import (
     randbelow_descending_rows,
     randrange_rows,
     replay_bytes,
+    skip_bytes,
     word_budget,
 )
 from .stats import binomial_check, chi_square_uniform, clopper_pearson
@@ -285,17 +284,17 @@ def capped_activity_probability(w: int) -> Fraction:
     return Fraction(w_c * 64**w - short, w * 64**w)
 
 
-# array elements per batch of trials in the two object suites, which bounds
-# a batch's held stream words and count arrays, and trials per batch: a
-# partition batch's two keys a trial then make one replay pass of at most
-# 4096 keys (seeds._PASS_KEYS)
+# array elements per batch of trials in the two object suites (held stream
+# words, count arrays) and per block of replayed sigma(1) or walk bytes; and
+# trials per batch: a partition batch's two keys a trial then make one
+# replay pass of at most 4096 keys (seeds._PASS_KEYS)
 _BATCH_ELEMENTS = 1 << 19
 _BATCH_TRIALS = 2048
-# clean indicators per chunk of sigma(1) draws (a chunk's indicators and images
-# interleave in the stream, so the chunk is part of the rows), and walks per
-# chunk of simulated walks
+# clean indicators per chunk of sigma(1) draws: a chunk draws all its
+# indicators and then all its images, so the chunk is part of the rows' law.
+# The blocks a chunk's indicators are replayed in are not: each but the last
+# is a whole number of 32-bit words, so the blocks read the chunk's bytes.
 _SIGMA1_CHUNK = 20_000_000
-_WALK_CHUNK = 4_000_000
 
 
 def _trial_batches(trials: int, per_trial: int) -> Iterator[range]:
@@ -444,19 +443,28 @@ def _sigma1_rank_counts(w: int, w_c: int, trials: int, seed: Seed) -> list[int]:
     index) and an independent uniform image; restricts to draws whose clean
     set has at least w_c members so every capped slot exists.  Each chunk
     draws its indicators as ``integers(0, 64, dtype=np.uint8) == 0``, which is
-    ``byte < 4`` of the generator's own bytes (``replay_bytes``), then its
-    images with ``integers(0, w)``; only the rows whose sigma(1) index is
-    clean, about one in 64, are counted and ranked.
+    ``byte < 4`` of the generator's own bytes, then its images with
+    ``integers(0, w)``: the images are drawn past the skipped indicators
+    (``skip_bytes``), then the indicators are replayed in blocks of whole
+    words (``replay_bytes``).  Only the rows whose sigma(1) index is clean,
+    about one in 64, are counted and ranked.
     """
     gen = seed.generator()
     counts = np.zeros(w_c, dtype=np.int64)
     chunk = max(1, min(trials, _SIGMA1_CHUNK // w))
+    block = 4 * max(1, _BATCH_ELEMENTS // (4 * w))  # rows
     for start in range(0, trials, chunk):
         size = min(chunk, trials - start)
-        draws = replay_bytes(gen, size * w).reshape(size, w)
-        sigma1 = gen.integers(0, w, size=size)
-        active = np.flatnonzero(draws[np.arange(size), sigma1] < 4)
-        mask, sigma1 = draws[active] < 4, sigma1[active]
+        indicators = copy.deepcopy(gen)  # gen goes on past them to the images
+        skip_bytes(gen, size * w)
+        images = gen.integers(0, w, size=size)
+        kept, active = [], []
+        for head in range(0, size, block):
+            draws = replay_bytes(indicators, min(block, size - head) * w).reshape(-1, w)
+            hit = np.flatnonzero(draws[np.arange(len(draws)), images[head : head + block]] < 4)
+            kept.append(draws[hit])
+            active.append(head + hit)
+        mask, sigma1 = np.concatenate(kept) < 4, images[np.concatenate(active)]
         capped = np.count_nonzero(mask, axis=1) >= w_c
         mask, sigma1 = mask[capped], sigma1[capped]
         # 0-based rank of sigma(1) among its row's clean indices
@@ -879,7 +887,11 @@ def walk_cover_suite(
     Cycle-started walks are simulated as +/-1 increment sequences, exactly the
     walk law on a cycle (see the module docstring).
     """
-    _check_trials(trials=trials, walks=walks)
+    _check_trials(trials=trials, walks=walks, m=m)
+    if 2 * m > MAX_WIDTH:
+        raise ValueError(f"m={m} is past the width ceiling: 2m > {MAX_WIDTH}")
+    if 2 * k >= 1 << 15:
+        raise ValueError(f"walk positions are int16: need 2k < 2^15, got 2k={2 * k}")
     root = as_seed(seed)
     # the rows still name the simulated route, so that their bytes are those
     # recorded while a real-walk route could be selected
@@ -925,18 +937,18 @@ def _fast_walk_coverage(walks: int, length: int, steps: int, seed: Seed) -> tupl
     """(cycle-started walk count, covering walk count) via increment simulation.
 
     Each chunk of walks draws its +/-1 steps as ``integers(0, 2, dtype=np.int8)``,
-    the top bit of one byte per step (``replay_bytes``).  A walk's bits pack
-    into ceil(steps/8) byte codes, and folding the codes' (net, lowest,
-    highest) positions left to right gives the walk's range.
+    the top bit of one byte per step (``replay_bytes``); a chunk of a multiple
+    of four walks reads whole words, so the chunks read the bytes of one draw.  A
+    walk's bits pack into ceil(steps/8) byte codes, and folding the codes'
+    (net, lowest, highest) positions left to right gives the walk's range.
     """
-    if steps >= 1 << 15:
-        raise ValueError(f"walk positions are int16: need 2k < 2^15, got 2k={steps}")
     gen = seed.generator()
     on_cycle = int(gen.binomial(walks, 0.5))  # exactly half the vertices sit on cycles
     codes_per_walk = -(-steps // 8)
+    chunk = 4 * max(1, _BATCH_ELEMENTS // (4 * steps))
     hits = 0
-    for start in range(0, on_cycle, _WALK_CHUNK):
-        size = min(_WALK_CHUNK, on_cycle - start)
+    for start in range(0, on_cycle, chunk):
+        size = min(chunk, on_cycle - start)
         draws = replay_bytes(gen, size * steps).reshape(size, steps)
         bits = np.zeros((size, 8 * codes_per_walk), dtype=bool)
         np.greater_equal(draws, 128, out=bits[:, :steps])

@@ -168,12 +168,13 @@ def _parse_param_line(line: str) -> dict[str, str]:
 # A run of edge records of one form, `e <u> <v>` then ` w=<int>` and/or
 # ` b=<int>` in that order, from a line start, every number ASCII digits
 # short enough for int64.  Runs are capped so that one run's text and array
-# stay small next to the edge array.
-_NUMBER = "[0-9]{1,18}"
+# stay small next to the edge array.  The repeats are possessive: a digit run
+# ends at a space or line end, and nothing follows a run of lines.
+_NUMBER = "[0-9]{1,18}+"
 _EDGE_RUN = re.compile(
     "^(?:"
     + "|".join(
-        f"(?:e {_NUMBER} {_NUMBER}{notes}\n){{1,4096}}"
+        f"(?:e {_NUMBER} {_NUMBER}{notes}\n){{1,4096}}+"
         for notes in ("", f" w={_NUMBER}", f" b={_NUMBER}", f" w={_NUMBER} b={_NUMBER}")
     )
     + ")",

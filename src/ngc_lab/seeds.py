@@ -30,7 +30,8 @@ leave it (a spelled-out loop for short lists, bulk ``getrandbits`` words
 for long ones); and ``replay_bytes`` gives
 ``Generator.integers(0, 256, count, dtype=np.uint8)`` from one
 ``random_raw`` call, so a caller can read small power-of-two draws off the
-bytes directly.
+bytes directly.  ``skip_bytes`` jumps a generator past the bytes
+(``PCG64.advance``), so what follows them can be drawn before they are read.
 """
 
 from __future__ import annotations
@@ -702,23 +703,44 @@ def replay_bytes(gen: np.random.Generator, count: int) -> np.ndarray:
     int8 draw) is ``byte >> (8 - b)`` of these bytes: Lemire's method never
     rejects on a power-of-two range.
     """
+    raw, carried = _read_words(gen, count, "replay_bytes", skip=False)
+    out = raw.view(np.uint8)
+    if carried is not None:
+        head = np.array([carried], dtype="<u4").view(np.uint8)
+        out = np.concatenate([head, out])
+    return out[:count]
+
+
+def skip_bytes(gen: np.random.Generator, count: int) -> None:
+    """Leave ``gen`` exactly where ``replay_bytes(gen, count)`` would, without the bytes.
+
+    PCG64 jumps over all but the last raw output (``advance``) and reads the
+    last, whose high half numpy keeps in ``uinteger``.
+    """
+    _read_words(gen, count, "skip_bytes", skip=True)
+
+
+def _read_words(
+    gen: np.random.Generator, count: int, name: str, skip: bool
+) -> tuple[np.ndarray, int | None]:
+    """(raw outputs, carried half-word or None) of ``count`` uint8 draws, the
+    carry left as numpy leaves it; ``skip`` jumps all but the last output."""
     words = -(-count // 4)
     if words <= 0:
-        return np.empty(0, dtype=np.uint8)
+        return np.empty(0, dtype="<u8"), None
     bit_generator = gen.bit_generator
     entry = bit_generator.state
     if entry["bit_generator"] != "PCG64":
-        raise ValueError(f"replay_bytes reads PCG64 words, got {entry['bit_generator']}")
-    carried, half = entry["has_uint32"], entry["uinteger"]
-    words -= carried
-    raw = bit_generator.random_raw(-(-words // 2)).astype("<u8", copy=False)
+        raise ValueError(f"{name} reads PCG64 words, got {entry['bit_generator']}")
+    words -= entry["has_uint32"]
+    outputs = -(-words // 2)
+    if skip and outputs > 1:
+        bit_generator.advance(outputs - 1)
+        outputs = 1
+    raw = bit_generator.random_raw(outputs).astype("<u8", copy=False)
     state = bit_generator.state  # past the raw outputs
     state["has_uint32"] = words % 2
     if raw.size:  # numpy keeps the last high half even once it is read
         state["uinteger"] = int(raw[-1] >> np.uint64(32))
     bit_generator.state = state
-    out = raw.view(np.uint8)
-    if carried:
-        head = np.array([half], dtype="<u4").view(np.uint8)
-        out = np.concatenate([head, out])
-    return out[:count]
+    return raw, entry["uinteger"] if entry["has_uint32"] else None

@@ -14,9 +14,9 @@ dataclass constructors, one owner lookup per edge, one assignment and
 clean report per suite trial, one adapter run with an ``OrderProbe`` per
 order trial, the uint8 and int8 simulators that byte replay
 replaced, real walks with real cycle certificates, one record loop step per
-line, event tuples shuffled in place, set-valued census states relayed batch
-by batch, the component estimator's two per-edge passes over set-valued seed
-states),
+line and the edge-run pattern with backtracking repeats, event tuples
+shuffled in place, set-valued census states relayed batch by batch, the
+component estimator's two per-edge passes over set-valued seed states),
 so the new routes can be checked draw for draw and byte for byte against
 them.  The exact rational distance tables (``tvd``, ``empirical_table``)
 and the walk toolkit behind ``reference_walk_cover`` are references of this
@@ -26,6 +26,7 @@ kind with no counterpart left in the package.
 from __future__ import annotations
 
 import math
+import re
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -1170,24 +1171,21 @@ def reference_sigma1_rank_counts(w: int, w_c: int, trials: int, seed, chunk_elem
     return counts.tolist()
 
 
-def reference_fast_walk_coverage(walks: int, length: int, steps: int, seed, chunk: int):
-    """``_fast_walk_coverage`` as the int8 simulator: +/-1 increments and their cumsum.
+def reference_fast_walk_coverage(walks: int, length: int, steps: int, seed):
+    """``_fast_walk_coverage`` as the int8 simulator, every walk in one draw:
+    +/-1 increments and their cumsum.
 
     The int8 positions wrap past 127 steps, so this reference holds for k < 64.
     """
     gen = seed.generator()
     on_cycle = int(gen.binomial(walks, 0.5))
-    hits = 0
-    remaining = on_cycle
-    while remaining > 0:
-        size = min(chunk, remaining)
-        inc = gen.integers(0, 2, size=(size, steps), dtype=np.int8) * 2 - 1
-        pos = np.cumsum(inc, axis=1, dtype=np.int8)
-        hi = np.maximum(pos.max(axis=1), 0)
-        lo = np.minimum(pos.min(axis=1), 0)
-        hits += int(np.count_nonzero(hi - lo + 1 >= length))
-        remaining -= size
-    return on_cycle, hits
+    if on_cycle == 0:
+        return 0, 0
+    inc = gen.integers(0, 2, size=(on_cycle, steps), dtype=np.int8) * 2 - 1
+    pos = np.cumsum(inc, axis=1, dtype=np.int8)
+    hi = np.maximum(pos.max(axis=1), 0)
+    lo = np.minimum(pos.min(axis=1), 0)
+    return on_cycle, int(np.count_nonzero(hi - lo + 1 >= length))
 
 
 def _object_walk_coverage(inst: NgcInstance, walks: int, seed) -> tuple[int, int, int | None]:
@@ -1236,6 +1234,25 @@ def reference_walk_cover(k: int, walks: int, trials: int, seed, m: int) -> tuple
 def parse_instance_by_lines(text: str) -> ParsedInstance:
     """``parse_instance`` with every line, plain edge records too, each its own record."""
     return _parse_records(enumerate(text.splitlines(), start=1))
+
+
+# ``instance_io._EDGE_RUN`` with greedy repeats, which backtrack where the
+# possessive ones give up at once; both match the same spans
+_REFERENCE_NUMBER = "[0-9]{1,18}"
+REFERENCE_EDGE_RUN = re.compile(
+    "^(?:"
+    + "|".join(
+        f"(?:e {_REFERENCE_NUMBER} {_REFERENCE_NUMBER}{notes}\n){{1,4096}}"
+        for notes in (
+            "",
+            f" w={_REFERENCE_NUMBER}",
+            f" b={_REFERENCE_NUMBER}",
+            f" w={_REFERENCE_NUMBER} b={_REFERENCE_NUMBER}",
+        )
+    )
+    + ")",
+    re.MULTILINE,
+)
 
 
 def reference_edge_records(instance: NgcInstance) -> list[str]:

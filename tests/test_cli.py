@@ -868,3 +868,40 @@ def test_suites_and_statistics_leave_scipy_stats_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _record_instances(monkeypatch):
+    """Count the instances walk-cover draws, drawing them as before."""
+    drawn = []
+    sample = experiments.sample_ngc
+    monkeypatch.setattr(experiments, "sample_ngc", lambda *a: drawn.append(a) or sample(*a))
+    return drawn
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--m", "0"], "need m >= 1, got m=0"),
+        (["--m", "-3"], "need m >= 1, got m=-3"),
+        (["--k", "16384"], "walk positions are int16: need 2k < 2^15, got 2k=32768"),
+    ],
+)
+def test_walk_cover_domain_exits_two_before_any_draw(monkeypatch, capsys, tmp_path, flags, message):
+    drawn = _record_instances(monkeypatch)
+    argv = ["walk-cover", "--k", "4", "--walks", "10", "--trials", "1", *flags]
+    assert run_cli(*argv, "--out", str(tmp_path / "rows.csv")) == 2
+    assert capsys.readouterr().err.rstrip() == f"error: {message}"
+    assert drawn == []
+
+
+def test_walk_cover_width_ceiling_exits_two(monkeypatch, capsys, tmp_path):
+    # a small stand-in for the real ceiling, so the test never samples a large m
+    monkeypatch.setattr(experiments, "MAX_WIDTH", 4)
+    drawn = _record_instances(monkeypatch)
+    out = str(tmp_path / "rows.csv")
+    argv = ["walk-cover", "--k", "4", "--walks", "10", "--trials", "1", "--out", out]
+    assert run_cli(*argv, "--m", "3") == 2
+    assert capsys.readouterr().err.rstrip() == "error: m=3 is past the width ceiling: 2m > 4"
+    assert drawn == []
+    assert run_cli(*argv, "--m", "2") in (0, 1)
+    assert len(drawn) == 1

@@ -1,6 +1,7 @@
 """Suite-level checks: laws, dual-route agreement, and row bookkeeping."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -40,7 +41,7 @@ from ngc_lab.experiments import (
 )
 from ngc_lab.gadgets import parity
 from ngc_lab.protocols import embed_dhx
-from ngc_lab.seeds import master_seed
+from ngc_lab.seeds import Seed, master_seed
 from ngc_lab.stats import binomial_check
 
 from oracles import (
@@ -196,6 +197,21 @@ def test_partition_stats_default_sigma1_budget_judges_the_row(w):
     assert row.value > 1e-3
 
 
+def _with_end_state(simulate, *args):
+    """(``simulate(*args)``, the end state of the one numpy generator it draws from)."""
+    made = []
+    generator = Seed.generator
+
+    def recording(seed):
+        made.append(generator(seed))
+        return made[-1]
+
+    with mock.patch.object(Seed, "generator", recording):
+        out = simulate(*args)
+    assert len(made) == 1
+    return out, made[0].bit_generator.state
+
+
 @pytest.mark.parametrize(
     "w, trials, chunk_elements",
     [
@@ -211,9 +227,32 @@ def test_sigma1_rank_counts_match_the_uint8_simulator(w, trials, chunk_elements)
     for i in range(6):
         seed = SEED.child("s1", w, i)
         with mock.patch.object(experiments, "_SIGMA1_CHUNK", chunk_elements):
-            got = experiments._sigma1_rank_counts(w, w_c, trials, seed)
-        assert got == reference_sigma1_rank_counts(w, w_c, trials, seed, chunk_elements)
-    assert sum(got) > 0
+            got = _with_end_state(experiments._sigma1_rank_counts, w, w_c, trials, seed)
+        want = _with_end_state(reference_sigma1_rank_counts, w, w_c, trials, seed, chunk_elements)
+        assert got == want
+    assert sum(got[0]) > 0
+
+
+@pytest.mark.parametrize(
+    "w, trials, chunk_elements, block_elements",
+    [
+        (512, 1001, 512 * 37, 4 * 512),  # blocks of 4 rows
+        (201, 600, 201 * 37, 201),  # one row asked for at an odd w: 4-row blocks
+        (202, 2000, 202 * 37, 202 * 8),  # 8-row blocks of 37-row chunks
+        (300, 400, 300 * 3, 1),  # 4-row blocks of 3-row chunks
+    ],
+)
+def test_sigma1_blocks_match_the_uint8_simulator(w, trials, chunk_elements, block_elements):
+    """The replay blocks change neither the counts nor where the generator ends."""
+    w_c = max(1, w // 100)
+    for i in range(4):
+        seed = SEED.child("s1-blocks", w, i)
+        with mock.patch.object(experiments, "_SIGMA1_CHUNK", chunk_elements):
+            with mock.patch.object(experiments, "_BATCH_ELEMENTS", block_elements):
+                got = _with_end_state(experiments._sigma1_rank_counts, w, w_c, trials, seed)
+        want = _with_end_state(reference_sigma1_rank_counts, w, w_c, trials, seed, chunk_elements)
+        assert got == want
+    assert sum(got[0]) > 0
 
 
 def test_partition_stats_tail_row():
@@ -495,6 +534,7 @@ def _knob_rows():
     return [
         partition_stats_suite(2, 600, seed=root).rows,
         partition_stats_suite(64, 200, seed=root).rows,
+        partition_stats_suite(202, 20, seed=root, sigma1_trials=3001).rows,
         stochastic_stats_suite(1.0, 300, seed=root).rows,
         walk_cover_suite(4, 2048, 4, seed=root).rows,
     ]
@@ -505,7 +545,7 @@ def _knob_rows():
     [
         (experiments, "_BATCH_TRIALS", 7),
         (experiments, "_BATCH_ELEMENTS", 1000),
-        (experiments, "_WALK_CHUNK", 999),
+        (experiments, "_BATCH_ELEMENTS", 4),
         (seeds, "_PASS_KEYS", 5),
         (seeds, "_REPLAY_MIN", 1),
         (seeds, "_ROUND_MIN", 1),
@@ -514,13 +554,32 @@ def _knob_rows():
 def test_batching_constants_only_set_speed(module, name, value):
     """Each batching constant, set far from its default, leaves every row unchanged.
 
-    ``experiments._SIGMA1_CHUNK`` is not one of them: a chunk's clean
-    indicators and sigma(1) images interleave in the stream, so the chunk size
-    is part of the rows' law (at 5000 it changes the w=256 rows).
+    ``_BATCH_ELEMENTS`` also sets the sigma(1) replay blocks and the walk
+    chunks (4 rows and 4 walks at 4, the least they take).
+    ``experiments._SIGMA1_CHUNK`` is not a batching constant: a chunk draws
+    all its clean indicators before its sigma(1) images, so the chunk size is
+    part of the rows' law (at 5000 it changes the w=256 rows).
     """
     want = _knob_rows()
     with mock.patch.object(module, name, value):
         assert _knob_rows() == want
+
+
+def test_sigma1_and_walk_replays_hold_a_block_at_a_time():
+    # c06's sigma(1) shape and c12's walk shape held 38.5 and 62.0 MiB at once
+    # when a chunk's bytes were replayed in one piece
+    runs = [
+        (experiments._sigma1_rank_counts, 512, 5, 100_000, SEED.child("held", "s1")),
+        (experiments._fast_walk_coverage, 4_194_304, 8, 8, SEED.child("held", "walk")),
+    ]
+    for simulate, *args in runs:
+        tracemalloc.start()
+        try:
+            simulate(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, (simulate.__name__, peak)
 
 
 # --- walk coverage -----------------------------------------------------------------
@@ -539,14 +598,16 @@ def test_walk_cover_fast_route_matches_exact_law():
 @pytest.mark.parametrize("k", [3, 4, 7, 10])
 @pytest.mark.parametrize("walks, chunk", [(1, 4_000_000), (5003, 4_000_000), (5003, 999), (20_000, 1001)])
 def test_fast_walk_coverage_matches_the_int8_simulator(k, walks, chunk):
-    # chunk 999 at k=3 is 1498.5 words a chunk: the half-word carries across
+    # `chunk` walks' bytes a chunk, run as a multiple of four (999 -> 996):
+    # whole words, so every chunking reads the steps of one draw of all the walks
     for length in (k, 2 * k):
         seed = SEED.child("walk", k, walks, chunk, length)
-        with mock.patch.object(experiments, "_WALK_CHUNK", chunk):
-            got = experiments._fast_walk_coverage(walks, length, 2 * k, seed)
-        assert got == reference_fast_walk_coverage(walks, length, 2 * k, seed, chunk)
+        with mock.patch.object(experiments, "_BATCH_ELEMENTS", chunk * 2 * k):
+            got = _with_end_state(experiments._fast_walk_coverage, walks, length, 2 * k, seed)
+        want = _with_end_state(reference_fast_walk_coverage, walks, length, 2 * k, seed)
+        assert got == want
     if walks > 1:
-        assert 0 < got[0] < walks
+        assert 0 < got[0][0] < walks
 
 
 def test_byte_walk_tables_spell_each_code():

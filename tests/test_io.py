@@ -20,9 +20,9 @@ from ngc_lab.distributions import (
     sample_ngc,
     sample_ngc_batched,
 )
-from ngc_lab.instance_io import MAGIC, parse_instance, serialize_instance
+from ngc_lab.instance_io import _EDGE_RUN, MAGIC, parse_instance, serialize_instance
 
-from oracles import parse_instance_by_lines, reference_edge_records
+from oracles import REFERENCE_EDGE_RUN, parse_instance_by_lines, reference_edge_records
 
 
 def batch_pairs(parsed):
@@ -361,6 +361,15 @@ def test_mutated_files_parse_as_the_line_loop_and_validate_cleanly(tmp_path, cap
     assert code in (0, 1, 2)
     assert (code == 2) == isinstance(got, str)
     capsys.readouterr()
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_files())
+def test_possessive_edge_runs_match_the_backtracking_pattern(text):
+    def spans(pattern):
+        return [run.span() for run in pattern.finditer(text)]
+
+    assert spans(_EDGE_RUN) == spans(REFERENCE_EDGE_RUN)
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ngc_lab import seeds
@@ -24,6 +24,7 @@ from ngc_lab.seeds import (
     replay_words,
     sample_range,
     shuffle_order,
+    skip_bytes,
     word_budget,
 )
 
@@ -386,3 +387,30 @@ def test_power_of_two_draws_are_the_top_bits_of_the_bytes(bits, dtype):
 def test_replay_bytes_rejects_other_bit_generators():
     with pytest.raises(ValueError, match="PCG64"):
         replay_bytes(np.random.Generator(np.random.MT19937(1)), 8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lead=st.integers(0, 8),
+    count=st.one_of(st.integers(0, 64), st.integers(0, 100_000)),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(lead=1, count=0, seed=0)  # no word read: the carried half stays
+@example(lead=1, count=4, seed=0)  # the carried half is the only word read
+@example(lead=1, count=8, seed=0)  # one word past the carried half: one output, its high half kept
+@example(lead=0, count=12, seed=0)  # three words: two outputs, the last high half carried
+@example(lead=4, count=9, seed=0)  # the carried half, then two words
+def test_skip_bytes_leaves_the_state_replay_bytes_leaves(lead, count, seed):
+    # `lead` uint8 draws first: 1-4 bytes read one word and carry a half-word
+    skipped, replayed = np.random.default_rng(seed), np.random.default_rng(seed)
+    for gen in (skipped, replayed):
+        gen.integers(0, 256, lead, dtype=np.uint8)
+    skip_bytes(skipped, count)
+    replay_bytes(replayed, count)
+    assert skipped.bit_generator.state == replayed.bit_generator.state
+    assert skipped.integers(0, 1000, 3).tolist() == replayed.integers(0, 1000, 3).tolist()
+
+
+def test_skip_bytes_rejects_other_bit_generators():
+    with pytest.raises(ValueError, match="skip_bytes reads PCG64"):
+        skip_bytes(np.random.Generator(np.random.MT19937(1)), 8)
