@@ -457,12 +457,19 @@ def _hybrid(rng: random.Random, m: int, s: int | None, t: int, h: int) -> NgcIns
     return NgcInstance(k, 0 if h == m else (1 if h == 0 else None), witness)
 
 
+# a draw, its census and a uniform stream peak near 100 bytes a vertex (70, 90 and
+# 170 MiB at n = 2**16, 2**18 and 2**20, numpy 2.4), so this stays under 1 GiB
+MAX_VERTICES = 1 << 22
+
+
 def ngc_shape(n: int, k: int) -> int:
-    """m = n/4k, after checking k >= 4 and that n is a positive multiple of 4k."""
+    """m = n/4k, after checking k >= 4 and that n is a multiple of 4k in [4k, MAX_VERTICES]."""
     if k < 4:
         raise ValueError("need k >= 4")
     if n % (4 * k) != 0 or n < 4 * k:
         raise ValueError(f"n={n} must be a positive multiple of 4k={4 * k}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"n={n} is past the vertex ceiling MAX_VERTICES={MAX_VERTICES}")
     return n // (4 * k)
 
 

@@ -43,8 +43,8 @@ draws off them (``sample_ngc_sigma1``, ``partition_slots``,
 ``stochastic_picks``: row r is trial r's stream) and counts on arrays with
 a leading trials axis, so the rows equal those of the one-trial-at-a-time
 loop the tests keep as reference.  ``adapter_suite``'s order trials are read
-the same way: owner bits, then each player's shuffle
-(``seeds.randbelow_descending_rows``), every trial of a batch at once.
+the same way: owner bits, then each player's shuffle (``seeds.shuffle_rows``,
+a ``randrange_rows`` read a swap), every trial of a batch at once.
 """
 
 from __future__ import annotations
@@ -59,9 +59,11 @@ import numpy as np
 
 from .bias import SupportSet, kkl_rhs, mean_bias_sq
 from .distributions import (
+    MAX_VERTICES,
     census_law,
     census_of_edges,
     mst_augment,
+    ngc_shape,
     pad_to_k,
     sample_ngc,
     sample_ngc_batched,
@@ -94,12 +96,11 @@ from .protocols import (
 from .seeds import (
     Seed,
     as_seed,
-    descending_budget,
     key_streams,
     master_keys,
-    randbelow_descending_rows,
     randrange_rows,
     replay_bytes,
+    shuffle_rows,
     skip_bytes,
     word_budget,
 )
@@ -515,6 +516,8 @@ def reduce_check_suite(
         raise ValueError("the marginal TVD row needs block form with m=1")
     if tvd_samples > 0 and t > 4:  # the exact support enumeration's size
         raise ValueError(f"the marginal TVD row needs t <= 4, got t={t}")
+    k = 3 * t + 1 if s is None else (2 * t + 1) * s + 1
+    ngc_shape(4 * m * k, k)  # the embedded instance's 2m groups on k layers fit MAX_VERTICES
     root = as_seed(seed)
     rng = root.child("claim").rng()
     verdicts = _Verdicts("reduce-check", _params(m=m, t=t, s=s), root)
@@ -641,15 +644,16 @@ def _order_counts(order_trials: int, root: Seed) -> list[int]:
     (in edge order) shuffled on b's ``alice-shuffle`` child, then Bob his on
     ``bob-shuffle``: the ``StreamingProtocol`` run's order.  A batch of trials
     reads the owner bits off the a keys' streams (``randrange_rows``), then
-    each player's shuffle off the b keys' (``randbelow_descending_rows``),
-    grouped by the player's edge count, and tallies each order as a base-5
-    code.  Cells are numbered in the order the trials first reach them, so
-    the chi-square sums them in the order one trial at a time would.
+    each player's shuffle off the b keys' (``shuffle_rows``), grouped by the
+    player's edge count, and tallies each order as a base-5 code.  Cells are
+    numbered in the order the trials first reach them, so the chi-square sums
+    them in the order one trial at a time would.
     """
     edges = _ORDER_EDGES
     rng = root.rng()
-    assign_words = word_budget(2, edges)
-    per_trial = assign_words + 2 * descending_budget(edges, edges - 1)
+    # a shuffle's draws each accept a word at least as often as randrange(2)'s
+    assign_words, shuffle_words = word_budget(2, edges), word_budget(2, edges - 1)
+    per_trial = assign_words + 2 * shuffle_words
     cells: dict[int, int] = {}  # order code -> cell, numbered as first reached
     counts = [0] * math.factorial(edges)
     place = edges ** np.arange(edges - 1, -1, -1)
@@ -660,21 +664,18 @@ def _order_counts(order_trials: int, root: Seed) -> list[int]:
         owner = randrange_rows(assign, 2, edges)
         order = np.argsort(owner, axis=1, kind="stable")  # Alice's edges, then Bob's
         alice = np.count_nonzero(owner == ALICE, axis=1)
-        shuffles = []  # (trials, first column, edge count) of each side and shuffle size
-        groups = []  # their (keys, words)
+        shuffles, groups = [], []  # per side and size: (trials, first column, size), (keys, words)
         for label, held in (("alice-shuffle", alice), ("bob-shuffle", edges - alice)):
             for size in range(2, edges + 1):
                 rows = np.flatnonzero(held == size)
                 shuffles.append((rows, 0 if label == "alice-shuffle" else edges - size, size))
                 keys = master_keys([shared[r] for r in rows.tolist()], label)
-                groups.append((keys, descending_budget(size, size - 1)))
+                groups.append((keys, shuffle_words))
         for (rows, column, size), streams in zip(shuffles, key_streams(*groups)):
             part = order[rows, column : column + size]
-            at = np.arange(rows.size)
-            for step, j in enumerate(randbelow_descending_rows(streams, size, size - 1).T):
-                i = size - 1 - step
-                part[at, i], part[at, j] = part[at, j], part[at, i]
-            order[rows, column : column + size] = part
+            order[rows, column : column + size] = np.take_along_axis(
+                part, shuffle_rows(streams, size), axis=1
+            )
         codes, first, hits = np.unique(order @ place, return_index=True, return_counts=True)
         seen = np.argsort(first)
         for code, hit in zip(codes[seen].tolist(), hits[seen].tolist()):
@@ -731,6 +732,8 @@ def estimator_suite(
         raise ValueError(f"need vertices >= 3, got vertices={vertices}")
     if vertices % 3:
         raise ValueError("vertices must be a multiple of 3")
+    if vertices > MAX_VERTICES:
+        raise ValueError(f"n={vertices} is past the vertex ceiling MAX_VERTICES={MAX_VERTICES}")
     root = as_seed(seed)
     corners = np.arange(0, vertices, 3)[:, None, None]
     edges = (corners + np.array([[0, 1], [1, 2], [0, 2]])).reshape(-1, 2)

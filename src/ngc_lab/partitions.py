@@ -22,8 +22,8 @@ Draws are made in bulk (``seeds.randrange_array`` and its list view
 ``stochastic_picks`` take the word streams of a run of seed keys
 (``seeds.KeyStreams``) and read them all at once (``seeds.randrange_rows``),
 row r being key r's draw; ``random_partition_functions`` and
-``stochastic_assign`` make the same draws on one seed's own generator, so
-the batched suites and the object route share one law.  An owner map is an
+``stochastic_assign`` read them on one row holding no words, the seed's own
+generator, so each layout is written once.  An owner map is an
 ``EdgeTable`` (sorted canonical edge keys plus one owner each), so a split
 is one vectorized lookup and a boolean index.  Clean events are read off
 owner arrays through a table of each index's six positions: the instance's
@@ -45,7 +45,9 @@ import numpy as np
 
 from .distributions import EdgeTable, NgcInstance, as_edge_array
 from .gadgets import Edge
-from .seeds import KeyStreams, Seed, as_seed, randrange_array, randrange_many, randrange_rows
+from .seeds import (
+    KeyStreams, Seed, as_seed, key_streams, randrange_array, randrange_many, randrange_rows
+)
 
 ALICE = 0  # alpha
 BOB = 1  # beta
@@ -89,8 +91,9 @@ def partition_slots(streams: KeyStreams, w: int, t: int) -> np.ndarray:
 def random_partition_functions(
     w: int, t: int, seed: Seed | int | None = None
 ) -> PartitionFunctions:
-    """Uniform maps: the slots ``partition_slots`` reads, drawn on the seed's own generator."""
-    bits = randrange_many(as_seed(seed).rng(), 2, 6 * w * t)
+    """Uniform maps: ``partition_slots`` read on the seed's own generator."""
+    (stream,) = key_streams(([as_seed(seed).key()], 0))
+    bits = partition_slots(stream, w, t)[0].tolist()
     maps = tuple(tuple(bits[i * 2 * w : (i + 1) * 2 * w]) for i in range(3 * t))
     return PartitionFunctions(maps[:t], maps[t : 2 * t], maps[2 * t :])
 
@@ -445,11 +448,11 @@ def stochastic_assign(
 ) -> EdgeAssignment:
     """Each player an iid sample (with repetition) of ceil(c*|E|/2) edges.
 
-    The draws ``stochastic_picks`` reads, on the seed's own generator.
+    ``stochastic_picks`` read on the seed's own generator.
     """
     ends = as_edge_array(edges)
-    count = sample_size(c, len(ends))
-    picks = randrange_array(as_seed(seed).rng(), len(ends), 2 * count).reshape(2, count)
+    (stream,) = key_streams(([as_seed(seed).key()], 0))
+    picks = stochastic_picks(stream, len(ends), c)[0]
     alice, bob = (tuple(zip(ends[half, 0].tolist(), ends[half, 1].tolist())) for half in picks)
     return EdgeAssignment(mode="stochastic", players=2, samples=(alice, bob), c=c)
 

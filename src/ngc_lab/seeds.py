@@ -17,10 +17,11 @@ holds each key's first words (replayed, or read from stdlib generators when
 there are too few keys for the replay to pay).  ``randrange_rows`` reads
 every stream's ``randrange`` draws at once from a cursor per row, so
 successive reads go on along each stream, and a row that runs out of held
-words goes on in its own generator; ``randbelow_descending_rows`` reads
-``randbelow(top)``, ``randbelow(top - 1)``, ... the same way, the draws of
-a shuffle or of ``Random.sample``'s pool walk.  ``sample_range`` spells out
-``Random.sample`` over a range of integers, word for word.
+words goes on in its own generator.  ``shuffle_rows`` builds every stream's
+``Random.shuffle`` from one such read a swap.  A one-row ``KeyStreams``
+holding no words reads one generator, so the batched samplers serve one
+seed too.  ``sample_range`` spells out ``Random.sample`` over a range of
+integers, word for word.
 Three more helpers replay one generator's words:
 ``randrange_array`` gives many ``randrange`` draws as an array from one
 ``getrandbits`` call a round (``randrange_many`` is its list view);
@@ -174,19 +175,6 @@ def _draw_singly(rng: random.Random, n: int, count: int, out: list[int]) -> list
         while value >= n:
             value = getrandbits(bits)
         out.append(value)
-    return out
-
-
-def _descending_singly(rng: random.Random, top: int, steps: int) -> list[int]:
-    """``randbelow(top)``, ``randbelow(top - 1)``, ... ``steps`` draws, word by word."""
-    getrandbits = rng.getrandbits
-    out = []
-    for bound in range(top, top - steps, -1):
-        bits = bound.bit_length()
-        j = getrandbits(bits)
-        while j >= bound:
-            j = getrandbits(bits)
-        out.append(j)
     return out
 
 
@@ -435,6 +423,8 @@ def key_streams(*groups: tuple[Sequence[int], int]) -> list[KeyStreams]:
 
 
 def _stdlib_words(keys: Sequence[int], count: int) -> np.ndarray:
+    if count <= 0:  # nothing to read, so no generator is seeded
+        return np.empty((len(keys), 0), dtype="<u4")
     data = b"".join(
         random.Random(key).getrandbits(32 * count).to_bytes(4 * count, "little") for key in keys
     )
@@ -470,9 +460,11 @@ def randrange_rows(streams: KeyStreams, n: int, count: int) -> np.ndarray:
     if count <= 0:
         return out
     _check_bound(n)
-    if not len(streams):
-        return out
     cursor, width = streams.cursor, streams.words.shape[1]
+    if not width:  # nothing held: each row reads its own generator
+        for r in range(len(streams)):
+            out[r] = randrange_array(streams.tail(r), n, count)
+        return out
     values, accepted = _randbelow(streams.words, n)
     if cursor.any():
         accepted &= np.arange(width) >= cursor[:, None]
@@ -492,60 +484,6 @@ def randrange_rows(streams: KeyStreams, n: int, count: int) -> np.ndarray:
             out[r, :held] = values[where[first[r] : first[r] + held]]
             out[r, held:] = randrange_array(streams.tail(r), n, count - held)
             cursor[r] = width
-    return out
-
-
-def descending_budget(top: int, steps: int) -> int:
-    """Words to hold a stream for ``randbelow(top)``, ``randbelow(top - 1)``, ... ``steps`` draws.
-
-    Draw b is accepted with probability p = b / 2**b.bit_length() >= 1/2,
-    so it takes a geometric number of words, of mean 1 / p and variance
-    (1 - p) / p**2.  The budget is the summed mean plus eight standard
-    deviations and eight words, as in ``word_budget``.
-    """
-    accept = [b / (1 << b.bit_length()) for b in range(top, top - steps, -1)]
-    mean = sum(1 / p for p in accept)
-    variance = sum((1 - p) / p**2 for p in accept)
-    return math.ceil(mean + 8 * math.sqrt(variance)) + 8 if accept else 0
-
-
-def randbelow_descending_rows(streams: KeyStreams, top: int, steps: int) -> np.ndarray:
-    """Row r is stream r's next ``randbelow(top)``, ``randbelow(top - 1)``, ... ``steps`` draws.
-
-    Shape (len(streams), steps), int64.  ``Random.shuffle`` of L items reads
-    these with top = L and L - 1 steps, swapping item L - 1 - s with the
-    item at draw s, and ``sample_range(rng, n, k)`` with top = n and k steps.
-    Each step tries every row's held words at once from its cursor
-    (``_randbelow``): the first accepted word is the row's draw and moves the
-    cursor past it.  A row whose held words run out draws the rest from its
-    ``tail``.
-    """
-    top, steps = operator.index(top), operator.index(steps)
-    if not 0 <= steps <= top:
-        raise ValueError(f"need 0 <= steps <= top, got top={top} steps={steps}")
-    out = np.empty((len(streams), steps), dtype=np.int64)
-    if not steps:
-        return out
-    _check_bound(top)
-    cursor, words = streams.cursor, streams.words
-    width = words.shape[1]
-    live = np.arange(len(streams) if width else 0)  # rows still reading held words
-    ran_out = [] if width else [(r, 0) for r in range(len(streams))]  # (row, step)
-    for step in range(steps):
-        if not live.size:
-            break
-        values, accepted = _randbelow(words, top - step)
-        accepted &= np.arange(width) >= cursor[live, None]
-        first = accepted.argmax(axis=1)
-        found = accepted[np.arange(live.size), first]
-        if not found.all():  # every held word from the cursor on was rejected
-            ran_out += [(r, step) for r in live[~found].tolist()]
-            live, words, values, first = live[found], words[found], values[found], first[found]
-        out[live, step] = values[np.arange(live.size), first]
-        cursor[live] = first + 1
-    for r, step in ran_out:
-        out[r, step:] = _descending_singly(streams.tail(r), top - step, steps - step)
-        cursor[r] = width
     return out
 
 
@@ -585,6 +523,24 @@ def shuffle_order(rng: random.Random, length: int) -> np.ndarray:
         bound -= draws.size
         words = words[used:]
     return _apply_swaps(j)
+
+
+def shuffle_rows(streams: KeyStreams, length: int) -> np.ndarray:
+    """Row r is the permutation ``Random.shuffle`` applies on stream r: (len(streams), length).
+
+    Row r equals ``shuffle_order`` on stream r's generator, read as far as the
+    cursor.  Step i = length - 1 down to 1 swaps item i with item j, j being
+    every row's next ``randrange(i + 1)`` at once (``randrange_rows``), so a
+    row whose held words run out goes on in its ``tail``.
+    """
+    length = operator.index(length)
+    _check_bound(max(length, 1))  # the first swap's bound, before anything is held
+    order = np.tile(np.arange(length), (len(streams), 1))
+    rows = np.arange(len(streams))
+    for i in range(length - 1, 0, -1):
+        j = randrange_rows(streams, i + 1, 1)[:, 0]
+        order[rows, i], order[rows, j] = order[rows, j], order[rows, i]
+    return order
 
 
 def _shuffle_singly(rng: random.Random, length: int) -> list[int]:

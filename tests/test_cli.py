@@ -15,7 +15,7 @@ import pytest
 import scipy
 
 import ngc_lab
-from ngc_lab import cli, experiments, partitions
+from ngc_lab import cli, distributions, experiments, partitions
 from ngc_lab.cli import build_parser, main, resolve_config
 from ngc_lab.distributions import mst_augment, sample_ngc, sample_ngc_batched
 from ngc_lab.experiments import CSV_COLUMNS
@@ -308,6 +308,56 @@ def test_stochastic_sample_size_ceiling_is_a_usage_error(tmp_path, capsys, monke
     assert not (tmp_path / "rows.csv").exists()
     assert run_cli(*argv, "--c", "0.5") in (0, 1)
     assert (tmp_path / "rows.csv").exists()
+
+
+# every size flag that sets an instance's vertex count n, each just past a
+# ceiling of 1024 that stands in for MAX_VERTICES, so no test builds anything
+# near it; reduce-check's embedded instance has 4m(3t + 1) or 4m((2t + 1)s + 1)
+RELAY_SHAPE = ["--s", "1", "--t", "1", "--l", "2"]
+ESTIMATOR_BUDGET = ["--epsilon", "0.25", "--r", "4"]
+
+
+@pytest.mark.parametrize(
+    "argv, n",
+    [
+        (["gen", "--n", "1040", "--k", "13"], 1040),
+        (["stream-run", "--n", "1040", "--k", "13"], 1040),
+        (["stream-run", "--check", "relay", "--n", "1040", "--k", "4", *RELAY_SHAPE], 1040),
+        (["stream-run", "--check", "estimator", "--n", "1026", *ESTIMATOR_BUDGET], 1026),
+        (["reduce-check", "--m", "65", "--t", "1"], 1040),
+        (["reduce-check", "--m", "1", "--t", "86"], 1036),
+        (["reduce-check", "--m", "1", "--t", "1", "--s", "86"], 1036),
+    ],
+)
+def test_vertex_ceiling_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, n):
+    monkeypatch.setattr(distributions, "MAX_VERTICES", 1024)
+    monkeypatch.setattr(experiments, "MAX_VERTICES", 1024)
+    out = tmp_path / "rows.csv"
+    if argv[0] == "gen":  # gen's own shape checks are parser errors
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--out", str(out))
+        code = exc.value.code
+    else:
+        code = run_cli(*argv, "--trials", "1", "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err.rstrip()
+    assert err.endswith(f"error: n={n} is past the vertex ceiling MAX_VERTICES=1024")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--n", "1024", "--k", "4"],
+        ["stream-run", "--n", "1024", "--k", "4", "--trials", "1"],
+        ["stream-run", "--check", "estimator", "--n", "1023", *ESTIMATOR_BUDGET, "--trials", "1"],
+        ["reduce-check", "--m", "64", "--t", "1", "--trials", "1"],
+    ],
+)
+def test_vertex_ceiling_admits_its_own_size(tmp_path, monkeypatch, argv):
+    monkeypatch.setattr(distributions, "MAX_VERTICES", 1024)
+    monkeypatch.setattr(experiments, "MAX_VERTICES", 1024)
+    assert run_cli(*argv, "--out", str(tmp_path / "out")) == 0
 
 
 # --- experiment CSV behavior -------------------------------------------------------

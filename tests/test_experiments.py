@@ -397,7 +397,6 @@ def test_order_counts_read_on_past_a_one_word_budget(monkeypatch, replay_min):
     # every stream holds one word: the owner bits and both shuffles read on in
     # the trials' own generators
     monkeypatch.setattr(experiments, "word_budget", lambda n, count: 1)
-    monkeypatch.setattr(experiments, "descending_budget", lambda top, steps: 1)
     monkeypatch.setattr(seeds, "_REPLAY_MIN", replay_min)
     root = SEED.child("order-budget")
     assert experiments._order_counts(200, root) == reference_order_counts(200, root)

@@ -6,13 +6,14 @@ import math
 from collections import Counter
 from dataclasses import replace
 from itertools import chain
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ngc_lab import partitions
+from ngc_lab import partitions, seeds
 from ngc_lab.distributions import (
     EdgeTable,
     mst_augment,
@@ -39,18 +40,22 @@ from ngc_lab.partitions import (
     function_index_table,
     index_edges,
     index_ownership_pattern,
+    partition_slots,
     random_partition_functions,
     sample_counts,
+    sample_size,
     seen_counts,
     stochastic_assign,
     stochastic_owners,
+    stochastic_picks,
 )
-from ngc_lab.seeds import master_seed
+from ngc_lab.seeds import key_streams, master_seed, randrange_rows, word_budget
 from ngc_lab.stats import binomial_check, chi_square_uniform
 
 from oracles import (
     canon,
     instance_graph,
+    randrange_loop,
     reference_active_blocks,
     reference_assign_batches,
     reference_assign_by_functions,
@@ -525,6 +530,61 @@ def test_function_routes_match_references(inst, seed):
     for block in range(1, inst.t + 1):
         for j in range(1, inst.width + 1):
             assert index_edges(inst, block, j) == reference_index_edges(inst, block, j)
+
+
+# the row samplers on a stream per trial seed: each seed's stream as its own
+# generator reads it, held in full, held short or not held at all
+TRIAL_SEEDS = st.lists(st.integers(0, 2**64 - 1), max_size=8)
+HELD = st.sampled_from([None, 0, 5])  # words a stream holds: the budget, none or too few
+REPLAY_MIN = st.sampled_from([1, 10**9])  # replayed, or read from stdlib generators
+
+
+def _row_streams(trial_seeds, held, replay_min):
+    keys = [master_seed(seed).key() for seed in trial_seeds]
+    with mock.patch.object(seeds, "_REPLAY_MIN", replay_min):
+        (streams,) = key_streams((keys, held))
+    return streams
+
+
+def _then(seed, n, count):
+    """A seed's next randrange(7) draws, three of them, after ``count`` randrange(n) draws."""
+    rng = master_seed(seed).rng()
+    randrange_loop(rng, n, count)
+    return randrange_loop(rng, 7, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 4, 16]), st.integers(1, 3), TRIAL_SEEDS, HELD, REPLAY_MIN)
+def test_partition_slots_rows_are_the_per_seed_functions(w, t, trial_seeds, held, replay_min):
+    count = 6 * w * t
+    streams = _row_streams(trial_seeds, word_budget(2, count) if held is None else held, replay_min)
+    slots = partition_slots(streams, w, t)
+    then = randrange_rows(streams, 7, 3)  # a later read goes on where the slots stopped
+    assert slots.dtype == np.int8 and slots.shape == (len(trial_seeds), count)
+    for seed, row, rest in zip(trial_seeds, slots.tolist(), then.tolist()):
+        F = reference_random_partition_functions(w, t, seed)
+        assert row == list(chain(*F.fL, *F.fM, *F.fR))
+        assert rest == _then(seed, 2, count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 120), st.sampled_from([0.0, 0.05, 0.5, 1.0, 3.0]), TRIAL_SEEDS, HELD, REPLAY_MIN
+)
+def test_stochastic_picks_rows_are_the_per_seed_samples(
+    edge_count, c, trial_seeds, held, replay_min
+):
+    edges = [(i, i + 1) for i in range(edge_count)]
+    count = sample_size(c, edge_count)
+    words = word_budget(edge_count, 2 * count) if held is None else held
+    streams = _row_streams(trial_seeds, words, replay_min)
+    picks = stochastic_picks(streams, edge_count, c)
+    then = randrange_rows(streams, 7, 3)
+    assert picks.dtype == np.int64 and picks.shape == (len(trial_seeds), 2, count)
+    for seed, row, rest in zip(trial_seeds, picks.tolist(), then.tolist()):
+        want = reference_stochastic_assign(edges, c, seed).samples
+        assert tuple(tuple(edges[i] for i in half) for half in row) == want
+        assert rest == _then(seed, edge_count, 2 * count)
 
 
 def _report_sets(report):

@@ -14,9 +14,7 @@ from hypothesis import strategies as st
 from ngc_lab import seeds
 from ngc_lab.seeds import (
     Seed,
-    descending_budget,
     key_streams,
-    randbelow_descending_rows,
     randrange_array,
     randrange_many,
     randrange_rows,
@@ -24,6 +22,7 @@ from ngc_lab.seeds import (
     replay_words,
     sample_range,
     shuffle_order,
+    shuffle_rows,
     skip_bytes,
     word_budget,
 )
@@ -199,25 +198,7 @@ def test_randrange_rows_rejects_what_randrange_many_rejects(n):
     assert randrange_rows(key_streams(([1], 8))[0], n, 0).shape == (1, 0)
 
 
-# --- randbelow_descending_rows: shuffles and pool walks, every stream at once --------
-
-
-def _swapped(length: int, draws: list[int]) -> list[int]:
-    """``list(range(length))`` after ``Random.shuffle``'s swaps at these draws."""
-    items = list(range(length))
-    for step, j in enumerate(draws):
-        i = length - 1 - step
-        items[i], items[j] = items[j], items[i]
-    return items
-
-
-def _pool_walk(n: int, draws: list[int]) -> list[int]:
-    """``Random.sample``'s picks from ``range(1, n + 1)`` at these pool draws."""
-    pool, picks = list(range(1, n + 1)), []
-    for step, j in enumerate(draws):
-        picks.append(pool[j])
-        pool[j] = pool[n - 1 - step]
-    return picks
+# --- shuffle_rows: every stream's Random.shuffle at once -------------------------
 
 
 @settings(max_examples=120, deadline=None)
@@ -228,44 +209,33 @@ def _pool_walk(n: int, draws: list[int]) -> list[int]:
     st.sampled_from([1, 10**9]),  # replayed, or read from stdlib generators
     st.integers(0, 3),  # randrange(3) draws read before, so cursors start apart
 )
-def test_randbelow_descending_rows_read_shuffles_and_samples(top, keys, words, replay_min, lead):
-    for steps, walk in ((max(top - 1, 0), "shuffle"), (top, "sample")):
-        held = descending_budget(top, steps) + 2 * lead if words is None else words
-        with patch.object(seeds, "_REPLAY_MIN", replay_min):
-            (streams,) = key_streams((keys, held))
-        randrange_rows(streams, 3, lead)
-        got = randbelow_descending_rows(streams, top, steps)
-        then = randrange_rows(streams, 7, 3)  # a later read goes on where this one stopped
-        assert got.dtype == np.int64 and got.shape == (len(keys), steps)
-        for key, draws, rest in zip(keys, got.tolist(), then.tolist()):
-            rng = random.Random(key)
-            randrange_many(rng, 3, lead)
-            if walk == "shuffle":
-                items = list(range(top))
-                rng.shuffle(items)
-                assert _swapped(top, draws) == items
-            else:
-                assert _pool_walk(top, draws) == sample_range(rng, top, top)
-            assert rest == randrange_many(rng, 7, 3)
+def test_shuffle_rows_read_random_shuffle(length, keys, words, replay_min, lead):
+    held = word_budget(2, max(length - 1, 0)) + 2 * lead if words is None else words
+    with patch.object(seeds, "_REPLAY_MIN", replay_min):
+        (streams,) = key_streams((keys, held))
+    randrange_rows(streams, 3, lead)
+    got = shuffle_rows(streams, length)
+    then = randrange_rows(streams, 7, 3)  # a later read goes on where the shuffle stopped
+    assert got.dtype == np.int64 and got.shape == (len(keys), length)
+    for key, order, rest in zip(keys, got.tolist(), then.tolist()):
+        rng = random.Random(key)
+        randrange_many(rng, 3, lead)
+        items = list(range(length))
+        rng.shuffle(items)
+        assert order == items
+        assert rest == randrange_many(rng, 7, 3)
 
 
-def test_randbelow_descending_rows_validation():
+def test_shuffle_rows_validation():
     (streams,) = key_streams(([1, 2], 8))
-    for top, steps in ((3, 4), (3, -1), (-1, 0)):
-        with pytest.raises(ValueError, match="steps <= top"):
-            randbelow_descending_rows(streams, top, steps)
-    with pytest.raises(ValueError, match="2\\*\\*32"):
-        randbelow_descending_rows(streams, 2**32, 1)
-    assert randbelow_descending_rows(streams, 2**40, 0).shape == (2, 0)
-    assert randbelow_descending_rows(key_streams(([], 8))[0], 5, 4).shape == (0, 4)
+    # the first swap draws below the length, checked before any row is read
+    for length in (2**32 + 1, 2**40):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            shuffle_rows(streams, length)
+    assert shuffle_rows(streams, 0).shape == (2, 0)
+    assert shuffle_rows(streams, 1).tolist() == [[0], [0]]
+    assert shuffle_rows(key_streams(([], 8))[0], 5).shape == (0, 5)
     assert streams.cursor.tolist() == [0, 0]
-
-
-def test_descending_budget_covers_the_mean_and_more():
-    assert descending_budget(0, 0) == descending_budget(40, 0) == 0
-    for top in (2, 5, 40, 1000):
-        mean = sum((1 << b.bit_length()) / b for b in range(2, top + 1))
-        assert descending_budget(top, top - 1) >= mean + 8
 
 
 def test_word_budget_covers_the_mean_and_more():
@@ -274,6 +244,15 @@ def test_word_budget_covers_the_mean_and_more():
         for count in (1, 12, 1000):
             assert word_budget(n, count) >= count / p + 8
         assert word_budget(n, 0) == 0
+
+
+def test_descending_budget_covers_the_mean_and_more():
+    # a shuffle of L items draws below L, L - 1, ..., 2, each accepting a word
+    # at least as often as randrange(2), so word_budget(2, L - 1) holds it too
+    assert word_budget(2, 0) == 0
+    for length in (2, 5, 40, 1000):
+        mean = sum((1 << b.bit_length()) / b for b in range(2, length + 1))
+        assert word_budget(2, length - 1) >= mean + 8
 
 
 # --- Seed.keys: a run of trial keys off one hashed prefix -------------------------
