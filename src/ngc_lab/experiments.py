@@ -57,7 +57,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .bias import SupportSet, kkl_rhs, mean_bias_sq
+from .bias import MAX_WORD_BITS, SupportSet, kkl_rhs, mean_bias_sq
 from .distributions import (
     MAX_VERTICES,
     census_law,
@@ -387,6 +387,8 @@ def partition_stats_suite(
         _check_trials(sigma1_trials=sigma1_trials)
     if tail_blocks is not None:
         _check_trials(tail_blocks=tail_blocks)
+        if tail_blocks >= 2**63:  # numpy's binomial takes an int64 count
+            raise ValueError(f"need tail_blocks < 2**63, got tail_blocks={tail_blocks}")
     root = as_seed(seed)
     verdicts = _Verdicts("partition-stats", _params(w=w), root)
 
@@ -984,10 +986,14 @@ def bias_scan_suite(
     squared bias over size-k coordinate subsets, and reports it next to
     ((m - log|A|)/m)^k.  Fails only if the ratio is non-finite.
     """
+    if not 1 <= m <= MAX_WORD_BITS:
+        raise ValueError(f"need 1 <= m <= {MAX_WORD_BITS}, got m={m}")
     if not 0 <= log_a <= m:
         raise ValueError(f"need 0 <= logA <= m, got logA={log_a} m={m}")
     if log_a > MAX_LOG_A:
         raise ValueError(f"logA={log_a} asks for a support past 2**{MAX_LOG_A} members")
+    if not 1 <= k <= m:
+        raise ValueError(f"need 1 <= k <= m, got k={k} m={m}")
     root = as_seed(seed)
     rng = root.child("support").rng()
     members = frozenset(rng.sample(range(2**m), 2**log_a))

@@ -24,10 +24,10 @@ record from the instance's edge array.
 
 from __future__ import annotations
 
+import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, fields
-from itertools import product
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -363,8 +363,10 @@ def _parse_records(records: Iterable[tuple[int, str]]) -> ParsedInstance:
             raise ValueError(f"line {where}: witness x/p lines do not cover the same gadgets")
         shape = [max(key[i] for key in x_lines) for i in range(key_len)]
         keys = sorted(x_lines)  # row-major
-        grid = list(product(*(range(1, size + 1) for size in shape)))
-        if keys != grid:
+        # the grid's first keys, no more than there are lines: a hostile index costs one line
+        size, last = math.prod(max(dim, 0) for dim in shape), shape[-1]
+        grid = [(i // last + 1, i % last + 1)[-key_len:] for i in range(min(len(keys), size))]
+        if keys != grid or len(keys) != size:
             # the first gadget out of place, or the last one when only the tail is missing
             off = next((i for i, (a, b) in enumerate(zip(keys, grid)) if a != b), len(grid))
             where = witness_line[keys[min(off, len(keys) - 1)]]

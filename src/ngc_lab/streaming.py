@@ -1,14 +1,14 @@
 """Stream simulators and reference streaming algorithms.
 
-Streams are replayable event sequences (edge, weight) in one of four orders:
-as given, uniformly shuffled, batch-shuffled (batches stay contiguous, order
-of batches and of edges inside each batch uniform), or stochastic (iid edge
-samples with repetition).  A stream's events are an ``EventView``: the
-ordered edges as one (E, 2) array (plus a weight array when the graph is
-weighted), read as ((u, v), w) tuples only on demand.  The orders are index
-arrays into the edge array, drawn with ``seeds.shuffle_order`` and
-``seeds.randrange_array`` from exactly the words ``Random.shuffle`` and
-``randrange`` would use.
+Streams are replayable event sequences ((u, v), None) in one of two orders:
+as given, or uniformly shuffled.  A stream's events are an ``EventView``: the
+ordered edges as one (E, 2) array, read as ((u, v), None) tuples only on
+demand.  The shuffled order is an index array into the edge array, drawn with
+``seeds.shuffle_order`` from exactly the words ``Random.shuffle`` would use.
+The batched order (batches stay contiguous, the order of batches and of the
+edges inside each batch uniform) is the l-player relay's, drawn with
+``batch_order``; the stochastic model's with-replacement samples are
+``partitions.stochastic_assign``'s.
 
 Algorithms follow an explicit-state contract —
 init/process/serialize/deserialize/finalize — so a one-way protocol can ship
@@ -45,44 +45,39 @@ from .distributions import (
 from .gadgets import Edge
 from .seeds import Seed, as_seed, randrange_array, shuffle_order
 
-Event = tuple[Edge, int | None]
+Event = tuple[Edge, None]
 
 
 class EventView(Sequence):
-    """A tuple of ((u, v), w) events held as an (E, 2) edge array and weights.
+    """A tuple of ((u, v), None) events held as an (E, 2) edge array.
 
-    ``weights`` is an (E,) int array, or None for an unweighted stream (every
-    w is None).  Reads like the tuple it stands for: ``len``, iteration and
-    indexing give Python ints, slices are views, ``+`` concatenates, and it
-    equals the tuple of its events.
+    Reads like the tuple it stands for: ``len``, iteration and indexing give
+    Python ints, slices are views, ``+`` concatenates, and it equals the tuple
+    of its events.
     """
 
-    __slots__ = ("edges", "weights")
+    __slots__ = ("edges",)
 
-    def __init__(self, edges: np.ndarray, weights: np.ndarray | None = None) -> None:
+    def __init__(self, edges: np.ndarray) -> None:
         self.edges = edges
-        self.weights = weights
 
     def __len__(self) -> int:
         return len(self.edges)
 
     def __iter__(self):
-        pairs = zip(self.edges[:, 0].tolist(), self.edges[:, 1].tolist())
-        return zip(pairs, repeat(None) if self.weights is None else self.weights.tolist())
+        return zip(zip(self.edges[:, 0].tolist(), self.edges[:, 1].tolist()), repeat(None))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            weights = None if self.weights is None else self.weights[index]
-            return EventView(self.edges[index], weights)
+            return EventView(self.edges[index])
         u, v = self.edges[index].tolist()
-        return (u, v), (None if self.weights is None else int(self.weights[index]))
+        return (u, v), None
 
     def __add__(self, other):
-        if isinstance(other, EventView) and (self.weights is None) == (other.weights is None):
-            weights = None if self.weights is None else np.concatenate([self.weights, other.weights])
-            return EventView(np.concatenate([self.edges, other.edges]), weights)
-        if isinstance(other, (EventView, tuple)):
-            return tuple(self) + tuple(other)
+        if isinstance(other, EventView):
+            return EventView(np.concatenate([self.edges, other.edges]))
+        if isinstance(other, tuple):
+            return tuple(self) + other
         return NotImplemented
 
     def __radd__(self, other):
@@ -90,13 +85,7 @@ class EventView(Sequence):
 
     def __eq__(self, other) -> bool:
         if isinstance(other, EventView):
-            if len(self) != len(other):
-                return False
-            if self.weights is None or other.weights is None:
-                weighted = self.weights is other.weights or not len(self)
-            else:
-                weighted = np.array_equal(self.weights, other.weights)
-            return weighted and np.array_equal(self.edges, other.edges)
+            return np.array_equal(self.edges, other.edges)
         if isinstance(other, tuple):
             return tuple(self) == other
         return NotImplemented
@@ -139,59 +128,23 @@ def stream_from_edges(
     edges: list[Edge] | np.ndarray,
     mode: str,
     seed: Seed | int | None = None,
-    c: float | None = None,
-    weights: np.ndarray | None = None,
 ) -> Stream:
     """Build a stream over a raw edge list or (E, 2) array.
 
-    mode: "given" | "uniform_random" | "batched_random" | "stochastic";
-    batched_random pairs rows 2i and 2i + 1 into batch i; stochastic emits
-    ceil(c*|E|) iid samples with repetition, for a finite c >= 0.  ``weights``
-    gives each row's weight, aligned with ``edges``.
+    mode: "given" keeps the edges' order and draws nothing; "uniform_random"
+    applies the permutation ``Random.shuffle`` would.
     """
     ends = as_edge_array(edges)
-    rng = as_seed(seed).rng()
-    if mode == "given":
-        order = None
-    elif mode == "uniform_random":
-        order = shuffle_order(rng, len(ends))
-    elif mode == "batched_random":
-        if len(ends) % 2:
-            raise ValueError(f"batched_random pairs edges two by two, got {len(ends)} edges")
-        order = batch_order(rng, len(ends) // 2)
-    elif mode == "stochastic":
-        if c is None or not 0 <= c < math.inf:
-            raise ValueError(f"stochastic mode needs a finite c >= 0, got c={c!r}")
-        order = randrange_array(rng, len(ends), math.ceil(c * len(ends)))
-    else:
+    if mode == "uniform_random":
+        ends = ends[shuffle_order(as_seed(seed).rng(), len(ends))]
+    elif mode != "given":
         raise ValueError(f"unknown stream mode {mode!r}")
-    weight = None if weights is None else np.asarray(weights, dtype=np.int64)
-    if weight is not None and weight.shape != (len(ends),):
-        raise ValueError(f"{len(ends)} edges need {len(ends)} weights, got shape {weight.shape}")
-    if order is not None:
-        ends = ends[order]
-        weight = None if weight is None else weight[order]
-    return Stream(n=n, events=EventView(ends, weight), order_mode=mode)
+    return Stream(n=n, events=EventView(ends), order_mode=mode)
 
 
-def make_stream(
-    instance: NgcInstance,
-    mode: str,
-    seed: Seed | int | None = None,
-    c: float | None = None,
-) -> Stream:
-    """Stream the instance's edges in the requested order.
-
-    batched_random streams the batches, ``batched_edges``, and raises in
-    block form, which has none.
-    """
-    edges, weights = instance.edge_array, instance.edge_weights
-    if mode == "batched_random":
-        edges = instance.batched_edges
-        if edges is None:
-            raise ValueError("batched_random needs a segment-form instance")
-        weights = None if weights is None else weights[: len(edges)]
-    return stream_from_edges(instance.n, edges, mode, seed=seed, c=c, weights=weights)
+def make_stream(instance: NgcInstance, mode: str, seed: Seed | int | None = None) -> Stream:
+    """Stream the instance's edges, ``edge_array``, in the requested order."""
+    return stream_from_edges(instance.n, instance.edge_array, mode, seed=seed)
 
 
 def exact_census(n: int, stream_or_edges: Stream | list[Edge] | np.ndarray) -> Census:

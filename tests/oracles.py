@@ -1276,31 +1276,21 @@ def reference_edge_records(instance: NgcInstance) -> list[str]:
 # --- streams and relays: event tuples and set states ------------------------------
 
 
-def reference_stream_events(edges, mode: str, seed, c=None, weights=None, batches=None):
-    """The event tuple of a stream, each order made by shuffling a list in place.
+def reference_stream_events(edges, mode: str, seed):
+    """The event tuple of a stream: the edges as given, or the list shuffled in place."""
+    events = [(e, None) for e in edges]
+    if mode == "uniform_random":
+        as_seed(seed).rng().shuffle(events)
+    return tuple(events)
 
-    ``weights`` holds one weight per edge, in order; batched mode streams the
-    edges of ``batches``, and the weights are theirs, batch after batch.
-    """
-    rng = as_seed(seed).rng()
-    if mode == "batched_random":
-        edges = list(chain.from_iterable(batches))
-    events = [(e, None if weights is None else weights[i]) for i, e in enumerate(edges)]
-    if mode == "given":
-        ordered = events
-    elif mode == "uniform_random":
-        ordered = list(events)
-        rng.shuffle(ordered)
-    elif mode == "batched_random":
-        rest = iter(events)
-        groups = [[next(rest) for _ in batch] for batch in batches]
-        rng.shuffle(groups)
-        for batch in groups:
-            rng.shuffle(batch)
-        ordered = list(chain.from_iterable(groups))
-    else:  # stochastic
-        ordered = [events[rng.randrange(len(events))] for _ in range(math.ceil(c * len(events)))]
-    return tuple(ordered)
+
+def reference_batch_shuffle(batches, rng) -> list:
+    """The edges of ``batches`` in the relay's order: the batch list shuffled, then each batch."""
+    groups = [list(batch) for batch in batches]
+    rng.shuffle(groups)
+    for batch in groups:
+        rng.shuffle(batch)
+    return list(chain.from_iterable(groups))
 
 
 def reference_relay(instance, assignment, l: int, seed):
@@ -1310,16 +1300,9 @@ def reference_relay(instance, assignment, l: int, seed):
     state: set = set()
     hop_bits = []
     for player in range(1, l + 1):
-        rng = shared.child("player", player).rng()
-        owned = [
-            list(batch)
-            for batch, owner in zip(batches, assignment.batch_owners)
-            if owner == player
-        ]
-        rng.shuffle(owned)
-        for batch in owned:
-            rng.shuffle(batch)
-            state.update(canon(e) for e in batch)
+        owned = [batch for batch, owner in zip(batches, assignment.batch_owners) if owner == player]
+        order = reference_batch_shuffle(owned, shared.child("player", player).rng())
+        state.update(canon(e) for e in order)
         if player < l:
             hop_bits.append(8 * (4 + 8 * len(state)))  # u32 count, then u32 pairs
     paths, cycles = component_census(instance.n, sorted(state))

@@ -944,6 +944,50 @@ def test_walk_cover_domain_exits_two_before_any_draw(monkeypatch, capsys, tmp_pa
     assert drawn == []
 
 
+def _record_roots(monkeypatch):
+    """Count the root seeds the suites build; every draw descends from one."""
+    roots = []
+    as_seed = experiments.as_seed
+    monkeypatch.setattr(experiments, "as_seed", lambda *a: roots.append(a) or as_seed(*a))
+    return roots
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bias-scan", "--m", "64", "--logA", "1", "--k", "1"], "need 1 <= m <= 24, got m=64"),
+        (["bias-scan", "--m", "25", "--logA", "1", "--k", "1"], "need 1 <= m <= 24, got m=25"),
+        (["bias-scan", "--m", "0", "--logA", "0", "--k", "1"], "need 1 <= m <= 24, got m=0"),
+        (["bias-scan", "--m", "4", "--logA", "2", "--k", "0"], "need 1 <= k <= m, got k=0 m=4"),
+        (["bias-scan", "--m", "4", "--logA", "2", "--k", "5"], "need 1 <= k <= m, got k=5 m=4"),
+        (
+            ["partition-stats", "--w", "2", "--tail-blocks", str(10**21)],
+            f"need tail_blocks < 2**63, got tail_blocks={10**21}",
+        ),
+        (
+            ["partition-stats", "--w", "2", "--tail-blocks", str(2**63)],
+            f"need tail_blocks < 2**63, got tail_blocks={2**63}",
+        ),
+    ],
+)
+def test_word_length_and_tail_block_domains_exit_two_before_any_draw(
+    monkeypatch, capsys, tmp_path, argv, message
+):
+    roots = _record_roots(monkeypatch)
+    assert run_cli(*argv, "--trials", "5", "--out", str(tmp_path / "rows.csv")) == 2
+    assert capsys.readouterr().err.rstrip() == f"error: {message}"
+    assert roots == []
+
+
+def test_word_length_and_tail_block_bounds_still_run(monkeypatch, tmp_path):
+    roots = _record_roots(monkeypatch)
+    out = str(tmp_path / "rows.csv")
+    assert run_cli("bias-scan", "--m", "24", "--logA", "1", "--k", "24", "--trials", "5", "--out", out) == 0
+    tail = ["--tail-blocks", str(2**63 - 1)]
+    assert run_cli("partition-stats", "--w", "2", "--trials", "5", *tail, "--out", out) in (0, 1)
+    assert len(roots) == 2
+
+
 def test_walk_cover_width_ceiling_exits_two(monkeypatch, capsys, tmp_path):
     # a small stand-in for the real ceiling, so the test never samples a large m
     monkeypatch.setattr(experiments, "MAX_WIDTH", 4)

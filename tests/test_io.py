@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import tracemalloc
 import warnings
 from functools import lru_cache
 
@@ -224,6 +225,31 @@ def test_parse_rejects_incomplete_batches_and_witnesses():
         parse_instance(base + "x 1 01\n")  # x without matching p
     with pytest.raises(ValueError):
         parse_instance(base + "x 2 01\np 2 1 2\n")  # gadget 1 missing
+
+
+@pytest.mark.parametrize(
+    "inst, hostile, complaint",
+    [
+        (sample_ngc(16, 4, seed=3), ["x 4000000 01", "p 4000000 1 2"], "block witness lines are not 1..t"),
+        (
+            sample_ngc_batched(56, 7, 2, 1, 3),
+            ["x 100000 100000 0101", "p 100000 100000 1 2 3 4"],
+            "segment witness lines are not an s x t grid",
+        ),
+    ],
+    ids=["block", "segment"],
+)
+def test_hostile_witness_indices_fail_in_bounded_memory(inst, hostile, complaint):
+    # the grid up to a named index would be 4 * 10**6 or 10**10 gadgets
+    lines = serialize_instance(inst).splitlines() + hostile
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^line {len(lines) - 1}: {complaint}$"):
+            parse_instance("\n".join(lines) + "\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 # --- bulk edge records against the one-line-at-a-time references ---------------------

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from ngc_lab import distributions, protocols, seeds, streaming
 from ngc_lab.distributions import (
     Witness,
+    mst_augment,
+    pad_to_k,
     sample_dhx,
     sample_dhx_segment,
     sample_ngc,
@@ -46,7 +48,9 @@ from oracles import (
     canon,
     empirical_table,
     generators_made,
+    reference_batch_shuffle,
     reference_embed,
+    reference_instance_parts,
     reference_relay,
     slotwise_embed,
     tvd,
@@ -438,6 +442,31 @@ def test_l_player_relay_matches_the_set_state_reference(seed, l):
     relay = LPlayerStreamingProtocol(CensusThetaDecision(inst.n, inst.k), l)
     result = relay.run(inst, assignment, seed=seed + 2)
     assert (result.output, result.hop_bits) == reference_relay(inst, assignment, l, seed + 2)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: sample_ngc_batched(56, 7, 2, 1, 40),
+        lambda: sample_ngc_batched(120, 15, 2, 3, 41),
+        lambda: pad_to_k(sample_ngc_batched(56, 7, 2, 1, 42), 9),
+        lambda: mst_augment(sample_ngc_batched(56, 7, 2, 1, 43), 5),
+        lambda: mst_augment(pad_to_k(sample_ngc_batched(112, 7, 2, 1, 44), 8), 7),
+    ],
+    ids=["segment", "segment-t3", "padded", "augmented", "padded-augmented"],
+)
+def test_one_player_relay_streams_the_pair_shuffle_order(make):
+    # one player owns every batch, so the relay streams all of them in its batched order
+    inst = make()
+    batches = reference_instance_parts(inst)["batches"]
+    relay = LPlayerStreamingProtocol(OrderProbe(), 1)
+    for seed in range(4):
+        assignment = assign_batches(inst, 1, seed=seed + 10)
+        with generators_made() as made:
+            order = relay.run(inst, assignment, seed).output
+            want = reference_batch_shuffle(batches, master_seed(seed).child("player", 1).rng())
+        assert list(order) == want
+        assert len(made) == 2 and made[0].getstate() == made[1].getstate()
 
 
 def test_streaming_adapter_orders_are_the_list_shuffles(monkeypatch):

@@ -16,9 +16,7 @@ from hypothesis import strategies as st
 from ngc_lab.distributions import (
     census_of_edges,
     mst_augment,
-    pad_to_k,
     sample_ngc,
-    sample_ngc_batched,
 )
 from ngc_lab import streaming
 from ngc_lab.seeds import Seed
@@ -50,7 +48,6 @@ from oracles import (
     random_walk,
     randrange_loop,
     reference_cc_estimate,
-    reference_instance_parts,
     reference_stream_events,
     scipy_mst_weight,
     walk_distribution_exact,
@@ -70,13 +67,11 @@ def instance_with_theta(n: int, k: int, theta: int, base_seed: int):
 # --- stream construction ------------------------------------------------------
 
 
-def test_given_order_preserves_edges_and_weights():
+def test_given_order_preserves_edges():
     inst = mst_augment(instance_with_theta(56, 7, 0, 300), W=5)
     stream = make_stream(inst, "given", seed=1)
     assert [e for e, _ in stream.events] == inst.all_edges()
-    assert [w for _, w in stream.events] == inst.edge_weights.tolist()
-    plain = make_stream(sample_ngc(28, 7, seed=2), "given", seed=1)
-    assert all(w is None for _, w in plain.events)
+    assert all(w is None for _, w in stream.events)
 
 
 def test_uniform_order_hits_all_six_orders_uniformly():
@@ -98,119 +93,38 @@ def test_uniform_order_is_permutation_and_deterministic():
     assert sorted(e for e, _ in a.events) == sorted(inst.all_edges())
 
 
-def test_batched_mode_never_splits_a_batch():
-    inst = sample_ngc_batched(n=64, k=4, s=1, t=1, seed=11)
-    batch_sets = [frozenset(b) for b in reference_instance_parts(inst)["batches"]]
-    seen_orders: set[tuple] = set()
-    for s in range(40):
-        stream = make_stream(inst, "batched_random", seed=s)
-        edges = [e for e, _ in stream.events]
-        assert sorted(edges) == sorted(inst.all_edges())
-        chunks = [
-            frozenset(edges[i : i + 2]) for i in range(0, len(edges), 2)
-        ]
-        assert sorted(chunks, key=sorted) == sorted(batch_sets, key=sorted)
-        seen_orders.add(tuple(edges[:2]))
-    # both batch order and intra-batch order vary across seeds
-    assert len(seen_orders) > 2
-
-
-def test_batched_mode_requires_batches():
-    inst = sample_ngc(28, 7, seed=3)
-    with pytest.raises(ValueError):
-        make_stream(inst, "batched_random", seed=0)
-
-
-def test_stochastic_event_count_exact():
-    inst = sample_ngc(28, 7, seed=4)
-    m = len(inst.all_edges())
-    assert len(make_stream(inst, "stochastic", seed=0, c=2).events) == 2 * m
-    assert len(make_stream(inst, "stochastic", seed=0, c=0.3).events) == math.ceil(
-        0.3 * m
-    )
-    assert len(make_stream(inst, "stochastic", seed=0, c=0).events) == 0
-    with pytest.raises(ValueError):
-        make_stream(inst, "stochastic", seed=0, c=-1)
-    with pytest.raises(ValueError):
-        make_stream(inst, "stochastic", seed=0)
-
-
-@pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan, -1, -0.5])
-def test_stochastic_mode_rejects_a_c_that_is_not_finite_and_nonnegative(c):
-    with pytest.raises(ValueError, match="finite c >= 0"):
-        stream_from_edges(4, [(0, 1), (1, 2)], "stochastic", seed=1, c=c)
-
-
-@pytest.mark.parametrize("size", [0, 1, 7, 300])
-@pytest.mark.parametrize("c", [0, 0.5, 1, 2.5])
-def test_stochastic_draws_match_the_per_event_loop(monkeypatch, c, size):
-    edges = [(i, i + 1) for i in range(size)]
-    drawn = random.Random(5)
-    monkeypatch.setattr(Seed, "rng", lambda self: drawn)
-    stream = stream_from_edges(size + 1, edges, "stochastic", seed=9, c=c)
-    loop = random.Random(5)
-    count = math.ceil(c * size)
-    want = [(edges[loop.randrange(len(edges))], None) for _ in range(count)]
-    assert stream.events == tuple(want)
-    assert drawn.getstate() == loop.getstate()
-
-
 def test_event_view_reads_as_the_tuple_it_replaces():
     edges = np.array([[0, 1], [3, 2], [4, 5], [7, 6], [8, 9]])
-    for weights in (None, np.array([1, 5, 1, 2, 1])):
-        view = EventView(edges, weights)
-        ws = [None] * len(edges) if weights is None else weights.tolist()
-        want = tuple(((u, v), w) for (u, v), w in zip(edges.tolist(), ws))
-        assert len(view) == len(want)
-        assert list(view) == list(want)
-        assert all(type(u) is int and type(v) is int for (u, v), _ in view)
-        assert [view[i] for i in range(-5, 5)] == [want[i] for i in range(-5, 5)]
-        for cut in (slice(None, -1), slice(1, 3), slice(None, None, 2), slice(3, 1), slice(None)):
-            assert isinstance(view[cut], EventView)
-            assert view[cut] == want[cut] and want[cut] == view[cut]
-        assert view[:-1] + view[:1] == want[:-1] + want[:1]
-        assert isinstance(view[:-1] + view[:1], EventView)
-        assert view + want == want + view == want + want
-        assert view == want and not view != want
-        assert view != want[:-1] and view != want[::-1]
-        assert hash(view) == hash(want)
-    assert EventView(edges) != EventView(edges, np.ones(5, dtype=np.int64))
-    assert EventView(edges[:0]) == EventView(edges[:0], np.ones(0, dtype=np.int64)) == ()
+    view = EventView(edges)
+    want = tuple(((u, v), None) for u, v in edges.tolist())
+    assert len(view) == len(want)
+    assert list(view) == list(want)
+    assert all(type(u) is int and type(v) is int for (u, v), _ in view)
+    assert [view[i] for i in range(-5, 5)] == [want[i] for i in range(-5, 5)]
+    for cut in (slice(None, -1), slice(1, 3), slice(None, None, 2), slice(3, 1), slice(None)):
+        assert isinstance(view[cut], EventView)
+        assert view[cut] == want[cut] and want[cut] == view[cut]
+    assert view[:-1] + view[:1] == want[:-1] + want[:1]
+    assert isinstance(view[:-1] + view[:1], EventView)
+    assert view + want == want + view == want + want
+    assert view == want and not view != want
+    assert view != want[:-1] and view != want[::-1]
+    assert hash(view) == hash(want)
+    assert EventView(edges[:0]) == EventView(np.empty((0, 2), dtype=np.int64)) == ()
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), max_size=60),
-    st.sampled_from(["given", "uniform_random", "batched_random", "stochastic"]),
+    st.sampled_from(["given", "uniform_random"]),
     st.integers(0, 2**32),
-    st.sampled_from([0, 0.4, 1, 2.5]),
-    st.booleans(),
 )
-def test_streams_match_the_event_tuple_reference(edges, mode, seed, c, weighted):
-    if mode == "batched_random":  # rows 2i and 2i + 1 are batch i
-        edges = edges[: len(edges) // 2 * 2]
-    weights = [(u * 31 + v) % 7 for u, v in edges] if weighted else None
-    batches = tuple(tuple(edges[i : i + 2]) for i in range(0, len(edges), 2))
-    rows = None if weights is None else np.array(weights, dtype=np.int64)
-    got = stream_from_edges(31, edges, mode, seed=seed, c=c, weights=rows)
-    want = reference_stream_events(edges, mode, seed, c=c, weights=weights, batches=batches)
+def test_streams_match_the_event_tuple_reference(edges, mode, seed):
+    got = stream_from_edges(31, edges, mode, seed=seed)
+    want = reference_stream_events(edges, mode, seed)
     assert got.events == want
     assert tuple(got.events) == want
-    array_input = stream_from_edges(31, np.array(edges).reshape(-1, 2), mode, seed=seed, c=c, weights=rows)
-    assert array_input == got
-
-
-@pytest.mark.parametrize("count", [1, 3, 7])
-def test_batched_streams_reject_an_odd_edge_count(count):
-    edges = [(i, i + 1) for i in range(count)]
-    with pytest.raises(ValueError, match=f"pairs edges two by two, got {count} edges"):
-        stream_from_edges(count + 1, edges, "batched_random", seed=0)
-
-
-@pytest.mark.parametrize("count", [0, 1, 3])
-def test_stream_weights_align_with_the_edge_rows(count):
-    with pytest.raises(ValueError, match=f"^2 edges need 2 weights, got shape \\({count},\\)$"):
-        stream_from_edges(3, [(0, 1), (1, 2)], "given", weights=np.ones(count, dtype=np.int64))
+    assert stream_from_edges(31, np.array(edges).reshape(-1, 2), mode, seed=seed) == got
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 5, 64, 8191, 8192, 9000])
@@ -224,35 +138,10 @@ def test_batch_order_matches_the_per_batch_shuffles(count):
     assert bulk.getstate() == loop.getstate()
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: sample_ngc_batched(56, 7, 2, 1, 40),
-        lambda: sample_ngc_batched(120, 15, 2, 3, 41),
-        lambda: pad_to_k(sample_ngc_batched(56, 7, 2, 1, 42), 9),
-        lambda: mst_augment(sample_ngc_batched(56, 7, 2, 1, 43), 5),
-        lambda: mst_augment(pad_to_k(sample_ngc_batched(112, 7, 2, 1, 44), 8), 7),
-    ],
-    ids=["segment", "segment-t3", "padded", "augmented", "padded-augmented"],
-)
-def test_batched_instance_streams_match_the_pair_shuffle_reference(monkeypatch, make):
-    inst = make()
-    parts = reference_instance_parts(inst)
-    edges = [e for batch in parts["batches"] for e in batch]
-    weights = None if parts["weights"] is None else [parts["weights"][canon(e)] for e in edges]
-    made = []
-    rng = Seed.rng
-    monkeypatch.setattr(Seed, "rng", lambda self: made.append(rng(self)) or made[-1])
-    for seed in range(4):
-        got = make_stream(inst, "batched_random", seed)
-        want = reference_stream_events(edges, "batched_random", seed, weights=weights, batches=parts["batches"])
-        assert got.events == want
-        assert made[-2].getstate() == made[-1].getstate()
-
-
 def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        stream_from_edges(3, TRIANGLE, "sorted", seed=0)
+    for mode in ("sorted", "batched_random", "stochastic"):
+        with pytest.raises(ValueError, match=f"^unknown stream mode '{mode}'$"):
+            stream_from_edges(3, TRIANGLE, mode, seed=0)
 
 
 # --- census over streams ------------------------------------------------------
@@ -282,18 +171,6 @@ def test_exact_census_empty_edge_set():
     census = exact_census(5, [])
     assert census.components == 5
     assert census.cycles == {} and census.paths == {0: 5}
-
-
-def test_stochastic_census_recovery_rate():
-    # Single triangle: census survives c=4 sampling iff all 3 edges appear,
-    # which happens with probability 1 - 3*(2/3)^12 ~ 0.977.
-    truth = exact_census(3, TRIANGLE)
-    trials, hits = 1000, 0
-    for s in range(trials):
-        stream = stream_from_edges(3, TRIANGLE, "stochastic", seed=s, c=4)
-        if exact_census(3, stream) == truth:
-            hits += 1
-    assert hits / trials >= 0.95, f"recovered {hits}/{trials}"
 
 
 # --- streaming algorithm contract ---------------------------------------------
@@ -485,12 +362,8 @@ def cc_inputs(draw):
                   for a, b in pieces]
         start += size
     rnd.shuffle(edges)
-    mode = draw(st.sampled_from(["given", "uniform_random", "batched_random", "stochastic"]))
-    if mode == "batched_random" and len(edges) % 2:
-        edges.append(edges[0])
-    weights = np.array([rnd.randrange(100) for _ in edges]) if draw(st.booleans()) else None
-    stream = stream_from_edges(n, edges, mode, seed=draw(st.integers(0, 2**32)),
-                               c=draw(st.floats(0, 3)), weights=weights)
+    mode = draw(st.sampled_from(["given", "uniform_random"]))
+    stream = stream_from_edges(n, edges, mode, seed=draw(st.integers(0, 2**32)))
     if draw(st.booleans()):
         stream = Stream(n=n, events=tuple(stream.events), order_mode=mode)
     return stream, epsilon, draw(st.integers(1, 400)), draw(st.integers(0, 2**32))
